@@ -16,13 +16,16 @@ With Lambda = 2n+2l+D-1 and delta = 2 Z mu/(alpha hbar^2):
 The identities are exact for the model the eigenfunctions solve, so the
 quadrature cross-checks in this module agree to quadrature accuracy; the
 quadrature of the true 1/r^2 is reported separately as a diagnostic of
-the exponential approximation.
+the exponential approximation.  The cross-checks evaluate U through the
+level's model.RadialU; one report builds it once and shares each U^2
+value among its integrals.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-from . import model, specfun
+from . import model
 from .model import PotentialParams, QuantumNumbers
 from .oracle import adaptive_quad
 
@@ -55,13 +58,6 @@ class ExpectationReport:
     v_quad: float
 
 
-def _existing(params: PotentialParams, qn: QuantumNumbers) -> model.BoundState:
-    st = model.energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
-    return st
-
-
 def dE_dl(params: PotentialParams, qn: QuantumNumbers) -> float:
     """Derivative of the closed-form level in the (continuous) angular
     momentum; always matches a central difference of that expression.
@@ -70,9 +66,9 @@ def dE_dl(params: PotentialParams, qn: QuantumNumbers) -> float:
     physical branch, so this is the formula derivative, not dE/dl of the
     true level curve.)
     """
-    _existing(params, qn)
-    delta = 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
-    lam = 2.0 * qn.n + 2.0 * qn.l + params.D - 1.0
+    model._existing(params, qn)
+    delta = model._delta(params)
+    lam = model._lambda(qn.n, qn.l, params.D)
     return (
         params.alpha**2
         * params.hbar**2
@@ -90,81 +86,81 @@ def inv_r2_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
     branch of the continued level flip sign together, so the expectation
     stays positive (confirmed by the quadrature cross-check).
     """
-    _existing(params, qn)
+    model._existing(params, qn)
     w = 2 * qn.l + params.D - 2
     if w == 0:
         raise ValueError("<r^-2> degenerates for l = 0 in D = 2 (2l+D-2 = 0)")
-    delta = 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
-    lam = 2.0 * qn.n + 2.0 * qn.l + params.D - 1.0
+    delta = model._delta(params)
+    lam = model._lambda(qn.n, qn.l, params.D)
     return (params.alpha**2 / 4.0) * (16.0 * delta**2 - lam**4) / (abs(w) * lam**3)
 
 
 def potential_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
     """<V> from the strength derivative; negative for every bound state."""
-    _existing(params, qn)
-    delta = 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
-    gamma = (2 * qn.l + params.D - 1) * (2 * qn.l + params.D - 3) / 4.0
-    lam = 2.0 * qn.n + 2.0 * qn.l + params.D - 1.0
+    model._existing(params, qn)
+    delta = model._delta(params)
+    gamma = model._gamma_coeff(qn.l, params.D)
+    lam = model._lambda(qn.n, qn.l, params.D)
     bracket = 0.5 + (qn.n * (qn.n + 2 * qn.l + params.D - 2) + gamma - delta) / lam
     return (2.0 * params.alpha * params.Z / lam) * bracket
 
 
 def kinetic_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
     """<T> = E - <V>."""
-    st = _existing(params, qn)
+    st = model._existing(params, qn)
     return st.energy - potential_expect(params, qn)
+
+
+def _weighted_integrals(fs, params: PotentialParams, qn: QuantumNumbers, abs_tol: float) -> list[float]:
+    """integral of f(r) |U(r)|^2 dr over (0, inf) for each f in fs, with
+    U^2 computed once per radius and shared among the integrals."""
+    u = model.RadialU(params, qn)
+    alpha = params.alpha
+    # |P_n| on the interval is bounded by its s -> 0 (x = 1) endpoint value here
+    poly_peak = u.poly(1.0)
+    r_max = (50.0 + max(0.0, 2.0 * math.log(u.norm * poly_peak))) / (2.0 * alpha * u.epsilon)
+    # a shallow level's r_max lies far beyond the Coulomb core, where one
+    # pass over [0, r_max] would place no node of its first panels
+    edges = sorted({0.0, min(r_max, 20.0 / alpha), r_max})
+    tol = abs_tol / (len(edges) - 1)
+
+    @functools.cache
+    def u_squared(r):
+        return u(alpha * r) ** 2
+
+    return [
+        sum(adaptive_quad(lambda r: f(r) * u_squared(r), a, b, abs_tol=tol)
+            for a, b in zip(edges, edges[1:]))
+        for f in fs
+    ]
 
 
 def quadrature_expect(f, params: PotentialParams, qn: QuantumNumbers, abs_tol: float = 1e-10) -> float:
     """integral of f(r) |U(r)|^2 dr over (0, inf) by adaptive quadrature.
 
-    The upper limit is cut where the |U|^2 tail (including the polynomial
-    envelope) is below ~1e-14 of the total.
+    The upper limit r_max is cut where the |U|^2 tail (including the
+    polynomial envelope) is below ~1e-14 of the total.  With r_core =
+    min(r_max, 20/alpha) < r_max, [0, r_core] and [r_core, r_max] are
+    integrated apart, each to abs_tol/2.
     """
-    st = _existing(params, qn)
-    eps = st.epsilon
-    v = 2 * qn.l + params.D - 1
-    n = qn.n
-    alpha = params.alpha
-    c_n = model.normalization_constant(params, qn)
-    kappa = alpha * eps
-    # |P_n| on the interval is bounded by its s -> 0 endpoint value here
-    poly_peak = specfun.pochhammer(2.0 * eps + 1.0, n) / math.factorial(n)
-    r_max = (50.0 + max(0.0, 2.0 * math.log(c_n * poly_peak))) / (2.0 * kappa)
-
-    two_eps = 2.0 * eps
-    half_v = 0.5 * v
-
-    def u_squared(r):
-        s = math.exp(-alpha * r)
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        log_amp = eps * math.log(s)
-        if v > 0:
-            log_amp += half_v * math.log1p(-s)
-        amp = math.exp(log_amp)
-        poly = specfun.jacobi_p(n, two_eps, v - 1.0, 1.0 - 2.0 * s)
-        val = c_n * amp * poly
-        return val * val
-
-    return adaptive_quad(lambda r: f(r) * u_squared(r), 0.0, r_max, abs_tol=abs_tol)
+    return _weighted_integrals([f], params, qn, abs_tol)[0]
 
 
 def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> ExpectationReport:
     """All closed-form values and quadrature cross-checks for one level."""
-    st = _existing(params, qn)
-    w = 2 * qn.l + params.D - 2
-    degenerate = w == 0
+    st = model._existing(params, qn)
+    degenerate = 2 * qn.l + params.D - 2 == 0
     v_hft = potential_expect(params, qn)
+    weights = [lambda r: model.potential(r, params)]
+    if not degenerate:
+        weights += [lambda r: model.centrifugal_approx(r, params.alpha), lambda r: 1.0 / (r * r)]
+    v_quad, *inv_r2 = _weighted_integrals(weights, params, qn, 1e-10)
+    inv_r2_approx, inv_r2_exact = inv_r2 or (None, None)
     return ExpectationReport(
         inv_r2_hft=None if degenerate else inv_r2_expect(params, qn),
         v_hft=v_hft,
         t_value=st.energy - v_hft,
-        inv_r2_quad_approx=None if degenerate else quadrature_expect(
-            lambda r: model.centrifugal_approx(r, params.alpha), params, qn
-        ),
-        inv_r2_quad_exact=None if degenerate else quadrature_expect(
-            lambda r: 1.0 / (r * r), params, qn
-        ),
-        v_quad=quadrature_expect(lambda r: model.potential(r, params), params, qn),
+        inv_r2_quad_approx=inv_r2_approx,
+        inv_r2_quad_exact=inv_r2_exact,
+        v_quad=v_quad,
     )

@@ -21,6 +21,11 @@ A bound state with radial index n exists iff delta > m^2 with
 m = n + l + (D-1)/2 = Lambda/2 (and m > 0), in which case
 
     epsilon = (delta - m^2) / (2 m),   E = -(alpha hbar epsilon)^2 / (2 mu).
+
+Its reduced wavefunction is U(r) = C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
+The normalization integral has a closed form in Gamma functions (see
+normalization_constant), and U is evaluated from alpha*r through one
+evaluator per level (RadialU), never through s itself.
 """
 
 import math
@@ -98,17 +103,11 @@ class DimensionlessParams:
 
 @dataclass(frozen=True)
 class BoundState:
-    """One (n, l) level.  energy/epsilon are None when no bound state exists.
-
-    norm_const is filled lazily by normalization_constant(); the spectrum
-    path leaves it None because the normalization double sum is only
-    well-conditioned for moderate n.
-    """
+    """One (n, l) level.  energy/epsilon are None when no bound state exists."""
 
     qn: QuantumNumbers
     energy: float | None
     epsilon: float | None
-    norm_const: float | None
     exists: bool
 
 
@@ -153,8 +152,8 @@ def _angular_v(l: int, dim: int) -> int:
     return 2 * l + dim - 1
 
 
-def _m_index(n: int, l: int, dim: int) -> float:
-    return n + l + (dim - 1) / 2.0
+def _lambda(n: int, l: int, dim: int) -> float:
+    return 2.0 * n + 2.0 * l + dim - 1.0
 
 
 def _delta(params: PotentialParams) -> float:
@@ -171,7 +170,7 @@ def dimensionless(params: PotentialParams, qn: QuantumNumbers, E: float) -> Dime
         delta=_delta(params),
         gamma=_gamma_coeff(qn.l, params.D),
         v=float(_angular_v(qn.l, params.D)),
-        Lambda=float(2 * qn.n + 2 * qn.l + params.D - 1),
+        Lambda=_lambda(qn.n, qn.l, params.D),
     )
 
 
@@ -214,13 +213,21 @@ def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
     requires m > 0, which only fails for n = l = 0 in D = 1 where the
     level formula is singular and the would-be state is spurious.
     """
-    m = _m_index(qn.n, qn.l, params.D)
+    m = 0.5 * _lambda(qn.n, qn.l, params.D)
     delta = _delta(params)
     if m <= 0.0 or delta <= m * m:
-        return BoundState(qn=qn, energy=None, epsilon=None, norm_const=None, exists=False)
+        return BoundState(qn=qn, energy=None, epsilon=None, exists=False)
     eps = (delta - m * m) / (2.0 * m)
     e_val = -((params.alpha * params.hbar * eps) ** 2) / (2.0 * params.mu)
-    return BoundState(qn=qn, energy=e_val, epsilon=eps, norm_const=None, exists=True)
+    return BoundState(qn=qn, energy=e_val, epsilon=eps, exists=True)
+
+
+def _existing(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
+    """energy(params, qn), or ValueError when the level does not exist."""
+    st = energy(params, qn)
+    if not st.exists:
+        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
+    return st
 
 
 def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[BoundState]:
@@ -247,135 +254,75 @@ def bound_state_count(params: PotentialParams, l: int = 0, n_max: int = 64) -> i
 
 def coulomb_limit_energy(params: PotentialParams, qn: QuantumNumbers) -> float:
     """alpha -> 0 limit of the level: -(mu/2 hbar^2) (2Z/Lambda)^2."""
-    lam = 2 * qn.n + 2 * qn.l + params.D - 1
+    lam = _lambda(qn.n, qn.l, params.D)
     if lam <= 0:
         raise ValueError("level is singular: 2n+2l+D-1 must be positive")
     return -(params.mu / (2.0 * params.hbar**2)) * (2.0 * params.Z / lam) ** 2
 
 
-def _norm_double_sum(alpha: float, eps: float, v: int, n: int) -> float:
-    """Core of the normalization: C with C^2 K^2 B(2e, v+1) S = alpha.
-
-    S is the finite double sum over the squared series coefficients of
-    the degree-n polynomial factor, with every Beta expressed as
-    B(2e, v+1) times exact Pochhammer-ratio products:
-
-        S = sum_k (-n)_k (2e)_k (n+2e+v)_k / ((1+2e+v)_k (1+2e)_k k!)
-          * sum_j (-n)_j (2e+k)_j (n+2e+v)_j / ((1+2e+v+k)_j (1+2e)_j j!)
-
-    and K = (2e+1)_n/n!.  That expansion is around s = 0; when the
-    weight mass sits near s = 1 (2e > v) its cancellation grows without
-    bound in eps, so the sum is then evaluated in the algebraically
-    identical form expanded around the other endpoint (the polynomial
-    identity P_n^(a,b)(-x) = (-1)^n P_n^(b,a)(x)), which swaps the roles
-    of the bases:
-
-        K = (v)_n/n!,  denominators (v)_k, ratio numerators (v+1)_k.
-
-    Either way the alternating sum is accumulated in extended precision;
-    its residual condition number near the crossover is mild.
-    """
-    if 2.0 * eps <= v:
-        denom_base = 1.0 + 2.0 * eps
-        ratio_base = 2.0 * eps
-        k_factor = specfun.pochhammer(2.0 * eps + 1.0, n) / math.factorial(n)
-    else:
-        denom_base = float(v)
-        ratio_base = v + 1.0
-        k_factor = specfun.pochhammer(float(v), n) / math.factorial(n)
-
-    num_base = np.longdouble(n + 2.0 * eps + v)  # (n+2e+v)_k in both forms
-    d0 = np.longdouble(denom_base)
-    r0 = np.longdouble(ratio_base)
-    w0 = np.longdouble(1.0 + 2.0 * eps + v)  # shared ratio denominator
-    one = np.longdouble(1.0)
-
-    total = np.longdouble(0.0)
-    outer = one
-    for k in range(n + 1):
-        inner = one
-        inner_sum = one
-        for j in range(n):
-            inner = (
-                inner
-                * (j - n)
-                * (num_base + j)
-                * (r0 + k + j)
-                / ((d0 + j) * (w0 + k + j) * (j + 1))
-            )
-            inner_sum += inner
-        total += outer * inner_sum
-        outer = (
-            outer
-            * (k - n)
-            * (num_base + k)
-            * (r0 + k)
-            / ((d0 + k) * (w0 + k) * (k + 1))
-        )
-    if not (total > 0.0):
-        raise ArithmeticError(
-            f"normalization sum is not positive (n={n}): cancellation exceeded "
-            "extended precision"
-        )
-    beta_front = specfun.beta(2.0 * eps, v + 1.0)
-    return math.sqrt(alpha / (beta_front * float(total))) / k_factor
-
-
 def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float:
     """Positive constant C_n making the reduced wavefunction unit-normed.
 
-    Computed from the finite double sum over the squared polynomial
-    series (see _norm_double_sum); the Beta prefactor is evaluated in
-    log space and the alternating sum in extended precision.  For
-    2l+D-1 = 0 the polynomial has a root on the s = 1 boundary; the sum
-    runs over the reduced degree n-1 representation there.
+    With s = exp(-alpha r), a = 2eps and b = v-1, the integral of U^2 dr
+    is C_n^2 I / alpha, where
+
+        I = int_0^1 s^(a-1) (1-s)^v [P_n^(a,b)(1-2s)]^2 ds
+          = Gamma(n+a+1) Gamma(n+v) (2n+v) / (n! Gamma(n+a+v) a (2n+a+v)).
+
+    In x = 1-2s, writing the weight's 1+x as 2 - (1-x) splits I into the
+    two standard Jacobi integrals with weights (1-x)^(a-1) (1+x)^b and
+    (1-x)^a (1+x)^b.  I is B(2eps, v+1) at n = 0 and holds at v = 0 by
+    continuity.  Evaluated in log space, C_n = sqrt(alpha/I) costs O(1)
+    and neither overflows nor cancels at any n.
     """
-    st = energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
-    eps = st.epsilon
-    v = _angular_v(qn.l, params.D)
-    n = qn.n
-    if v == 0:
-        # P_n^(a,-1)(1-2s) = ((n+a)/n) (1-s) P_{n-1}^(a,1)(1-2s): route
-        # through the (v=2, degree n-1) representation
-        core = _norm_double_sum(params.alpha, eps, 2, n - 1)
-        return core * n / (n + 2.0 * eps)
-    return _norm_double_sum(params.alpha, eps, v, n)
+    st = _existing(params, qn)
+    n, a, v = qn.n, 2.0 * st.epsilon, _angular_v(qn.l, params.D)
+    log_i = (
+        math.lgamma(n + a + 1.0) + math.lgamma(n + v) + math.log(2 * n + v)
+        - math.lgamma(n + 1.0) - math.lgamma(n + a + v) - math.log(a) - math.log(2 * n + a + v)
+    )
+    return math.sqrt(params.alpha) * math.exp(-0.5 * log_i)
 
 
-def wavefunction_u(s, params: PotentialParams, qn: QuantumNumbers, norm_const: float | None = None):
+class RadialU:
+    """U of one level as a function of t = alpha*r, for a float or an array.
+
+    Holds C_n, epsilon, v and the recurrence of P_n^(2eps, v-1), computed
+    once per level.  s^eps = exp(-eps t), 1 - s = -expm1(-t) and
+    1 - 2s = -1 - 2 expm1(-t): s itself is never formed, so U underflows
+    only where U itself does.
+    """
+
+    def __init__(self, params: PotentialParams, qn: QuantumNumbers):
+        self.epsilon = _existing(params, qn).epsilon
+        self.v = _angular_v(qn.l, params.D)
+        self.norm = normalization_constant(params, qn)
+        self.poly = specfun.jacobi_poly(qn.n, 2.0 * self.epsilon, self.v - 1.0)
+
+    def __call__(self, t):
+        xp = math if isinstance(t, float) else np
+        em = xp.expm1(-t)  # -(1 - s)
+        amp = xp.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
+        return self.norm * amp * self.poly(-1.0 - 2.0 * em)
+
+
+def wavefunction_u(s, params: PotentialParams, qn: QuantumNumbers):
     """Reduced wavefunction C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
 
-    s = exp(-alpha r) must lie in (0, 1); scalar or array input.  The
-    endpoint factors are evaluated through exp/log so the function
-    underflows to an exact 0 instead of raising.
+    s = exp(-alpha r) must lie in (0, 1); scalar or array input.  It is
+    evaluated by RadialU at alpha*r = -ln s, so it underflows to an exact
+    0 instead of raising.
     """
-    st = energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
+    u = RadialU(params, qn)
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr > 0.0) & (s_arr < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
-    if norm_const is None:
-        norm_const = normalization_constant(params, qn)
-    eps = st.epsilon
-    v = _angular_v(qn.l, params.D)
-    log_amp = eps * np.log(s_arr)
-    if v > 0:
-        log_amp = log_amp + (0.5 * v) * np.log1p(-s_arr)
-    poly = specfun.jacobi_p(qn.n, 2.0 * eps, v - 1.0, 1.0 - 2.0 * s_arr)
-    out = norm_const * np.exp(log_amp) * poly
-    if s_arr.ndim == 0:
-        return float(out)
-    return out
+    return u(-np.log(s_arr))  # a 0-d array gives a numpy scalar, so a float
 
 
 def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> RadialGrid:
     """Linear grid covering the state: r up to 40/kappa with kappa = alpha*eps."""
-    st = energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
+    st = _existing(params, qn)
     kappa = params.alpha * st.epsilon
     r_max = 40.0 / kappa
     return RadialGrid(r_min=r_max / (4.0 * points), r_max=r_max, points=points)
@@ -385,7 +332,6 @@ def wavefunction_samples(
     params: PotentialParams,
     qn: QuantumNumbers,
     grid: RadialGrid | np.ndarray | None = None,
-    norm_const: float | None = None,
 ) -> RadialSamples:
     """Sample U and R = r^-(D-1)/2 U on a radial grid.
 
@@ -412,19 +358,10 @@ def wavefunction_samples(
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
 
-    st = energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
-    if norm_const is None:
-        norm_const = normalization_constant(params, qn)
-
-    s = np.exp(-params.alpha * r)
-    u = np.zeros_like(r)
-    interior = (s > 0.0) & (s < 1.0)
-    if np.any(interior):
-        u[interior] = wavefunction_u(s[interior], params, qn, norm_const=norm_const)
+    level = RadialU(params, qn)
+    u = level(params.alpha * r)
     rr = u * r ** (-(params.D - 1) / 2.0)
-    meta.update({"epsilon": st.epsilon, "norm_const": norm_const, "units": "hbar,mu as given"})
+    meta.update({"epsilon": level.epsilon, "norm_const": level.norm, "units": "hbar,mu as given"})
     return RadialSamples(r_values=r, U_values=u, R_values=rr, meta=meta)
 
 

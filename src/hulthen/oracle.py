@@ -112,9 +112,7 @@ def default_config(
     is the closed-form energy +/- 20%.  The default energy tolerance is
     1e-9, tightened to 1e-8|E| for very shallow levels.
     """
-    st = model.energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
+    st = model._existing(params, qn)
     kappa = math.sqrt(-2.0 * params.mu * st.energy) / params.hbar
     r_min = 1e-6 / params.alpha
     r_max = max(40.0 / kappa, 20.0 / params.alpha)
@@ -136,8 +134,7 @@ def interior_nodes(qn: QuantumNumbers, dim: int) -> int:
     the Jacobi factor sits exactly on the r = 0 boundary and only n - 1
     sign changes are interior.
     """
-    v = 2 * qn.l + dim - 1
-    return qn.n - 1 if v == 0 else qn.n
+    return qn.n - 1 if model._angular_v(qn.l, dim) == 0 else qn.n
 
 
 def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int, pot):
@@ -147,9 +144,8 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     of y'' = g y and (y0, y1) start the march on the regular power-law
     branch y ~ r^{|v-1|/2}.
     """
-    dim = params.D
-    gam = (2 * l + dim - 1) * (2 * l + dim - 3) / 4.0
-    v = 2 * l + dim - 1
+    gam = model._gamma_coeff(l, params.D)
+    v = model._angular_v(l, params.D)
     c = 2.0 * params.mu / params.hbar**2
     x0 = math.log(r_min)
     h = (math.log(r_max) - x0) / (n - 1)
@@ -295,9 +291,7 @@ def approximation_error(
     centrifugal barrier; it vanishes (to solver tolerance) whenever the
     centrifugal coefficient is zero and shrinks as alpha -> 0 otherwise.
     """
-    st = model.energy(params, qn)
-    if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
+    st = model._existing(params, qn)
     if cfg is None:
         cfg = default_config(params, qn)
     res = solve_exact(params, qn.l, interior_nodes(qn, params.D), cfg)

@@ -70,23 +70,33 @@ def hyp_terminating(n: int, b: float, c: float, s: float) -> float:
     return total
 
 
+def jacobi_poly(n: int, a: float, b: float):
+    """P_n^(a,b) as a callable of a scalar or numpy array x.
+
+    The coefficients of the recurrence P_k = (A_k x + B_k) P_{k-1} -
+    C_k P_{k-2} are computed once here, not at every x.
+    """
+    if n != int(n) or n < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
+    coeffs = [(0.5 * (a + b + 2.0), 0.5 * (a - b), 0.0)] if n >= 1 else []
+    for k in range(2, int(n) + 1):
+        s = 2.0 * k + a + b
+        ak = 2.0 * k * (k + a + b) * (s - 2.0)
+        coeffs.append(((s - 1.0) * s * (s - 2.0) / ak, (s - 1.0) * (a * a - b * b) / ak,
+                       2.0 * (k + a - 1.0) * (k + b - 1.0) * s / ak))
+
+    def poly(x):
+        p_prev, p_cur = 0.0, x * 0.0 + 1.0
+        for c_x, c_0, c_prev in coeffs:
+            p_cur, p_prev = (c_x * x + c_0) * p_cur - c_prev * p_prev, p_cur
+        return p_cur
+
+    return poly
+
+
 def jacobi_p(n: int, a: float, b: float, x):
     """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence in degree.
 
     x may be a scalar or a numpy array; the recurrence is elementwise.
     """
-    if n != int(n) or n < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    one = x * 0.0 + 1.0
-    if n == 0:
-        return one
-    p_prev = one
-    p_cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, n + 1):
-        s = 2.0 * k + a + b
-        ak = 2.0 * k * (k + a + b) * (s - 2.0)
-        bk = (s - 1.0) * (s * (s - 2.0) * x + a * a - b * b)
-        ck = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p_cur, p_prev = (bk * p_cur - ck * p_prev) / ak, p_cur
-    return p_cur
+    return jacobi_poly(n, a, b)(x)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hulthen import PotentialParams, QuantumNumbers, count_nodes, normalization_constant
 from hulthen.cli import main
 
 
@@ -99,6 +100,18 @@ def test_wavefunction_table(capsys):
     assert total == pytest.approx(1.0, abs=1e-4)
     # header records the state metadata
     assert "# epsilon = " in out and "# norm_const = " in out
+
+
+def test_wavefunction_high_n_small_alpha(capsys):
+    # the normalization used to raise ArithmeticError here (exit 1)
+    code, out, err = run(capsys, "wavefunction", "--alpha", "0.001", "--n", "30")
+    assert code == 0, err
+    norm = [ln for ln in out.splitlines() if ln.startswith("# norm_const = ")]
+    assert float(norm[0].split(" = ")[1]) == normalization_constant(
+        PotentialParams(Z=1.0, alpha=0.001), QuantumNumbers(30, 0)
+    )
+    _, rows = parse_csv(out)
+    assert count_nodes(np.array([float(row[1]) for row in rows])) == 30
 
 
 def test_wavefunction_missing_state(capsys):

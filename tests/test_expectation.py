@@ -139,6 +139,17 @@ def test_quadrature_normalization_various_states():
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
+def test_shallow_level_potential_quadrature():
+    # epsilon = 0.0015 puts the tail cut-off near r = 1e5 while <V> comes
+    # from the Coulomb core r < 20/alpha; the quadrature must still see it
+    params = PotentialParams(Z=1.0, alpha=0.0987, D=4)
+    qn = QuantumNumbers(1, 2)
+    rep = expectation_report(params, qn)
+    assert rep.v_quad == pytest.approx(rep.v_hft, rel=1e-6)
+    assert rep.inv_r2_quad_approx == pytest.approx(rep.inv_r2_hft, rel=1e-6)
+    assert quadrature_expect(lambda r: 1.0, params, qn) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_report_fields():
     rep = expectation_report(ANCHOR, GROUND)
     st = energy(ANCHOR, GROUND)

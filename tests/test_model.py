@@ -240,6 +240,41 @@ def test_normalization_ground_state_closed_form():
         assert normalization_constant(params, qn) == pytest.approx(expect, rel=1e-12)
 
 
+def _norm_integral_reference(params, qn):
+    """int_0^1 s^(2eps-1) (1-s)^v [P_n^(2eps, v-1)(1-2s)]^2 ds by scipy's
+    adaptive quadrature and Jacobi polynomials, with epsilon from the
+    level formula; the closed form alpha / C_n^2 must reproduce it."""
+    from scipy import integrate, special
+
+    m = qn.n + qn.l + (params.D - 1) / 2.0
+    delta = 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
+    a = (delta - m * m) / m  # 2 epsilon
+    v = 2 * qn.l + params.D - 1
+
+    def f(s):
+        return s ** (a - 1.0) * (1.0 - s) ** v * special.eval_jacobi(qn.n, a, v - 1.0, 1.0 - 2.0 * s) ** 2
+
+    breaks = np.linspace(0.0, 1.0, qn.n + 2)[1:-1]
+    val, err = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=1000, points=breaks)
+    assert err < 1e-12 * val
+    return val
+
+
+@pytest.mark.parametrize(
+    "params, qn",
+    [(PotentialParams(Z=1.0, alpha=1e-3), QuantumNumbers(n, 0)) for n in (15, 20, 25, 30, 40)]
+    + [(PotentialParams(Z=1.0, alpha=0.05, D=1), QuantumNumbers(n, 0)) for n in (1, 5)]
+    + [(PotentialParams(Z=0.7612, alpha=0.008279, mu=1.0931, hbar=0.8738, D=5), QuantumNumbers(8, 2))],
+)
+def test_normalization_matches_independent_quadrature(params, qn):
+    # high n at small alpha, the v = 0 case (D = 1, l = 0) and an ordinary
+    # D = 5 level: the integral of U^2 is 1 and C_n agrees to 1e-12
+    ref = _norm_integral_reference(params, qn)
+    c_n = normalization_constant(params, qn)
+    assert c_n * c_n * ref / params.alpha == pytest.approx(1.0, abs=1e-10)
+    assert c_n == pytest.approx(math.sqrt(params.alpha / ref), rel=1e-12)
+
+
 def test_normalization_errors():
     with pytest.raises(ValueError):
         normalization_constant(PotentialParams(Z=1.0, alpha=2.5), QuantumNumbers(0, 0))
@@ -310,6 +345,18 @@ def test_samples_grid_handling():
         RadialGrid(r_min=0.0, r_max=1.0, points=10)
     with pytest.raises(ValueError):
         RadialGrid(r_min=0.1, r_max=1.0, points=10, spacing="cubic")
+
+
+def test_samples_keep_shallow_tail():
+    # epsilon = 0.0015: the state reaches far past alpha*r = 745, where
+    # exp(-alpha r) underflows; U must still be sampled there
+    params = PotentialParams(Z=1.0, alpha=0.0987, D=4)
+    qn = QuantumNumbers(1, 2)
+    r_max = default_grid(params, qn).r_max
+    r = np.linspace(r_max * 1e-6, r_max, 200001)
+    samples = wavefunction_samples(params, qn, r)
+    assert np.count_nonzero(samples.U_values[r * params.alpha > 800.0]) > 0
+    assert np.trapezoid(samples.U_values**2, r) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_default_grid_covers_state():
