@@ -174,19 +174,24 @@ def dimensionless(params: PotentialParams, qn: QuantumNumbers, E: float) -> Dime
     )
 
 
-def potential(r: float, params: PotentialParams) -> float:
-    """The screened potential -Z alpha e^{-ar}/(1 - e^{-ar}) at radius r > 0.
+def potential(r, params: PotentialParams):
+    """The screened potential -Z alpha e^{-ar}/(1 - e^{-ar}) at radius r > 0,
+    for a float or an array of radii.
 
-    Uses expm1, so the Coulomb-like small-r regime -Z/r + Z alpha/2 + ...
-    is reproduced without cancellation.
+    1 - e^{-ar} is taken as -expm1(-ar), so the Coulomb-like small-r regime
+    -Z/r + Z alpha/2 + ... is reproduced without cancellation and nothing
+    overflows at large r.
     """
-    if not (r > 0.0) or math.isinf(r):
+    if isinstance(r, np.ndarray):
+        if not np.all((r > 0.0) & (r < math.inf)):
+            raise ValueError("radii must be finite positive reals")
+        xp = np
+    elif not (0.0 < r < math.inf):
         raise ValueError(f"radius must be a finite positive real, got {r!r}")
+    else:
+        xp = math
     u = params.alpha * r
-    if u < 1.0:
-        return -params.Z * params.alpha / math.expm1(u)
-    t = math.exp(-u)
-    return -params.Z * params.alpha * t / (1.0 - t)
+    return params.Z * params.alpha * xp.exp(-u) / xp.expm1(-u)
 
 
 def centrifugal_approx(r: float, alpha: float) -> float:

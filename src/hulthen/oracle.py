@@ -5,13 +5,24 @@ solve_exact integrates the exact reduced radial equation
     U'' = [gamma/r^2 + (2 mu/hbar^2)(V(r) - E)] U,
     gamma = (2l+D-1)(2l+D-3)/4,
 
-with no exponential approximation of the centrifugal barrier, and finds
-eigenvalues by shooting outward plus bisection on the node count and the
-sign of U at the outer boundary.  The integration runs on a uniform grid
-in x = ln(r): substituting U = sqrt(r) y turns the equation into
-y''(x) = [r^2 W(r) + 1/4] y(x), which stays resolvable near the Coulomb
-singularity at the origin without millions of linear-grid points.  The
-marching scheme is Numerov (fourth order in the step).
+with no exponential approximation of the centrifugal barrier.  The
+integration runs on a uniform grid in x = ln(r): substituting U = sqrt(r) y
+turns the equation into y''(x) = [r^2 W(r) + 1/4] y(x), which stays
+resolvable near the Coulomb singularity at the origin without millions of
+linear-grid points.  The scheme is Numerov (fourth order in the step), with
+y = 0 at r_max.
+
+Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
+(1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
+R_i = F_{i+1}/F_i obey R_i = U_i - 1/R_{i-1}, U_i = (2 + 10 T_i)/(1 - T_i),
+and cannot overflow.  They are the pivots of the tridiagonal Numerov
+matrix, so the number of negative R_i counts the grid levels below E (a
+Sturm count).  A solve counts at both bracket ends, then moves E by
+Cooley's matching-point correction (Math. Comp. 15, 363 (1961)) from an
+outward and an inward march that meet at the last classical turning point;
+their Sturm count shrinks the bracket, and a step that leaves it is
+replaced by bisection.  Once the correction is below a quarter of the
+tolerance, counts at E -/+ tolerance/2 certify the level.
 
 adaptive_quad is a general-purpose globally adaptive Gauss-Kronrod
 (G7, K15) integrator used for normalization and expectation-value
@@ -22,6 +33,8 @@ subdivision toward the endpoint (no node ever touches an endpoint).
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import model
 from .model import PotentialParams, QuantumNumbers
@@ -52,7 +65,8 @@ class BracketError(OracleError):
 
 
 class ConvergenceError(OracleError):
-    """Bisection failed to reach tolerance within max_iter."""
+    """The tolerance cannot be reached: finer than the float spacing, or not
+    within max_iter passes."""
 
 
 class NodeCountError(OracleError):
@@ -88,15 +102,16 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """energy is the bracket midpoint at convergence; residual is the final
-    half-width of the energy bracket (the outward-shooting boundary value
-    itself is dominated by the growing mode for any double-precision
-    energy, so it is not a usable mismatch measure)."""
+    """energy is the level and residual the half-width of an interval around
+    it that node counts prove to hold the level: the Sturm count is at most
+    node_count at energy - residual and above it at energy + residual.
+    shots is the number of passes over the grid the solve made."""
 
     energy: float
     node_count: int
     converged: bool
     residual: float
+    shots: int
 
 
 def default_config(
@@ -137,53 +152,138 @@ def interior_nodes(qn: QuantumNumbers, dim: int) -> int:
     return qn.n - 1 if model._angular_v(qn.l, dim) == 0 else qn.n
 
 
-def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int, pot):
-    """Uniform ln(r) grid with the E-independent Numerov inputs.
+# grid points per block of count_bound_states.  A block's arrays (32 kB)
+# are reused from the allocator's free lists; grid-sized temporaries were
+# handed back to the OS after each call and faulted in again by the next,
+# about 250 page faults a call.
+_BLOCK = 4096
 
-    Returns (h, P, Q, y0, y1) where g_i = P_i - E*Q_i is the coefficient
-    of y'' = g y and (y0, y1) start the march on the regular power-law
-    branch y ~ r^{|v-1|/2}.
+
+def _log_coeffs(
+    params: PotentialParams, l: int, r_min: float, r_max: float, n: int, potential=None
+):
+    """Uniform ln(r) grid of n points with the E-independent Numerov inputs.
+
+    Returns (h, coeffs, y1): coeffs(lo, hi) gives the arrays P and Q on grid
+    points lo .. hi-1, where g_i = P_i - E*Q_i is the coefficient of
+    y'' = g y, and y_0 = 1, y_1 = y1 start the march on the regular
+    power-law branch y ~ r^{|v-1|/2}.  `potential`, a callable of r mapped
+    over the radii, replaces the screened potential of `params`.
     """
     gam = model._gamma_coeff(l, params.D)
     v = model._angular_v(l, params.D)
     c = 2.0 * params.mu / params.hbar**2
     x0 = math.log(r_min)
     h = (math.log(r_max) - x0) / (n - 1)
-    radii = [math.exp(x0 + i * h) for i in range(n)]
-    p_arr = [gam + 0.25 + c * r * r * pot(r) for r in radii]
-    q_arr = [c * r * r for r in radii]
-    y0 = 1.0
-    y1 = math.exp(h * abs(v - 1) / 2.0)
-    return h, p_arr, q_arr, y0, y1
+
+    def coeffs(lo, hi):
+        radii = np.exp(x0 + h * np.arange(lo, hi))
+        if potential is None:
+            pot = model.potential(radii, params)
+        else:
+            pot = np.array([potential(r) for r in radii.tolist()])
+        q_arr = c * radii * radii
+        return gam + 0.25 + q_arr * pot, q_arr
+
+    return h, coeffs, math.exp(h * abs(v - 1) / 2.0)
 
 
-def _march(p_arr, q_arr, h, energy_val, y0, y1):
-    """Numerov march of y'' = (P - E Q) y; returns (nodes, y_end).
+def _log_grid(
+    params: PotentialParams, l: int, r_min: float, r_max: float, n: int, potential=None
+):
+    """The grid of _log_coeffs as (h, P, Q, y1), with P and Q on all n points."""
+    h, coeffs, y1 = _log_coeffs(params, l, r_min, r_max, n, potential)
+    return (h, *coeffs(0, n), y1)
 
-    Rescales on the fly so the growing tail cannot overflow; node
-    counting and the end sign are scale-invariant.
+
+def _numerov(h, p_arr, q_arr, energy_val):
+    """T_i = h^2 g_i / 12 (an array) and U_i = (2 + 10 T_i)/(1 - T_i) (a
+    memoryview of floats: fast to iterate, no copy) at one energy."""
+    t = (h * h / 12.0) * (p_arr - energy_val * q_arr)
+    return t, memoryview((2.0 + 10.0 * t) / (1.0 - t))
+
+
+def _r0(t, y1):
+    """R_0 = F_1/F_0, where F_i = (1 - T_i) y_i."""
+    return float((1.0 - t[1]) * y1 / (1.0 - t[0]))
+
+
+def _sturm_count(h, y1, blocks, energy_val) -> int:
+    """Sturm count at energy_val: the number of grid levels below it.
+
+    Marches R_i = F_{i+1}/F_i = U_i - 1/R_{i-1} outward over grid points
+    1 .. n-2, whose P and Q `blocks` yields in order as pairs of arrays.
+    The R_i are the pivots of the Numerov matrix, so the negative ones are
+    the nodes of y and count the levels below energy_val.
     """
-    h12 = h * h / 12.0
-    c_prev = 1.0 - h12 * (p_arr[0] - energy_val * q_arr[0])
-    c_cur = 1.0 - h12 * (p_arr[1] - energy_val * q_arr[1])
-    y_prev, y_cur = y0, y1
+    r = None
     nodes = 0
-    last_sign = 0.0 if y_cur == 0.0 else math.copysign(1.0, y_cur)
-    n = len(p_arr)
-    for i in range(1, n - 1):
-        c_next = 1.0 - h12 * (p_arr[i + 1] - energy_val * q_arr[i + 1])
-        y_next = ((12.0 - 10.0 * c_cur) * y_cur - c_prev * y_prev) / c_next
-        if abs(y_next) > 1e250:
-            y_next *= 1e-250
-            y_cur *= 1e-250
-        if y_next != 0.0:
-            sign = math.copysign(1.0, y_next)
-            if last_sign != 0.0 and sign != last_sign:
+    for p_blk, q_blk in blocks:
+        t, u = _numerov(h, p_blk, q_blk, energy_val)
+        if r is None:  # the first block: start at U_1 from R_0
+            r, u = _r0(t, y1), u[1:]
+        for u_i in u:
+            try:
+                r = u_i - 1.0 / r
+            except ZeroDivisionError:  # F_i = 0 exactly, so F_{i+1} = -F_{i-1}
+                r = -math.inf
+            if r < 0.0:
                 nodes += 1
-            last_sign = sign
-        y_prev, y_cur = y_cur, y_next
-        c_prev, c_cur = c_cur, c_next
-    return nodes, y_cur
+    return nodes
+
+
+def _march(grid, energy_val) -> int:
+    """Sturm count at energy_val on a (h, P, Q, y1) grid of _log_grid."""
+    h, p_arr, q_arr, y1 = grid
+    return _sturm_count(h, y1, [(p_arr[:-1], q_arr[:-1])], energy_val)
+
+
+def _ratios(u_seq, r):
+    """r, then R = U - 1/R for each U of u_seq, as in _sturm_count (outward
+    R_i = F_{i+1}/F_i, or inward F_{i-1}/F_i).
+
+    _sturm_count keeps its own loop: counting in place takes about two
+    thirds of the time of draining this generator, and it runs four times a
+    solve.
+    """
+    yield r
+    for u_i in u_seq:
+        try:
+            r = u_i - 1.0 / r
+        except ZeroDivisionError:
+            r = -math.inf
+        yield r
+
+
+def _cooley(grid, energy_val):
+    """Sturm count and Cooley's energy correction dE at energy_val.
+
+    R_i = F_{i+1}/F_i is marched outward to the last classical turning
+    point m (g_m < 0) and S_i = F_{i-1}/F_i inward from F = 0 at r_max.
+    Joined at F_m = 1, the two solutions miss the Numerov equation at m by
+    gamma = U_m - 1/R_{m-1} - 1/S_{m+1}, the twisted pivot of the Numerov
+    matrix: the negative R, S and gamma add up to the Sturm count, and
+    dE = gamma / (c_m h^2 sum Q y^2) with c = 1 - T and y = F/c.
+    """
+    h, p_arr, q_arr, y1 = grid
+    t, u = _numerov(h, p_arr, q_arr, energy_val)
+    r0 = _r0(t, y1)
+    n = t.size
+    allowed = np.flatnonzero(t < 0.0)
+    m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
+    # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}
+    r_out = np.fromiter(_ratios(u[1:m], r0), float, m)
+    s_in = np.fromiter(_ratios(u[n - 3 : m : -1], u[n - 2]), float, n - 2 - m)
+    with np.errstate(all="ignore"):
+        gamma = u[m] - 1.0 / r_out[-1] - 1.0 / s_in[-1]
+        c = 1.0 - t
+        w = q_arr / (c * c)
+        f_out = np.cumprod(1.0 / r_out[::-1])  # F_{m-1} .. F_0
+        f_in = np.cumprod(1.0 / s_in[::-1])  # F_{m+1} .. F_{n-2}
+        norm = w[m] + w[m - 1 :: -1] @ (f_out * f_out) + w[m + 1 : n - 1] @ (f_in * f_in)
+        step = float(gamma / (c[m] * h * h * norm))
+    nodes = np.count_nonzero(r_out[1:] < 0.0) + np.count_nonzero(s_in < 0.0) + (gamma < 0.0)
+    return int(nodes), step
 
 
 def solve_exact(
@@ -200,86 +300,101 @@ def solve_exact(
     the screened potential of `params`.
 
     Raises BracketError when the bracket does not straddle the target
-    eigenvalue, ConvergenceError when bisection stalls, NodeCountError if
-    the converged eigenfunction has the wrong node count.
+    eigenvalue, ConvergenceError when the tolerance is finer than the
+    float spacing of the bracket energies or the solve takes more than
+    max_iter passes, NodeCountError if the certified level has the wrong
+    node count.
     """
-    if potential is None:
-        pot = lambda r: model.potential(r, params)
-    else:
-        pot = potential
     k = int(target_nodes)
     if k < 0:
         raise ValueError("target_nodes must be >= 0")
-    h, p_arr, q_arr, y0, y1 = _log_grid(
-        params, l, cfg.r_min, cfg.r_max, cfg.step_count, pot
-    )
-    parity = -1.0 if k % 2 else 1.0
-
-    def shoot(e_val):
-        return _march(p_arr, q_arr, h, e_val, y0, y1)
-
-    def above(nodes, y_end):
-        # True once E has passed the k-th eigenvalue: either an extra node
-        # appeared or the tail flipped against the (-1)^k convention.
-        if nodes != k:
-            return nodes > k
-        return parity * y_end < 0.0
-
     e_lo, e_hi = cfg.energy_bracket
-    nodes_lo, y_lo = shoot(e_lo)
-    if above(nodes_lo, y_lo):
+    tol = cfg.tolerance
+    if tol < 4.0 * math.ulp(e_lo):
+        raise ConvergenceError(
+            f"tolerance {tol!r} is below 4 float spacings of the bracket energy "
+            f"{e_lo!r}"
+        )
+    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count, potential)
+    nodes_lo = _march(grid, e_lo)
+    if nodes_lo > k:
         raise BracketError(
             f"lower bracket E={e_lo!r} already lies above the target eigenvalue "
             f"(nodes={nodes_lo})"
         )
-    nodes_hi, y_hi = shoot(e_hi)
-    if not above(nodes_hi, y_hi):
+    nodes_hi = _march(grid, e_hi)
+    if nodes_hi <= k:
         raise BracketError(
             f"upper bracket E={e_hi!r} lies below the target eigenvalue "
             f"(nodes={nodes_hi})"
         )
+    shots = 2
 
-    iterations = 0
-    while e_hi - e_lo > cfg.tolerance:
-        if iterations >= cfg.max_iter:
+    def narrow(e_val, nodes):
+        nonlocal e_lo, e_hi, nodes_lo
+        if nodes > k:
+            e_hi = min(e_hi, e_val)
+        elif e_val > e_lo:
+            e_lo, nodes_lo = e_val, nodes
+        if not e_lo < e_hi:
             raise ConvergenceError(
-                f"bisection did not reach {cfg.tolerance!r} within "
-                f"{cfg.max_iter} iterations (width {e_hi - e_lo!r})"
+                f"node counts disagree at E={e_val!r}: the tolerance is at the "
+                f"float resolution of the march"
             )
-        mid = 0.5 * (e_lo + e_hi)
-        nodes_mid, y_mid = shoot(mid)
-        if above(nodes_mid, y_mid):
-            e_hi = mid
-        else:
-            e_lo = mid
-            nodes_lo = nodes_mid
-        iterations += 1
+
+    e_val = 0.5 * (e_lo + e_hi)
+    passes = 0
+    while e_hi - e_lo > tol:
+        if passes >= cfg.max_iter:
+            raise ConvergenceError(
+                f"no level to {tol!r} within {cfg.max_iter} passes "
+                f"(bracket width {e_hi - e_lo!r})"
+            )
+        passes += 1
+        nodes, step = _cooley(grid, e_val)
+        shots += 1
+        narrow(e_val, nodes)
+        e_val += step
+        if not e_lo < e_val < e_hi:
+            e_val = 0.5 * (e_lo + e_hi)
+        elif abs(step) <= 0.25 * tol:
+            lo, hi = e_val - 0.5 * tol, e_val + 0.5 * tol
+            n_lo, n_hi = _march(grid, lo), _march(grid, hi)
+            shots += 2
+            if n_lo <= k < n_hi:
+                if n_lo != k:
+                    raise NodeCountError(
+                        f"certified level has {n_lo} interior nodes, expected {k}"
+                    )
+                return OracleResult(e_val, n_lo, True, 0.5 * tol, shots)
+            narrow(lo, n_lo)
+            narrow(hi, n_hi)
+            e_val = 0.5 * (e_lo + e_hi)
 
     if nodes_lo != k:
         raise NodeCountError(
             f"converged eigenfunction has {nodes_lo} interior nodes, expected {k}"
         )
-    return OracleResult(
-        energy=0.5 * (e_lo + e_hi),
-        node_count=nodes_lo,
-        converged=True,
-        residual=0.5 * (e_hi - e_lo),
-    )
+    return OracleResult(0.5 * (e_lo + e_hi), nodes_lo, True, 0.5 * (e_hi - e_lo), shots)
 
 
 def count_bound_states(
     params: PotentialParams, l: int = 0, step_count: int = 24000
 ) -> int:
     """Number of bound levels from the node count of the near-zero-energy
-    shooting solution (Sturm oscillation count)."""
-    r_min = 1e-6 / params.alpha
-    r_max = 30.0 / params.alpha
-    h, p_arr, q_arr, y0, y1 = _log_grid(
-        params, l, r_min, r_max, step_count, lambda r: model.potential(r, params)
+    shooting solution (Sturm oscillation count).
+
+    The grid reaches r = 100/alpha, since the shallowest levels reach far
+    out: at alpha = 0.22, D = 3, l = 0 the third level has E = -5.6e-6 and
+    a decay length of ~300 = 66/alpha, and a march to 30/alpha misses it.
+    """
+    h, coeffs, y1 = _log_coeffs(
+        params, l, 1e-6 / params.alpha, 100.0 / params.alpha, step_count
     )
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
-    nodes, _ = _march(p_arr, q_arr, h, probe, y0, y1)
-    return nodes
+    last = step_count - 1  # the march stops short of the Dirichlet end
+    blocks = (coeffs(lo, min(lo + _BLOCK, last)) for lo in range(0, last, _BLOCK))
+    return _sturm_count(h, y1, blocks, probe)
 
 
 def approximation_error(

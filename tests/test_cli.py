@@ -181,7 +181,7 @@ def test_validate_exact_case(capsys):
 
 
 def test_validate_oracle_failure(capsys):
-    # an unreachable tolerance stalls bisection at the float spacing and
+    # a tolerance below the float spacing of the energies cannot be met and
     # must surface as an oracle failure
     code, _, err = run(capsys, "validate", "--n", "0", "--oracle-tolerance", "1e-30")
     assert code == 3

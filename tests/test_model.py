@@ -85,6 +85,17 @@ def test_potential_values():
         potential(-1.0, p)
 
 
+def test_potential_array_matches_scalar():
+    p = PotentialParams(Z=1.0, alpha=0.1)
+    radii = np.array([1e-7, 0.5, 10.0, 1e3, 1e4])
+    # same formula; numpy's and libm's exp may round differently
+    expected = [potential(r, p) for r in radii.tolist()]
+    assert potential(radii, p).tolist() == pytest.approx(expected, rel=1e-15)
+    for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([np.nan])):
+        with pytest.raises(ValueError):
+            potential(bad, p)
+
+
 def test_centrifugal_values():
     assert centrifugal_approx(1.0, 0.05) == pytest.approx(CENT_ANCHOR, rel=1e-13)
     # small alpha*r: 1/r^2 - alpha^2/12 + O(alpha^4 r^2)

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from hulthen import (
     BracketError,
+    ConvergenceError,
     PotentialParams,
     QuantumNumbers,
     QuadratureError,
@@ -17,6 +19,7 @@ from hulthen import (
     interior_nodes,
     solve_exact,
 )
+from hulthen.oracle import _BLOCK, _log_coeffs, _log_grid, _march
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 
@@ -49,6 +52,94 @@ def test_exact_s_wave_anchor():
     assert res.node_count == 0
     assert res.residual <= cfg.tolerance
     assert res.energy == pytest.approx(-0.4753125, rel=1e-6)
+    assert res.shots <= 10
+
+
+def _plain_numerov_nodes(grid, energy_val):
+    # reference: march y itself and count its sign changes, rescaling the
+    # growing tail so it cannot overflow
+    h, p_arr, q_arr, y1 = grid
+    h12 = h * h / 12.0
+    c = [1.0 - h12 * (p - energy_val * q) for p, q in zip(p_arr.tolist(), q_arr.tolist())]
+    y_prev, y_cur = 1.0, y1
+    nodes = 0
+    for i in range(1, len(c) - 1):
+        y_next = ((12.0 - 10.0 * c[i]) * y_cur - c[i - 1] * y_prev) / c[i + 1]
+        if abs(y_next) > 1e250:
+            y_next *= 1e-250
+            y_cur *= 1e-250
+        if y_next * y_cur < 0.0:
+            nodes += 1
+        y_prev, y_cur = y_cur, y_next
+    return nodes
+
+
+@pytest.mark.parametrize("dim,l,alpha", [(3, 0, 0.05), (3, 2, 0.11), (2, 0, 0.2), (1, 1, 0.05)])
+def test_ratio_march_matches_plain_numerov(dim, l, alpha):
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    grid = _log_grid(params, l, 1e-6 / alpha, 40.0 / alpha, 6000)
+    for energy_val in (-0.6, -0.1, -0.03, -0.01, -1e-3, -1e-6):
+        assert _march(grid, energy_val) == _plain_numerov_nodes(grid, energy_val)
+
+
+def test_grid_blocks_match_whole_grid():
+    # count_bound_states builds its grid block by block as it marches
+    params = PotentialParams(Z=1.0, alpha=0.05, D=4)
+    n = 2 * _BLOCK + 1000
+    _, coeffs, _ = _log_coeffs(params, 2, 2e-5, 2000.0, n)
+    _, p_arr, q_arr, _ = _log_grid(params, 2, 2e-5, 2000.0, n)
+    blocks = [coeffs(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), p_arr)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), q_arr)
+
+
+@pytest.mark.parametrize("steps", [3000, 24000])
+def test_streamed_count_matches_whole_grid(steps):
+    for dim, l, alpha in ((3, 0, 0.22), (5, 2, 0.05), (1, 1, 0.4)):
+        params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+        grid = _log_grid(params, l, 1e-6 / alpha, 100.0 / alpha, steps)
+        probe = -1e-12 * alpha**2 / 2.0
+        assert count_bound_states(params, l, steps) == _march(grid, probe)
+
+
+def _certified(params, l, k, cfg, res):
+    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count)
+    below = _march(grid, res.energy - res.residual)
+    above = _march(grid, res.energy + res.residual)
+    return below <= k < above
+
+
+def test_residual_is_certified_bracket():
+    p2 = PotentialParams(Z=1.0, alpha=0.05)
+    for params, qn in ((ANCHOR, QuantumNumbers(0, 0)), (p2, QuantumNumbers(1, 2))):
+        cfg = default_config(params, qn)
+        k = interior_nodes(qn, params.D)
+        res = solve_exact(params, qn.l, k, cfg)
+        assert 0.0 < res.residual <= cfg.tolerance
+        assert _certified(params, qn.l, k, cfg, res)
+
+
+def test_level_near_bracket_edge():
+    # the level sits 0.7% below the bracket's upper end, so corrector steps
+    # from the bracket midpoint overshoot it and must fall back to bisection
+    params = PotentialParams(Z=1.0, alpha=0.11)
+    qn = QuantumNumbers(0, 2)
+    cfg = default_config(params, qn)
+    res = solve_exact(params, 2, 0, cfg)
+    assert res.energy == pytest.approx(-0.011413042361, abs=cfg.tolerance)
+    assert _certified(params, 2, 0, cfg, res)
+
+
+def test_convergence_errors():
+    # a tolerance below the float spacing of the energies fails at once
+    cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-30)
+    with pytest.raises(ConvergenceError):
+        solve_exact(ANCHOR, 0, 0, cfg)
+    cfg = ShootingConfig(
+        r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=cfg.energy_bracket, max_iter=1
+    )
+    with pytest.raises(ConvergenceError):
+        solve_exact(ANCHOR, 0, 0, cfg)
 
 
 def test_d1_state():
@@ -103,6 +194,13 @@ def test_count_matches_closed_form():
     for alpha in (0.05, 0.1):
         params = PotentialParams(Z=1.0, alpha=alpha)
         assert count_bound_states(params, 0) == bound_state_count(params, 0)
+
+
+def test_count_bound_states_shallow_third_level():
+    # the third level (E = -5.6e-6) decays over ~300 length units, well
+    # beyond 30/alpha
+    params = PotentialParams(Z=1.0, alpha=0.22)
+    assert count_bound_states(params, 0) == 3
 
 
 def test_approximation_error_exact_case():
