@@ -18,6 +18,8 @@ from .expectation import (
 from .model import (
     BoundState,
     DimensionlessParams,
+    Level,
+    NoBoundState,
     PotentialParams,
     QuantumNumbers,
     RadialGrid,
@@ -29,6 +31,7 @@ from .model import (
     default_grid,
     dimensionless,
     energy,
+    level,
     normalization_constant,
     nu_problem,
     potential,

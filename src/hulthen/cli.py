@@ -41,8 +41,6 @@ def _env_default(name: str, fallback, cast):
     if raw is None:
         return fallback
     try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
         return cast(raw)
     except ValueError:
         raise UsageError(
@@ -183,7 +181,7 @@ def _cmd_spectrum(args) -> int:
         [st.qn.n, st.qn.l, params.D, st.epsilon, st.energy, st.exists]
         for st in states
     ]
-    if not any(st.exists for st in states):
+    if not states:
         meta = _meta(params, {"l": args.l, "note": "no bound states for this configuration"})
         _emit(args, meta, headers, [])
         return EXIT_NO_STATE
@@ -194,10 +192,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_wavefunction(args) -> int:
     params = _params(args)
     qn = _qn(args)
-    st = model.energy(params, qn)
-    if not st.exists:
-        print(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}", file=sys.stderr)
-        return EXIT_NO_STATE
+    lv = model.level(params, qn)  # a missing level exits 2 before the usage checks
     if args.points < 2:
         raise UsageError("--points must be >= 2")
     if (args.r_min is None) != (args.r_max is None):
@@ -213,8 +208,8 @@ def _cmd_wavefunction(args) -> int:
     meta = _meta(params, {
         "n": qn.n,
         "l": qn.l,
-        "epsilon": samples.meta["epsilon"],
-        "norm_const": samples.meta["norm_const"],
+        "epsilon": lv.epsilon,
+        "norm_const": lv.norm,
     })
     headers = ["r", "U", "R"]
     rows = [
@@ -228,10 +223,7 @@ def _cmd_wavefunction(args) -> int:
 def _cmd_expectation(args) -> int:
     params = _params(args)
     qn = _qn(args)
-    st = model.energy(params, qn)
-    if not st.exists:
-        print(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}", file=sys.stderr)
-        return EXIT_NO_STATE
+    lv = model.level(params, qn)
     report = expect_mod.expectation_report(params, qn)
     if report.inv_r2_hft is None:
         print("warning: <r^-2> is undefined for l = 0 in D = 2; fields left empty",
@@ -239,7 +231,7 @@ def _cmd_expectation(args) -> int:
     meta = _meta(params, {"n": qn.n, "l": qn.l})
     headers = ["energy", "inv_r2_hft", "v_hft", "t_value",
                "inv_r2_quad_approx", "inv_r2_quad_exact", "v_quad"]
-    row = [st.energy, report.inv_r2_hft, report.v_hft, report.t_value,
+    row = [lv.energy, report.inv_r2_hft, report.v_hft, report.t_value,
            report.inv_r2_quad_approx, report.inv_r2_quad_exact, report.v_quad]
     _emit(args, meta, headers, [row], table=False)
     return EXIT_OK
@@ -248,20 +240,17 @@ def _cmd_expectation(args) -> int:
 def _cmd_validate(args) -> int:
     params = _params(args)
     qn = _qn(args)
-    st = model.energy(params, qn)
-    if not st.exists:
-        print(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}", file=sys.stderr)
-        return EXIT_NO_STATE
+    lv = model.level(params, qn)
     try:
         cfg = oracle.default_config(params, qn, tolerance=args.oracle_tolerance)
         result = oracle.solve_exact(params, qn.l, oracle.interior_nodes(qn, params.D), cfg)
     except oracle.OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    rel = abs(st.energy - result.energy) / abs(result.energy)
+    rel = abs(lv.energy - result.energy) / abs(result.energy)
     meta = _meta(params, {"n": qn.n, "l": qn.l})
     headers = ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]
-    row = [st.energy, result.energy, rel, result.node_count, result.converged]
+    row = [lv.energy, result.energy, rel, result.node_count, result.converged]
     _emit(args, meta, headers, [row], table=False)
     return EXIT_OK
 
@@ -281,6 +270,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except model.NoBoundState as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NO_STATE
 
 
 if __name__ == "__main__":

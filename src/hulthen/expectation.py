@@ -16,9 +16,9 @@ With Lambda = 2n+2l+D-1 and delta = 2 Z mu/(alpha hbar^2):
 The identities are exact for the model the eigenfunctions solve, so the
 quadrature cross-checks in this module agree to quadrature accuracy; the
 quadrature of the true 1/r^2 is reported separately as a diagnostic of
-the exponential approximation.  The cross-checks evaluate U through the
-level's model.RadialU; one report builds it once and shares each U^2
-value among its integrals.
+the exponential approximation.  Every value here reads delta, gamma,
+Lambda, E and U from the level's model.Level; one report builds it once
+and shares it, and each U^2 value, among its closed forms and integrals.
 """
 
 import functools
@@ -66,15 +66,20 @@ def dE_dl(params: PotentialParams, qn: QuantumNumbers) -> float:
     physical branch, so this is the formula derivative, not dE/dl of the
     true level curve.)
     """
-    model._existing(params, qn)
-    delta = model._delta(params)
-    lam = model._lambda(qn.n, qn.l, params.D)
+    lv = model.level(params, qn)
     return (
         params.alpha**2
         * params.hbar**2
-        * (16.0 * delta**2 - lam**4)
-        / (8.0 * params.mu * lam**3)
+        * (16.0 * lv.delta**2 - lv.Lambda**4)
+        / (8.0 * params.mu * lv.Lambda**3)
     )
+
+
+def _inv_r2_expect(params: PotentialParams, lv: model.Level) -> float:
+    w = lv.v - 1.0  # 2l+D-2
+    if w == 0:
+        raise ValueError("<r^-2> degenerates for l = 0 in D = 2 (2l+D-2 = 0)")
+    return (params.alpha**2 / 4.0) * (16.0 * lv.delta**2 - lv.Lambda**4) / (abs(w) * lv.Lambda**3)
 
 
 def inv_r2_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
@@ -86,35 +91,29 @@ def inv_r2_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
     branch of the continued level flip sign together, so the expectation
     stays positive (confirmed by the quadrature cross-check).
     """
-    model._existing(params, qn)
-    w = 2 * qn.l + params.D - 2
-    if w == 0:
-        raise ValueError("<r^-2> degenerates for l = 0 in D = 2 (2l+D-2 = 0)")
-    delta = model._delta(params)
-    lam = model._lambda(qn.n, qn.l, params.D)
-    return (params.alpha**2 / 4.0) * (16.0 * delta**2 - lam**4) / (abs(w) * lam**3)
+    return _inv_r2_expect(params, model.level(params, qn))
+
+
+def _v_expect(params: PotentialParams, lv: model.Level) -> float:
+    n, lam = lv.qn.n, lv.Lambda
+    bracket = 0.5 + (n * (n + 2 * lv.qn.l + params.D - 2) + lv.gamma - lv.delta) / lam
+    return (2.0 * params.alpha * params.Z / lam) * bracket
 
 
 def potential_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
     """<V> from the strength derivative; negative for every bound state."""
-    model._existing(params, qn)
-    delta = model._delta(params)
-    gamma = model._gamma_coeff(qn.l, params.D)
-    lam = model._lambda(qn.n, qn.l, params.D)
-    bracket = 0.5 + (qn.n * (qn.n + 2 * qn.l + params.D - 2) + gamma - delta) / lam
-    return (2.0 * params.alpha * params.Z / lam) * bracket
+    return _v_expect(params, model.level(params, qn))
 
 
 def kinetic_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
     """<T> = E - <V>."""
-    st = model._existing(params, qn)
-    return st.energy - potential_expect(params, qn)
+    lv = model.level(params, qn)
+    return lv.energy - _v_expect(params, lv)
 
 
-def _weighted_integrals(fs, params: PotentialParams, qn: QuantumNumbers, abs_tol: float) -> list[float]:
+def _weighted_integrals(fs, params: PotentialParams, u: model.Level, abs_tol: float) -> list[float]:
     """integral of f(r) |U(r)|^2 dr over (0, inf) for each f in fs, with
     U^2 computed once per radius and shared among the integrals."""
-    u = model.RadialU(params, qn)
     alpha = params.alpha
     # |P_n| on the interval is bounded by its s -> 0 (x = 1) endpoint value here
     poly_peak = u.poly(1.0)
@@ -143,23 +142,23 @@ def quadrature_expect(f, params: PotentialParams, qn: QuantumNumbers, abs_tol: f
     min(r_max, 20/alpha) < r_max, [0, r_core] and [r_core, r_max] are
     integrated apart, each to abs_tol/2.
     """
-    return _weighted_integrals([f], params, qn, abs_tol)[0]
+    return _weighted_integrals([f], params, model.level(params, qn), abs_tol)[0]
 
 
 def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> ExpectationReport:
     """All closed-form values and quadrature cross-checks for one level."""
-    st = model._existing(params, qn)
-    degenerate = 2 * qn.l + params.D - 2 == 0
-    v_hft = potential_expect(params, qn)
+    lv = model.level(params, qn)
+    degenerate = lv.v == 1.0  # 2l+D-2 = 0
+    v_hft = _v_expect(params, lv)
     weights = [lambda r: model.potential(r, params)]
     if not degenerate:
         weights += [lambda r: model.centrifugal_approx(r, params.alpha), lambda r: 1.0 / (r * r)]
-    v_quad, *inv_r2 = _weighted_integrals(weights, params, qn, 1e-10)
+    v_quad, *inv_r2 = _weighted_integrals(weights, params, lv, 1e-10)
     inv_r2_approx, inv_r2_exact = inv_r2 or (None, None)
     return ExpectationReport(
-        inv_r2_hft=None if degenerate else inv_r2_expect(params, qn),
+        inv_r2_hft=None if degenerate else _inv_r2_expect(params, lv),
         v_hft=v_hft,
-        t_value=st.energy - v_hft,
+        t_value=lv.energy - v_hft,
         inv_r2_quad_approx=inv_r2_approx,
         inv_r2_quad_exact=inv_r2_exact,
         v_quad=v_quad,

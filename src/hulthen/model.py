@@ -23,12 +23,15 @@ m = n + l + (D-1)/2 = Lambda/2 (and m > 0), in which case
     epsilon = (delta - m^2) / (2 m),   E = -(alpha hbar epsilon)^2 / (2 mu).
 
 Its reduced wavefunction is U(r) = C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
-The normalization integral has a closed form in Gamma functions (see
-normalization_constant), and U is evaluated from alpha*r through one
-evaluator per level (RadialU), never through s itself.
+level(params, qn) builds one frozen Level record per bound state: the
+dimensionless set above, E, C_n (a closed form in Gamma functions) and the
+Jacobi recurrence.  Every consumer reads the level's quantities from it,
+and calling it evaluates U from alpha*r, never through s itself.  A level
+that does not exist raises NoBoundState.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +44,15 @@ __all__ = [
     "QuantumNumbers",
     "DimensionlessParams",
     "BoundState",
+    "Level",
+    "NoBoundState",
     "RadialGrid",
     "RadialSamples",
     "dimensionless",
     "potential",
     "centrifugal_approx",
     "energy",
+    "level",
     "spectrum",
     "bound_state_count",
     "coulomb_limit_energy",
@@ -111,6 +117,32 @@ class BoundState:
     exists: bool
 
 
+class NoBoundState(ValueError):
+    """The requested (n, l) level does not exist for these parameters."""
+
+
+@dataclass(frozen=True)
+class Level(DimensionlessParams):
+    """One existing bound state, built once by level(params, qn).
+
+    The dimensionless set, E, C_n and the recurrence of P_n^(2eps, v-1).
+    Called with t = alpha*r (a float or an array) it returns U.
+    s^eps = exp(-eps t), 1 - s = -expm1(-t) and 1 - 2s = -1 - 2 expm1(-t):
+    s itself is never formed, so U underflows only where U itself does.
+    """
+
+    qn: QuantumNumbers
+    energy: float
+    norm: float
+    poly: Callable = field(repr=False, compare=False)
+
+    def __call__(self, t):
+        xp = math if isinstance(t, float) else np
+        em = xp.expm1(-t)  # -(1 - s)
+        amp = xp.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
+        return self.norm * amp * self.poly(-1.0 - 2.0 * em)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Sampling grid specification on (0, inf)."""
@@ -160,18 +192,18 @@ def _delta(params: PotentialParams) -> float:
     return 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
 
 
+def _fixed_set(params: PotentialParams, qn: QuantumNumbers) -> dict:
+    """delta, gamma, v and Lambda: the dimensionless set apart from epsilon."""
+    return dict(delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
+                v=float(_angular_v(qn.l, params.D)), Lambda=_lambda(qn.n, qn.l, params.D))
+
+
 def dimensionless(params: PotentialParams, qn: QuantumNumbers, E: float) -> DimensionlessParams:
     """Dimensionless parameter set for a given (non-positive) energy."""
     if not math.isfinite(E) or E > 0.0:
         raise ValueError(f"scattering states (E > 0) are out of scope, got E = {E!r}")
     eps = math.sqrt(-2.0 * params.mu * E) / (params.alpha * params.hbar)
-    return DimensionlessParams(
-        epsilon=eps,
-        delta=_delta(params),
-        gamma=_gamma_coeff(qn.l, params.D),
-        v=float(_angular_v(qn.l, params.D)),
-        Lambda=_lambda(qn.n, qn.l, params.D),
-    )
+    return DimensionlessParams(epsilon=eps, **_fixed_set(params, qn))
 
 
 def potential(r, params: PotentialParams):
@@ -227,12 +259,34 @@ def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
     return BoundState(qn=qn, energy=e_val, epsilon=eps, exists=True)
 
 
-def _existing(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
-    """energy(params, qn), or ValueError when the level does not exist."""
+def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
+    """The Level record of (n, l); NoBoundState when the level does not exist.
+
+    Its norm is the positive constant C_n making U unit-normed.  With
+    s = exp(-alpha r), a = 2eps and b = v-1, the integral of U^2 dr is
+    C_n^2 I / alpha, where
+
+        I = int_0^1 s^(a-1) (1-s)^v [P_n^(a,b)(1-2s)]^2 ds
+          = Gamma(n+a+1) Gamma(n+v) (2n+v) / (n! Gamma(n+a+v) a (2n+a+v)).
+
+    In x = 1-2s, writing the weight's 1+x as 2 - (1-x) splits I into the
+    two standard Jacobi integrals with weights (1-x)^(a-1) (1+x)^b and
+    (1-x)^a (1+x)^b.  I is B(2eps, v+1) at n = 0 and holds at v = 0 by
+    continuity.  Evaluated in log space, C_n = sqrt(alpha/I) costs O(1)
+    and neither overflows nor cancels at any n.
+    """
     st = energy(params, qn)
     if not st.exists:
-        raise ValueError(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
-    return st
+        raise NoBoundState(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
+    fixed = _fixed_set(params, qn)
+    n, a, v = qn.n, 2.0 * st.epsilon, fixed["v"]
+    log_i = (
+        math.lgamma(n + a + 1.0) + math.lgamma(n + v) + math.log(2 * n + v)
+        - math.lgamma(n + 1.0) - math.lgamma(n + a + v) - math.log(a) - math.log(2 * n + a + v)
+    )
+    return Level(epsilon=st.epsilon, **fixed, qn=qn, energy=st.energy,
+                 norm=math.sqrt(params.alpha) * math.exp(-0.5 * log_i),
+                 poly=specfun.jacobi_poly(n, a, v - 1.0))
 
 
 def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[BoundState]:
@@ -252,9 +306,7 @@ def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[Bound
 
 def bound_state_count(params: PotentialParams, l: int = 0, n_max: int = 64) -> int:
     """Number of radial indices n <= n_max supporting a bound state."""
-    return sum(
-        1 for n in range(n_max + 1) if energy(params, QuantumNumbers(n=n, l=l)).exists
-    )
+    return sum(st.exists for st in spectrum(params, l, n_max))
 
 
 def coulomb_limit_energy(params: PotentialParams, qn: QuantumNumbers) -> float:
@@ -266,59 +318,19 @@ def coulomb_limit_energy(params: PotentialParams, qn: QuantumNumbers) -> float:
 
 
 def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float:
-    """Positive constant C_n making the reduced wavefunction unit-normed.
-
-    With s = exp(-alpha r), a = 2eps and b = v-1, the integral of U^2 dr
-    is C_n^2 I / alpha, where
-
-        I = int_0^1 s^(a-1) (1-s)^v [P_n^(a,b)(1-2s)]^2 ds
-          = Gamma(n+a+1) Gamma(n+v) (2n+v) / (n! Gamma(n+a+v) a (2n+a+v)).
-
-    In x = 1-2s, writing the weight's 1+x as 2 - (1-x) splits I into the
-    two standard Jacobi integrals with weights (1-x)^(a-1) (1+x)^b and
-    (1-x)^a (1+x)^b.  I is B(2eps, v+1) at n = 0 and holds at v = 0 by
-    continuity.  Evaluated in log space, C_n = sqrt(alpha/I) costs O(1)
-    and neither overflows nor cancels at any n.
-    """
-    st = _existing(params, qn)
-    n, a, v = qn.n, 2.0 * st.epsilon, _angular_v(qn.l, params.D)
-    log_i = (
-        math.lgamma(n + a + 1.0) + math.lgamma(n + v) + math.log(2 * n + v)
-        - math.lgamma(n + 1.0) - math.lgamma(n + a + v) - math.log(a) - math.log(2 * n + a + v)
-    )
-    return math.sqrt(params.alpha) * math.exp(-0.5 * log_i)
-
-
-class RadialU:
-    """U of one level as a function of t = alpha*r, for a float or an array.
-
-    Holds C_n, epsilon, v and the recurrence of P_n^(2eps, v-1), computed
-    once per level.  s^eps = exp(-eps t), 1 - s = -expm1(-t) and
-    1 - 2s = -1 - 2 expm1(-t): s itself is never formed, so U underflows
-    only where U itself does.
-    """
-
-    def __init__(self, params: PotentialParams, qn: QuantumNumbers):
-        self.epsilon = _existing(params, qn).epsilon
-        self.v = _angular_v(qn.l, params.D)
-        self.norm = normalization_constant(params, qn)
-        self.poly = specfun.jacobi_poly(qn.n, 2.0 * self.epsilon, self.v - 1.0)
-
-    def __call__(self, t):
-        xp = math if isinstance(t, float) else np
-        em = xp.expm1(-t)  # -(1 - s)
-        amp = xp.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
-        return self.norm * amp * self.poly(-1.0 - 2.0 * em)
+    """Positive constant C_n making the reduced wavefunction unit-normed
+    (derivation in level)."""
+    return level(params, qn).norm
 
 
 def wavefunction_u(s, params: PotentialParams, qn: QuantumNumbers):
     """Reduced wavefunction C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
 
     s = exp(-alpha r) must lie in (0, 1); scalar or array input.  It is
-    evaluated by RadialU at alpha*r = -ln s, so it underflows to an exact
-    0 instead of raising.
+    evaluated by the Level at alpha*r = -ln s, so it underflows to an
+    exact 0 instead of raising.
     """
-    u = RadialU(params, qn)
+    u = level(params, qn)
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr > 0.0) & (s_arr < 1.0)):
         raise ValueError("s must lie strictly inside (0, 1)")
@@ -327,8 +339,7 @@ def wavefunction_u(s, params: PotentialParams, qn: QuantumNumbers):
 
 def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> RadialGrid:
     """Linear grid covering the state: r up to 40/kappa with kappa = alpha*eps."""
-    st = _existing(params, qn)
-    kappa = params.alpha * st.epsilon
+    kappa = params.alpha * level(params, qn).epsilon
     r_max = 40.0 / kappa
     return RadialGrid(r_min=r_max / (4.0 * points), r_max=r_max, points=points)
 
@@ -363,10 +374,10 @@ def wavefunction_samples(
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
 
-    level = RadialU(params, qn)
-    u = level(params.alpha * r)
+    lv = level(params, qn)
+    u = lv(params.alpha * r)
     rr = u * r ** (-(params.D - 1) / 2.0)
-    meta.update({"epsilon": level.epsilon, "norm_const": level.norm, "units": "hbar,mu as given"})
+    meta.update({"epsilon": lv.epsilon, "norm_const": lv.norm, "units": "hbar,mu as given"})
     return RadialSamples(r_values=r, U_values=u, R_values=rr, meta=meta)
 
 

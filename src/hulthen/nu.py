@@ -142,10 +142,13 @@ def t_roots(p: NUProblem) -> list[float]:
         return [-qc / qb]
     disc = qb * qb - 4.0 * qa * qc
     disc_scale = max(qb * qb, abs(4.0 * qa * qc))
-    # a double root is detected on the discriminant scale and returned as
-    # -qb/(2 qa) directly: taking sqrt of a roundoff-level discriminant
-    # would cost half the available precision
-    if abs(disc) <= 1e-12 * disc_scale:
+    # qb and qc are differences of larger terms, which set the rounding of disc
+    rounding = (abs(qb) * (abs(2.0 * b0 * b1) + 4.0 * (abs(a0 * c1) + abs(a1 * c0)))
+                + 4.0 * abs(qa) * (b0 * b0 + abs(4.0 * a0 * c0)))
+    # a double root is detected on the discriminant scale, or at ~450 ulp of
+    # that rounding, and returned as -qb/(2 qa) directly: taking sqrt of a
+    # roundoff-level discriminant would cost half the available precision
+    if abs(disc) <= max(1e-12 * disc_scale, 1e-13 * rounding):
         return [-qb / (2.0 * qa)]
     if disc < 0.0:
         return []
@@ -168,7 +171,13 @@ def pi_branches(p: NUProblem, t: float) -> list[QuadPoly]:
     scale = max(abs(a), abs(b), abs(c), 1e-300)
     if abs(a) > _COEF_TOL * scale:
         resid = b * b - 4.0 * a * c
-        if abs(resid) > SQUARE_TOL * max(b * b, abs(4.0 * a * c), a * a):
+        # A, B and C are differences of larger terms when t is large; their
+        # rounding error, and that of t, scales with those terms
+        a_terms = h1 * h1 + abs(p.sigma_tilde.c2) + abs(t * p.sigma.c2)
+        b_terms = abs(2.0 * h0 * h1) + abs(p.sigma_tilde.c1) + abs(t * p.sigma.c1)
+        c_terms = h0 * h0 + abs(p.sigma_tilde.c0) + abs(t * p.sigma.c0)
+        resid_scale = abs(b) * b_terms + 4.0 * (abs(c) * a_terms + abs(a) * c_terms)
+        if abs(resid) > SQUARE_TOL * max(b * b, abs(4.0 * a * c), a * a, resid_scale):
             raise ValueError(
                 f"under-root quadratic is not a perfect square at t = {t!r} "
                 f"(residual discriminant {resid:.3e})"

@@ -127,16 +127,16 @@ def default_config(
     is the closed-form energy +/- 20%.  The default energy tolerance is
     1e-9, tightened to 1e-8|E| for very shallow levels.
     """
-    st = model._existing(params, qn)
-    kappa = math.sqrt(-2.0 * params.mu * st.energy) / params.hbar
+    e_val = model.level(params, qn).energy
+    kappa = math.sqrt(-2.0 * params.mu * e_val) / params.hbar
     r_min = 1e-6 / params.alpha
     r_max = max(40.0 / kappa, 20.0 / params.alpha)
     if tolerance is None:
-        tolerance = min(1e-9, 1e-8 * abs(st.energy))
+        tolerance = min(1e-9, 1e-8 * abs(e_val))
     return ShootingConfig(
         r_min=r_min,
         r_max=r_max,
-        energy_bracket=(1.2 * st.energy, 0.8 * st.energy),
+        energy_bracket=(1.2 * e_val, 0.8 * e_val),
         step_count=step_count,
         tolerance=tolerance,
     )
@@ -159,16 +159,13 @@ def interior_nodes(qn: QuantumNumbers, dim: int) -> int:
 _BLOCK = 4096
 
 
-def _log_coeffs(
-    params: PotentialParams, l: int, r_min: float, r_max: float, n: int, potential=None
-):
+def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
     """Uniform ln(r) grid of n points with the E-independent Numerov inputs.
 
     Returns (h, coeffs, y1): coeffs(lo, hi) gives the arrays P and Q on grid
     points lo .. hi-1, where g_i = P_i - E*Q_i is the coefficient of
     y'' = g y, and y_0 = 1, y_1 = y1 start the march on the regular
-    power-law branch y ~ r^{|v-1|/2}.  `potential`, a callable of r mapped
-    over the radii, replaces the screened potential of `params`.
+    power-law branch y ~ r^{|v-1|/2}.
     """
     gam = model._gamma_coeff(l, params.D)
     v = model._angular_v(l, params.D)
@@ -178,21 +175,18 @@ def _log_coeffs(
 
     def coeffs(lo, hi):
         radii = np.exp(x0 + h * np.arange(lo, hi))
-        if potential is None:
-            pot = model.potential(radii, params)
-        else:
-            pot = np.array([potential(r) for r in radii.tolist()])
+        # pot before q_arr: the other order made a solve fault in up to three
+        # times the pages (the grid's temporaries are handed back to the OS)
+        pot = model.potential(radii, params)
         q_arr = c * radii * radii
         return gam + 0.25 + q_arr * pot, q_arr
 
     return h, coeffs, math.exp(h * abs(v - 1) / 2.0)
 
 
-def _log_grid(
-    params: PotentialParams, l: int, r_min: float, r_max: float, n: int, potential=None
-):
+def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
     """The grid of _log_coeffs as (h, P, Q, y1), with P and Q on all n points."""
-    h, coeffs, y1 = _log_coeffs(params, l, r_min, r_max, n, potential)
+    h, coeffs, y1 = _log_coeffs(params, l, r_min, r_max, n)
     return (h, *coeffs(0, n), y1)
 
 
@@ -287,17 +281,9 @@ def _cooley(grid, energy_val):
 
 
 def solve_exact(
-    params: PotentialParams,
-    l: int,
-    target_nodes: int,
-    cfg: ShootingConfig,
-    potential=None,
+    params: PotentialParams, l: int, target_nodes: int, cfg: ShootingConfig
 ) -> OracleResult:
     """Eigenvalue of the exact radial problem with the given node count.
-
-    `potential` may override the radial potential (a callable of r), e.g.
-    to solve the pure Coulomb problem as a sanity check; the default is
-    the screened potential of `params`.
 
     Raises BracketError when the bracket does not straddle the target
     eigenvalue, ConvergenceError when the tolerance is finer than the
@@ -315,7 +301,7 @@ def solve_exact(
             f"tolerance {tol!r} is below 4 float spacings of the bracket energy "
             f"{e_lo!r}"
         )
-    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count, potential)
+    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count)
     nodes_lo = _march(grid, e_lo)
     if nodes_lo > k:
         raise BracketError(
@@ -406,11 +392,11 @@ def approximation_error(
     centrifugal barrier; it vanishes (to solver tolerance) whenever the
     centrifugal coefficient is zero and shrinks as alpha -> 0 otherwise.
     """
-    st = model._existing(params, qn)
+    e_closed = model.level(params, qn).energy
     if cfg is None:
         cfg = default_config(params, qn)
     res = solve_exact(params, qn.l, interior_nodes(qn, params.D), cfg)
-    return abs(st.energy - res.energy) / abs(res.energy)
+    return abs(e_closed - res.energy) / abs(res.energy)
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK dqk15)

@@ -13,7 +13,7 @@ __all__ = [
     "beta",
     "pochhammer",
     "hyp_terminating",
-    "jacobi_p",
+    "jacobi_poly",
 ]
 
 
@@ -93,10 +93,3 @@ def jacobi_poly(n: int, a: float, b: float):
 
     return poly
 
-
-def jacobi_p(n: int, a: float, b: float, x):
-    """Jacobi polynomial P_n^(a,b)(x) by the three-term recurrence in degree.
-
-    x may be a scalar or a numpy array; the recurrence is elementwise.
-    """
-    return jacobi_poly(n, a, b)(x)

@@ -120,6 +120,21 @@ def test_wavefunction_missing_state(capsys):
     assert "no bound state" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("wavefunction --n 9", "no bound state for n=9, l=0, D=3"),
+        # the missing level is reported before the usage error of --points
+        ("wavefunction --n 9 --points 1", "no bound state for n=9, l=0, D=3"),
+        ("expectation --alpha 2.5", "no bound state for n=0, l=0, D=3"),
+        ("validate --n 9", "no bound state for n=9, l=0, D=3"),
+    ],
+)
+def test_no_state_exit(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_wavefunction_explicit_grid(capsys):
     code, out, _ = run(
         capsys, "wavefunction", "--n", "0", "--r-min", "1", "--r-max", "10", "--points", "10"

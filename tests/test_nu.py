@@ -197,6 +197,25 @@ def test_eigen_condition_zero_at_closed_form():
     assert checked > 40
 
 
+@pytest.mark.parametrize(
+    "n, v, delta",
+    [
+        (0, 1, 10000.25),  # rounding split the double root t: residual -0.5
+        (0, 1, 108.81455847685282),  # rounding made the discriminant negative: no t
+        (7, 4, 107.25811566330505),  # the rounding of t read as a non-square
+    ],
+)
+def test_eigen_condition_zero_under_cancellation(n, v, delta):
+    # the t-discriminant and the under-root quadratic are small differences
+    # of large terms here: eps^2 >> 1 at v = 1 (where gamma = -1/4 makes the
+    # admissible t a double root), delta >> eps^2 at v = 4
+    m = n + v / 2.0
+    eps = (delta - m * m) / (2.0 * m)
+    prob = hulthen_problem(eps, delta, v * (v - 2) / 4.0)
+    chosen = select_branch(branches(prob))
+    assert abs(eigen_condition(chosen, prob.sigma, n)) <= 1e-9
+
+
 def test_eigen_condition_n0_and_sign_change():
     prob = hulthen_problem(19.5, 40.0, 0.0)
     chosen = select_branch(branches(prob))

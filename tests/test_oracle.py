@@ -151,15 +151,6 @@ def test_d1_state():
     assert res.energy == pytest.approx(st.energy, rel=1e-6)
 
 
-def test_coulomb_override():
-    # swapping in -Z/r reproduces the hydrogen ground state
-    cfg = ShootingConfig(
-        r_min=1e-6, r_max=40.0, energy_bracket=(-0.6, -0.4), tolerance=1e-10
-    )
-    res = solve_exact(ANCHOR, 0, 0, cfg, potential=lambda r: -1.0 / r)
-    assert res.energy == pytest.approx(-0.5, rel=1e-6)
-
-
 def test_eigenvalue_ordering():
     energies = []
     for k in range(0, 3):
