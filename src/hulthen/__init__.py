@@ -29,7 +29,6 @@ from .model import (
     coulomb_limit_energy,
     count_nodes,
     default_grid,
-    dimensionless,
     energy,
     level,
     normalization_constant,
@@ -37,17 +36,6 @@ from .model import (
     potential,
     spectrum,
     wavefunction_samples,
-    wavefunction_u,
-)
-from .nu import (
-    NUBranch,
-    NUProblem,
-    QuadPoly,
-    branches,
-    eigen_condition,
-    pi_branches,
-    select_branch,
-    t_roots,
 )
 from .oracle import (
     BracketError,

@@ -23,6 +23,7 @@ EXIT_NO_STATE = 2
 EXIT_ORACLE = 3
 
 _ENV_PREFIX = "HULTHEN_"
+_FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
@@ -36,12 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_default(name: str, fallback, cast):
+def _env_default(name: str, fallback, cast, choices=None):
+    """The flag's default from HULTHEN_<NAME>, held to the flag's type and
+    choices (argparse checks neither on a default)."""
     raw = os.environ.get(_ENV_PREFIX + name.upper())
     if raw is None:
         return fallback
     try:
-        return cast(raw)
+        value = cast(raw)
+        if choices is not None and value not in choices:
+            raise ValueError(raw)
+        return value
     except ValueError:
         raise UsageError(
             f"invalid value {raw!r} for environment variable {_ENV_PREFIX + name.upper()}"
@@ -65,8 +71,8 @@ def _add_shared(p: _Parser):
                    help="radial state index; default 0")
     p.add_argument("--n-max", type=int, default=_env_default("N_MAX", 64, int),
                    help="enumeration cap for the spectrum; default 64")
-    p.add_argument("--format", choices=("csv", "json"),
-                   default=_env_default("FORMAT", "csv", str),
+    p.add_argument("--format", choices=_FORMATS,
+                   default=_env_default("FORMAT", "csv", str, _FORMATS),
                    help="output format; default csv")
     p.add_argument("--out", type=str, default=_env_default("OUT", None, str),
                    help="output path; default stdout")
@@ -110,9 +116,9 @@ def _params(args) -> model.PotentialParams:
         raise UsageError(str(exc))
 
 
-def _qn(args) -> model.QuantumNumbers:
+def _qn(n, l) -> model.QuantumNumbers:
     try:
-        return model.QuantumNumbers(n=args.n, l=args.l)
+        return model.QuantumNumbers(n=n, l=l)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -175,6 +181,7 @@ def _cmd_spectrum(args) -> int:
     params = _params(args)
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
+    _qn(0, args.l)  # the same check of l as the other subcommands
     states = model.spectrum(params, l=args.l, n_max=args.n_max)
     headers = ["n", "l", "D", "epsilon", "energy", "exists"]
     rows = [
@@ -191,7 +198,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     params = _params(args)
-    qn = _qn(args)
+    qn = _qn(args.n, args.l)
     lv = model.level(params, qn)  # a missing level exits 2 before the usage checks
     if args.points < 2:
         raise UsageError("--points must be >= 2")
@@ -222,7 +229,7 @@ def _cmd_wavefunction(args) -> int:
 
 def _cmd_expectation(args) -> int:
     params = _params(args)
-    qn = _qn(args)
+    qn = _qn(args.n, args.l)
     lv = model.level(params, qn)
     report = expect_mod.expectation_report(params, qn)
     if report.inv_r2_hft is None:
@@ -239,7 +246,7 @@ def _cmd_expectation(args) -> int:
 
 def _cmd_validate(args) -> int:
     params = _params(args)
-    qn = _qn(args)
+    qn = _qn(args.n, args.l)
     lv = model.level(params, qn)
     try:
         cfg = oracle.default_config(params, qn, tolerance=args.oracle_tolerance)

@@ -48,7 +48,6 @@ __all__ = [
     "NoBoundState",
     "RadialGrid",
     "RadialSamples",
-    "dimensionless",
     "potential",
     "centrifugal_approx",
     "energy",
@@ -57,7 +56,6 @@ __all__ = [
     "bound_state_count",
     "coulomb_limit_energy",
     "normalization_constant",
-    "wavefunction_u",
     "wavefunction_samples",
     "default_grid",
     "count_nodes",
@@ -145,24 +143,20 @@ class Level(DimensionlessParams):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Sampling grid specification on (0, inf)."""
+    """Evenly spaced sampling grid on (0, inf); other grids are passed to
+    wavefunction_samples as explicit radii."""
 
     r_min: float
     r_max: float
     points: int
-    spacing: str = "linear"
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("grid requires 0 < r_min < r_max")
         if self.points < 2:
             raise ValueError("grid requires at least 2 points")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"unknown grid spacing {self.spacing!r}")
 
     def radii(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.r_min, self.r_max, self.points)
         return np.linspace(self.r_min, self.r_max, self.points)
 
 
@@ -192,20 +186,6 @@ def _delta(params: PotentialParams) -> float:
     return 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
 
 
-def _fixed_set(params: PotentialParams, qn: QuantumNumbers) -> dict:
-    """delta, gamma, v and Lambda: the dimensionless set apart from epsilon."""
-    return dict(delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
-                v=float(_angular_v(qn.l, params.D)), Lambda=_lambda(qn.n, qn.l, params.D))
-
-
-def dimensionless(params: PotentialParams, qn: QuantumNumbers, E: float) -> DimensionlessParams:
-    """Dimensionless parameter set for a given (non-positive) energy."""
-    if not math.isfinite(E) or E > 0.0:
-        raise ValueError(f"scattering states (E > 0) are out of scope, got E = {E!r}")
-    eps = math.sqrt(-2.0 * params.mu * E) / (params.alpha * params.hbar)
-    return DimensionlessParams(epsilon=eps, **_fixed_set(params, qn))
-
-
 def potential(r, params: PotentialParams):
     """The screened potential -Z alpha e^{-ar}/(1 - e^{-ar}) at radius r > 0,
     for a float or an array of radii.
@@ -229,16 +209,15 @@ def potential(r, params: PotentialParams):
 def centrifugal_approx(r: float, alpha: float) -> float:
     """Exponential stand-in for 1/r^2: alpha^2 e^{-ar}/(1 - e^{-ar})^2.
 
-    Equals 1/r^2 - alpha^2/12 + O(alpha^4 r^2) for small alpha*r.
+    Equals 1/r^2 - alpha^2/12 + O(alpha^4 r^2) for small alpha*r.  With
+    1 - e^{-ar} taken as -expm1(-ar) the one expression neither cancels
+    at small alpha*r nor overflows at large alpha*r.
     """
     if not (r > 0.0) or math.isinf(r):
         raise ValueError(f"radius must be a finite positive real, got {r!r}")
     u = alpha * r
-    if u < 1.0:
-        em = math.expm1(u)
-        return alpha * alpha * math.exp(u) / (em * em)
-    t = math.exp(-u)
-    return alpha * alpha * t / ((1.0 - t) * (1.0 - t))
+    em = math.expm1(-u)
+    return alpha * alpha * math.exp(-u) / (em * em)
 
 
 def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
@@ -278,30 +257,33 @@ def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
     st = energy(params, qn)
     if not st.exists:
         raise NoBoundState(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
-    fixed = _fixed_set(params, qn)
-    n, a, v = qn.n, 2.0 * st.epsilon, fixed["v"]
+    n, a, v = qn.n, 2.0 * st.epsilon, float(_angular_v(qn.l, params.D))
     log_i = (
         math.lgamma(n + a + 1.0) + math.lgamma(n + v) + math.log(2 * n + v)
         - math.lgamma(n + 1.0) - math.lgamma(n + a + v) - math.log(a) - math.log(2 * n + a + v)
     )
-    return Level(epsilon=st.epsilon, **fixed, qn=qn, energy=st.energy,
+    return Level(epsilon=st.epsilon, delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
+                 v=v, Lambda=_lambda(n, qn.l, params.D), qn=qn, energy=st.energy,
                  norm=math.sqrt(params.alpha) * math.exp(-0.5 * log_i),
                  poly=specfun.jacobi_poly(n, a, v - 1.0))
 
 
 def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[BoundState]:
-    """All levels n = 0 .. last existing (capped at n_max), in order.
+    """All levels n = 0 .. last existing, at most up to n_max, in order.
 
     Empty when no bound state exists.  The returned list can contain a
     leading non-existing entry (n = 0 in D = 1, l = 0) so that row
-    indices always equal n.
+    indices always equal n.  m = n + l + (D-1)/2 grows with n, so the
+    first missing level after n = 0 ends the list: at most K + 2 levels
+    are evaluated for K bound states, whatever n_max is.
     """
-    states = [energy(params, QuantumNumbers(n=n, l=l)) for n in range(n_max + 1)]
-    last = -1
-    for st in states:
-        if st.exists:
-            last = st.qn.n
-    return states[: last + 1]
+    states = []
+    for n in range(n_max + 1):
+        st = energy(params, QuantumNumbers(n=n, l=l))
+        if not st.exists and n > 0:
+            break
+        states.append(st)
+    return states if states[-1].exists else []
 
 
 def bound_state_count(params: PotentialParams, l: int = 0, n_max: int = 64) -> int:
@@ -321,20 +303,6 @@ def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float
     """Positive constant C_n making the reduced wavefunction unit-normed
     (derivation in level)."""
     return level(params, qn).norm
-
-
-def wavefunction_u(s, params: PotentialParams, qn: QuantumNumbers):
-    """Reduced wavefunction C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
-
-    s = exp(-alpha r) must lie in (0, 1); scalar or array input.  It is
-    evaluated by the Level at alpha*r = -ln s, so it underflows to an
-    exact 0 instead of raising.
-    """
-    u = level(params, qn)
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr > 0.0) & (s_arr < 1.0)):
-        raise ValueError("s must lie strictly inside (0, 1)")
-    return u(-np.log(s_arr))  # a 0-d array gives a numpy scalar, so a float
 
 
 def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> RadialGrid:
@@ -362,7 +330,7 @@ def wavefunction_samples(
             "r_min": grid.r_min,
             "r_max": grid.r_max,
             "points": grid.points,
-            "spacing": grid.spacing,
+            "spacing": "linear",
         }
     else:
         r = np.asarray(grid, dtype=float)
@@ -381,13 +349,14 @@ def wavefunction_samples(
     return RadialSamples(r_values=r, U_values=u, R_values=rr, meta=meta)
 
 
-def count_nodes(values: np.ndarray, rel_floor: float = 1e-9) -> int:
-    """Sign changes of a sampled function, ignoring near-zero samples."""
+def count_nodes(values: np.ndarray) -> int:
+    """Sign changes of a sampled function, ignoring samples below 1e-9 of
+    its peak."""
     v = np.asarray(values, dtype=float)
     peak = np.max(np.abs(v)) if v.size else 0.0
     if peak == 0.0:
         return 0
-    signs = np.sign(v[np.abs(v) > rel_floor * peak])
+    signs = np.sign(v[np.abs(v) > 1e-9 * peak])
     return int(np.sum(signs[1:] != signs[:-1]))
 
 

@@ -18,7 +18,7 @@ All coefficients are plain numbers; nothing here is symbolic.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "QuadPoly",
@@ -53,17 +53,6 @@ class QuadPoly:
     def __call__(self, s: float) -> float:
         return self.c0 + s * (self.c1 + s * self.c2)
 
-    def deriv(self) -> "QuadPoly":
-        return QuadPoly(self.c1, 2.0 * self.c2, 0.0)
-
-    @property
-    def degree(self) -> int:
-        if self.c2 != 0.0:
-            return 2
-        if self.c1 != 0.0:
-            return 1
-        return 0
-
 
 @dataclass(frozen=True)
 class NUProblem:
@@ -85,8 +74,6 @@ class NUBranch:
     """One (t, sign) branch of the pipeline.
 
     tau = tau_tilde + 2*pi and lam = t + pi' always hold as stored.
-    ambiguous is set by select_branch when more than one candidate had a
-    negative tau slope and the most negative one was chosen.
     """
 
     t: float
@@ -94,7 +81,6 @@ class NUBranch:
     tau: QuadPoly
     lam: float
     tau_slope: float
-    ambiguous: bool = False
 
 
 def _half_diff(p: NUProblem) -> tuple[float, float]:
@@ -201,12 +187,10 @@ def pi_branches(p: NUProblem, t: float) -> list[QuadPoly]:
     return [minus, plus]
 
 
-def branches(p: NUProblem, ts: list[float] | None = None) -> list[NUBranch]:
+def branches(p: NUProblem) -> list[NUBranch]:
     """Enumerate every (t, sign) branch of the problem."""
-    if ts is None:
-        ts = t_roots(p)
     out = []
-    for t in ts:
+    for t in t_roots(p):
         for pi in pi_branches(p, t):
             tau = QuadPoly(
                 p.tau_tilde.c0 + 2.0 * pi.c0,
@@ -222,17 +206,16 @@ def branches(p: NUProblem, ts: list[float] | None = None) -> list[NUBranch]:
 def select_branch(candidates: list[NUBranch]) -> NUBranch:
     """Pick the bound-state branch: negative tau slope.
 
-    If several candidates qualify the most negative slope wins and the
-    result is flagged ambiguous.  Raises ValueError when no candidate has
-    a negative slope (the problem supports no bound states).
+    If several candidates qualify the most negative slope wins.  Raises
+    ValueError when no candidate has a negative slope (the problem
+    supports no bound states).
     """
     if not candidates:
         raise ValueError("no candidate branches given")
     negatives = [b for b in candidates if b.tau_slope < 0.0]
     if not negatives:
         raise ValueError("no branch with negative tau slope: no bound-state branch")
-    best = min(negatives, key=lambda b: b.tau_slope)
-    return replace(best, ambiguous=len(negatives) > 1)
+    return min(negatives, key=lambda b: b.tau_slope)
 
 
 def eigen_condition(branch: NUBranch, sigma: QuadPoly, n: int) -> float:

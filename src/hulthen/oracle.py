@@ -164,8 +164,10 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
 
     Returns (h, coeffs, y1): coeffs(lo, hi) gives the arrays P and Q on grid
     points lo .. hi-1, where g_i = P_i - E*Q_i is the coefficient of
-    y'' = g y, and y_0 = 1, y_1 = y1 start the march on the regular
-    power-law branch y ~ r^{|v-1|/2}.
+    y'' = g y, and y_0 = 1, y_1 = y1 start the march on the regular branch
+    y ~ r^{|v-1|/2} (1 + a r).  The Frobenius term a = -(2 mu Z/hbar^2) /
+    (|v-1| + 1) comes from the -Z/r core of V; without it the start leaves
+    an energy error of order r_min^2 that no step count removes.
     """
     gam = model._gamma_coeff(l, params.D)
     v = model._angular_v(l, params.D)
@@ -181,7 +183,9 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
         q_arr = c * radii * radii
         return gam + 0.25 + q_arr * pot, q_arr
 
-    return h, coeffs, math.exp(h * abs(v - 1) / 2.0)
+    a = -c * params.Z / (abs(v - 1) + 1.0)
+    y1 = math.exp(h * abs(v - 1) / 2.0) * (1.0 + a * r_min * math.exp(h)) / (1.0 + a * r_min)
+    return h, coeffs, y1
 
 
 def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):

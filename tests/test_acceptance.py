@@ -32,7 +32,8 @@ from hulthen import (
 )
 from hulthen.model import DimensionlessParams
 from hulthen.nu import branches, eigen_condition, select_branch
-from hulthen.specfun import beta, hyp_terminating, jacobi_poly, pochhammer
+from hulthen.specfun import jacobi_poly
+from special_reference import beta, hyp_terminating, pochhammer
 
 
 @contextmanager

@@ -50,6 +50,9 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "wavefunction", "--points", "1")
     assert code == 1
+    for command in ("spectrum", "wavefunction"):
+        code, out, err = run(capsys, command, "--l", "-1")
+        assert (code, out, err) == (1, "", "error: l must be an integer >= 0, got -1\n")
 
 
 def test_spectrum_json(capsys):
@@ -81,6 +84,15 @@ def test_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HULTHEN_ALPHA", "not-a-number")
     code, _, err = run(capsys, "spectrum")
     assert code == 1
+    # a value outside the flag's choices is rejected like an invalid one
+    monkeypatch.delenv("HULTHEN_ALPHA")
+    monkeypatch.setenv("HULTHEN_FORMAT", "xml")
+    code, out, err = run(capsys, "spectrum")
+    assert (code, out) == (1, "")
+    assert err == "error: invalid value 'xml' for environment variable HULTHEN_FORMAT\n"
+    monkeypatch.setenv("HULTHEN_FORMAT", "json")
+    code, out, _ = run(capsys, "spectrum")
+    assert (code, json.loads(out)["meta"]["dim"]) == (0, 3)
 
 
 def test_wavefunction_table(capsys):

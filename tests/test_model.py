@@ -12,17 +12,16 @@ from hulthen import (
     coulomb_limit_energy,
     count_nodes,
     default_grid,
-    dimensionless,
     energy,
+    level,
     normalization_constant,
     nu_problem,
     potential,
     spectrum,
     wavefunction_samples,
-    wavefunction_u,
 )
 from hulthen.nu import branches, eigen_condition, select_branch
-from hulthen.specfun import beta
+from special_reference import beta
 
 # frozen from a 40-digit evaluation of the defining expressions
 POT_ANCHOR = -0.05819767068693264  # Z=1, alpha=0.1, r=10
@@ -56,17 +55,20 @@ def test_params_validation():
 
 
 def test_dimensionless_values():
-    dp = dimensionless(ANCHOR, QuantumNumbers(0, 1), -0.1)
+    # the dimensionless set of a level, with epsilon = (delta - m^2)/(2m)
+    dp = level(ANCHOR, QuantumNumbers(0, 1))
     assert dp.gamma == 2.0  # l(l+1) at D = 3
     assert dp.v == 4.0
     assert dp.Lambda == 4.0
-    dp0 = dimensionless(ANCHOR, QuantumNumbers(0, 0), 0.0)
-    assert dp0.epsilon == 0.0
+    assert dp.epsilon == pytest.approx(9.0, rel=1e-15)
+    dp0 = level(ANCHOR, QuantumNumbers(2, 0))
     assert dp0.gamma == 0.0
     assert dp0.v == 2.0
+    assert dp0.Lambda == 6.0
     assert dp0.delta == pytest.approx(40.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        dimensionless(ANCHOR, QuantumNumbers(0, 0), 0.5)
+    assert dp0.epsilon == pytest.approx(31.0 / 6.0, rel=1e-15)
+    d1 = level(PotentialParams(Z=1.0, alpha=0.05, D=1), QuantumNumbers(1, 0))
+    assert (d1.gamma, d1.v, d1.Lambda) == (0.0, 0.0, 2.0)  # v = 0 for l = 0 in D = 1
 
 
 def test_potential_values():
@@ -101,7 +103,7 @@ def test_centrifugal_values():
     # small alpha*r: 1/r^2 - alpha^2/12 + O(alpha^4 r^2)
     val = centrifugal_approx(1.0, 1e-3)
     assert val - 1.0 == pytest.approx(-(1e-3) ** 2 / 12.0, rel=1e-5)
-    # both evaluation branches agree with alpha^2/(4 sinh^2(u/2))
+    # the same function as alpha^2/(4 sinh^2(u/2))
     for u in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 50.0):
         alpha = 0.25
         r = u / alpha
@@ -230,6 +232,24 @@ def test_bound_state_count_examples():
     assert bound_state_count(PotentialParams(Z=1.0, alpha=1e-4), 0, n_max=10) == 11
 
 
+def test_spectrum_stops_at_first_missing_level(monkeypatch):
+    # m = n + l + (D-1)/2 grows with n, so spectrum need not evaluate past
+    # the first missing level after n = 0, whatever n_max is
+    calls = []
+
+    def counted(params, qn):
+        calls.append(qn.n)
+        return energy(params, qn)
+
+    monkeypatch.setattr("hulthen.model.energy", counted)
+    for params, l in [(ANCHOR, 0), (ANCHOR, 3), (PotentialParams(Z=1.0, alpha=0.05, D=1), 0),
+                      (PotentialParams(Z=1.0, alpha=2.5), 0)]:
+        calls.clear()
+        states = spectrum(params, l, n_max=1000)
+        assert len(calls) <= sum(st.exists for st in states) + 2
+        assert states == spectrum(params, l, n_max=len(states) + 5)
+
+
 def test_coulomb_limit():
     qn = QuantumNumbers(0, 0)
     assert coulomb_limit_energy(ANCHOR, qn) == pytest.approx(-0.5, rel=1e-15)
@@ -293,25 +313,22 @@ def test_normalization_errors():
 
 def test_wavefunction_endpoints_and_domain():
     qn = QuantumNumbers(0, 0)
+    u = level(ANCHOR, qn)
     c0 = normalization_constant(ANCHOR, qn)
     st = energy(ANCHOR, qn)
-    # ground state is C_0 s^eps (1-s)^(v/2)
+    # ground state is C_0 s^eps (1-s)^(v/2), evaluated at alpha*r = -ln s
     for s in (0.2, 0.5, 0.9):
         expect = c0 * s**st.epsilon * (1.0 - s) ** 1.0  # v/2 = 1 at l=0, D=3
-        assert wavefunction_u(s, ANCHOR, qn) == pytest.approx(expect, rel=1e-12)
-    # endpoint limits vanish
-    assert wavefunction_u(1e-12, ANCHOR, qn) == pytest.approx(0.0, abs=1e-200)
-    assert wavefunction_u(1.0 - 1e-14, ANCHOR, qn) == pytest.approx(0.0, abs=1e-10)
-    for bad in (0.0, 1.0, -0.3, 1.5):
-        with pytest.raises(ValueError):
-            wavefunction_u(bad, ANCHOR, qn)
+        assert u(-math.log(s)) == pytest.approx(expect, rel=1e-12)
+    # endpoint limits vanish (s -> 0 is r -> inf, s -> 1 is r -> 0)
+    assert u(-math.log(1e-12)) == pytest.approx(0.0, abs=1e-200)
+    assert u(-math.log1p(-1e-14)) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
-        wavefunction_u(0.5, PotentialParams(Z=1.0, alpha=2.5), qn)
+        level(PotentialParams(Z=1.0, alpha=2.5), qn)
     # array input matches scalar evaluation
-    s_arr = np.array([0.1, 0.4, 0.8])
-    arr = wavefunction_u(s_arr, ANCHOR, qn)
-    scalars = [wavefunction_u(s, ANCHOR, qn) for s in s_arr]
-    np.testing.assert_allclose(arr, scalars, rtol=1e-14)
+    t_arr = -np.log(np.array([0.1, 0.4, 0.8]))
+    scalars = [u(float(t)) for t in t_arr]
+    np.testing.assert_allclose(u(t_arr), scalars, rtol=1e-14)
 
 
 def test_samples_structure_and_nodes():
@@ -342,12 +359,16 @@ def test_samples_d1():
 
 def test_samples_grid_handling():
     qn = QuantumNumbers(0, 0)
-    grid = RadialGrid(r_min=0.1, r_max=50.0, points=100, spacing="log")
+    grid = RadialGrid(r_min=0.1, r_max=50.0, points=100)
     samples = wavefunction_samples(ANCHOR, qn, grid)
-    assert samples.meta["spacing"] == "log"
+    assert samples.meta["spacing"] == "linear"
     assert samples.r_values[0] == pytest.approx(0.1)
-    explicit = wavefunction_samples(ANCHOR, qn, np.array([1.0, 2.0, 5.0]))
+    # a log grid goes in as explicit radii
+    log_r = np.geomspace(0.1, 50.0, 100)
+    explicit = wavefunction_samples(ANCHOR, qn, log_r)
     assert explicit.meta["spacing"] == "explicit"
+    assert explicit.meta["points"] == 100
+    np.testing.assert_array_equal(explicit.U_values, level(ANCHOR, qn)(ANCHOR.alpha * log_r))
     with pytest.raises(ValueError):
         wavefunction_samples(ANCHOR, qn, np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
@@ -355,7 +376,7 @@ def test_samples_grid_handling():
     with pytest.raises(ValueError):
         RadialGrid(r_min=0.0, r_max=1.0, points=10)
     with pytest.raises(ValueError):
-        RadialGrid(r_min=0.1, r_max=1.0, points=10, spacing="cubic")
+        RadialGrid(r_min=0.1, r_max=1.0, points=1)
 
 
 def test_samples_keep_shallow_tail():
@@ -390,9 +411,7 @@ def test_nu_consistency():
         (PotentialParams(Z=1.0, alpha=0.05, D=2), QuantumNumbers(1, 0)),
     ]
     for params, qn in cases:
-        st = energy(params, qn)
-        dp = dimensionless(params, qn, st.energy)
-        prob = nu_problem(dp)
+        prob = nu_problem(level(params, qn))
         chosen = select_branch(branches(prob))
         v = 2 * qn.l + params.D - 1
         degree = qn.n - 1 if v == 0 else qn.n

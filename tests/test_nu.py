@@ -27,9 +27,7 @@ def hulthen_problem(eps, delta, gamma):
 def test_quadpoly_basics():
     p = QuadPoly(1.0, -2.0, 3.0)
     assert p(2.0) == 1.0 - 4.0 + 12.0
-    assert p.deriv() == QuadPoly(-2.0, 6.0, 0.0)
-    assert p.degree == 2
-    assert QuadPoly(5.0).degree == 0
+    assert QuadPoly(5.0)(3.0) == 5.0
     with pytest.raises(ValueError):
         QuadPoly(math.nan, 0.0, 0.0)
 
@@ -97,24 +95,20 @@ def test_select_branch_worked_instance():
 def test_select_branch_single_candidate_unchanged():
     prob = hulthen_problem(1.0, 2.0, 2.0)
     chosen_all = select_branch(branches(prob))
-    # a single negative-slope candidate comes back as-is, unflagged
-    alone = select_branch([chosen_all])
-    assert alone.pi == chosen_all.pi
-    assert alone.tau_slope == chosen_all.tau_slope
-    assert not alone.ambiguous
+    # a single negative-slope candidate comes back as-is
+    assert select_branch([chosen_all]) == chosen_all
 
 
-def test_select_branch_flags_ambiguity():
+def test_select_branch_most_negative_slope_wins():
     # the sign partners of the other t root also carry negative slopes
     # (slope -2 - |2 eps - q|); the expected branch is still strictly the
-    # most negative, -(2 + 2 eps + q), and the tie is flagged.
+    # most negative, -(2 + 2 eps + q).
     for eps, delta, gamma in [(0.1, 2.0, 0.0), (1.0, 2.0, 2.0), (3.0, 40.0, 6.0)]:
         prob = hulthen_problem(eps, delta, gamma)
         cands = branches(prob)
         negatives = [b for b in cands if b.tau_slope < 0]
         assert len(negatives) > 1
         chosen = select_branch(cands)
-        assert chosen.ambiguous
         assert chosen.tau_slope == min(b.tau_slope for b in negatives)
         q = math.sqrt(1.0 + 4.0 * gamma)
         assert chosen.tau_slope == pytest.approx(-(2.0 + 2.0 * eps + q), rel=1e-12)

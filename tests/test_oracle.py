@@ -135,11 +135,27 @@ def test_convergence_errors():
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-30)
     with pytest.raises(ConvergenceError):
         solve_exact(ANCHOR, 0, 0, cfg)
-    cfg = ShootingConfig(
-        r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=cfg.energy_bracket, max_iter=1
-    )
+    # from the default bracket one corrector pass already certifies the
+    # level; this wider one needs five, so a single pass cannot converge
+    wide = dict(r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=(-1.0, -0.3))
     with pytest.raises(ConvergenceError):
-        solve_exact(ANCHOR, 0, 0, cfg)
+        solve_exact(ANCHOR, 0, 0, ShootingConfig(**wide, max_iter=1))
+    assert solve_exact(ANCHOR, 0, 0, ShootingConfig(**wide)).converged
+
+
+@pytest.mark.parametrize("dim,l,n,alpha", [
+    (3, 0, 0, 0.05), (3, 0, 3, 0.05), (3, 0, 20, 1e-3),
+    (1, 0, 1, 0.05), (1, 0, 21, 1e-3),
+    (1, 1, 2, 0.05), (1, 1, 20, 1e-3),
+])
+def test_exact_levels_without_centrifugal_term(dim, l, n, alpha):
+    # gamma = 0 here, so the closed form is the exact level; the series
+    # start leaves the oracle well inside 1e-9 of it even at n = 20
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    res = solve_exact(params, l, interior_nodes(qn, dim), default_config(params, qn))
+    e_closed = energy(params, qn).energy
+    assert abs(res.energy - e_closed) <= 1e-9 * abs(e_closed)
 
 
 def test_d1_state():

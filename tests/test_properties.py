@@ -10,7 +10,6 @@ from hulthen import (
     NoBoundState,
     PotentialParams,
     QuantumNumbers,
-    dimensionless,
     energy,
     interior_nodes,
     level,
@@ -50,8 +49,9 @@ def test_level_agrees_with_energy(params, qn):
     assert lv.qn == qn
     assert lv.energy == bs.energy and lv.epsilon == bs.epsilon
     assert lv.norm == normalization_constant(params, qn)
-    dp = dimensionless(params, qn, bs.energy)
-    assert (lv.delta, lv.gamma, lv.v, lv.Lambda) == (dp.delta, dp.gamma, dp.v, dp.Lambda)
+    v = 2 * qn.l + params.D - 1
+    assert lv.delta == 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
+    assert (lv.gamma, lv.v, lv.Lambda) == (v * (v - 2) / 4.0, v, 2 * qn.n + v)
 
 
 @PROPERTY
