@@ -8,6 +8,7 @@ equation for cross-validation.
 
 from .expectation import (
     ExpectationReport,
+    QuadratureError,
     dE_dl,
     expectation_report,
     inv_r2_expect,
@@ -43,9 +44,7 @@ from .oracle import (
     NodeCountError,
     OracleError,
     OracleResult,
-    QuadratureError,
     ShootingConfig,
-    adaptive_quad,
     approximation_error,
     count_bound_states,
     default_config,

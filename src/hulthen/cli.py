@@ -6,7 +6,8 @@ flags can also be supplied through HULTHEN_<FLAG> environment variables
 (default) or JSON on stdout or --out PATH; identical configurations
 produce byte-identical output.
 
-Exit codes: 0 ok, 1 usage error, 2 no bound state, 3 oracle failure.
+Exit codes: 0 ok, 1 usage error (a bad flag or value, or an --out path
+that cannot be written), 2 no bound state, 3 oracle failure.
 """
 
 import argparse
@@ -108,21 +109,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _params(args) -> model.PotentialParams:
-    try:
-        return model.PotentialParams(Z=args.Z, alpha=args.alpha, mu=args.mu,
-                                     hbar=args.hbar, D=args.dim)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _qn(n, l) -> model.QuantumNumbers:
-    try:
-        return model.QuantumNumbers(n=n, l=l)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -177,11 +163,9 @@ def _emit(args, meta, headers, rows, table=True) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(args) -> int:
-    params = _params(args)
+def _cmd_spectrum(args, params: model.PotentialParams) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
-    _qn(0, args.l)  # the same check of l as the other subcommands
     states = model.spectrum(params, l=args.l, n_max=args.n_max)
     headers = ["n", "l", "D", "epsilon", "energy", "exists"]
     rows = [
@@ -196,19 +180,15 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_wavefunction(args) -> int:
-    params = _params(args)
-    qn = _qn(args.n, args.l)
+def _cmd_wavefunction(args, params: model.PotentialParams) -> int:
+    qn = model.QuantumNumbers(n=args.n, l=args.l)
     lv = model.level(params, qn)  # a missing level exits 2 before the usage checks
     if args.points < 2:
         raise UsageError("--points must be >= 2")
     if (args.r_min is None) != (args.r_max is None):
         raise UsageError("--r-min and --r-max must be given together")
     if args.r_min is not None:
-        try:
-            grid = model.RadialGrid(r_min=args.r_min, r_max=args.r_max, points=args.points)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        grid = model.RadialGrid(r_min=args.r_min, r_max=args.r_max, points=args.points)
     else:
         grid = model.default_grid(params, qn, points=args.points)
     samples = model.wavefunction_samples(params, qn, grid)
@@ -227,9 +207,8 @@ def _cmd_wavefunction(args) -> int:
     return EXIT_OK
 
 
-def _cmd_expectation(args) -> int:
-    params = _params(args)
-    qn = _qn(args.n, args.l)
+def _cmd_expectation(args, params: model.PotentialParams) -> int:
+    qn = model.QuantumNumbers(n=args.n, l=args.l)
     lv = model.level(params, qn)
     report = expect_mod.expectation_report(params, qn)
     if report.inv_r2_hft is None:
@@ -244,16 +223,11 @@ def _cmd_expectation(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    params = _params(args)
-    qn = _qn(args.n, args.l)
+def _cmd_validate(args, params: model.PotentialParams) -> int:
+    qn = model.QuantumNumbers(n=args.n, l=args.l)
     lv = model.level(params, qn)
-    try:
-        cfg = oracle.default_config(params, qn, tolerance=args.oracle_tolerance)
-        result = oracle.solve_exact(params, qn.l, oracle.interior_nodes(qn, params.D), cfg)
-    except oracle.OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+    cfg = oracle.default_config(params, qn, tolerance=args.oracle_tolerance)
+    result = oracle.solve_exact(params, qn.l, oracle.interior_nodes(qn, params.D), cfg)
     rel = abs(lv.energy - result.energy) / abs(result.energy)
     meta = _meta(params, {"n": qn.n, "l": qn.l})
     headers = ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]
@@ -271,15 +245,22 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every failure it reports maps to its exit code
+    here, NoBoundState before the ValueError it is."""
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        params = model.PotentialParams(Z=args.Z, alpha=args.alpha, mu=args.mu,
+                                       hbar=args.hbar, D=args.dim)
+        return _COMMANDS[args.command](args, params)
     except model.NoBoundState as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_STATE
+    except oracle.OracleError as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
+    except (UsageError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

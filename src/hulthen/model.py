@@ -24,7 +24,7 @@ m = n + l + (D-1)/2 = Lambda/2 (and m > 0), in which case
 
 Its reduced wavefunction is U(r) = C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
 level(params, qn) builds one frozen Level record per bound state: the
-dimensionless set above, E, C_n (a closed form in Gamma functions) and the
+dimensionless set above, E, C_n (a closed form, a finite product) and the
 Jacobi recurrence.  Every consumer reads the level's quantities from it,
 and calling it evaluates U from alpha*r, never through s itself.  A level
 that does not exist raises NoBoundState.
@@ -90,10 +90,14 @@ class QuantumNumbers:
     l: int = 0
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
-        if self.l != int(self.l) or self.l < 0:
-            raise ValueError(f"l must be an integer >= 0, got {self.l!r}")
+        _check_index("n", self.n)
+        _check_index("l", self.l)
+
+
+def _check_index(name: str, value) -> None:
+    """ValueError unless value (n, l or a cap on n) is an integer >= 0."""
+    if value != int(value) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,8 @@ class RadialGrid:
     points: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("grid requires 0 < r_min < r_max")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("grid requires 0 < r_min < r_max < inf")
         if self.points < 2:
             raise ValueError("grid requires at least 2 points")
 
@@ -186,6 +190,18 @@ def _delta(params: PotentialParams) -> float:
     return 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
 
 
+def _radius_math(r):
+    """numpy for an array of radii, math for one radius; ValueError unless
+    every radius is a finite positive real."""
+    if isinstance(r, np.ndarray):
+        if not np.all((r > 0.0) & (r < math.inf)):
+            raise ValueError("radii must be finite positive reals")
+        return np
+    if not (0.0 < r < math.inf):
+        raise ValueError(f"radius must be a finite positive real, got {r!r}")
+    return math
+
+
 def potential(r, params: PotentialParams):
     """The screened potential -Z alpha e^{-ar}/(1 - e^{-ar}) at radius r > 0,
     for a float or an array of radii.
@@ -194,30 +210,23 @@ def potential(r, params: PotentialParams):
     -Z/r + Z alpha/2 + ... is reproduced without cancellation and nothing
     overflows at large r.
     """
-    if isinstance(r, np.ndarray):
-        if not np.all((r > 0.0) & (r < math.inf)):
-            raise ValueError("radii must be finite positive reals")
-        xp = np
-    elif not (0.0 < r < math.inf):
-        raise ValueError(f"radius must be a finite positive real, got {r!r}")
-    else:
-        xp = math
+    xp = _radius_math(r)
     u = params.alpha * r
     return params.Z * params.alpha * xp.exp(-u) / xp.expm1(-u)
 
 
-def centrifugal_approx(r: float, alpha: float) -> float:
-    """Exponential stand-in for 1/r^2: alpha^2 e^{-ar}/(1 - e^{-ar})^2.
+def centrifugal_approx(r, alpha: float):
+    """Exponential stand-in for 1/r^2: alpha^2 e^{-ar}/(1 - e^{-ar})^2, for
+    a float or an array of radii.
 
     Equals 1/r^2 - alpha^2/12 + O(alpha^4 r^2) for small alpha*r.  With
     1 - e^{-ar} taken as -expm1(-ar) the one expression neither cancels
     at small alpha*r nor overflows at large alpha*r.
     """
-    if not (r > 0.0) or math.isinf(r):
-        raise ValueError(f"radius must be a finite positive real, got {r!r}")
+    xp = _radius_math(r)
     u = alpha * r
-    em = math.expm1(-u)
-    return alpha * alpha * math.exp(-u) / (em * em)
+    em = xp.expm1(-u)
+    return alpha * alpha * xp.exp(-u) / (em * em)
 
 
 def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
@@ -251,21 +260,24 @@ def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
     In x = 1-2s, writing the weight's 1+x as 2 - (1-x) splits I into the
     two standard Jacobi integrals with weights (1-x)^(a-1) (1+x)^b and
     (1-x)^a (1+x)^b.  I is B(2eps, v+1) at n = 0 and holds at v = 0 by
-    continuity.  Evaluated in log space, C_n = sqrt(alpha/I) costs O(1)
-    and neither overflows nor cancels at any n.
+    continuity.  v = 2l+D-1 is an integer, so the Gamma ratios are finite
+    products and C_n^2 = alpha/I is
+
+        alpha a (2n+a+v) / (2n+v) * prod_{j=1}^{v-1} (n+a+j)/(n+j)
+
+    (the product is n/(n+a) at v = 0, which has n >= 1).  No ratio is
+    below 1 elsewhere, so nothing underflows, and C_n is good to ~1e-15
+    where four log-Gamma values would cancel in their large terms.
     """
     st = energy(params, qn)
     if not st.exists:
         raise NoBoundState(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
-    n, a, v = qn.n, 2.0 * st.epsilon, float(_angular_v(qn.l, params.D))
-    log_i = (
-        math.lgamma(n + a + 1.0) + math.lgamma(n + v) + math.log(2 * n + v)
-        - math.lgamma(n + 1.0) - math.lgamma(n + a + v) - math.log(a) - math.log(2 * n + a + v)
-    )
+    n, a, v = qn.n, 2.0 * st.epsilon, int(_angular_v(qn.l, params.D))
+    ratios = [(n + a + j) / (n + j) for j in range(1, v)] if v else [n / (n + a)]
+    norm = math.sqrt(params.alpha * a * (2 * n + a + v) / (2 * n + v) * math.prod(ratios))
     return Level(epsilon=st.epsilon, delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
-                 v=v, Lambda=_lambda(n, qn.l, params.D), qn=qn, energy=st.energy,
-                 norm=math.sqrt(params.alpha) * math.exp(-0.5 * log_i),
-                 poly=specfun.jacobi_poly(n, a, v - 1.0))
+                 v=float(v), Lambda=_lambda(n, qn.l, params.D), qn=qn, energy=st.energy,
+                 norm=norm, poly=specfun.jacobi_poly(n, a, v - 1.0))
 
 
 def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[BoundState]:
@@ -277,6 +289,7 @@ def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[Bound
     first missing level after n = 0 ends the list: at most K + 2 levels
     are evaluated for K bound states, whatever n_max is.
     """
+    _check_index("n_max", n_max)
     states = []
     for n in range(n_max + 1):
         st = energy(params, QuantumNumbers(n=n, l=l))

@@ -23,14 +23,8 @@ outward and an inward march that meet at the last classical turning point;
 their Sturm count shrinks the bracket, and a step that leaves it is
 replaced by bisection.  Once the correction is below a quarter of the
 tolerance, counts at E -/+ tolerance/2 certify the level.
-
-adaptive_quad is a general-purpose globally adaptive Gauss-Kronrod
-(G7, K15) integrator used for normalization and expectation-value
-cross-checks; endpoint singularities x^p with p > -1 are handled by
-subdivision toward the endpoint (no node ever touches an endpoint).
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -44,7 +38,6 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "NodeCountError",
-    "QuadratureError",
     "ShootingConfig",
     "OracleResult",
     "default_config",
@@ -52,7 +45,6 @@ __all__ = [
     "solve_exact",
     "count_bound_states",
     "approximation_error",
-    "adaptive_quad",
 ]
 
 
@@ -73,10 +65,6 @@ class NodeCountError(OracleError):
     """The converged eigenfunction has the wrong number of interior nodes."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive refinement budget exhausted or non-finite integrand."""
-
-
 @dataclass(frozen=True)
 class ShootingConfig:
     r_min: float
@@ -87,17 +75,21 @@ class ShootingConfig:
     max_iter: int = 300
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("shooting grid requires 0 < r_min < r_max")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("shooting grid requires 0 < r_min < r_max < inf")
         lo, hi = self.energy_bracket
         if not (lo < hi <= 0.0):
             raise ValueError("energy bracket must satisfy E_lo < E_hi <= 0")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.step_count < 16:
-            raise ValueError("step_count too small")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be a finite positive real, got {self.tolerance!r}")
+        _check_step_count(self.step_count)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+
+
+def _check_step_count(step_count) -> None:
+    if step_count != int(step_count) or step_count < 16:
+        raise ValueError(f"step_count must be an integer >= 16, got {step_count!r}")
 
 
 @dataclass(frozen=True)
@@ -295,6 +287,7 @@ def solve_exact(
     max_iter passes, NodeCountError if the certified level has the wrong
     node count.
     """
+    model._check_index("l", l)
     k = int(target_nodes)
     if k < 0:
         raise ValueError("target_nodes must be >= 0")
@@ -378,6 +371,8 @@ def count_bound_states(
     out: at alpha = 0.22, D = 3, l = 0 the third level has E = -5.6e-6 and
     a decay length of ~300 = 66/alpha, and a march to 30/alpha misses it.
     """
+    model._check_index("l", l)
+    _check_step_count(step_count)
     h, coeffs, y1 = _log_coeffs(
         params, l, 1e-6 / params.alpha, 100.0 / params.alpha, step_count
     )
@@ -401,115 +396,3 @@ def approximation_error(
         cfg = default_config(params, qn)
     res = solve_exact(params, qn.l, interior_nodes(qn, params.D), cfg)
     return abs(e_closed - res.energy) / abs(res.energy)
-
-
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK dqk15)
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993945,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
-)
-_WGK = (
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
-)
-_WG = (
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-)
-
-
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: returns (K15 value, error estimate).
-
-    The estimate follows QUADPACK: |K15 - G7| inflated against the
-    variation sum resasc, so panels containing an integrable singularity
-    (where both rules agree yet both are wrong) still report a large
-    error and keep attracting refinement.
-    """
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(center)
-    if not math.isfinite(fc):
-        raise QuadratureError(f"non-finite integrand sample at x = {center!r}")
-    samples = [fc]
-    res_g = _WG[3] * fc
-    res_k = _WGK[7] * fc
-    res_abs = _WGK[7] * abs(fc)
-    for i in range(7):
-        x = half * _XGK[i]
-        f1 = f(center - x)
-        f2 = f(center + x)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            raise QuadratureError("non-finite integrand sample")
-        samples.append((i, f1, f2))
-        both = f1 + f2
-        res_k += _WGK[i] * both
-        res_abs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            res_g += _WG[i // 2] * both
-    mean = 0.5 * res_k
-    res_asc = _WGK[7] * abs(fc - mean)
-    for i, f1, f2 in samples[1:]:
-        res_asc += _WGK[i] * (abs(f1 - mean) + abs(f2 - mean))
-    err = abs(res_k - res_g) * half
-    res_asc *= half
-    if res_asc != 0.0 and err != 0.0:
-        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
-    err = max(err, 50.0 * 2.2e-16 * res_abs * half)
-    return res_k * half, err
-
-
-def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, max_intervals: int = 5000) -> float:
-    """Globally adaptive integral of f over [a, b] to absolute tolerance.
-
-    The worst panel is bisected until the summed error estimate falls
-    below abs_tol; raises QuadratureError when the panel budget is
-    exhausted first.  Integrable endpoint singularities x^p, p > -1, are
-    handled by subdivision toward the endpoint; note that a singularity
-    at x = 0 resolves fully (the float grid is dense there), while one at
-    a nonzero endpoint is limited to ~sqrt(machine eps) of the local
-    scale because refinement bottoms out on ulp-wide panels.  Extreme
-    refinement can round a node onto an endpoint, so integrands must
-    tolerate being called there.
-    """
-    if not (abs_tol > 0.0):
-        raise ValueError("abs_tol must be positive")
-    if not (b > a):
-        raise ValueError("integration bounds must satisfy a < b")
-    value, err = _gk15(f, a, b)
-    heap = [(-err, a, b, value)]
-    total_err = err
-    total_val = value
-    while total_err > abs_tol:
-        if len(heap) >= max_intervals:
-            raise QuadratureError(
-                f"adaptive refinement budget exhausted ({max_intervals} panels, "
-                f"error estimate {total_err:.3e} > {abs_tol:.3e})"
-            )
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        total_err += neg_err  # remove this panel's error
-        total_val -= val
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            raise QuadratureError("panel width underflow during refinement")
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        total_err += e1 + e2
-        total_val += v1 + v2
-    return total_val

@@ -215,6 +215,32 @@ def test_validate_oracle_failure(capsys):
     assert "oracle failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # nan and inf exited 0 with E_oracle = E_closed: no pass ran
+        ("validate --oracle-tolerance nan", "tolerance must be a finite positive real, got nan"),
+        ("validate --oracle-tolerance inf", "tolerance must be a finite positive real, got inf"),
+        # 0, -1 and an infinite grid end ended in a ValueError traceback
+        ("validate --oracle-tolerance 0", "tolerance must be a finite positive real, got 0.0"),
+        ("validate --oracle-tolerance -1", "tolerance must be a finite positive real, got -1.0"),
+        ("wavefunction --r-min 1 --r-max inf", "grid requires 0 < r_min < r_max < inf"),
+        ("spectrum --n-max -1", "--n-max must be >= 0"),
+    ],
+)
+def test_invalid_values_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    # a missing directory ended in a FileNotFoundError traceback
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "spectrum", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "spec.csv"
     code, out, _ = run(capsys, "spectrum", "--out", str(target))

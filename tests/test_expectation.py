@@ -5,6 +5,7 @@ import pytest
 
 from hulthen import (
     PotentialParams,
+    QuadratureError,
     QuantumNumbers,
     centrifugal_approx,
     dE_dl,
@@ -178,3 +179,20 @@ def test_nonexistent_state_errors():
             fn(weak, GROUND)
     with pytest.raises(ValueError):
         quadrature_expect(lambda r: 1.0, weak, GROUND)
+
+
+def test_normalization_at_tiny_alpha():
+    # the four log-Gamma terms C_n was built from left it 1.9e-9 off here
+    tiny = PotentialParams(Z=1.0, alpha=1e-6)
+    assert abs(quadrature_expect(lambda r: 1.0, tiny, GROUND) - 1.0) <= 1e-12
+
+
+def test_quadrature_errors():
+    # a non-finite sample is reported, not summed
+    with pytest.raises(QuadratureError, match="^non-finite integrand sample at r = "):
+        quadrature_expect(lambda r: np.where(r > 1.0, np.inf, 1.0), ANCHOR, GROUND)
+    # U^2 ~ r at l = 0 in D = 2, so the integral of U^2/r^2 diverges like
+    # log r at the origin: no step halving brings the estimate down
+    p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
+    with pytest.raises(QuadratureError, match="^no convergence to 1e-10 within 12 step halvings"):
+        quadrature_expect(lambda r: 1.0 / (r * r), p2, GROUND)

@@ -112,6 +112,20 @@ def test_centrifugal_values():
     assert centrifugal_approx(1e6, 0.05) == pytest.approx(0.0, abs=1e-300)
     with pytest.raises(ValueError):
         centrifugal_approx(0.0, 0.05)
+    for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([np.nan])):
+        with pytest.raises(ValueError):
+            centrifugal_approx(bad, 0.05)
+
+
+def test_centrifugal_array_matches_floats():
+    # np.exp and np.expm1 are each within 1 ulp of math's, and expm1 enters
+    # squared: the array values agree with the float values to 4 eps relative
+    rng = np.random.default_rng(11)
+    for alpha in 10.0 ** rng.uniform(-7.0, 1.0, 40):
+        r = 10.0 ** rng.uniform(-6.0, 4.0, 500)
+        floats = np.array([centrifugal_approx(float(x), float(alpha)) for x in r])
+        np.testing.assert_allclose(centrifugal_approx(r, alpha), floats,
+                                   rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
 
 def test_energy_anchor():
@@ -230,6 +244,13 @@ def test_bound_state_count_examples():
     assert bound_state_count(PotentialParams(Z=1.0, alpha=20.0), 0) == 0
     # enumeration cap applies when delta is huge
     assert bound_state_count(PotentialParams(Z=1.0, alpha=1e-4), 0, n_max=10) == 11
+
+
+def test_negative_n_max_is_a_value_error():
+    # both used to end in an IndexError
+    for fn in (spectrum, bound_state_count):
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
+            fn(ANCHOR, 0, n_max=-1)
 
 
 def test_spectrum_stops_at_first_missing_level(monkeypatch):
@@ -375,6 +396,9 @@ def test_samples_grid_handling():
         wavefunction_samples(ANCHOR, qn, np.array([-1.0, 2.0]))
     with pytest.raises(ValueError):
         RadialGrid(r_min=0.0, r_max=1.0, points=10)
+    # an infinite end gave a grid of inf and nan radii
+    with pytest.raises(ValueError, match=r"^grid requires 0 < r_min < r_max < inf$"):
+        RadialGrid(r_min=1.0, r_max=math.inf, points=10)
     with pytest.raises(ValueError):
         RadialGrid(r_min=0.1, r_max=1.0, points=1)
 

@@ -8,9 +8,7 @@ from hulthen import (
     ConvergenceError,
     PotentialParams,
     QuantumNumbers,
-    QuadratureError,
     ShootingConfig,
-    adaptive_quad,
     approximation_error,
     bound_state_count,
     count_bound_states,
@@ -33,6 +31,27 @@ def test_config_validation():
         ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, 0.5))
     with pytest.raises(ValueError):
         ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=0.0)
+    # a nan tolerance made solve_exact return the bracket midpoint unchecked
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="^tolerance must be a finite positive real"):
+            ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=tol)
+    with pytest.raises(ValueError, match="r_max < inf"):
+        ShootingConfig(r_min=0.1, r_max=math.inf, energy_bracket=(-1.0, -0.5))
+    with pytest.raises(ValueError, match="^step_count must be an integer >= 16, got 15$"):
+        ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), step_count=15)
+
+
+def test_solver_input_checks():
+    # l = -1 and l = 1.5 used to solve or count with the gamma of another (l, D)
+    cfg = default_config(ANCHOR, QuantumNumbers(0, 0))
+    with pytest.raises(ValueError, match="^l must be an integer >= 0, got -1$"):
+        solve_exact(ANCHOR, -1, 0, cfg)
+    for l in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"^l must be an integer >= 0, got {l}$"):
+            count_bound_states(ANCHOR, l)
+    # step_count = 3 used to count 1 level
+    with pytest.raises(ValueError, match="^step_count must be an integer >= 16, got 3$"):
+        count_bound_states(ANCHOR, 0, step_count=3)
 
 
 def test_interior_nodes_mapping():
@@ -221,25 +240,3 @@ def test_approximation_error_nonzero_gamma():
     p5 = PotentialParams(Z=1.0, alpha=0.1, D=5)
     err = approximation_error(p5, QuantumNumbers(0, 0))
     assert err > 1e-5
-
-
-def test_adaptive_quad_examples():
-    assert adaptive_quad(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-13)
-    val = adaptive_quad(lambda x: x**-0.5 if x > 0 else 0.0, 0.0, 1.0, abs_tol=1e-10)
-    assert val == pytest.approx(2.0, abs=1e-9)
-    val = adaptive_quad(lambda x: math.exp(-x), 0.0, 40.0, abs_tol=1e-12)
-    assert val == pytest.approx(1.0, abs=1e-12)
-
-
-def test_adaptive_quad_errors():
-    with pytest.raises(ValueError):
-        adaptive_quad(lambda x: 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        adaptive_quad(lambda x: 1.0, 0.0, 1.0, abs_tol=0.0)
-    with pytest.raises(QuadratureError):
-        # non-finite integrand sample (the first panel center is 0.5)
-        adaptive_quad(lambda x: math.inf if x == 0.5 else 1.0, 0.0, 1.0)
-    with pytest.raises(QuadratureError):
-        adaptive_quad(
-            lambda x: x**-0.999 if x > 0 else 0.0, 0.0, 1.0, abs_tol=1e-10, max_intervals=20
-        )

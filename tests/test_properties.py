@@ -10,11 +10,17 @@ from hulthen import (
     NoBoundState,
     PotentialParams,
     QuantumNumbers,
+    count_nodes,
     energy,
     interior_nodes,
+    kinetic_expect,
     level,
     normalization_constant,
     nu_problem,
+    potential,
+    potential_expect,
+    quadrature_expect,
+    wavefunction_samples,
 )
 from hulthen.nu import branches, eigen_condition, select_branch
 
@@ -93,3 +99,32 @@ def test_scaled_energy_depends_on_delta_only(params, alpha2, mu2, hbar2, qn):
     e2 = st2.energy * other.mu / (other.alpha * other.hbar) ** 2
     # a rounding change of delta moves -eps^2/2 by eps * d(delta) / (2m)
     assert abs(e1 - e2) <= 1e-14 * (abs(e1) + st1.epsilon * delta / m)
+
+
+@PROPERTY
+@given(params_st, qn_st)
+def test_quadrature_normalization(params, qn):
+    if not energy(params, qn).exists:
+        return
+    assert abs(quadrature_expect(lambda r: 1.0, params, qn) - 1.0) <= 1e-10
+
+
+@PROPERTY
+@given(params_st, qn_st)
+def test_energy_is_kinetic_plus_quadrature_potential(params, qn):
+    # <T> = E - <V> from the strength derivative; <V> here by quadrature
+    bs = energy(params, qn)
+    if not bs.exists:
+        return
+    v_quad = quadrature_expect(lambda r: potential(r, params), params, qn)
+    v_hft = potential_expect(params, qn)
+    assert abs(kinetic_expect(params, qn) + v_quad - bs.energy) <= 1e-10 + 1e-12 * abs(v_hft)
+
+
+@PROPERTY
+@given(params_st, qn_st)
+def test_default_grid_samples_have_interior_nodes(params, qn):
+    if not energy(params, qn).exists:
+        return
+    samples = wavefunction_samples(params, qn)
+    assert count_nodes(samples.U_values) == interior_nodes(qn, params.D)

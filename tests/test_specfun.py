@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
-from hulthen import adaptive_quad
 from hulthen.specfun import jacobi_poly
 from special_reference import beta, hyp_terminating, pochhammer
 
@@ -16,8 +16,8 @@ JACOBI_3_ANCHOR = -0.5075  # P_3^(0.5,-0.5)(0.3), exact decimal
 JACOBI_5_ANCHOR = 1.00849  # P_5^(2,3)(-0.4), exact decimal
 
 
-# model.level builds C_n from math.lgamma; the three ln_gamma tests pin the
-# accuracy that the closed-form normalization relies on
+# special_reference.beta, the reference for the n = 0 normalization, is built
+# on math.lgamma; the three ln_gamma tests pin the accuracy it relies on
 
 
 def test_ln_gamma_anchors():
@@ -180,24 +180,14 @@ def test_jacobi_matches_hypergeometric_well_conditioned():
 
 
 def test_jacobi_orthogonality_by_quadrature():
-    def weight(x, a, b):
-        # extreme refinement toward an endpoint can round a quadrature
-        # node onto the endpoint itself; the weight is zero-measure there
-        if x <= -1.0 or x >= 1.0:
-            return 0.0
-        return (1.0 - x) ** a * (1.0 + x) ** b
-
-    # weight exponents stay above -0.25: a steeper singularity at the
-    # nonzero endpoint +/-1 is unresolvable below ~sqrt(eps) by sampling
-    # (the float grid near 1.0 is ~1e-16 coarse)
-    for a, b in [(0.0, 0.0), (0.5, 0.0), (2.0, 3.0), (-0.25, 0.3)]:
+    # weight="alg" applies (1+x)^b (1-x)^a exactly (QUADPACK dqawse), so
+    # the endpoint singularities need no sampling
+    for a, b in [(0.0, 0.0), (0.5, 0.0), (2.0, 3.0), (-0.25, 0.3), (-0.9, -0.7)]:
         for m in range(0, 8):
             for n in range(m + 1, 9):
-                integral = adaptive_quad(
-                    lambda x: weight(x, a, b) * jacobi_poly(m, a, b)(x) * jacobi_poly(n, a, b)(x),
-                    -1.0,
-                    1.0,
-                    abs_tol=1e-10,
+                integral, _ = scipy.integrate.quad(
+                    lambda x: jacobi_poly(m, a, b)(x) * jacobi_poly(n, a, b)(x),
+                    -1.0, 1.0, weight="alg", wvar=(b, a), epsabs=1e-12,
                 )
                 assert abs(integral) <= 1e-9
 
