@@ -4,18 +4,16 @@ Closed-form spectrum, Jacobi-polynomial wavefunctions with exact
 normalization constants, expectation values from parameter derivatives,
 and an independent shooting-method eigensolver of the exact radial
 equation for cross-validation.
+
+`import hulthen` loads the closed forms of `model` alone and no numpy.
+The names of `expectation` and `oracle` (and those two submodules) are
+imported on first access; both import numpy, as do the array functions
+of `model` (grids, wavefunction samples, node counts) when first called.
 """
 
-from .expectation import (
-    ExpectationReport,
-    QuadratureError,
-    dE_dl,
-    expectation_report,
-    inv_r2_expect,
-    kinetic_expect,
-    potential_expect,
-    quadrature_expect,
-)
+import importlib
+
+from . import model
 from .model import (
     BoundState,
     DimensionlessParams,
@@ -38,18 +36,29 @@ from .model import (
     spectrum,
     wavefunction_samples,
 )
-from .oracle import (
-    BracketError,
-    ConvergenceError,
-    NodeCountError,
-    OracleError,
-    OracleResult,
-    ShootingConfig,
-    approximation_error,
-    count_bound_states,
-    default_config,
-    interior_nodes,
-    solve_exact,
-)
 
+_LAZY = {
+    "expectation": ("ExpectationReport", "QuadratureError", "dE_dl", "expectation_report",
+                    "inv_r2_expect", "kinetic_expect", "potential_expect", "quadrature_expect"),
+    "oracle": ("BracketError", "ConvergenceError", "NodeCountError", "OracleError",
+               "OracleResult", "ShootingConfig", "approximation_error", "count_bound_states",
+               "default_config", "interior_nodes", "solve_exact"),
+}
+_HOME = {name: mod for mod, names in _LAZY.items() for name in names}
+
+__all__ = [*model.__all__, *_HOME]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # nothing is cached here, so hulthen.X always follows the binding of X
+    # in its submodule, also after that binding is replaced
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

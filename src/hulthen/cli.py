@@ -8,6 +8,10 @@ produce byte-identical output.
 
 Exit codes: 0 ok, 1 usage error (a bad flag or value, or an --out path
 that cannot be written), 2 no bound state, 3 oracle failure.
+
+spectrum runs on the closed forms of `model` alone and never loads
+numpy.  wavefunction loads numpy for its grid; expectation imports
+`expectation` and validate imports `oracle` (both load numpy) when run.
 """
 
 import argparse
@@ -15,8 +19,7 @@ import json
 import os
 import sys
 
-from . import expectation as expect_mod
-from . import model, oracle
+from . import model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,6 +211,8 @@ def _cmd_wavefunction(args, params: model.PotentialParams) -> int:
 
 
 def _cmd_expectation(args, params: model.PotentialParams) -> int:
+    from . import expectation as expect_mod
+
     qn = model.QuantumNumbers(n=args.n, l=args.l)
     lv = model.level(params, qn)
     report = expect_mod.expectation_report(params, qn)
@@ -224,6 +229,8 @@ def _cmd_expectation(args, params: model.PotentialParams) -> int:
 
 
 def _cmd_validate(args, params: model.PotentialParams) -> int:
+    from . import oracle
+
     qn = model.QuantumNumbers(n=args.n, l=args.l)
     lv = model.level(params, qn)
     cfg = oracle.default_config(params, qn, tolerance=args.oracle_tolerance)
@@ -234,6 +241,13 @@ def _cmd_validate(args, params: model.PotentialParams) -> int:
     row = [lv.energy, result.energy, rel, result.node_count, result.converged]
     _emit(args, meta, headers, [row], table=False)
     return EXIT_OK
+
+
+def _oracle_error():
+    """OracleError once validate has imported the oracle, else no class
+    (an empty tuple), so that mapping exceptions imports nothing."""
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return oracle.OracleError if oracle else ()
 
 
 _COMMANDS = {
@@ -255,7 +269,7 @@ def main(argv=None) -> int:
     except model.NoBoundState as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_STATE
-    except oracle.OracleError as exc:
+    except _oracle_error() as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except (UsageError, ValueError, OSError) as exc:

@@ -27,14 +27,17 @@ level(params, qn) builds one frozen Level record per bound state: the
 dimensionless set above, E, C_n (a closed form, a finite product) and the
 Jacobi recurrence.  Every consumer reads the level's quantities from it,
 and calling it evaluates U from alpha*r, never through s itself.  A level
-that does not exist raises NoBoundState.
+that does not exist raises NoBoundState, and one whose delta or E leaves
+the float range raises ValueError.
+
+The closed forms use math alone; only the array functions import numpy.
 """
+
+from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import specfun
 from .nu import NUProblem, QuadPoly
@@ -139,7 +142,10 @@ class Level(DimensionlessParams):
     poly: Callable = field(repr=False, compare=False)
 
     def __call__(self, t):
-        xp = math if isinstance(t, float) else np
+        if isinstance(t, float):
+            xp = math
+        else:
+            import numpy as xp
         em = xp.expm1(-t)  # -(1 - s)
         amp = xp.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
         return self.norm * amp * self.poly(-1.0 - 2.0 * em)
@@ -161,6 +167,8 @@ class RadialGrid:
             raise ValueError("grid requires at least 2 points")
 
     def radii(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.r_min, self.r_max, self.points)
 
 
@@ -186,17 +194,35 @@ def _lambda(n: int, l: int, dim: int) -> float:
     return 2.0 * n + 2.0 * l + dim - 1.0
 
 
+def _in_float_range(what: str, formula: Callable[[], float]) -> float:
+    """formula(), or ValueError when it overflows, divides by zero or is
+    not a finite nonzero float (delta and E are nonzero by construction,
+    so a 0 is an underflow)."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < abs(value) < math.inf:
+        raise ValueError(f"{what} is outside the float range")
+    return value
+
+
 def _delta(params: PotentialParams) -> float:
-    return 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
+    return _in_float_range(
+        "delta = 2 Z mu/(alpha hbar^2)",
+        lambda: 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2))
 
 
 def _radius_math(r):
-    """numpy for an array of radii, math for one radius; ValueError unless
+    """math for one radius, numpy for an array of radii; ValueError unless
     every radius is a finite positive real."""
-    if isinstance(r, np.ndarray):
-        if not np.all((r > 0.0) & (r < math.inf)):
-            raise ValueError("radii must be finite positive reals")
-        return np
+    if not isinstance(r, float):
+        import numpy as np
+
+        if isinstance(r, np.ndarray):
+            if not np.all((r > 0.0) & (r < math.inf)):
+                raise ValueError("radii must be finite positive reals")
+            return np
     if not (0.0 < r < math.inf):
         raise ValueError(f"radius must be a finite positive real, got {r!r}")
     return math
@@ -243,7 +269,9 @@ def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
     if m <= 0.0 or delta <= m * m:
         return BoundState(qn=qn, energy=None, epsilon=None, exists=False)
     eps = (delta - m * m) / (2.0 * m)
-    e_val = -((params.alpha * params.hbar * eps) ** 2) / (2.0 * params.mu)
+    e_val = _in_float_range(
+        f"energy of n={qn.n}, l={qn.l}, D={params.D}",
+        lambda: -((params.alpha * params.hbar * eps) ** 2) / (2.0 * params.mu))
     return BoundState(qn=qn, energy=e_val, epsilon=eps, exists=True)
 
 
@@ -335,6 +363,8 @@ def wavefunction_samples(
     U has exactly n interior sign changes (n - 1 when 2l+D-1 = 0, where
     one polynomial root sits on the r = 0 boundary itself).
     """
+    import numpy as np
+
     if grid is None:
         grid = default_grid(params, qn)
     if isinstance(grid, RadialGrid):
@@ -365,6 +395,8 @@ def wavefunction_samples(
 def count_nodes(values: np.ndarray) -> int:
     """Sign changes of a sampled function, ignoring samples below 1e-9 of
     its peak."""
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     peak = np.max(np.abs(v)) if v.size else 0.0
     if peak == 0.0:

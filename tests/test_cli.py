@@ -226,6 +226,16 @@ def test_validate_oracle_failure(capsys):
         ("validate --oracle-tolerance -1", "tolerance must be a finite positive real, got -1.0"),
         ("wavefunction --r-min 1 --r-max inf", "grid requires 0 < r_min < r_max < inf"),
         ("spectrum --n-max -1", "--n-max must be >= 0"),
+        # exited 0 with epsilon = inf, energy = -inf and exists = true
+        ("spectrum --alpha 1e-320", "delta = 2 Z mu/(alpha hbar^2) is outside the float range"),
+        # exited 0 with energy = -0.0 for an existing level
+        ("spectrum --Z 1e-300 --alpha 1e-300",
+         "energy of n=0, l=0, D=3 is outside the float range"),
+        # OverflowError tracebacks
+        ("spectrum --Z 1e300", "energy of n=0, l=0, D=3 is outside the float range"),
+        ("expectation --Z 1e200", "energy of n=0, l=0, D=3 is outside the float range"),
+        # ZeroDivisionError traceback
+        ("spectrum --hbar 1e-200", "delta = 2 Z mu/(alpha hbar^2) is outside the float range"),
     ],
 )
 def test_invalid_values_exit_1(capsys, argv, message):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,47 @@ def test_negative_n_max_is_a_value_error():
     for fn in (spectrum, bound_state_count):
         with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
             fn(ANCHOR, 0, n_max=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [
+        # delta overflowed to inf: epsilon = inf, energy = -inf, exists
+        ({"Z": 1.0, "alpha": 1e-320}, "delta = 2 Z mu/(alpha hbar^2)"),
+        # hbar^2 underflowed to 0 (ZeroDivisionError) or overflowed
+        ({"Z": 1.0, "alpha": 0.05, "hbar": 1e-200}, "delta = 2 Z mu/(alpha hbar^2)"),
+        ({"Z": 1.0, "alpha": 0.05, "hbar": 1e200}, "delta = 2 Z mu/(alpha hbar^2)"),
+        # Z mu underflowed to 0
+        ({"Z": 1e-300, "alpha": 0.05, "mu": 1e-300}, "delta = 2 Z mu/(alpha hbar^2)"),
+        # an existing level's E underflowed to -0.0
+        ({"Z": 1e-300, "alpha": 1e-300}, "energy of n=0, l=0, D=3"),
+        # squaring alpha hbar eps raised OverflowError
+        ({"Z": 1e300, "alpha": 0.05}, "energy of n=0, l=0, D=3"),
+    ],
+    ids=["delta-inf", "hbar2-zero", "hbar2-overflow", "delta-zero", "energy-zero",
+         "energy-overflow"],
+)
+def test_levels_outside_the_float_range_raise(kwargs, what):
+    params = PotentialParams(**kwargs)
+    message = f"^{re.escape(what)} is outside the float range$"
+    for call in (lambda: energy(params, QuantumNumbers(0)),
+                 lambda: level(params, QuantumNumbers(0)),
+                 lambda: spectrum(params)):
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        assert type(info.value) is ValueError
+
+
+def test_levels_near_the_float_range_edge_are_kept():
+    # E = -(alpha hbar eps)^2/(2 mu) and delta close to either end of the
+    # float range are still formed by the same arithmetic
+    for params in (PotentialParams(Z=1e150, alpha=1.0), PotentialParams(Z=1e-150, alpha=1e-150),
+                   PotentialParams(Z=1.0, alpha=1e-300)):
+        st = energy(params, QuantumNumbers(0))
+        delta = 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2)
+        assert st.epsilon == (delta - 1.0) / 2.0
+        assert st.energy == -((params.alpha * params.hbar * st.epsilon) ** 2) / (2.0 * params.mu)
+        assert st.energy < 0.0 and math.isfinite(st.energy)
 
 
 def test_spectrum_stops_at_first_missing_level(monkeypatch):

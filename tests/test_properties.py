@@ -1,6 +1,11 @@
-"""Properties of the Level record over random parameters (hypothesis)."""
+"""Properties of the Level record and of the CLI over random parameters
+(hypothesis)."""
 
+import io
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,7 @@ from hulthen import (
     quadrature_expect,
     wavefunction_samples,
 )
+from hulthen.cli import main
 from hulthen.nu import branches, eigen_condition, select_branch
 
 
@@ -128,3 +134,50 @@ def test_default_grid_samples_have_interior_nodes(params, qn):
         return
     samples = wavefunction_samples(params, qn)
     assert count_nodes(samples.U_values) == interior_nodes(qn, params.D)
+
+
+SHARED_FLAGS = {
+    "--Z": log_uniform(-1, 1),
+    "--alpha": log_uniform(-3, 0.5),
+    "--mu": log_uniform(-1, 1),
+    "--hbar": log_uniform(-0.7, 0.5),
+    "--dim": st.integers(1, 6),
+    # low (n, l), so that most draws give a level to print
+    "--l": st.integers(0, 2),
+    "--n": st.integers(0, 3),
+    "--format": st.sampled_from(["csv", "json"]),
+}
+
+
+@st.composite
+def cli_invocations(draw):
+    """(subcommand, {flag: value text}, flags to pass as HULTHEN_<FLAG>)."""
+    command = draw(st.sampled_from(["spectrum", "wavefunction", "expectation"]))
+    flags = {flag: str(draw(values)) for flag, values in SHARED_FLAGS.items()}
+    if command == "wavefunction":
+        flags["--points"] = str(draw(st.integers(2, 64)))
+    return command, flags, draw(st.sets(st.sampled_from(sorted(flags))))
+
+
+def run_cli(argv, env):
+    """(exit code, stdout, stderr) of one in-process run with exactly the
+    HULTHEN_* variables of env set."""
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("HULTHEN_")}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {**environ, **env}, clear=True), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_invocations())
+def test_cli_is_deterministic_and_env_equals_flags(invocation):
+    command, flags, via_env = invocation
+    argv = [command, *(tok for flag, value in flags.items() for tok in (flag, value))]
+    first = run_cli(argv, {})
+    assert run_cli(argv, {}) == first
+    rest = [command, *(tok for flag, value in flags.items() if flag not in via_env
+                       for tok in (flag, value))]
+    env = {"HULTHEN_" + flag[2:].upper().replace("-", "_"): flags[flag] for flag in via_env}
+    assert run_cli(rest, env) == first

@@ -3,16 +3,23 @@
 The benchmark's tracer wraps every callable in each module's __all__ by
 getattr, so a name left in __all__ after its definition is deleted
 breaks it; every package-level name must be a listed public name of the
-module that defines it.
+module that defines it.  `import hulthen` and the closed-form CLI path
+load no numpy; the names of the numpy modules resolve on first access.
 """
 
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import hulthen
 from hulthen import expectation, model, nu, oracle, specfun
+from hulthen.cli import main
+
+SRC = str(Path(hulthen.__file__).parents[1])
 
 
 @pytest.mark.parametrize("mod", [specfun, model, expectation, oracle, nu],
@@ -24,11 +31,70 @@ def test_module_all_resolves(mod):
 
 
 def test_package_reexports_resolve():
-    public = [name for name, obj in vars(hulthen).items()
-              if not name.startswith("_") and not isinstance(obj, types.ModuleType)]
+    # the names of expectation and oracle are not in vars(hulthen) until
+    # asked for, so __all__ is the list; every eagerly bound name is in it
+    public = hulthen.__all__
     assert "level" in public and "solve_exact" in public
+    eager = {name for name, obj in vars(hulthen).items()
+             if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert eager <= set(public) <= set(dir(hulthen))
     for name in public:
         obj = getattr(hulthen, name)
         home = sys.modules[obj.__module__]
         assert name in home.__all__, name
         assert getattr(home, name) is obj, name
+
+
+def python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this checkout, with no HULTHEN_*
+    variables from the caller."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HULTHEN_")}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          check=False)
+
+
+# python -m hulthen.cli ARGV, run by runpy as -m runs it
+RUN_CLI = """
+import runpy, sys
+sys.argv = ["hulthen", *{argv!r}]
+try:
+    runpy.run_module("hulthen.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+{after}
+sys.exit(code)
+"""
+
+
+def test_bare_import_loads_no_numpy():
+    proc = python("import sys, hulthen\n"
+                  "print('numpy' in sys.modules)\n"
+                  "print(hulthen.solve_exact.__module__, hulthen.expectation_report.__module__,"
+                  " hulthen.oracle.__name__, hulthen.expectation.__name__)\n"
+                  "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation", "True"]
+
+
+def test_spectrum_run_leaves_numpy_unloaded():
+    report = ("print(sorted({'numpy', 'hulthen.oracle', 'hulthen.expectation'}"
+              " & set(sys.modules)), file=sys.stderr)")
+    proc = python(RUN_CLI.format(argv=["spectrum"], after=report))
+    assert (proc.returncode, proc.stderr) == (0, b"[]\n")
+
+
+@pytest.mark.parametrize("argv", [["spectrum"],
+                                  ["spectrum", "--format", "json", "--dim", "2", "--l", "1"]],
+                         ids=" ".join)
+def test_spectrum_runs_with_numpy_blocked(capsys, argv):
+    # importing numpy raises ImportError in the child
+    proc = python("import sys\nsys.modules['numpy'] = None\n"
+                  + RUN_CLI.format(argv=argv, after=""))
+    assert "numpy" in sys.modules
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+    assert code == 0
