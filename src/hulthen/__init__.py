@@ -5,37 +5,18 @@ normalization constants, expectation values from parameter derivatives,
 and an independent shooting-method eigensolver of the exact radial
 equation for cross-validation.
 
-`import hulthen` loads the closed forms of `model` alone and no numpy.
-The names of `expectation` and `oracle` (and those two submodules) are
-imported on first access; both import numpy, as do the array functions
-of `model` (grids, wavefunction samples, node counts) when first called.
+The package re-exports `model.__all__`.  `import hulthen` loads the
+closed forms of `model` alone: no numpy, and no `nu`, which the test
+suite uses to verify them.  The names of `expectation` and `oracle` (and
+those two submodules) are imported on first access; both import numpy,
+as do V, the centrifugal term, U and the array functions of `model` when
+first called.
 """
 
 import importlib
 
 from . import model
-from .model import (
-    BoundState,
-    DimensionlessParams,
-    Level,
-    NoBoundState,
-    PotentialParams,
-    QuantumNumbers,
-    RadialGrid,
-    RadialSamples,
-    bound_state_count,
-    centrifugal_approx,
-    coulomb_limit_energy,
-    count_nodes,
-    default_grid,
-    energy,
-    level,
-    normalization_constant,
-    nu_problem,
-    potential,
-    spectrum,
-    wavefunction_samples,
-)
+from .model import *
 
 _LAZY = {
     "expectation": ("ExpectationReport", "QuadratureError", "dE_dl", "expectation_report",

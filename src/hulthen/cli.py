@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Subcommands: spectrum | wavefunction | expectation | validate.  Shared
-flags can also be supplied through HULTHEN_<FLAG> environment variables
+Subcommands: spectrum | wavefunction | expectation | validate.  Every
+flag can also be supplied through a HULTHEN_<FLAG> environment variable
 (flag wins over environment, environment over default).  Output is CSV
 (default) or JSON on stdout or --out PATH; identical configurations
 produce byte-identical output.
 
 Exit codes: 0 ok, 1 usage error (a bad flag or value, or an --out path
-that cannot be written), 2 no bound state, 3 oracle failure.
+that cannot be written), 2 no bound state, 3 numerical failure (oracle
+or quadrature).
 
 spectrum runs on the closed forms of `model` alone and never loads
 numpy.  wavefunction loads numpy for its grid; expectation imports
@@ -24,7 +25,7 @@ from . import model
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_STATE = 2
-EXIT_ORACLE = 3
+EXIT_NUMERICAL = 3
 
 _ENV_PREFIX = "HULTHEN_"
 _FORMATS = ("csv", "json")
@@ -41,45 +42,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_default(name: str, fallback, cast, choices=None):
-    """The flag's default from HULTHEN_<NAME>, held to the flag's type and
-    choices (argparse checks neither on a default)."""
-    raw = os.environ.get(_ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        value = cast(raw)
-        if choices is not None and value not in choices:
-            raise ValueError(raw)
-        return value
-    except ValueError:
-        raise UsageError(
-            f"invalid value {raw!r} for environment variable {_ENV_PREFIX + name.upper()}"
-        )
+def _flag(p: _Parser, name: str, cast, default, help: str, choices=None) -> None:
+    """Add --NAME to p.  HULTHEN_<NAME> (upper case, - as _) replaces the
+    default, held to the flag's type and choices (argparse checks neither
+    on a default)."""
+    env = _ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(env)
+    if raw is not None:
+        try:
+            default = cast(raw)
+            if choices is not None and default not in choices:
+                raise ValueError(raw)
+        except ValueError:
+            raise UsageError(f"invalid value {raw!r} for environment variable {env}")
+    p.add_argument("--" + name, type=cast, default=default, choices=choices, help=help)
 
 
 def _add_shared(p: _Parser):
-    p.add_argument("--Z", type=float, default=_env_default("Z", 1.0, float),
-                   help="potential strength (atomic number); default 1")
-    p.add_argument("--alpha", type=float, default=_env_default("ALPHA", 0.05, float),
-                   help="screening parameter (inverse length); default 0.05")
-    p.add_argument("--mu", type=float, default=_env_default("MU", 1.0, float),
-                   help="reduced mass; default 1 (reduced units)")
-    p.add_argument("--hbar", type=float, default=_env_default("HBAR", 1.0, float),
-                   help="action constant; default 1 (reduced units)")
-    p.add_argument("--dim", type=int, default=_env_default("DIM", 3, int),
-                   help="spatial dimension D >= 1; default 3")
-    p.add_argument("--l", type=int, default=_env_default("L", 0, int),
-                   help="orbital angular momentum; default 0")
-    p.add_argument("--n", type=int, default=_env_default("N", 0, int),
-                   help="radial state index; default 0")
-    p.add_argument("--n-max", type=int, default=_env_default("N_MAX", 64, int),
-                   help="enumeration cap for the spectrum; default 64")
-    p.add_argument("--format", choices=_FORMATS,
-                   default=_env_default("FORMAT", "csv", str, _FORMATS),
-                   help="output format; default csv")
-    p.add_argument("--out", type=str, default=_env_default("OUT", None, str),
-                   help="output path; default stdout")
+    _flag(p, "Z", float, 1.0, "potential strength (atomic number); default 1")
+    _flag(p, "alpha", float, 0.05, "screening parameter (inverse length); default 0.05")
+    _flag(p, "mu", float, 1.0, "reduced mass; default 1 (reduced units)")
+    _flag(p, "hbar", float, 1.0, "action constant; default 1 (reduced units)")
+    _flag(p, "dim", int, 3, "spatial dimension D >= 1; default 3")
+    _flag(p, "l", int, 0, "orbital angular momentum; default 0")
+    _flag(p, "n", int, 0, "radial state index; default 0")
+    _flag(p, "n-max", int, 64, "enumeration cap for the spectrum; default 64")
+    _flag(p, "format", str, "csv", "output format; default csv", _FORMATS)
+    _flag(p, "out", str, None, "output path; default stdout")
 
 
 def _build_parser() -> _Parser:
@@ -92,22 +81,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("wavefunction", help="sample U(r) and R(r) for one level")
     _add_shared(p)
-    p.add_argument("--r-min", type=float, default=_env_default("R_MIN", None, float),
-                   help="grid start; default derived from the state")
-    p.add_argument("--r-max", type=float, default=_env_default("R_MAX", None, float),
-                   help="grid end; default derived from the state")
-    p.add_argument("--points", type=int, default=_env_default("POINTS", 4000, int),
-                   help="number of grid points; default 4000")
+    _flag(p, "r-min", float, None, "grid start; default derived from the state")
+    _flag(p, "r-max", float, None, "grid end; default derived from the state")
+    _flag(p, "points", int, 4000, "number of grid points; default 4000")
 
     p = sub.add_parser("expectation", help="closed-form expectation values with quadrature checks")
     _add_shared(p)
 
     p = sub.add_parser("validate", help="cross-check one level against the exact-equation eigensolver")
     _add_shared(p)
-    p.add_argument("--oracle-tolerance", type=float,
-                   default=_env_default("ORACLE_TOLERANCE", None, float),
-                   help="absolute energy tolerance of the eigensolver; default 1e-9 "
-                        "(auto-tightened for shallow levels)")
+    _flag(p, "oracle-tolerance", float, None,
+          "absolute energy tolerance of the eigensolver; default 1e-9 "
+          "(auto-tightened for shallow levels)")
 
     return parser
 
@@ -243,11 +228,12 @@ def _cmd_validate(args, params: model.PotentialParams) -> int:
     return EXIT_OK
 
 
-def _oracle_error():
-    """OracleError once validate has imported the oracle, else no class
-    (an empty tuple), so that mapping exceptions imports nothing."""
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    return oracle.OracleError if oracle else ()
+def _loaded_error(module: str, name: str):
+    """The exception class module.name once a command has imported that
+    module, else no class (an empty tuple), so that mapping exceptions
+    imports nothing."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return getattr(mod, name) if mod else ()
 
 
 _COMMANDS = {
@@ -269,9 +255,12 @@ def main(argv=None) -> int:
     except model.NoBoundState as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_STATE
-    except _oracle_error() as exc:
+    except _loaded_error("oracle", "OracleError") as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+        return EXIT_NUMERICAL
+    except _loaded_error("expectation", "QuadratureError") as exc:
+        print(f"quadrature failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,10 +27,13 @@ level(params, qn) builds one frozen Level record per bound state: the
 dimensionless set above, E, C_n (a closed form, a finite product) and the
 Jacobi recurrence.  Every consumer reads the level's quantities from it,
 and calling it evaluates U from alpha*r, never through s itself.  A level
-that does not exist raises NoBoundState, and one whose delta or E leaves
-the float range raises ValueError.
+that does not exist raises NoBoundState, and one whose delta, E or C_n
+leaves the float range raises ValueError.
 
-The closed forms use math alone; only the array functions import numpy.
+The closed forms use math alone.  V, the centrifugal term and U use numpy
+for floats and arrays alike (a float comes back as a numpy float64), and
+so do the grid and sampling functions; each imports numpy when first
+called.  From the package, model imports specfun alone.
 """
 
 from __future__ import annotations
@@ -40,12 +43,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import specfun
-from .nu import NUProblem, QuadPoly
 
 __all__ = [
     "PotentialParams",
     "QuantumNumbers",
-    "DimensionlessParams",
     "BoundState",
     "Level",
     "NoBoundState",
@@ -62,7 +63,6 @@ __all__ = [
     "wavefunction_samples",
     "default_grid",
     "count_nodes",
-    "nu_problem",
 ]
 
 
@@ -104,15 +104,6 @@ def _check_index(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class DimensionlessParams:
-    epsilon: float
-    delta: float
-    gamma: float
-    v: float
-    Lambda: float
-
-
-@dataclass(frozen=True)
 class BoundState:
     """One (n, l) level.  energy/epsilon are None when no bound state exists."""
 
@@ -127,7 +118,7 @@ class NoBoundState(ValueError):
 
 
 @dataclass(frozen=True)
-class Level(DimensionlessParams):
+class Level:
     """One existing bound state, built once by level(params, qn).
 
     The dimensionless set, E, C_n and the recurrence of P_n^(2eps, v-1).
@@ -136,18 +127,21 @@ class Level(DimensionlessParams):
     s itself is never formed, so U underflows only where U itself does.
     """
 
+    epsilon: float
+    delta: float
+    gamma: float
+    v: float
+    Lambda: float
     qn: QuantumNumbers
     energy: float
     norm: float
     poly: Callable = field(repr=False, compare=False)
 
     def __call__(self, t):
-        if isinstance(t, float):
-            xp = math
-        else:
-            import numpy as xp
-        em = xp.expm1(-t)  # -(1 - s)
-        amp = xp.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
+        import numpy as np
+
+        em = np.expm1(-t)  # -(1 - s)
+        amp = np.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
         return self.norm * amp * self.poly(-1.0 - 2.0 * em)
 
 
@@ -196,8 +190,8 @@ def _lambda(n: int, l: int, dim: int) -> float:
 
 def _in_float_range(what: str, formula: Callable[[], float]) -> float:
     """formula(), or ValueError when it overflows, divides by zero or is
-    not a finite nonzero float (delta and E are nonzero by construction,
-    so a 0 is an underflow)."""
+    not a finite nonzero float (delta, E and C_n are nonzero by
+    construction, so a 0 is an underflow)."""
     try:
         value = formula()
     except (OverflowError, ZeroDivisionError):
@@ -213,19 +207,16 @@ def _delta(params: PotentialParams) -> float:
         lambda: 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2))
 
 
-def _radius_math(r):
-    """math for one radius, numpy for an array of radii; ValueError unless
-    every radius is a finite positive real."""
-    if not isinstance(r, float):
-        import numpy as np
+def _decay(r, alpha: float):
+    """e^{-ar} and e^{-ar} - 1 (by expm1) at r, a float or an array of
+    radii; ValueError unless every radius is a finite positive real."""
+    import numpy as np
 
-        if isinstance(r, np.ndarray):
-            if not np.all((r > 0.0) & (r < math.inf)):
-                raise ValueError("radii must be finite positive reals")
-            return np
-    if not (0.0 < r < math.inf):
-        raise ValueError(f"radius must be a finite positive real, got {r!r}")
-    return math
+    r = np.asarray(r)
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise ValueError("radii must be finite positive reals")
+    u = alpha * r
+    return np.exp(-u), np.expm1(-u)
 
 
 def potential(r, params: PotentialParams):
@@ -236,9 +227,8 @@ def potential(r, params: PotentialParams):
     -Z/r + Z alpha/2 + ... is reproduced without cancellation and nothing
     overflows at large r.
     """
-    xp = _radius_math(r)
-    u = params.alpha * r
-    return params.Z * params.alpha * xp.exp(-u) / xp.expm1(-u)
+    e, em = _decay(r, params.alpha)
+    return params.Z * params.alpha * e / em
 
 
 def centrifugal_approx(r, alpha: float):
@@ -249,10 +239,8 @@ def centrifugal_approx(r, alpha: float):
     1 - e^{-ar} taken as -expm1(-ar) the one expression neither cancels
     at small alpha*r nor overflows at large alpha*r.
     """
-    xp = _radius_math(r)
-    u = alpha * r
-    em = xp.expm1(-u)
-    return alpha * alpha * xp.exp(-u) / (em * em)
+    e, em = _decay(r, alpha)
+    return alpha * alpha * e / (em * em)
 
 
 def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
@@ -302,7 +290,9 @@ def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
         raise NoBoundState(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
     n, a, v = qn.n, 2.0 * st.epsilon, int(_angular_v(qn.l, params.D))
     ratios = [(n + a + j) / (n + j) for j in range(1, v)] if v else [n / (n + a)]
-    norm = math.sqrt(params.alpha * a * (2 * n + a + v) / (2 * n + v) * math.prod(ratios))
+    norm = _in_float_range(
+        f"normalization constant of n={n}, l={qn.l}, D={params.D}",
+        lambda: math.sqrt(params.alpha * a * (2 * n + a + v) / (2 * n + v) * math.prod(ratios)))
     return Level(epsilon=st.epsilon, delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
                  v=float(v), Lambda=_lambda(n, qn.l, params.D), qn=qn, energy=st.energy,
                  norm=norm, poly=specfun.jacobi_poly(n, a, v - 1.0))
@@ -404,16 +394,3 @@ def count_nodes(values: np.ndarray) -> int:
     signs = np.sign(v[np.abs(v) > 1e-9 * peak])
     return int(np.sum(signs[1:] != signs[:-1]))
 
-
-def nu_problem(dp: DimensionlessParams) -> NUProblem:
-    """Hypergeometric-type coefficients of the s = exp(-alpha r) equation.
-
-    sigma = s(1-s), tau_t = 1-s, and sigma_t collects the energy,
-    strength and centrifugal terms of the transformed radial equation.
-    """
-    e2 = dp.epsilon * dp.epsilon
-    return NUProblem(
-        sigma=QuadPoly(0.0, 1.0, -1.0),
-        sigma_tilde=QuadPoly(-e2, 2.0 * e2 + dp.delta - dp.gamma, -(e2 + dp.delta)),
-        tau_tilde=QuadPoly(1.0, -1.0, 0.0),
-    )

@@ -14,7 +14,11 @@ full drift tau = tau_t + 2 pi must have negative slope for normalizable
 solutions) and evaluates the polynomial-termination condition that
 quantizes the spectrum.
 
-All coefficients are plain numbers; nothing here is symbolic.
+hulthen_problem(epsilon, delta, gamma) maps the Hulthen radial equation
+in s = exp(-alpha r) to such a problem; the test suite checks that the
+closed-form epsilon of model.level zeroes its termination condition.
+All coefficients are plain numbers; nothing here is symbolic, and this
+module imports nothing from the package.
 """
 
 import math
@@ -29,6 +33,7 @@ __all__ = [
     "branches",
     "select_branch",
     "eigen_condition",
+    "hulthen_problem",
 ]
 
 # residual tolerance for "the under-root quadratic is a perfect square"
@@ -230,3 +235,17 @@ def eigen_condition(branch: NUBranch, sigma: QuadPoly, n: int) -> float:
     n = int(n)
     rhs = -n * branch.tau_slope - 0.5 * n * (n - 1) * (2.0 * sigma.c2)
     return branch.lam - rhs
+
+
+def hulthen_problem(epsilon: float, delta: float, gamma: float) -> NUProblem:
+    """Hypergeometric-type coefficients of the s = exp(-alpha r) equation.
+
+    sigma = s(1-s), tau_t = 1-s, and sigma_t collects the energy,
+    strength and centrifugal terms of the transformed radial equation.
+    """
+    e2 = epsilon * epsilon
+    return NUProblem(
+        sigma=QuadPoly(0.0, 1.0, -1.0),
+        sigma_tilde=QuadPoly(-e2, 2.0 * e2 + delta - gamma, -(e2 + delta)),
+        tau_tilde=QuadPoly(1.0, -1.0, 0.0),
+    )

@@ -22,7 +22,6 @@ from hulthen import (
     interior_nodes,
     inv_r2_expect,
     normalization_constant,
-    nu_problem,
     potential,
     potential_expect,
     quadrature_expect,
@@ -30,8 +29,7 @@ from hulthen import (
     spectrum,
     wavefunction_samples,
 )
-from hulthen.model import DimensionlessParams
-from hulthen.nu import branches, eigen_condition, select_branch
+from hulthen.nu import branches, eigen_condition, hulthen_problem, select_branch
 from hulthen.specfun import jacobi_poly
 from special_reference import beta, hyp_terminating, pochhammer
 
@@ -205,7 +203,7 @@ def test_criterion_7_nu_engine_regression():
             eps = rng.uniform(0.05, 15.0)
             delta = rng.uniform(0.2, 80.0)
             gamma = rng.uniform(0.0, 30.0)
-            prob = nu_problem(DimensionlessParams(eps, delta, gamma, 0.0, 0.0))
+            prob = hulthen_problem(eps, delta, gamma)
             chosen = select_branch(branches(prob))
             q = math.sqrt(1.0 + 4.0 * gamma)
             # the physically valid branch: pi = eps - (1 + 2 eps + q) s / 2
@@ -233,7 +231,7 @@ def test_criterion_7_nu_engine_regression():
             delta = rng2.uniform(1.05, 4.0) * m * m
             gamma = (2 * l + dim - 1) * (2 * l + dim - 3) / 4.0
             eps = (delta - m * m) / (2.0 * m)
-            prob = nu_problem(DimensionlessParams(eps, delta, gamma, float(v), 2.0 * m))
+            prob = hulthen_problem(eps, delta, gamma)
             chosen = select_branch(branches(prob))
             assert abs(eigen_condition(chosen, prob.sigma, degree)) <= 1e-9
             checked += 1

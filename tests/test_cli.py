@@ -215,6 +215,17 @@ def test_validate_oracle_failure(capsys):
     assert "oracle failure" in err
 
 
+def test_quadrature_failure_exits_3(capsys):
+    # the tanh-sinh rule does not converge on this level; this ended in a
+    # QuadratureError traceback
+    code, out, err = run(capsys, "expectation", "--Z", "2.3163131398668173",
+                         "--mu", "8.680299759535256", "--alpha", "0.11827746864980619",
+                         "--hbar", "0.20155218228825997", "--dim", "1", "--n", "1")
+    assert (code, out) == (3, "")
+    assert err == ("quadrature failure: no convergence to 1e-10 within 12 step halvings "
+                   "(error estimate 2.939e-08)\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -236,6 +247,12 @@ def test_validate_oracle_failure(capsys):
         ("expectation --Z 1e200", "energy of n=0, l=0, D=3 is outside the float range"),
         # ZeroDivisionError traceback
         ("spectrum --hbar 1e-200", "delta = 2 Z mu/(alpha hbar^2) is outside the float range"),
+        # C_n^2 overflowed: exited 0 with norm_const = inf and U = R = inf
+        ("wavefunction --alpha 1e-300",
+         "normalization constant of n=0, l=0, D=3 is outside the float range"),
+        # three RuntimeWarnings, then a complaint about the radii
+        ("expectation --alpha 1e-300",
+         "normalization constant of n=0, l=0, D=3 is outside the float range"),
     ],
 )
 def test_invalid_values_exit_1(capsys, argv, message):

@@ -21,14 +21,13 @@ from hulthen import (
     kinetic_expect,
     level,
     normalization_constant,
-    nu_problem,
     potential,
     potential_expect,
     quadrature_expect,
     wavefunction_samples,
 )
 from hulthen.cli import main
-from hulthen.nu import branches, eigen_condition, select_branch
+from hulthen.nu import branches, eigen_condition, hulthen_problem, select_branch
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -72,7 +71,7 @@ def test_level_zeroes_nu_termination_condition(params, qn):
     if not energy(params, qn).exists:
         return
     lv = level(params, qn)
-    prob = nu_problem(lv)
+    prob = hulthen_problem(lv.epsilon, lv.delta, lv.gamma)
     residual = eigen_condition(select_branch(branches(prob)), prob.sigma,
                                interior_nodes(qn, params.D))
     # the admissible t = delta - gamma +/- eps |v-1| are roots of a quadratic

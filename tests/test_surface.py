@@ -4,7 +4,8 @@ The benchmark's tracer wraps every callable in each module's __all__ by
 getattr, so a name left in __all__ after its definition is deleted
 breaks it; every package-level name must be a listed public name of the
 module that defines it.  `import hulthen` and the closed-form CLI path
-load no numpy; the names of the numpy modules resolve on first access.
+load neither numpy nor `nu`; the names of the numpy modules resolve on
+first access.
 """
 
 import os
@@ -69,17 +70,18 @@ sys.exit(code)
 
 def test_bare_import_loads_no_numpy():
     proc = python("import sys, hulthen\n"
-                  "print('numpy' in sys.modules)\n"
+                  "print('numpy' in sys.modules, 'hulthen.nu' in sys.modules)\n"
                   "print(hulthen.solve_exact.__module__, hulthen.expectation_report.__module__,"
                   " hulthen.oracle.__name__, hulthen.expectation.__name__)\n"
                   "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
-        "False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation", "True"]
+        "False False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation",
+        "True"]
 
 
 def test_spectrum_run_leaves_numpy_unloaded():
-    report = ("print(sorted({'numpy', 'hulthen.oracle', 'hulthen.expectation'}"
+    report = ("print(sorted({'numpy', 'hulthen.oracle', 'hulthen.expectation', 'hulthen.nu'}"
               " & set(sys.modules)), file=sys.stderr)")
     proc = python(RUN_CLI.format(argv=["spectrum"], after=report))
     assert (proc.returncode, proc.stderr) == (0, b"[]\n")
