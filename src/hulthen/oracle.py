@@ -17,12 +17,16 @@ Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 R_i = F_{i+1}/F_i obey R_i = U_i - 1/R_{i-1}, U_i = (2 + 10 T_i)/(1 - T_i),
 and cannot overflow.  They are the pivots of the tridiagonal Numerov
 matrix, so the number of negative R_i counts the grid levels below E (a
-Sturm count).  A solve counts at both bracket ends, then moves E by
+Sturm count).  A solve starts at the bracket midpoint and moves E by
 Cooley's matching-point correction (Math. Comp. 15, 363 (1961)) from an
 outward and an inward march that meet at the last classical turning point;
 their Sturm count shrinks the bracket, and a step that leaves it is
 replaced by bisection.  Once the correction is below a quarter of the
-tolerance, counts at E -/+ tolerance/2 certify the level.
+tolerance, counts at E -/+ tolerance/2 certify the level.  A count inside
+the bracket proves its upper end if it lies above the target and its lower
+end if not; an end no count has proven is marched on its own only where
+the solve needs it: when it first falls back to bisection, and before it
+returns or fails.
 """
 
 import math
@@ -82,6 +86,12 @@ class ShootingConfig:
             raise ValueError("energy bracket must satisfy E_lo < E_hi <= 0")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError(f"tolerance must be a finite positive real, got {self.tolerance!r}")
+        # a bracket within the tolerance would be returned as its midpoint
+        # without a single pass
+        if self.tolerance >= hi - lo:
+            raise ValueError(
+                f"tolerance {self.tolerance!r} is not below the energy bracket width {hi - lo!r}"
+            )
         _check_step_count(self.step_count)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
@@ -97,7 +107,9 @@ class OracleResult:
     """energy is the level and residual the half-width of an interval around
     it that node counts prove to hold the level: the Sturm count is at most
     node_count at energy - residual and above it at energy + residual.
-    shots is the number of passes over the grid the solve made."""
+    shots is the number of passes over the grid the solve made: its Cooley
+    passes plus its Sturm marches (the two of the certificate, and one at
+    each bracket end that no count had proven)."""
 
     energy: float
     node_count: int
@@ -282,10 +294,12 @@ def solve_exact(
     """Eigenvalue of the exact radial problem with the given node count.
 
     Raises BracketError when the bracket does not straddle the target
-    eigenvalue, ConvergenceError when the tolerance is finer than the
-    float spacing of the bracket energies or the solve takes more than
-    max_iter passes, NodeCountError if the certified level has the wrong
-    node count.
+    eigenvalue, found when the solve first falls back to bisection or
+    before it returns or fails (an end is marched on its own only if no
+    count of the solve has proven it); ConvergenceError when the tolerance
+    is finer than the float spacing of the bracket energies or the solve
+    takes more than max_iter passes; NodeCountError if the certified level
+    has the wrong node count.
     """
     model._check_index("l", l)
     k = int(target_nodes)
@@ -299,27 +313,39 @@ def solve_exact(
             f"{e_lo!r}"
         )
     grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count)
-    nodes_lo = _march(grid, e_lo)
-    if nodes_lo > k:
-        raise BracketError(
-            f"lower bracket E={e_lo!r} already lies above the target eigenvalue "
-            f"(nodes={nodes_lo})"
-        )
-    nodes_hi = _march(grid, e_hi)
-    if nodes_hi <= k:
-        raise BracketError(
-            f"upper bracket E={e_hi!r} lies below the target eigenvalue "
-            f"(nodes={nodes_hi})"
-        )
-    shots = 2
+    # the Sturm count at each end of the bracket, None until a count proves it
+    nodes_lo = nodes_hi = None
+    shots = 0
+
+    def march_ends():
+        # an end no count has proven is still at its energy from cfg
+        nonlocal nodes_lo, nodes_hi, shots
+        if nodes_lo is None:
+            nodes_lo = _march(grid, e_lo)
+            shots += 1
+            if nodes_lo > k:
+                raise BracketError(
+                    f"lower bracket E={e_lo!r} already lies above the target "
+                    f"eigenvalue (nodes={nodes_lo})"
+                )
+        if nodes_hi is None:
+            nodes_hi = _march(grid, e_hi)
+            shots += 1
+            if nodes_hi <= k:
+                raise BracketError(
+                    f"upper bracket E={e_hi!r} lies below the target eigenvalue "
+                    f"(nodes={nodes_hi})"
+                )
 
     def narrow(e_val, nodes):
-        nonlocal e_lo, e_hi, nodes_lo
+        nonlocal e_lo, e_hi, nodes_lo, nodes_hi
         if nodes > k:
-            e_hi = min(e_hi, e_val)
+            if e_val <= e_hi:
+                e_hi, nodes_hi = e_val, nodes
         elif e_val > e_lo:
             e_lo, nodes_lo = e_val, nodes
         if not e_lo < e_hi:
+            march_ends()
             raise ConvergenceError(
                 f"node counts disagree at E={e_val!r}: the tolerance is at the "
                 f"float resolution of the march"
@@ -329,6 +355,7 @@ def solve_exact(
     passes = 0
     while e_hi - e_lo > tol:
         if passes >= cfg.max_iter:
+            march_ends()
             raise ConvergenceError(
                 f"no level to {tol!r} within {cfg.max_iter} passes "
                 f"(bracket width {e_hi - e_lo!r})"
@@ -339,21 +366,25 @@ def solve_exact(
         narrow(e_val, nodes)
         e_val += step
         if not e_lo < e_val < e_hi:
+            march_ends()
             e_val = 0.5 * (e_lo + e_hi)
         elif abs(step) <= 0.25 * tol:
             lo, hi = e_val - 0.5 * tol, e_val + 0.5 * tol
             n_lo, n_hi = _march(grid, lo), _march(grid, hi)
             shots += 2
+            # inside the bracket these counts prove its ends as well
+            narrow(lo, n_lo)
+            narrow(hi, n_hi)
+            march_ends()
             if n_lo <= k < n_hi:
                 if n_lo != k:
                     raise NodeCountError(
                         f"certified level has {n_lo} interior nodes, expected {k}"
                     )
                 return OracleResult(e_val, n_lo, True, 0.5 * tol, shots)
-            narrow(lo, n_lo)
-            narrow(hi, n_hi)
             e_val = 0.5 * (e_lo + e_hi)
 
+    march_ends()
     if nodes_lo != k:
         raise NodeCountError(
             f"converged eigenfunction has {nodes_lo} interior nodes, expected {k}"

@@ -235,6 +235,10 @@ def test_quadrature_failure_exits_3(capsys):
         # 0, -1 and an infinite grid end ended in a ValueError traceback
         ("validate --oracle-tolerance 0", "tolerance must be a finite positive real, got 0.0"),
         ("validate --oracle-tolerance -1", "tolerance must be a finite positive real, got -1.0"),
+        # exited 0 with E_oracle = E_closed, rel_error 0 (the true error is 5.5 %):
+        # the bracket was narrower than the tolerance and no pass ran
+        ("validate --dim 5 --l 1 --alpha 0.05 --n 1 --oracle-tolerance 0.01",
+         "tolerance 0.01 is not below the energy bracket width 0.0045000000000000005"),
         ("wavefunction --r-min 1 --r-max inf", "grid requires 0 < r_min < r_max < inf"),
         ("spectrum --n-max -1", "--n-max must be >= 0"),
         # exited 0 with epsilon = inf, energy = -inf and exists = true

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ def test_config_validation():
         ShootingConfig(r_min=0.1, r_max=math.inf, energy_bracket=(-1.0, -0.5))
     with pytest.raises(ValueError, match="^step_count must be an integer >= 16, got 15$"):
         ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), step_count=15)
+    # a bracket within the tolerance was returned as its midpoint unchecked
+    for tol in (0.5, 0.6):
+        with pytest.raises(ValueError, match=f"^tolerance {tol} is not below the energy "
+                                             f"bracket width 0.5$"):
+            ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=tol)
 
 
 def test_solver_input_checks():
@@ -71,7 +77,9 @@ def test_exact_s_wave_anchor():
     assert res.node_count == 0
     assert res.residual <= cfg.tolerance
     assert res.energy == pytest.approx(-0.4753125, rel=1e-6)
-    assert res.shots <= 10
+    # one Cooley pass and the two certificate marches; its counts prove
+    # both bracket ends, so neither is marched on its own
+    assert res.shots == 3
 
 
 def _plain_numerov_nodes(grid, energy_val):
@@ -122,10 +130,15 @@ def test_streamed_count_matches_whole_grid(steps):
 
 
 def _certified(params, l, k, cfg, res):
+    # fresh marches at E -/+ residual bracket k, and so do marches at the
+    # ends of the configured bracket: the solve skips those marches when its
+    # counts prove the ends, so a level must never solve from a bracket that
+    # does not straddle it
     grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count)
     below = _march(grid, res.energy - res.residual)
     above = _march(grid, res.energy + res.residual)
-    return below <= k < above
+    e_lo, e_hi = cfg.energy_bracket
+    return below <= k < above and _march(grid, e_lo) <= k < _march(grid, e_hi)
 
 
 def test_residual_is_certified_bracket():
@@ -147,6 +160,35 @@ def test_level_near_bracket_edge():
     res = solve_exact(params, 2, 0, cfg)
     assert res.energy == pytest.approx(-0.011413042361, abs=cfg.tolerance)
     assert _certified(params, 2, 0, cfg, res)
+
+
+@pytest.mark.parametrize("dim,l,alpha,n", [
+    (1, 0, 0.05, 2), (1, 1, 0.2, 0), (1, 2, 0.02, 4),
+    (3, 0, 0.3, 1), (3, 1, 0.1, 1), (3, 2, 0.05, 2),
+    (5, 0, 0.1, 0), (5, 1, 0.05, 1), (5, 2, 0.02, 3),
+])
+def test_levels_solve_only_from_straddling_brackets(dim, l, alpha, n):
+    # (3, 2, 0.05, 2) falls back to bisection once and marches one end there
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    cfg = default_config(params, qn)
+    k = interior_nodes(qn, dim)
+    res = solve_exact(params, l, k, cfg)
+    assert res.node_count == k
+    assert _certified(params, l, k, cfg, res)
+    if (dim, l, alpha, n) == (5, 1, 0.05, 1):
+        # five Cooley passes and the two certificate marches
+        assert res.shots == 7
+
+
+def test_certificate_counts_both_sides_afresh():
+    # the Cooley count flips ~7.5e-13 below the march count here, so a
+    # certificate that reused the last Cooley count for one side would
+    # certify a level the marches put outside its window
+    params = PotentialParams(Z=1.0, alpha=0.2)
+    cfg = default_config(params, QuantumNumbers(0, 0), tolerance=1e-12)
+    with pytest.raises(ConvergenceError, match="^node counts disagree"):
+        solve_exact(params, 0, 0, cfg)
 
 
 def test_convergence_errors():
@@ -212,8 +254,19 @@ def test_bracket_error():
         energy_bracket=(-0.2, -0.15),
         tolerance=1e-9,
     )
-    with pytest.raises(BracketError):
+    with pytest.raises(BracketError, match="^lower bracket E=-0.2 already lies above"):
         solve_exact(ANCHOR, 0, 0, cfg)
+
+
+def test_upper_bracket_error():
+    # the exact level lies below the closed form's bracket; the lazy march
+    # of the upper end reports it as the eager one did
+    params = PotentialParams(Z=1.0, alpha=0.3)
+    qn = QuantumNumbers(0, 1)
+    message = ("upper bracket E=-0.016000000000000004 lies below the target "
+               "eigenvalue (nodes=0)")
+    with pytest.raises(BracketError, match=f"^{re.escape(message)}$"):
+        solve_exact(params, 1, 0, default_config(params, qn))
 
 
 def test_count_matches_closed_form():

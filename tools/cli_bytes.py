@@ -53,6 +53,10 @@ ARGV_SETS = [argv.split() for argv in (
     "validate --l 1 --alpha 0.3",
     "validate --dim 1 --n 2 --format json",
     "validate --oracle-tolerance 1e-30",
+    "validate --l 2 --alpha 0.05 --n 3",
+    "validate --dim 5 --l 1 --alpha 0.05 --n 1",
+    "validate --alpha 0.2 --oracle-tolerance 1e-12",
+    "validate --dim 5 --l 1 --alpha 0.05 --n 1 --oracle-tolerance 0.01",
     "spectrum --dim 0",
     "spectrum --Z -1",
     "spectrum --l -1",
