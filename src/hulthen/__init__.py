@@ -6,11 +6,10 @@ and an independent shooting-method eigensolver of the exact radial
 equation for cross-validation.
 
 The package re-exports `model.__all__`.  `import hulthen` loads the
-closed forms of `model` alone: no numpy, and no `nu`, which the test
-suite uses to verify them.  The names of `expectation` and `oracle` (and
-those two submodules) are imported on first access; both import numpy,
-as do V, the centrifugal term, U and the array functions of `model` when
-first called.
+closed forms of `model` alone, with no numpy.  The names of
+`expectation` and `oracle` (and those two submodules) are imported on
+first access; both import numpy, as do V, the centrifugal term, U and
+the array functions of `model` when first called.
 """
 
 import importlib

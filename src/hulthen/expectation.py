@@ -128,9 +128,11 @@ def kinetic_expect(params: PotentialParams, qn: QuantumNumbers) -> float:
 # the rule's t range: the outermost nodes lie 2.6e-23 r_max from an end
 _T_MAX = 3.5
 _HALVINGS = 12
+# absolute error every quadrature is taken to
+_ABS_TOL = 1e-10
 
 
-def _tanh_sinh(g, fs, b: float, abs_tol: float) -> list[float]:
+def _tanh_sinh(g, fs, b: float) -> list[float]:
     """integral over [0, b] of f(r) g(r) dr for each f in fs.  A node is
     placed by its offset d from the nearer end, so none rounds onto r = 0;
     the integral beyond the outermost nodes is estimated as d |f g| there."""
@@ -149,17 +151,17 @@ def _tanh_sinh(g, fs, b: float, abs_tol: float) -> list[float]:
             tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(_T_MAX))
         prev, sums = sums, 0.5 * sums + h * vals.sum(axis=1)
         err = np.abs(sums - prev) + tail
-        if halving and err.max() <= abs_tol:
+        if halving and err.max() <= _ABS_TOL:
             return sums.tolist()
         h, m = 0.5 * h, 2 * m
         t = h * np.arange(1 - m, m, 2)
     raise QuadratureError(
-        f"no convergence to {abs_tol!r} within {_HALVINGS} step halvings "
+        f"no convergence to {_ABS_TOL!r} within {_HALVINGS} step halvings "
         f"(error estimate {err.max():.3e})"
     )
 
 
-def _weighted_integrals(fs, params: PotentialParams, u: model.Level, abs_tol: float) -> list[float]:
+def _weighted_integrals(fs, params: PotentialParams, u: model.Level) -> list[float]:
     """integral of f(r) |U(r)|^2 dr over (0, inf) for each f in fs, with
     U^2 computed once per node and shared among the integrals.  r_max cuts
     off a |U|^2 tail (polynomial envelope included) below ~1e-14 of the total."""
@@ -167,18 +169,18 @@ def _weighted_integrals(fs, params: PotentialParams, u: model.Level, abs_tol: fl
     # |P_n| on the interval is bounded by its s -> 0 (x = 1) endpoint value here
     poly_peak = u.poly(1.0)
     r_max = (50.0 + max(0.0, 2.0 * math.log(u.norm * poly_peak))) / (2.0 * alpha * u.epsilon)
-    return _tanh_sinh(lambda r: u(alpha * r) ** 2, fs, r_max, abs_tol)
+    return _tanh_sinh(lambda r: u(alpha * r) ** 2, fs, r_max)
 
 
-def quadrature_expect(f, params: PotentialParams, qn: QuantumNumbers, abs_tol: float = 1e-10) -> float:
+def quadrature_expect(f, params: PotentialParams, qn: QuantumNumbers) -> float:
     """integral of f(r) |U(r)|^2 dr over (0, inf) by the tanh-sinh rule.
 
     f takes a numpy array of radii and returns an array (or a scalar).
     The step is halved until the error estimate (see the module
-    docstring) is below abs_tol; QuadratureError is raised on a
-    non-finite sample or when twelve halvings do not get there.
+    docstring) is below the absolute tolerance 1e-10; QuadratureError is
+    raised on a non-finite sample or when twelve halvings do not get there.
     """
-    return _weighted_integrals([f], params, model.level(params, qn), abs_tol)[0]
+    return _weighted_integrals([f], params, model.level(params, qn))[0]
 
 
 def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> ExpectationReport:
@@ -189,7 +191,7 @@ def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> Expectati
     weights = [lambda r: model.potential(r, params)]
     if not degenerate:
         weights += [lambda r: model.centrifugal_approx(r, params.alpha), lambda r: 1.0 / (r * r)]
-    v_quad, *inv_r2 = _weighted_integrals(weights, params, lv, 1e-10)
+    v_quad, *inv_r2 = _weighted_integrals(weights, params, lv)
     inv_r2_approx, inv_r2_exact = inv_r2 or (None, None)
     return ExpectationReport(
         inv_r2_hft=None if degenerate else _inv_r2_expect(params, lv),

@@ -10,7 +10,7 @@ integration runs on a uniform grid in x = ln(r): substituting U = sqrt(r) y
 turns the equation into y''(x) = [r^2 W(r) + 1/4] y(x), which stays
 resolvable near the Coulomb singularity at the origin without millions of
 linear-grid points.  The scheme is Numerov (fourth order in the step), with
-y = 0 at r_max.
+y = 0 at r_max, on a 24000-point grid (_STEPS).
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -26,7 +26,7 @@ tolerance, counts at E -/+ tolerance/2 certify the level.  A count inside
 the bracket proves its upper end if it lies above the target and its lower
 end if not; an end no count has proven is marched on its own only where
 the solve needs it: when it first falls back to bisection, and before it
-returns or fails.
+returns or fails.  A solve makes at most 300 Cooley passes (_MAX_PASSES).
 """
 
 import math
@@ -62,21 +62,36 @@ class BracketError(OracleError):
 
 class ConvergenceError(OracleError):
     """The tolerance cannot be reached: finer than the float spacing, or not
-    within max_iter passes."""
+    within 300 Cooley passes (_MAX_PASSES)."""
 
 
 class NodeCountError(OracleError):
     """The converged eigenfunction has the wrong number of interior nodes."""
 
 
+# points of the ln(r) grid of solve_exact and count_bound_states
+_STEPS = 24000
+# Cooley passes a solve may make before it raises ConvergenceError
+_MAX_PASSES = 300
+
+
 @dataclass(frozen=True)
 class ShootingConfig:
+    """Inputs of one solve_exact call.
+
+    r_min, r_max: the ends of the 24000-point ln(r) grid (_STEPS points),
+        0 < r_min < r_max < inf.
+    energy_bracket: (E_lo, E_hi) with E_lo < E_hi <= 0, which must straddle
+        the target level.
+    tolerance: the width of the certified window (the level lies within
+        energy -/+ tolerance/2); finite, positive and below the bracket
+        width.
+    """
+
     r_min: float
     r_max: float
     energy_bracket: tuple[float, float]
-    step_count: int = 24000
     tolerance: float = 1e-9
-    max_iter: int = 300
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max < math.inf):
@@ -92,14 +107,6 @@ class ShootingConfig:
             raise ValueError(
                 f"tolerance {self.tolerance!r} is not below the energy bracket width {hi - lo!r}"
             )
-        _check_step_count(self.step_count)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-
-
-def _check_step_count(step_count) -> None:
-    if step_count != int(step_count) or step_count < 16:
-        raise ValueError(f"step_count must be an integer >= 16, got {step_count!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,6 @@ class OracleResult:
 def default_config(
     params: PotentialParams,
     qn: QuantumNumbers,
-    step_count: int = 24000,
     tolerance: float | None = None,
 ) -> ShootingConfig:
     """Grid and bracket from the closed-form level as the initial guess.
@@ -141,7 +147,6 @@ def default_config(
         r_min=r_min,
         r_max=r_max,
         energy_bracket=(1.2 * e_val, 0.8 * e_val),
-        step_count=step_count,
         tolerance=tolerance,
     )
 
@@ -298,8 +303,9 @@ def solve_exact(
     before it returns or fails (an end is marched on its own only if no
     count of the solve has proven it); ConvergenceError when the tolerance
     is finer than the float spacing of the bracket energies or the solve
-    takes more than max_iter passes; NodeCountError if the certified level
-    has the wrong node count.
+    takes more than 300 Cooley passes (_MAX_PASSES); NodeCountError if the
+    certified level has the wrong node count.  The grid has 24000 points
+    (_STEPS) from cfg.r_min to cfg.r_max.
     """
     model._check_index("l", l)
     k = int(target_nodes)
@@ -312,7 +318,7 @@ def solve_exact(
             f"tolerance {tol!r} is below 4 float spacings of the bracket energy "
             f"{e_lo!r}"
         )
-    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count)
+    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, _STEPS)
     # the Sturm count at each end of the bracket, None until a count proves it
     nodes_lo = nodes_hi = None
     shots = 0
@@ -354,10 +360,10 @@ def solve_exact(
     e_val = 0.5 * (e_lo + e_hi)
     passes = 0
     while e_hi - e_lo > tol:
-        if passes >= cfg.max_iter:
+        if passes >= _MAX_PASSES:
             march_ends()
             raise ConvergenceError(
-                f"no level to {tol!r} within {cfg.max_iter} passes "
+                f"no level to {tol!r} within {_MAX_PASSES} passes "
                 f"(bracket width {e_hi - e_lo!r})"
             )
         passes += 1
@@ -392,38 +398,32 @@ def solve_exact(
     return OracleResult(0.5 * (e_lo + e_hi), nodes_lo, True, 0.5 * (e_hi - e_lo), shots)
 
 
-def count_bound_states(
-    params: PotentialParams, l: int = 0, step_count: int = 24000
-) -> int:
+def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     """Number of bound levels from the node count of the near-zero-energy
     shooting solution (Sturm oscillation count).
 
-    The grid reaches r = 100/alpha, since the shallowest levels reach far
-    out: at alpha = 0.22, D = 3, l = 0 the third level has E = -5.6e-6 and
-    a decay length of ~300 = 66/alpha, and a march to 30/alpha misses it.
+    The grid has 24000 points (_STEPS) and reaches r = 100/alpha, since
+    the shallowest levels reach far out: at alpha = 0.22, D = 3, l = 0 the
+    third level has E = -5.6e-6 and a decay length of ~300 = 66/alpha, and
+    a march to 30/alpha misses it.
     """
     model._check_index("l", l)
-    _check_step_count(step_count)
-    h, coeffs, y1 = _log_coeffs(
-        params, l, 1e-6 / params.alpha, 100.0 / params.alpha, step_count
-    )
+    h, coeffs, y1 = _log_coeffs(params, l, 1e-6 / params.alpha, 100.0 / params.alpha, _STEPS)
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
-    last = step_count - 1  # the march stops short of the Dirichlet end
+    last = _STEPS - 1  # the march stops short of the Dirichlet end
     blocks = (coeffs(lo, min(lo + _BLOCK, last)) for lo in range(0, last, _BLOCK))
     return _sturm_count(h, y1, blocks, probe)
 
 
-def approximation_error(
-    params: PotentialParams, qn: QuantumNumbers, cfg: ShootingConfig | None = None
-) -> float:
-    """|E_closed - E_oracle| / |E_oracle| for one level.
+def approximation_error(params: PotentialParams, qn: QuantumNumbers) -> float:
+    """|E_closed - E_oracle| / |E_oracle| for one level, solved from
+    default_config.
 
     Quantifies the error introduced by the exponential stand-in for the
     centrifugal barrier; it vanishes (to solver tolerance) whenever the
     centrifugal coefficient is zero and shrinks as alpha -> 0 otherwise.
     """
     e_closed = model.level(params, qn).energy
-    if cfg is None:
-        cfg = default_config(params, qn)
+    cfg = default_config(params, qn)
     res = solve_exact(params, qn.l, interior_nodes(qn, params.D), cfg)
     return abs(e_closed - res.energy) / abs(res.energy)

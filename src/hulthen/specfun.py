@@ -6,6 +6,8 @@ orthogonality statement for a, b > -1, while pointwise evaluation is
 defined for any real a, b.
 """
 
+import math
+
 __all__ = ["jacobi_poly"]
 
 
@@ -13,7 +15,9 @@ def jacobi_poly(n: int, a: float, b: float):
     """P_n^(a,b) as a callable of a scalar or numpy array x.
 
     The coefficients of the recurrence P_k = (A_k x + B_k) P_{k-1} -
-    C_k P_{k-2} are computed once here, not at every x.
+    C_k P_{k-2} are computed once here, not at every x.  ValueError if one
+    of them is not a finite float (A_k grows like a + b, and its numerator
+    overflows first).
     """
     if n != int(n) or n < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
@@ -23,6 +27,8 @@ def jacobi_poly(n: int, a: float, b: float):
         ak = 2.0 * k * (k + a + b) * (s - 2.0)
         coeffs.append(((s - 1.0) * s * (s - 2.0) / ak, (s - 1.0) * (a * a - b * b) / ak,
                        2.0 * (k + a - 1.0) * (k + b - 1.0) * s / ak))
+    if not all(math.isfinite(c) for triple in coeffs for c in triple):
+        raise ValueError(f"Jacobi recurrence of P_{n}^({a!r}, {b!r}) is outside the float range")
 
     def poly(x):
         p_prev, p_cur = 0.0, x * 0.0 + 1.0

@@ -1,6 +1,7 @@
-"""Reduction pipeline for hypergeometric-type second-order ODEs.
+"""Reference for the tests: the Nikiforov-Uvarov (NU) reduction of the
+paper, which the closed-form spectrum of hulthen.model is checked against.
 
-Equations of the form
+NU reduces hypergeometric-type second-order ODEs, equations of the form
 
     psi'' + (tau_t(s)/sigma(s)) psi' + (sigma_t(s)/sigma(s)^2) psi = 0
 
@@ -15,10 +16,11 @@ solutions) and evaluates the polynomial-termination condition that
 quantizes the spectrum.
 
 hulthen_problem(epsilon, delta, gamma) maps the Hulthen radial equation
-in s = exp(-alpha r) to such a problem; the test suite checks that the
+in s = exp(-alpha r) to such a problem; the tests check that the
 closed-form epsilon of model.level zeroes its termination condition.
 All coefficients are plain numbers; nothing here is symbolic, and this
-module imports nothing from the package.
+module imports nothing from the package, so the check stays independent
+of the closed forms it verifies.
 """
 
 import math

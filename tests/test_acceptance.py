@@ -29,8 +29,8 @@ from hulthen import (
     spectrum,
     wavefunction_samples,
 )
-from hulthen.nu import branches, eigen_condition, hulthen_problem, select_branch
 from hulthen.specfun import jacobi_poly
+from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
 from special_reference import beta, hyp_terminating, pochhammer
 
 

@@ -257,6 +257,12 @@ def test_quadrature_failure_exits_3(capsys):
         # three RuntimeWarnings, then a complaint about the radii
         ("expectation --alpha 1e-300",
          "normalization constant of n=0, l=0, D=3 is outside the float range"),
+        # A_2 = inf/inf: wavefunction exited 0 with U = R = nan, and
+        # expectation complained about the radii
+        ("wavefunction --dim 1 --n 2 --alpha 1e-120",
+         "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
+        ("expectation --dim 1 --n 2 --alpha 1e-120",
+         "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
     ],
 )
 def test_invalid_values_exit_1(capsys, argv, message):

@@ -20,7 +20,7 @@ from hulthen import (
     spectrum,
     wavefunction_samples,
 )
-from hulthen.nu import branches, eigen_condition, hulthen_problem, select_branch
+from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
 from special_reference import beta
 
 # frozen from a 40-digit evaluation of the defining expressions
@@ -276,6 +276,18 @@ def test_normalization_outside_the_float_range_raises():
     for call in (level, normalization_constant, default_grid, wavefunction_samples):
         with pytest.raises(ValueError, match=message) as info:
             call(params, QuantumNumbers(0))
+        assert type(info.value) is ValueError
+
+
+def test_recurrence_outside_the_float_range_raises():
+    # at D = 1, l = 0 the level and C_n are finite, but a = 2 eps = 1e120
+    # overflows the numerator of A_2 (U was nan everywhere)
+    params = PotentialParams(Z=1.0, alpha=1e-120, D=1)
+    assert math.isfinite(energy(params, QuantumNumbers(2)).energy)
+    message = re.escape("Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range")
+    for call in (level, normalization_constant, default_grid, wavefunction_samples):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            call(params, QuantumNumbers(2))
         assert type(info.value) is ValueError
 
 

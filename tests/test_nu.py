@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hulthen.nu import (
+from nu_reference import (
     NUProblem,
     QuadPoly,
     branches,

@@ -16,6 +16,7 @@ from hulthen import (
     default_config,
     energy,
     interior_nodes,
+    oracle,
     solve_exact,
 )
 from hulthen.oracle import _BLOCK, _log_coeffs, _log_grid, _march
@@ -38,8 +39,6 @@ def test_config_validation():
             ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=tol)
     with pytest.raises(ValueError, match="r_max < inf"):
         ShootingConfig(r_min=0.1, r_max=math.inf, energy_bracket=(-1.0, -0.5))
-    with pytest.raises(ValueError, match="^step_count must be an integer >= 16, got 15$"):
-        ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), step_count=15)
     # a bracket within the tolerance was returned as its midpoint unchecked
     for tol in (0.5, 0.6):
         with pytest.raises(ValueError, match=f"^tolerance {tol} is not below the energy "
@@ -55,9 +54,6 @@ def test_solver_input_checks():
     for l in (-1, 1.5):
         with pytest.raises(ValueError, match=f"^l must be an integer >= 0, got {l}$"):
             count_bound_states(ANCHOR, l)
-    # step_count = 3 used to count 1 level
-    with pytest.raises(ValueError, match="^step_count must be an integer >= 16, got 3$"):
-        count_bound_states(ANCHOR, 0, step_count=3)
 
 
 def test_interior_nodes_mapping():
@@ -121,12 +117,13 @@ def test_grid_blocks_match_whole_grid():
 
 
 @pytest.mark.parametrize("steps", [3000, 24000])
-def test_streamed_count_matches_whole_grid(steps):
+def test_streamed_count_matches_whole_grid(monkeypatch, steps):
+    monkeypatch.setattr(oracle, "_STEPS", steps)
     for dim, l, alpha in ((3, 0, 0.22), (5, 2, 0.05), (1, 1, 0.4)):
         params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
         grid = _log_grid(params, l, 1e-6 / alpha, 100.0 / alpha, steps)
         probe = -1e-12 * alpha**2 / 2.0
-        assert count_bound_states(params, l, steps) == _march(grid, probe)
+        assert count_bound_states(params, l) == _march(grid, probe)
 
 
 def _certified(params, l, k, cfg, res):
@@ -134,7 +131,7 @@ def _certified(params, l, k, cfg, res):
     # ends of the configured bracket: the solve skips those marches when its
     # counts prove the ends, so a level must never solve from a bracket that
     # does not straddle it
-    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, cfg.step_count)
+    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, oracle._STEPS)
     below = _march(grid, res.energy - res.residual)
     above = _march(grid, res.energy + res.residual)
     e_lo, e_hi = cfg.energy_bracket
@@ -191,17 +188,19 @@ def test_certificate_counts_both_sides_afresh():
         solve_exact(params, 0, 0, cfg)
 
 
-def test_convergence_errors():
+def test_convergence_errors(monkeypatch):
     # a tolerance below the float spacing of the energies fails at once
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-30)
     with pytest.raises(ConvergenceError):
         solve_exact(ANCHOR, 0, 0, cfg)
     # from the default bracket one corrector pass already certifies the
     # level; this wider one needs five, so a single pass cannot converge
-    wide = dict(r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=(-1.0, -0.3))
-    with pytest.raises(ConvergenceError):
-        solve_exact(ANCHOR, 0, 0, ShootingConfig(**wide, max_iter=1))
-    assert solve_exact(ANCHOR, 0, 0, ShootingConfig(**wide)).converged
+    wide = ShootingConfig(r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=(-1.0, -0.3))
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_MAX_PASSES", 1)
+        with pytest.raises(ConvergenceError, match="^no level to 1e-09 within 1 passes"):
+            solve_exact(ANCHOR, 0, 0, wide)
+    assert solve_exact(ANCHOR, 0, 0, wide).converged
 
 
 @pytest.mark.parametrize("dim,l,n,alpha", [
@@ -237,12 +236,12 @@ def test_eigenvalue_ordering():
     assert energies[0] < energies[1] < energies[2]
 
 
-def test_grid_refinement_contract():
+def test_grid_refinement_contract(monkeypatch):
     qn = QuantumNumbers(0, 0)
-    cfg_a = default_config(ANCHOR, qn, step_count=12000, tolerance=1e-9)
-    cfg_b = default_config(ANCHOR, qn, step_count=24000, tolerance=1e-9)
-    e_a = solve_exact(ANCHOR, 0, 0, cfg_a).energy
-    e_b = solve_exact(ANCHOR, 0, 0, cfg_b).energy
+    cfg = default_config(ANCHOR, qn, tolerance=1e-9)
+    e_b = solve_exact(ANCHOR, 0, 0, cfg).energy
+    monkeypatch.setattr(oracle, "_STEPS", 12000)
+    e_a = solve_exact(ANCHOR, 0, 0, cfg).energy
     assert abs(e_a - e_b) < 4.0 * 1e-9
 
 

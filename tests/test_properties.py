@@ -27,7 +27,7 @@ from hulthen import (
     wavefunction_samples,
 )
 from hulthen.cli import main
-from hulthen.nu import branches, eigen_condition, hulthen_problem, select_branch
+from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
 
 
 def log_uniform(lo_exp, hi_exp):

@@ -202,3 +202,7 @@ def test_jacobi_array_input():
 def test_jacobi_domain():
     with pytest.raises(ValueError):
         jacobi_poly(-1, 0.0, 0.0)(0.5)
+    # (s-1) s (s-2) overflows in A_2, so P_2 came out nan at every x
+    with pytest.raises(ValueError, match="^Jacobi recurrence of P_2.* outside the float range$"):
+        jacobi_poly(2, 1e120, -1.0)
+    assert math.isfinite(jacobi_poly(1, 1e120, -1.0)(0.5))

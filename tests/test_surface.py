@@ -4,8 +4,7 @@ The benchmark's tracer wraps every callable in each module's __all__ by
 getattr, so a name left in __all__ after its definition is deleted
 breaks it; every package-level name must be a listed public name of the
 module that defines it.  `import hulthen` and the closed-form CLI path
-load neither numpy nor `nu`; the names of the numpy modules resolve on
-first access.
+load no numpy; the names of the numpy modules resolve on first access.
 """
 
 import os
@@ -17,13 +16,13 @@ from pathlib import Path
 import pytest
 
 import hulthen
-from hulthen import expectation, model, nu, oracle, specfun
+from hulthen import expectation, model, oracle, specfun
 from hulthen.cli import main
 
 SRC = str(Path(hulthen.__file__).parents[1])
 
 
-@pytest.mark.parametrize("mod", [specfun, model, expectation, oracle, nu],
+@pytest.mark.parametrize("mod", [specfun, model, expectation, oracle],
                          ids=lambda m: m.__name__)
 def test_module_all_resolves(mod):
     assert mod.__all__
@@ -70,18 +69,18 @@ sys.exit(code)
 
 def test_bare_import_loads_no_numpy():
     proc = python("import sys, hulthen\n"
-                  "print('numpy' in sys.modules, 'hulthen.nu' in sys.modules)\n"
+                  "print('numpy' in sys.modules)\n"
                   "print(hulthen.solve_exact.__module__, hulthen.expectation_report.__module__,"
                   " hulthen.oracle.__name__, hulthen.expectation.__name__)\n"
                   "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
-        "False False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation",
+        "False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation",
         "True"]
 
 
 def test_spectrum_run_leaves_numpy_unloaded():
-    report = ("print(sorted({'numpy', 'hulthen.oracle', 'hulthen.expectation', 'hulthen.nu'}"
+    report = ("print(sorted({'numpy', 'hulthen.oracle', 'hulthen.expectation'}"
               " & set(sys.modules)), file=sys.stderr)")
     proc = python(RUN_CLI.format(argv=["spectrum"], after=report))
     assert (proc.returncode, proc.stderr) == (0, b"[]\n")

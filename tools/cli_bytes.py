@@ -62,6 +62,11 @@ ARGV_SETS = [argv.split() for argv in (
     "spectrum --l -1",
     "wavefunction --alpha 1e-300",
     "expectation --alpha 1e-300",
+    "expectation --alpha 1e-150",
+    "wavefunction --dim 1 --n 2 --alpha 1e-90",
+    "expectation --dim 1 --n 2 --alpha 1e-90",
+    "wavefunction --dim 1 --n 2 --alpha 1e-120",
+    "expectation --dim 1 --n 2 --alpha 1e-120",
     QUADRATURE_FAILURE,
 )]
 
