@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: spectrum | wavefunction | expectation | validate.  Every
-flag can also be supplied through a HULTHEN_<FLAG> environment variable
-(flag wins over environment, environment over default).  Output is CSV
-(default) or JSON on stdout or --out PATH; identical configurations
-produce byte-identical output.
+Subcommands: spectrum | wavefunction | expectation | validate.  Flags
+are per subcommand (--n-max on spectrum only, --n on the other three)
+and have no abbreviations.  Every flag can also be supplied through a
+HULTHEN_<FLAG> environment variable (flag wins over environment,
+environment over default); only the running subcommand's variables are
+read.  Output is CSV (default) or JSON on stdout or --out PATH;
+identical configurations produce byte-identical output.
 
 Exit codes: 0 ok, 1 usage error (a bad flag or value, or an --out path
 that cannot be written), 2 no bound state, 3 numerical failure (oracle
@@ -56,45 +58,6 @@ def _flag(p: _Parser, name: str, cast, default, help: str, choices=None) -> None
         except ValueError:
             raise UsageError(f"invalid value {raw!r} for environment variable {env}")
     p.add_argument("--" + name, type=cast, default=default, choices=choices, help=help)
-
-
-def _add_shared(p: _Parser):
-    _flag(p, "Z", float, 1.0, "potential strength (atomic number); default 1")
-    _flag(p, "alpha", float, 0.05, "screening parameter (inverse length); default 0.05")
-    _flag(p, "mu", float, 1.0, "reduced mass; default 1 (reduced units)")
-    _flag(p, "hbar", float, 1.0, "action constant; default 1 (reduced units)")
-    _flag(p, "dim", int, 3, "spatial dimension D >= 1; default 3")
-    _flag(p, "l", int, 0, "orbital angular momentum; default 0")
-    _flag(p, "n", int, 0, "radial state index; default 0")
-    _flag(p, "n-max", int, 64, "enumeration cap for the spectrum; default 64")
-    _flag(p, "format", str, "csv", "output format; default csv", _FORMATS)
-    _flag(p, "out", str, None, "output path; default stdout")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="hulthen",
-                     description="Bound states of the D-dimensional Hulthen potential")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="closed-form level table")
-    _add_shared(p)
-
-    p = sub.add_parser("wavefunction", help="sample U(r) and R(r) for one level")
-    _add_shared(p)
-    _flag(p, "r-min", float, None, "grid start; default derived from the state")
-    _flag(p, "r-max", float, None, "grid end; default derived from the state")
-    _flag(p, "points", int, 4000, "number of grid points; default 4000")
-
-    p = sub.add_parser("expectation", help="closed-form expectation values with quadrature checks")
-    _add_shared(p)
-
-    p = sub.add_parser("validate", help="cross-check one level against the exact-equation eigensolver")
-    _add_shared(p)
-    _flag(p, "oracle-tolerance", float, None,
-          "absolute energy tolerance of the eigensolver; default 1e-9 "
-          "(auto-tightened for shallow levels)")
-
-    return parser
 
 
 def _fmt(value) -> str:
@@ -151,7 +114,7 @@ def _emit(args, meta, headers, rows, table=True) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(args, params: model.PotentialParams) -> int:
+def _cmd_spectrum(args, params: model.PotentialParams, _lv) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     states = model.spectrum(params, l=args.l, n_max=args.n_max)
@@ -168,9 +131,7 @@ def _cmd_spectrum(args, params: model.PotentialParams) -> int:
     return EXIT_OK
 
 
-def _cmd_wavefunction(args, params: model.PotentialParams) -> int:
-    qn = model.QuantumNumbers(n=args.n, l=args.l)
-    lv = model.level(params, qn)  # a missing level exits 2 before the usage checks
+def _cmd_wavefunction(args, params: model.PotentialParams, lv: model.Level) -> int:
     if args.points < 2:
         raise UsageError("--points must be >= 2")
     if (args.r_min is None) != (args.r_max is None):
@@ -178,14 +139,10 @@ def _cmd_wavefunction(args, params: model.PotentialParams) -> int:
     if args.r_min is not None:
         grid = model.RadialGrid(r_min=args.r_min, r_max=args.r_max, points=args.points)
     else:
-        grid = model.default_grid(params, qn, points=args.points)
-    samples = model.wavefunction_samples(params, qn, grid)
-    meta = _meta(params, {
-        "n": qn.n,
-        "l": qn.l,
-        "epsilon": lv.epsilon,
-        "norm_const": lv.norm,
-    })
+        grid = model.default_grid(params, lv.qn, points=args.points)
+    samples = model.wavefunction_samples(params, lv.qn, grid)
+    meta = _meta(params, {"n": lv.qn.n, "l": lv.qn.l,
+                          "epsilon": lv.epsilon, "norm_const": lv.norm})
     headers = ["r", "U", "R"]
     rows = [
         [float(r), float(u), float(rr)]
@@ -195,16 +152,14 @@ def _cmd_wavefunction(args, params: model.PotentialParams) -> int:
     return EXIT_OK
 
 
-def _cmd_expectation(args, params: model.PotentialParams) -> int:
+def _cmd_expectation(args, params: model.PotentialParams, lv: model.Level) -> int:
     from . import expectation as expect_mod
 
-    qn = model.QuantumNumbers(n=args.n, l=args.l)
-    lv = model.level(params, qn)
-    report = expect_mod.expectation_report(params, qn)
+    report = expect_mod.expectation_report(params, lv.qn)
     if report.inv_r2_hft is None:
         print("warning: <r^-2> is undefined for l = 0 in D = 2; fields left empty",
               file=sys.stderr)
-    meta = _meta(params, {"n": qn.n, "l": qn.l})
+    meta = _meta(params, {"n": lv.qn.n, "l": lv.qn.l})
     headers = ["energy", "inv_r2_hft", "v_hft", "t_value",
                "inv_r2_quad_approx", "inv_r2_quad_exact", "v_quad"]
     row = [lv.energy, report.inv_r2_hft, report.v_hft, report.t_value,
@@ -213,19 +168,63 @@ def _cmd_expectation(args, params: model.PotentialParams) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args, params: model.PotentialParams) -> int:
+def _cmd_validate(args, params: model.PotentialParams, lv: model.Level) -> int:
     from . import oracle
 
-    qn = model.QuantumNumbers(n=args.n, l=args.l)
-    lv = model.level(params, qn)
-    cfg = oracle.default_config(params, qn, tolerance=args.oracle_tolerance)
-    result = oracle.solve_exact(params, qn.l, oracle.interior_nodes(qn, params.D), cfg)
+    cfg = oracle.default_config(params, lv.qn, tolerance=args.oracle_tolerance)
+    result = oracle.solve_exact(params, lv.qn.l, oracle.interior_nodes(lv.qn, params.D), cfg)
     rel = abs(lv.energy - result.energy) / abs(result.energy)
-    meta = _meta(params, {"n": qn.n, "l": qn.l})
+    meta = _meta(params, {"n": lv.qn.n, "l": lv.qn.l})
     headers = ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]
     row = [lv.energy, result.energy, rel, result.node_count, result.converged]
     _emit(args, meta, headers, [row], table=False)
     return EXIT_OK
+
+
+# Flags as (name, type, default, help[, choices]).  A subcommand's --help
+# lists _PARAMS, its level flag, _OUTPUT, then its extra flags.
+_PARAMS = (
+    ("Z", float, 1.0, "potential strength (atomic number); default 1"),
+    ("alpha", float, 0.05, "screening parameter (inverse length); default 0.05"),
+    ("mu", float, 1.0, "reduced mass; default 1 (reduced units)"),
+    ("hbar", float, 1.0, "action constant; default 1 (reduced units)"),
+    ("dim", int, 3, "spatial dimension D >= 1; default 3"),
+    ("l", int, 0, "orbital angular momentum; default 0"),
+)
+_OUTPUT = (
+    ("format", str, "csv", "output format; default csv", _FORMATS),
+    ("out", str, None, "output path; default stdout"),
+)
+_N = ("n", int, 0, "radial state index; default 0")
+
+_COMMANDS = {  # name: (help, handler, level flag, extra flags)
+    "spectrum": ("closed-form level table", _cmd_spectrum,
+                 ("n-max", int, 64, "enumeration cap for the spectrum; default 64"), ()),
+    "wavefunction": ("sample U(r) and R(r) for one level", _cmd_wavefunction, _N, (
+        ("r-min", float, None, "grid start; default derived from the state"),
+        ("r-max", float, None, "grid end; default derived from the state"),
+        ("points", int, 4000, "number of grid points; default 4000"))),
+    "expectation": ("closed-form expectation values with quadrature checks",
+                    _cmd_expectation, _N, ()),
+    "validate": ("cross-check one level against the exact-equation eigensolver",
+                 _cmd_validate, _N, (
+        ("oracle-tolerance", float, None, "absolute energy tolerance of the eigensolver; "
+         "default 1e-9 (auto-tightened for shallow levels)"),)),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser of every subcommand, with flags on `command` alone, so
+    that no other subcommand's HULTHEN_* variable is read."""
+    parser = _Parser(prog="hulthen",
+                     description="Bound states of the D-dimensional Hulthen potential")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, level_flag, extras) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if name == command:
+            for spec in (*_PARAMS, level_flag, *_OUTPUT, *extras):
+                _flag(p, *spec)
+    return parser
 
 
 def _loaded_error(module: str, name: str):
@@ -236,22 +235,17 @@ def _loaded_error(module: str, name: str):
     return getattr(mod, name) if mod else ()
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "wavefunction": _cmd_wavefunction,
-    "expectation": _cmd_expectation,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
     """Run one subcommand; every failure it reports maps to its exit code
     here, NoBoundState before the ValueError it is."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         params = model.PotentialParams(Z=args.Z, alpha=args.alpha, mu=args.mu,
                                        hbar=args.hbar, D=args.dim)
-        return _COMMANDS[args.command](args, params)
+        # a missing level exits 2 before the handler's usage checks
+        lv = model.level(params, model.QuantumNumbers(args.n, args.l)) if "n" in args else None
+        return _COMMANDS[args.command][1](args, params, lv)
     except model.NoBoundState as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_STATE

@@ -240,7 +240,7 @@ def centrifugal_approx(r, alpha: float):
     at small alpha*r nor overflows at large alpha*r.
     """
     e, em = _decay(r, alpha)
-    return alpha * alpha * e / (em * em)
+    return e * (alpha / em) ** 2
 
 
 def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
@@ -351,7 +351,8 @@ def wavefunction_samples(
     """Sample U and R = r^-(D-1)/2 U on a radial grid.
 
     U has exactly n interior sign changes (n - 1 when 2l+D-1 = 0, where
-    one polynomial root sits on the r = 0 boundary itself).
+    one polynomial root sits on the r = 0 boundary itself).  An R that
+    is not a finite float raises ValueError.
     """
     import numpy as np
 
@@ -377,7 +378,11 @@ def wavefunction_samples(
 
     lv = level(params, qn)
     u = lv(params.alpha * r)
-    rr = u * r ** (-(params.D - 1) / 2.0)
+    with np.errstate(all="ignore"):
+        rr = u * r ** (-(params.D - 1) / 2.0)
+    bad = r[~np.isfinite(rr)]
+    if bad.size:
+        raise ValueError(f"R = U r^-(D-1)/2 is outside the float range at r = {float(bad[0])!r}")
     meta.update({"epsilon": lv.epsilon, "norm_const": lv.norm, "units": "hbar,mu as given"})
     return RadialSamples(r_values=r, U_values=u, R_values=rr, meta=meta)
 

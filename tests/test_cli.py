@@ -95,6 +95,16 @@ def test_env_override(capsys, monkeypatch):
     assert (code, json.loads(out)["meta"]["dim"]) == (0, 3)
 
 
+@pytest.mark.parametrize("command, name, value",
+                         [("expectation", "HULTHEN_POINTS", "1.5"), ("spectrum", "HULTHEN_N", "x")])
+def test_variable_of_another_subcommand_is_ignored(capsys, monkeypatch, command, name, value):
+    # each exited 1 over a flag that the running subcommand does not have
+    expected = run(capsys, command)
+    monkeypatch.setenv(name, value)
+    assert run(capsys, command) == expected
+    assert expected[0] == 0
+
+
 def test_wavefunction_table(capsys):
     code, out, _ = run(capsys, "wavefunction", "--n", "0")
     assert code == 0
@@ -263,6 +273,17 @@ def test_quadrature_failure_exits_3(capsys):
          "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
         ("expectation --dim 1 --n 2 --alpha 1e-120",
          "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
+        # flags of another subcommand were ignored (spectrum printed every
+        # level), and --alp parsed as --alpha
+        ("spectrum --n 3", "unrecognized arguments: --n 3"),
+        ("wavefunction --n-max 3", "unrecognized arguments: --n-max 3"),
+        ("spectrum --alp 0.1", "unrecognized arguments: --alp 0.1"),
+        # exited 0 after a RuntimeWarning with R = inf (r^-1 overflows) and
+        # R = nan (U underflows to 0 where r^-99.5 overflows)
+        ("wavefunction --r-min 1e-320 --r-max 1 --points 3",
+         "R = U r^-(D-1)/2 is outside the float range at r = 1e-320"),
+        ("wavefunction --dim 200 --alpha 1e-5 --r-min 1e-4 --r-max 1000 --points 4",
+         "R = U r^-(D-1)/2 is outside the float range at r = 0.0001"),
     ],
 )
 def test_invalid_values_exit_1(capsys, argv, message):

@@ -106,6 +106,9 @@ def test_centrifugal_values():
         expect = alpha**2 / (4.0 * math.sinh(0.5 * u) ** 2)
         assert centrifugal_approx(r, alpha) == pytest.approx(expect, rel=1e-12)
     assert centrifugal_approx(1e6, 0.05) == pytest.approx(0.0, abs=1e-300)
+    # alpha^2 and em^2 underflow on their own here: these gave nan (0/0) and inf
+    assert centrifugal_approx(1.0, 1e-170) == 1.0
+    assert centrifugal_approx(1e-20, 1e-150) == pytest.approx(1e40, rel=1e-15)
     with pytest.raises(ValueError):
         centrifugal_approx(0.0, 0.05)
     for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([np.nan])):
@@ -451,6 +454,16 @@ def test_samples_grid_handling():
         RadialGrid(r_min=1.0, r_max=math.inf, points=10)
     with pytest.raises(ValueError):
         RadialGrid(r_min=0.1, r_max=1.0, points=1)
+
+
+def test_samples_outside_the_float_range_raise():
+    # both returned a non-finite R after a RuntimeWarning
+    with pytest.raises(ValueError, match=r"^R = U r\^-\(D-1\)/2 is outside the float range "
+                                         r"at r = 1e-320$"):
+        wavefunction_samples(ANCHOR, QuantumNumbers(0, 0), RadialGrid(1e-320, 1.0, 3))
+    params = PotentialParams(Z=1.0, alpha=1e-5, D=200)
+    with pytest.raises(ValueError, match=r"at r = 0\.0001$"):
+        wavefunction_samples(params, QuantumNumbers(0, 0), RadialGrid(1e-4, 1000.0, 4))
 
 
 def test_samples_keep_shallow_tail():

@@ -141,9 +141,8 @@ SHARED_FLAGS = {
     "--mu": log_uniform(-1, 1),
     "--hbar": log_uniform(-0.7, 0.5),
     "--dim": st.integers(1, 6),
-    # low (n, l), so that most draws give a level to print
+    # low l (and low --n below), so that most draws give a level to print
     "--l": st.integers(0, 2),
-    "--n": st.integers(0, 3),
     "--format": st.sampled_from(["csv", "json"]),
 }
 
@@ -153,6 +152,10 @@ def cli_invocations(draw):
     """(subcommand, {flag: value text}, flags to pass as HULTHEN_<FLAG>)."""
     command = draw(st.sampled_from(["spectrum", "wavefunction", "expectation"]))
     flags = {flag: str(draw(values)) for flag, values in SHARED_FLAGS.items()}
+    if command == "spectrum":
+        flags["--n-max"] = str(draw(st.integers(0, 8)))
+    else:
+        flags["--n"] = str(draw(st.integers(0, 3)))
     if command == "wavefunction":
         flags["--points"] = str(draw(st.integers(2, 64)))
     return command, flags, draw(st.sets(st.sampled_from(sorted(flags))))

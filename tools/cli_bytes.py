@@ -67,6 +67,11 @@ ARGV_SETS = [argv.split() for argv in (
     "expectation --dim 1 --n 2 --alpha 1e-90",
     "wavefunction --dim 1 --n 2 --alpha 1e-120",
     "expectation --dim 1 --n 2 --alpha 1e-120",
+    "spectrum --n 3",
+    "wavefunction --n-max 3",
+    "spectrum --alp 0.1",
+    "wavefunction --r-min 1e-320 --r-max 1 --points 3",
+    "wavefunction --dim 200 --alpha 1e-5 --r-min 1e-4 --r-max 1000 --points 4",
     QUADRATURE_FAILURE,
 )]
 
