@@ -1,12 +1,14 @@
 """Bound states of the D-dimensional Hulthen potential.
 
 Closed-form spectrum, Jacobi-polynomial wavefunctions with exact
-normalization constants, expectation values from parameter derivatives,
-and an independent shooting-method eigensolver of the exact radial
-equation for cross-validation.
+normalization constants, expectation values from parameter derivatives
+(properties of `model.Level`, with quadrature cross-checks in
+`expectation`), and an independent shooting-method eigensolver of the
+exact radial equation for cross-validation.
 
 The package re-exports `model.__all__`.  `import hulthen` loads the
-closed forms of `model` alone, with no numpy.  The names of
+closed forms of `model` alone, with no numpy; a level's expectation
+values and node count need none either.  The names of
 `expectation` and `oracle` (and those two submodules) are imported on
 first access; both import numpy, as do V, the centrifugal term, U and
 the array functions of `model` when first called.
@@ -18,11 +20,11 @@ from . import model
 from .model import *
 
 _LAZY = {
-    "expectation": ("ExpectationReport", "QuadratureError", "dE_dl", "expectation_report",
-                    "inv_r2_expect", "kinetic_expect", "potential_expect", "quadrature_expect"),
+    "expectation": ("ExpectationReport", "QuadratureError", "expectation_report",
+                    "quadrature_expect"),
     "oracle": ("BracketError", "ConvergenceError", "NodeCountError", "OracleError",
                "OracleResult", "ShootingConfig", "approximation_error", "count_bound_states",
-               "default_config", "interior_nodes", "solve_exact"),
+               "default_config", "solve_exact"),
 }
 _HOME = {name: mod for mod, names in _LAZY.items() for name in names}
 

@@ -172,7 +172,7 @@ def _cmd_validate(args, params: model.PotentialParams, lv: model.Level) -> int:
     from . import oracle
 
     cfg = oracle.default_config(params, lv.qn, tolerance=args.oracle_tolerance)
-    result = oracle.solve_exact(params, lv.qn.l, oracle.interior_nodes(lv.qn, params.D), cfg)
+    result = oracle.solve_exact(params, lv.qn.l, lv.nodes, cfg)
     rel = abs(lv.energy - result.energy) / abs(result.energy)
     meta = _meta(params, {"n": lv.qn.n, "l": lv.qn.l})
     headers = ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]

@@ -25,10 +25,12 @@ m = n + l + (D-1)/2 = Lambda/2 (and m > 0), in which case
 Its reduced wavefunction is U(r) = C_n s^eps (1-s)^(v/2) P_n^(2eps, v-1)(1-2s).
 level(params, qn) builds one frozen Level record per bound state: the
 dimensionless set above, E, C_n (a closed form, a finite product) and the
-Jacobi recurrence.  Every consumer reads the level's quantities from it,
-and calling it evaluates U from alpha*r, never through s itself.  A level
-that does not exist raises NoBoundState, and one whose delta, E or C_n
-leaves the float range raises ValueError.
+Jacobi recurrence.  Its properties give the paper's Feynman-Hellmann
+values dE/dl, <r^-2>, <V> and <T>, and the node count of U.  Every
+consumer reads the level's quantities from it, and calling it evaluates
+U from alpha*r, never through s itself.  A level that does not exist
+raises NoBoundState, and one whose delta, E or C_n leaves the float
+range raises ValueError, as do dE/dl, <r^-2> and <V> when read.
 
 The closed forms use math alone.  V, the centrifugal term and U use numpy
 for floats and arrays alike (a float comes back as a numpy float64), and
@@ -125,6 +127,20 @@ class Level:
     Called with t = alpha*r (a float or an array) it returns U.
     s^eps = exp(-eps t), 1 - s = -expm1(-t) and 1 - 2s = -1 - 2 expm1(-t):
     s itself is never formed, so U underflows only where U itself does.
+
+    Its properties are the level's expectation values by the
+    Feynman-Hellmann theorem: dE/dq is the expectation of dH/dq.  The
+    derivative in l gives <r^-2> (precisely, the expectation of the
+    exponential centrifugal stand-in the eigenfunctions solve), the
+    derivative in Z gives <V>, and <T> = E - <V>:
+
+        dE/dl    = alpha^2 hbar^2 (16 delta^2 - Lambda^4) / (8 mu Lambda^3)
+        <r^-2>   = (alpha^2/4) (16 delta^2 - Lambda^4) / (|2l+D-2| Lambda^3)
+        <V>      = (2 alpha Z / Lambda) [1/2 + (n(n+2l+D-2) + gamma - delta)/Lambda]
+
+    For l = 0 in D = 1 the continued level is not the physical branch, so
+    dE_dl is the formula's derivative, not that of the true level curve;
+    dgamma/dl and that branch flip sign together there, hence |2l+D-2|.
     """
 
     epsilon: float
@@ -132,10 +148,57 @@ class Level:
     gamma: float
     v: float
     Lambda: float
+    params: PotentialParams
     qn: QuantumNumbers
     energy: float
     norm: float
     poly: Callable = field(repr=False, compare=False)
+
+    def _formed(self, what: str, formula: Callable[[], float]) -> float:
+        """formula(), or ValueError naming `what` of this level when it is
+        not a finite nonzero float."""
+        qn = self.qn
+        return _in_float_range(f"{what} of n={qn.n}, l={qn.l}, D={self.params.D}", formula)
+
+    def _fh(self, what: str, scale: Callable[[], float], divisor: float) -> float:
+        """scale() (16 delta^2 - Lambda^4) / (divisor Lambda^3), by _formed."""
+        lam = self.Lambda
+        return self._formed(
+            what, lambda: scale() * (16.0 * self.delta**2 - lam**4) / (divisor * lam**3))
+
+    @property
+    def dE_dl(self) -> float:
+        """Derivative of the closed-form level in the (continuous) angular
+        momentum l."""
+        p = self.params
+        return self._fh("dE/dl", lambda: p.alpha**2 * p.hbar**2, 8.0 * p.mu)
+
+    @property
+    def inv_r2(self) -> float | None:
+        """<r^-2>, or None for l = 0 in D = 2, where 2l+D-2 = 0 (and the
+        |U|^2-weighted integral of 1/r^2 diverges at the origin)."""
+        w = self.v - 1.0  # 2l+D-2
+        if w == 0:
+            return None
+        return self._fh("<r^-2>", lambda: self.params.alpha**2 / 4.0, abs(w))
+
+    @property
+    def v_mean(self) -> float:
+        """<V>, negative for every bound state."""
+        p, n, lam = self.params, self.qn.n, self.Lambda
+        bracket = 0.5 + (n * (n + 2 * self.qn.l + p.D - 2) + self.gamma - self.delta) / lam
+        return self._formed("<V>", lambda: (2.0 * p.alpha * p.Z / lam) * bracket)
+
+    @property
+    def t_mean(self) -> float:
+        """<T> = E - <V>."""
+        return self.energy - self.v_mean
+
+    @property
+    def nodes(self) -> int:
+        """Interior sign changes of U: n, except n - 1 where v = 2l+D-1 = 0
+        (l = 0 in D = 1), whose Jacobi factor has a root on r = 0 itself."""
+        return self.qn.n - 1 if self.v == 0 else self.qn.n
 
     def __call__(self, t):
         import numpy as np
@@ -190,8 +253,8 @@ def _lambda(n: int, l: int, dim: int) -> float:
 
 def _in_float_range(what: str, formula: Callable[[], float]) -> float:
     """formula(), or ValueError when it overflows, divides by zero or is
-    not a finite nonzero float (delta, E and C_n are nonzero by
-    construction, so a 0 is an underflow)."""
+    not a finite nonzero float (delta, E, C_n and the Feynman-Hellmann
+    values are nonzero by construction, so a 0 is an underflow)."""
     try:
         value = formula()
     except (OverflowError, ZeroDivisionError):
@@ -294,8 +357,8 @@ def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
         f"normalization constant of n={n}, l={qn.l}, D={params.D}",
         lambda: math.sqrt(params.alpha * a * (2 * n + a + v) / (2 * n + v) * math.prod(ratios)))
     return Level(epsilon=st.epsilon, delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
-                 v=float(v), Lambda=_lambda(n, qn.l, params.D), qn=qn, energy=st.energy,
-                 norm=norm, poly=specfun.jacobi_poly(n, a, v - 1.0))
+                 v=float(v), Lambda=_lambda(n, qn.l, params.D), params=params, qn=qn,
+                 energy=st.energy, norm=norm, poly=specfun.jacobi_poly(n, a, v - 1.0))
 
 
 def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[BoundState]:
@@ -350,9 +413,8 @@ def wavefunction_samples(
 ) -> RadialSamples:
     """Sample U and R = r^-(D-1)/2 U on a radial grid.
 
-    U has exactly n interior sign changes (n - 1 when 2l+D-1 = 0, where
-    one polynomial root sits on the r = 0 boundary itself).  An R that
-    is not a finite float raises ValueError.
+    U has exactly Level.nodes interior sign changes.  An R that is not a
+    finite float raises ValueError.
     """
     import numpy as np
 

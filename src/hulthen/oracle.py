@@ -27,6 +27,11 @@ the bracket proves its upper end if it lies above the target and its lower
 end if not; an end no count has proven is marched on its own only where
 the solve needs it: when it first falls back to bisection, and before it
 returns or fails.  A solve makes at most 300 Cooley passes (_MAX_PASSES).
+
+The solver reads no closed form: the caller names the node count it
+targets (model.Level.nodes for a closed-form level), and only
+default_config and approximation_error read the level.  A grid whose
+coefficients overflow at r_max raises OracleError before any march.
 """
 
 import math
@@ -45,7 +50,6 @@ __all__ = [
     "ShootingConfig",
     "OracleResult",
     "default_config",
-    "interior_nodes",
     "solve_exact",
     "count_bound_states",
     "approximation_error",
@@ -151,16 +155,6 @@ def default_config(
     )
 
 
-def interior_nodes(qn: QuantumNumbers, dim: int) -> int:
-    """Interior node count of the closed-form state labelled n.
-
-    Equals n except when 2l+D-1 = 0 (l = 0 in D = 1), where one root of
-    the Jacobi factor sits exactly on the r = 0 boundary and only n - 1
-    sign changes are interior.
-    """
-    return qn.n - 1 if model._angular_v(qn.l, dim) == 0 else qn.n
-
-
 # grid points per block of count_bound_states.  A block's arrays (32 kB)
 # are reused from the allocator's free lists; grid-sized temporaries were
 # handed back to the OS after each call and faulted in again by the next,
@@ -177,6 +171,10 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
     y ~ r^{|v-1|/2} (1 + a r).  The Frobenius term a = -(2 mu Z/hbar^2) /
     (|v-1| + 1) comes from the -Z/r core of V; without it the start leaves
     an energy error of order r_min^2 that no step count removes.
+
+    Q grows to its largest value at r_max, where it first overflows (once
+    r_max >~ 1e154 hbar/sqrt(mu)); OracleError when P or Q is not finite
+    there, before any march.
     """
     gam = model._gamma_coeff(l, params.D)
     v = model._angular_v(l, params.D)
@@ -192,6 +190,10 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
         q_arr = c * radii * radii
         return gam + 0.25 + q_arr * pot, q_arr
 
+    with np.errstate(all="ignore"):
+        end = coeffs(n - 1, n)
+    if not np.isfinite(end).all():
+        raise OracleError(f"the grid coefficients are not finite at r_max = {r_max!r}")
     a = -c * params.Z / (abs(v - 1) + 1.0)
     y1 = math.exp(h * abs(v - 1) / 2.0) * (1.0 + a * r_min * math.exp(h)) / (1.0 + a * r_min)
     return h, coeffs, y1
@@ -423,7 +425,6 @@ def approximation_error(params: PotentialParams, qn: QuantumNumbers) -> float:
     centrifugal barrier; it vanishes (to solver tolerance) whenever the
     centrifugal coefficient is zero and shrinks as alpha -> 0 otherwise.
     """
-    e_closed = model.level(params, qn).energy
-    cfg = default_config(params, qn)
-    res = solve_exact(params, qn.l, interior_nodes(qn, params.D), cfg)
-    return abs(e_closed - res.energy) / abs(res.energy)
+    lv = model.level(params, qn)
+    res = solve_exact(params, qn.l, lv.nodes, default_config(params, qn))
+    return abs(lv.energy - res.energy) / abs(res.energy)

@@ -181,14 +181,18 @@ def pi_branches(p: NUProblem, t: float) -> list[QuadPoly]:
         s_star = -b / (2.0 * a)
         w = QuadPoly(-sqrt_a * s_star, sqrt_a, 0.0)
     else:
-        # degenerate: under-root is linear/constant; a perfect square needs b ~ 0
-        if abs(b) > SQUARE_TOL * max(abs(c), scale):
+        # degenerate: a is lost to rounding, as a = k^2 is where the square
+        # is (sqrt(c) + k s)^2 with a small k = b/(2 sqrt(c)); its s^2 term
+        # b^2/(4c) must then be below a's rounding as well
+        if c < -SQUARE_TOL * scale:
+            raise ValueError(f"under-root constant is negative at t = {t!r}")
+        c = max(c, 0.0)
+        if b * b > 4.0 * _COEF_TOL * scale * c:
             raise ValueError(
                 f"under-root polynomial is linear (not a square) at t = {t!r}"
             )
-        if c < -SQUARE_TOL * scale:
-            raise ValueError(f"under-root constant is negative at t = {t!r}")
-        w = QuadPoly(math.sqrt(max(c, 0.0)), 0.0, 0.0)
+        root_c = math.sqrt(c)
+        w = QuadPoly(root_c, b / (2.0 * root_c) if root_c else 0.0, 0.0)
     minus = QuadPoly(h0 - w.c0, h1 - w.c1, 0.0)
     plus = QuadPoly(h0 + w.c0, h1 + w.c1, 0.0)
     return [minus, plus]

@@ -16,14 +16,11 @@ from hulthen import (
     centrifugal_approx,
     count_bound_states,
     count_nodes,
-    dE_dl,
     default_config,
     energy,
-    interior_nodes,
-    inv_r2_expect,
+    level,
     normalization_constant,
     potential,
-    potential_expect,
     quadrature_expect,
     solve_exact,
     spectrum,
@@ -104,7 +101,7 @@ def test_criterion_3_exact_s_wave_cross_validation():
                     if not st.exists:
                         continue
                     cfg = default_config(params, st.qn)
-                    res = solve_exact(params, 0, interior_nodes(st.qn, dim), cfg)
+                    res = solve_exact(params, 0, level(params, st.qn).nodes, cfg)
                     assert res.converged
                     assert abs(st.energy - res.energy) <= 1e-6 * abs(res.energy)
                     if dim == 3 and alpha == 0.05 and st.qn.n == 0:
@@ -177,19 +174,20 @@ def test_criterion_6_hft_closed_forms():
                 level_bracket_form(Z, alpha, mu, hbar, dim, n, l + h)
                 - level_bracket_form(Z, alpha, mu, hbar, dim, n, l - h)
             ) / (2.0 * h)
-            closed_l = dE_dl(params, qn)
+            lv = level(params, qn)
+            closed_l = lv.dE_dl
             assert abs(closed_l - fd_l) <= 1e-6 * abs(closed_l)
             # <V> closed form vs Z * central difference in Z
             fd_z = Z * (
                 level_bracket_form(Z + h, alpha, mu, hbar, dim, n, l)
                 - level_bracket_form(Z - h, alpha, mu, hbar, dim, n, l)
             ) / (2.0 * h)
-            v_closed = potential_expect(params, qn)
+            v_closed = lv.v_mean
             assert abs(v_closed - fd_z) <= 1e-6 * abs(v_closed)
             # model-exact identities against |U|^2 quadrature
             v_quad = quadrature_expect(lambda r: potential(r, params), params, qn)
             assert abs(v_closed - v_quad) <= 1e-6 * abs(v_closed)
-            r2_closed = inv_r2_expect(params, qn)
+            r2_closed = lv.inv_r2
             r2_quad = quadrature_expect(
                 lambda r: centrifugal_approx(r, alpha), params, qn
             )

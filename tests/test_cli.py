@@ -225,6 +225,14 @@ def test_validate_oracle_failure(capsys):
     assert "oracle failure" in err
 
 
+def test_overflowing_oracle_grid_exits_3(capsys):
+    # Q = 2 mu r^2/hbar^2 overflows at r_max = 2e161: two RuntimeWarnings,
+    # then a BracketError computed on nan
+    code, out, err = run(capsys, "validate", "--dim", "1", "--n", "1", "--alpha", "1e-160")
+    assert (code, out) == (3, "")
+    assert err == "oracle failure: the grid coefficients are not finite at r_max = 2e+161\n"
+
+
 def test_quadrature_failure_exits_3(capsys):
     # the tanh-sinh rule does not converge on this level; this ended in a
     # QuadratureError traceback
@@ -273,6 +281,9 @@ def test_quadrature_failure_exits_3(capsys):
          "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
         ("expectation --dim 1 --n 2 --alpha 1e-120",
          "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
+        # 16 delta^2 of <r^-2> ended in an OverflowError traceback
+        ("expectation --dim 1 --n 1 --alpha 1e-160",
+         "<r^-2> of n=1, l=0, D=1 is outside the float range"),
         # flags of another subcommand were ignored (spectrum printed every
         # level), and --alp parsed as --alpha
         ("spectrum --n 3", "unrecognized arguments: --n 3"),

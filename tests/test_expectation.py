@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from hulthen import (
+    NoBoundState,
     PotentialParams,
     QuadratureError,
     QuantumNumbers,
     centrifugal_approx,
-    dE_dl,
     energy,
     expectation_report,
-    inv_r2_expect,
-    kinetic_expect,
+    level,
     potential,
-    potential_expect,
     quadrature_expect,
 )
 
@@ -32,7 +30,7 @@ def bracket_energy(Z, alpha, mu, hbar, dim, n, l):
 
 def test_dE_dl_anchor_and_fd():
     # delta = 40, Lambda = 2: alpha^2 (16*1600 - 16) / 64 = 0.999375
-    val = dE_dl(ANCHOR, GROUND)
+    val = level(ANCHOR, GROUND).dE_dl
     assert val == pytest.approx(0.999375, rel=1e-13)
     h = 1e-5
     fd = (
@@ -48,13 +46,13 @@ def test_derivative_vanishes_at_existence_boundary():
         delta = m * m
         lam = 2.0 * m
         assert 16.0 * delta**2 - lam**4 == 0.0
-    # the guarded function rejects the non-existing state itself
+    # the non-existing state itself has no level to read it from
     with pytest.raises(ValueError):
-        dE_dl(PotentialParams(Z=1.0, alpha=2.5), GROUND)
+        level(PotentialParams(Z=1.0, alpha=2.5), GROUND)
 
 
 def test_inv_r2_anchor_and_quadrature():
-    val = inv_r2_expect(ANCHOR, GROUND)
+    val = level(ANCHOR, GROUND).inv_r2
     assert val == pytest.approx(1.99875, rel=1e-13)
     quad = quadrature_expect(lambda r: centrifugal_approx(r, ANCHOR.alpha), ANCHOR, GROUND)
     assert quad == pytest.approx(val, rel=1e-6)
@@ -62,10 +60,9 @@ def test_inv_r2_anchor_and_quadrature():
 
 def test_inv_r2_degenerate_dimension():
     p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
-    with pytest.raises(ValueError):
-        inv_r2_expect(p2, GROUND)
+    assert level(p2, GROUND).inv_r2 is None
     # fine for l >= 1 in D = 2
-    assert inv_r2_expect(p2, QuantumNumbers(0, 1)) > 0.0
+    assert level(p2, QuantumNumbers(0, 1)).inv_r2 > 0.0
 
 
 def test_inv_r2_exact_operator_diagnostic():
@@ -74,14 +71,14 @@ def test_inv_r2_exact_operator_diagnostic():
     rel = []
     for alpha in (0.2, 0.1, 0.05, 0.025):
         params = PotentialParams(Z=1.0, alpha=alpha)
-        hft = inv_r2_expect(params, GROUND)
+        hft = level(params, GROUND).inv_r2
         exact = quadrature_expect(lambda r: 1.0 / (r * r), params, GROUND)
         rel.append(abs(exact - hft) / abs(hft))
     assert all(b < a for a, b in zip(rel, rel[1:]))
 
 
 def test_potential_expect_quadrature_and_fd():
-    val = potential_expect(ANCHOR, GROUND)
+    val = level(ANCHOR, GROUND).v_mean
     assert val == pytest.approx(-0.975, rel=1e-13)
     quad = quadrature_expect(lambda r: potential(r, ANCHOR), ANCHOR, GROUND)
     assert quad == pytest.approx(val, rel=1e-6)
@@ -96,9 +93,10 @@ def test_potential_expect_quadrature_and_fd():
 def test_potential_expect_virial_limit():
     # alpha -> 0: <V> -> 2E (virial theorem for the 1/r limit)
     tiny = PotentialParams(Z=1.0, alpha=1e-6)
-    v = potential_expect(tiny, GROUND)
+    lv = level(tiny, GROUND)
+    v = lv.v_mean
     assert v == pytest.approx(2.0 * (-0.5), rel=1e-5)
-    t = kinetic_expect(tiny, GROUND)
+    t = lv.t_mean
     assert t == pytest.approx(0.5, rel=1e-5)
 
 
@@ -116,13 +114,14 @@ def test_kinetic_identity_and_signs():
         st = energy(params, qn)
         if not st.exists:
             continue
-        v = potential_expect(params, qn)
-        t = kinetic_expect(params, qn)
+        lv = level(params, qn)
+        v = lv.v_mean
+        t = lv.t_mean
         assert v < 0.0
         assert t > 0.0
         assert t + v == pytest.approx(st.energy, rel=1e-12)
         if 2 * l + dim - 2 != 0:
-            assert inv_r2_expect(params, qn) > 0.0
+            assert lv.inv_r2 > 0.0
         checked += 1
 
 
@@ -174,10 +173,11 @@ def test_report_degenerate_dimension():
 
 def test_nonexistent_state_errors():
     weak = PotentialParams(Z=1.0, alpha=2.5)
-    for fn in (dE_dl, inv_r2_expect, potential_expect, kinetic_expect):
-        with pytest.raises(ValueError):
+    # the closed-form values are read from a level, which does not exist
+    for fn in (level, expectation_report):
+        with pytest.raises(NoBoundState):
             fn(weak, GROUND)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoBoundState):
         quadrature_expect(lambda r: 1.0, weak, GROUND)
 
 

@@ -294,6 +294,34 @@ def test_recurrence_outside_the_float_range_raises():
         assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize(
+    "kwargs,qn,what",
+    [
+        # 16 delta^2 overflows at delta = 2e160 (an OverflowError traceback)
+        ({"Z": 1.0, "alpha": 1e-160, "D": 1}, QuantumNumbers(1), ("dE/dl", "<r^-2>")),
+        # alpha^2 overflows at alpha = 1e200 (delta = 2)
+        ({"Z": 1.0, "alpha": 1e200, "hbar": 1e-100}, QuantumNumbers(0), ("dE/dl", "<r^-2>")),
+        # 2 alpha Z = 2e308 as well: <V> and <T> read -inf and inf, where E
+        # is the float -1.25e307 and <V> is about -5e307
+        ({"Z": 1e108, "alpha": 1e200, "hbar": 1e-46}, QuantumNumbers(0),
+         ("dE/dl", "<r^-2>", "<V>", "<V>")),
+    ],
+    ids=["delta2-overflow", "alpha2-overflow", "alpha-Z-overflow"],
+)
+def test_feynman_hellmann_values_outside_the_float_range_raise(kwargs, qn, what):
+    params = PotentialParams(**kwargs)
+    lv = level(params, qn)
+    names = ("dE_dl", "inv_r2", "v_mean", "t_mean")
+    label = f"of n={qn.n}, l={qn.l}, D={params.D} is outside the float range"
+    for name, quantity in zip(names, what):
+        with pytest.raises(ValueError, match=f"^{re.escape(quantity)} {label}$") as info:
+            getattr(lv, name)
+        assert type(info.value) is ValueError
+    for name in names[len(what):]:
+        assert math.isfinite(getattr(lv, name))
+    assert math.isfinite(lv.energy) and lv.nodes == 0
+
+
 def test_levels_near_the_float_range_edge_are_kept():
     # E = -(alpha hbar eps)^2/(2 mu) and delta close to either end of the
     # float range are still formed by the same arithmetic

@@ -71,6 +71,22 @@ def test_pi_branches_worked_instance():
     assert plus.c1 == pytest.approx(2.0, abs=1e-12)
 
 
+def test_pi_branches_near_vanishing_square_term():
+    # gamma = 0, t = delta + eps: the under-root is (eps - k s)^2 with
+    # k = eps - 1/2, so at eps = 1/2 - 4.6e-10 its s^2 term k^2 is lost to
+    # rounding while its s term 2 eps k is not; this was rejected as linear
+    eps = 0.5 - 4.6e-10
+    delta = 2.0 * eps + 1.0
+    prob = hulthen_problem(eps, delta, 0.0)
+    minus, plus = pi_branches(prob, delta + eps)
+    # (sigma' - tau_t)/2 = -s/2, and the square root is eps - k s
+    k = eps - 0.5
+    assert (minus.c0, plus.c0) == pytest.approx((-eps, eps), abs=1e-12)
+    assert (minus.c1, plus.c1) == pytest.approx((-0.5 + k, -0.5 - k), abs=1e-12)
+    assert eigen_condition(select_branch(branches(prob)), prob.sigma, 0) == pytest.approx(
+        0.0, abs=1e-12)
+
+
 def test_pi_branches_rejects_inadmissible_t():
     prob = hulthen_problem(1.0, 2.0, 2.0)
     with pytest.raises(ValueError):

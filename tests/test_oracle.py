@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hulthen import (
     count_bound_states,
     default_config,
     energy,
-    interior_nodes,
+    level,
     oracle,
     solve_exact,
 )
@@ -57,10 +58,13 @@ def test_solver_input_checks():
 
 
 def test_interior_nodes_mapping():
-    assert interior_nodes(QuantumNumbers(2, 0), 3) == 2
-    assert interior_nodes(QuantumNumbers(2, 1), 3) == 2
-    assert interior_nodes(QuantumNumbers(2, 0), 1) == 1  # boundary root in D=1
-    assert interior_nodes(QuantumNumbers(1, 0), 2) == 1
+    def nodes(n, l, dim):
+        return level(PotentialParams(Z=1.0, alpha=0.05, D=dim), QuantumNumbers(n, l)).nodes
+
+    assert nodes(2, 0, 3) == 2
+    assert nodes(2, 1, 3) == 2
+    assert nodes(2, 0, 1) == 1  # boundary root in D=1
+    assert nodes(1, 0, 2) == 1
 
 
 def test_exact_s_wave_anchor():
@@ -142,7 +146,7 @@ def test_residual_is_certified_bracket():
     p2 = PotentialParams(Z=1.0, alpha=0.05)
     for params, qn in ((ANCHOR, QuantumNumbers(0, 0)), (p2, QuantumNumbers(1, 2))):
         cfg = default_config(params, qn)
-        k = interior_nodes(qn, params.D)
+        k = level(params, qn).nodes
         res = solve_exact(params, qn.l, k, cfg)
         assert 0.0 < res.residual <= cfg.tolerance
         assert _certified(params, qn.l, k, cfg, res)
@@ -169,7 +173,7 @@ def test_levels_solve_only_from_straddling_brackets(dim, l, alpha, n):
     params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
     qn = QuantumNumbers(n, l)
     cfg = default_config(params, qn)
-    k = interior_nodes(qn, dim)
+    k = level(params, qn).nodes
     res = solve_exact(params, l, k, cfg)
     assert res.node_count == k
     assert _certified(params, l, k, cfg, res)
@@ -213,7 +217,7 @@ def test_exact_levels_without_centrifugal_term(dim, l, n, alpha):
     # start leaves the oracle well inside 1e-9 of it even at n = 20
     params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
     qn = QuantumNumbers(n, l)
-    res = solve_exact(params, l, interior_nodes(qn, dim), default_config(params, qn))
+    res = solve_exact(params, l, level(params, qn).nodes, default_config(params, qn))
     e_closed = energy(params, qn).energy
     assert abs(res.energy - e_closed) <= 1e-9 * abs(e_closed)
 
@@ -223,7 +227,7 @@ def test_d1_state():
     qn = QuantumNumbers(2, 0)
     st = energy(p1, qn)
     cfg = default_config(p1, qn)
-    res = solve_exact(p1, 0, interior_nodes(qn, 1), cfg)
+    res = solve_exact(p1, 0, level(p1, qn).nodes, cfg)
     assert res.energy == pytest.approx(st.energy, rel=1e-6)
 
 
@@ -272,6 +276,24 @@ def test_count_matches_closed_form():
     for alpha in (0.05, 0.1):
         params = PotentialParams(Z=1.0, alpha=alpha)
         assert count_bound_states(params, 0) == bound_state_count(params, 0)
+
+
+@pytest.mark.parametrize("alpha", [1e-154, 1e-160])
+def test_overflowing_grid_raises(alpha):
+    # Q = 2 mu r^2/hbar^2 overflows at r_max = 100/alpha: in D = 3 the count
+    # read 17929 at alpha = 1e-154 (after RuntimeWarnings) and 0 at 1e-160,
+    # where the closed form has at least 65 levels
+    message = "^the grid coefficients are not finite at r_max = "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in (1, 3):
+            with pytest.raises(oracle.OracleError, match=message):
+                count_bound_states(PotentialParams(Z=1.0, alpha=alpha, D=dim), 0)
+        # r_max = 20/alpha here; D = 1 keeps C_n of the level a float
+        params = PotentialParams(Z=1.0, alpha=alpha, D=1)
+        cfg = default_config(params, QuantumNumbers(1))
+        with pytest.raises(oracle.OracleError, match=message):
+            solve_exact(params, 0, 0, cfg)
 
 
 def test_count_bound_states_shallow_third_level():

@@ -17,12 +17,9 @@ from hulthen import (
     QuantumNumbers,
     count_nodes,
     energy,
-    interior_nodes,
-    kinetic_expect,
     level,
     normalization_constant,
     potential,
-    potential_expect,
     quadrature_expect,
     wavefunction_samples,
 )
@@ -72,8 +69,7 @@ def test_level_zeroes_nu_termination_condition(params, qn):
         return
     lv = level(params, qn)
     prob = hulthen_problem(lv.epsilon, lv.delta, lv.gamma)
-    residual = eigen_condition(select_branch(branches(prob)), prob.sigma,
-                               interior_nodes(qn, params.D))
+    residual = eigen_condition(select_branch(branches(prob)), prob.sigma, lv.nodes)
     # the admissible t = delta - gamma +/- eps |v-1| are roots of a quadratic
     # rounded from terms of order T^2, T = 1 + eps^2 + delta, so they carry an
     # error of order ulp T^2 / (eps |v-1|) (the double root at v = 1 is taken
@@ -121,9 +117,9 @@ def test_energy_is_kinetic_plus_quadrature_potential(params, qn):
     bs = energy(params, qn)
     if not bs.exists:
         return
+    lv = level(params, qn)
     v_quad = quadrature_expect(lambda r: potential(r, params), params, qn)
-    v_hft = potential_expect(params, qn)
-    assert abs(kinetic_expect(params, qn) + v_quad - bs.energy) <= 1e-10 + 1e-12 * abs(v_hft)
+    assert abs(lv.t_mean + v_quad - bs.energy) <= 1e-10 + 1e-12 * abs(lv.v_mean)
 
 
 @PROPERTY
@@ -132,7 +128,7 @@ def test_default_grid_samples_have_interior_nodes(params, qn):
     if not energy(params, qn).exists:
         return
     samples = wavefunction_samples(params, qn)
-    assert count_nodes(samples.U_values) == interior_nodes(qn, params.D)
+    assert count_nodes(samples.U_values) == level(params, qn).nodes
 
 
 SHARED_FLAGS = {

@@ -70,12 +70,15 @@ sys.exit(code)
 def test_bare_import_loads_no_numpy():
     proc = python("import sys, hulthen\n"
                   "print('numpy' in sys.modules)\n"
+                  "lv = hulthen.level(hulthen.PotentialParams(1.0, 0.05), hulthen.QuantumNumbers(1, 1))\n"
+                  "print(*[type(x).__name__ for x in (lv.dE_dl, lv.inv_r2, lv.v_mean, lv.t_mean,"
+                  " lv.nodes)], 'numpy' in sys.modules)\n"
                   "print(hulthen.solve_exact.__module__, hulthen.expectation_report.__module__,"
                   " hulthen.oracle.__name__, hulthen.expectation.__name__)\n"
                   "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
-        "False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation",
+        "False", "float float float float int False", "hulthen.oracle hulthen.expectation hulthen.oracle hulthen.expectation",
         "True"]
 
 

@@ -73,6 +73,9 @@ ARGV_SETS = [argv.split() for argv in (
     "wavefunction --r-min 1e-320 --r-max 1 --points 3",
     "wavefunction --dim 200 --alpha 1e-5 --r-min 1e-4 --r-max 1000 --points 4",
     QUADRATURE_FAILURE,
+    "expectation --dim 1 --n 1 --alpha 1e-160",
+    "validate --dim 1 --n 1 --alpha 1e-160",
+    "expectation --dim 2 --l 1 --n 1 --format json",
 )]
 
 PLACEHOLDER = b"<src>"
