@@ -19,6 +19,7 @@ numpy.  wavefunction loads numpy for its grid; expectation imports
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -137,7 +138,11 @@ def _cmd_wavefunction(args, params: model.PotentialParams, lv: model.Level) -> i
     if (args.r_min is None) != (args.r_max is None):
         raise UsageError("--r-min and --r-max must be given together")
     if args.r_min is not None:
-        grid = model.RadialGrid(r_min=args.r_min, r_max=args.r_max, points=args.points)
+        if not 0.0 < args.r_min < args.r_max < math.inf:
+            raise UsageError("grid requires 0 < r_min < r_max < inf")
+        import numpy as np
+
+        grid = np.linspace(args.r_min, args.r_max, args.points)
     else:
         grid = model.default_grid(params, lv.qn, points=args.points)
     samples = model.wavefunction_samples(params, lv.qn, grid)

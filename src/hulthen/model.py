@@ -32,6 +32,11 @@ U from alpha*r, never through s itself.  A level that does not exist
 raises NoBoundState, and one whose delta, E or C_n leaves the float
 range raises ValueError, as do dE/dl, <r^-2> and <V> when read.
 
+A grid is a numpy array of radii: default_grid spaces them evenly over
+the state, and wavefunction_samples takes any increasing ones and puts
+their ends and size in its meta.  V, the centrifugal term and the samples
+hold every radius to a finite positive real by one check (_radii).
+
 The closed forms use math alone.  V, the centrifugal term and U use numpy
 for floats and arrays alike (a float comes back as a numpy float64), and
 so do the grid and sampling functions; each imports numpy when first
@@ -52,7 +57,6 @@ __all__ = [
     "BoundState",
     "Level",
     "NoBoundState",
-    "RadialGrid",
     "RadialSamples",
     "potential",
     "centrifugal_approx",
@@ -209,27 +213,6 @@ class Level:
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Evenly spaced sampling grid on (0, inf); other grids are passed to
-    wavefunction_samples as explicit radii."""
-
-    r_min: float
-    r_max: float
-    points: int
-
-    def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise ValueError("grid requires 0 < r_min < r_max < inf")
-        if self.points < 2:
-            raise ValueError("grid requires at least 2 points")
-
-    def radii(self) -> np.ndarray:
-        import numpy as np
-
-        return np.linspace(self.r_min, self.r_max, self.points)
-
-
-@dataclass(frozen=True)
 class RadialSamples:
     """Sampled reduced wavefunction U(r) and hyperradial R(r) = r^-(D-1)/2 U."""
 
@@ -270,15 +253,22 @@ def _delta(params: PotentialParams) -> float:
         lambda: 2.0 * params.Z * params.mu / (params.alpha * params.hbar**2))
 
 
-def _decay(r, alpha: float):
-    """e^{-ar} and e^{-ar} - 1 (by expm1) at r, a float or an array of
-    radii; ValueError unless every radius is a finite positive real."""
+def _radii(r) -> np.ndarray:
+    """r, a float or an array of radii, as a float array; ValueError unless
+    every radius is a finite positive real."""
     import numpy as np
 
-    r = np.asarray(r)
+    r = np.asarray(r, dtype=float)
     if not np.all((r > 0.0) & (r < math.inf)):
         raise ValueError("radii must be finite positive reals")
-    u = alpha * r
+    return r
+
+
+def _decay(r, alpha: float):
+    """e^{-ar} and e^{-ar} - 1 (by expm1) at the radii r, checked by _radii."""
+    import numpy as np
+
+    u = alpha * _radii(r)
     return np.exp(-u), np.expm1(-u)
 
 
@@ -399,42 +389,34 @@ def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float
     return level(params, qn).norm
 
 
-def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> RadialGrid:
-    """Linear grid covering the state: r up to 40/kappa with kappa = alpha*eps."""
-    kappa = params.alpha * level(params, qn).epsilon
-    r_max = 40.0 / kappa
-    return RadialGrid(r_min=r_max / (4.0 * points), r_max=r_max, points=points)
+def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> np.ndarray:
+    """Evenly spaced radii covering the state: `points` of them (an integer
+    >= 2) from r_max/(4 points) to r_max = 40/kappa, kappa = alpha*eps."""
+    import numpy as np
+
+    if points != int(points) or points < 2:
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    r_max = 40.0 / (params.alpha * level(params, qn).epsilon)
+    return np.linspace(r_max / (4.0 * points), r_max, int(points))
 
 
 def wavefunction_samples(
     params: PotentialParams,
     qn: QuantumNumbers,
-    grid: RadialGrid | np.ndarray | None = None,
+    grid: np.ndarray | None = None,
 ) -> RadialSamples:
-    """Sample U and R = r^-(D-1)/2 U on a radial grid.
+    """Sample U and R = r^-(D-1)/2 U at the radii `grid` (default_grid when
+    None), a nonempty, strictly increasing 1-D array; meta holds its ends
+    and size with the level's eps and C_n.
 
     U has exactly Level.nodes interior sign changes.  An R that is not a
     finite float raises ValueError.
     """
     import numpy as np
 
-    if grid is None:
-        grid = default_grid(params, qn)
-    if isinstance(grid, RadialGrid):
-        r = grid.radii()
-        meta = {
-            "r_min": grid.r_min,
-            "r_max": grid.r_max,
-            "points": grid.points,
-            "spacing": "linear",
-        }
-    else:
-        r = np.asarray(grid, dtype=float)
-        meta = {"points": int(r.size), "spacing": "explicit"}
+    r = _radii(default_grid(params, qn) if grid is None else grid)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("radial grid must be a 1-D array")
-    if not np.all(r > 0.0):
-        raise ValueError("all radii must be positive")
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
 
@@ -445,7 +427,8 @@ def wavefunction_samples(
     bad = r[~np.isfinite(rr)]
     if bad.size:
         raise ValueError(f"R = U r^-(D-1)/2 is outside the float range at r = {float(bad[0])!r}")
-    meta.update({"epsilon": lv.epsilon, "norm_const": lv.norm, "units": "hbar,mu as given"})
+    meta = {"r_min": float(r[0]), "r_max": float(r[-1]), "points": r.size,
+            "epsilon": lv.epsilon, "norm_const": lv.norm, "units": "hbar,mu as given"}
     return RadialSamples(r_values=r, U_values=u, R_values=rr, meta=meta)
 
 

@@ -31,7 +31,8 @@ returns or fails.  A solve makes at most 300 Cooley passes (_MAX_PASSES).
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and only
 default_config and approximation_error read the level.  A grid whose
-coefficients overflow at r_max raises OracleError before any march.
+coefficients are not finite raises OracleError before its points are
+marched, and so does a count in which every pivot is negative.
 """
 
 import math
@@ -172,9 +173,9 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
     (|v-1| + 1) comes from the -Z/r core of V; without it the start leaves
     an energy error of order r_min^2 that no step count removes.
 
-    Q grows to its largest value at r_max, where it first overflows (once
-    r_max >~ 1e154 hbar/sqrt(mu)); OracleError when P or Q is not finite
-    there, before any march.
+    coeffs raises OracleError naming the first radius where P or Q is not
+    finite: Q = c r^2 overflows towards r_max (once r >~ 1e154
+    hbar/sqrt(mu)), V towards r_min for a huge Z, and Q V in between.
     """
     gam = model._gamma_coeff(l, params.D)
     v = model._angular_v(l, params.D)
@@ -186,14 +187,17 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
         radii = np.exp(x0 + h * np.arange(lo, hi))
         # pot before q_arr: the other order made a solve fault in up to three
         # times the pages (the grid's temporaries are handed back to the OS)
-        pot = model.potential(radii, params)
-        q_arr = c * radii * radii
-        return gam + 0.25 + q_arr * pot, q_arr
+        with np.errstate(all="ignore"):
+            pot = model.potential(radii, params)
+            q_arr = c * radii * radii
+            p_arr = gam + 0.25 + q_arr * pot
+        # V <= 0, so P is not finite wherever Q = c r^2 overflows
+        finite = np.isfinite(p_arr)
+        if not finite.all():
+            raise OracleError(
+                f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
+        return p_arr, q_arr
 
-    with np.errstate(all="ignore"):
-        end = coeffs(n - 1, n)
-    if not np.isfinite(end).all():
-        raise OracleError(f"the grid coefficients are not finite at r_max = {r_max!r}")
     a = -c * params.Z / (abs(v - 1) + 1.0)
     y1 = math.exp(h * abs(v - 1) / 2.0) * (1.0 + a * r_min * math.exp(h)) / (1.0 + a * r_min)
     return h, coeffs, y1
@@ -310,9 +314,8 @@ def solve_exact(
     (_STEPS) from cfg.r_min to cfg.r_max.
     """
     model._check_index("l", l)
+    model._check_index("target_nodes", target_nodes)
     k = int(target_nodes)
-    if k < 0:
-        raise ValueError("target_nodes must be >= 0")
     e_lo, e_hi = cfg.energy_bracket
     tol = cfg.tolerance
     if tol < 4.0 * math.ulp(e_lo):
@@ -407,14 +410,19 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     The grid has 24000 points (_STEPS) and reaches r = 100/alpha, since
     the shallowest levels reach far out: at alpha = 0.22, D = 3, l = 0 the
     third level has E = -5.6e-6 and a decay length of ~300 = 66/alpha, and
-    a march to 30/alpha misses it.
+    a march to 30/alpha misses it.  OracleError when every pivot is
+    negative: that count is the grid's cap, not the number of levels.
     """
     model._check_index("l", l)
     h, coeffs, y1 = _log_coeffs(params, l, 1e-6 / params.alpha, 100.0 / params.alpha, _STEPS)
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
     last = _STEPS - 1  # the march stops short of the Dirichlet end
     blocks = (coeffs(lo, min(lo + _BLOCK, last)) for lo in range(0, last, _BLOCK))
-    return _sturm_count(h, y1, blocks, probe)
+    nodes = _sturm_count(h, y1, blocks, probe)
+    if nodes == last - 1:  # the pivots R_1 .. R_{n-2}
+        raise OracleError(f"all {nodes} pivots of the grid are negative: the count "
+                          f"exceeds what {_STEPS} points resolve")
+    return nodes
 
 
 def approximation_error(params: PotentialParams, qn: QuantumNumbers) -> float:

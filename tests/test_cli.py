@@ -226,11 +226,13 @@ def test_validate_oracle_failure(capsys):
 
 
 def test_overflowing_oracle_grid_exits_3(capsys):
-    # Q = 2 mu r^2/hbar^2 overflows at r_max = 2e161: two RuntimeWarnings,
-    # then a BracketError computed on nan
+    # Q = 2 mu r^2/hbar^2 overflows from r ~ 1e154 on, well inside the grid
+    # that ends at r_max = 2e161 (unchecked, two RuntimeWarnings and then a
+    # BracketError computed on nan)
     code, out, err = run(capsys, "validate", "--dim", "1", "--n", "1", "--alpha", "1e-160")
     assert (code, out) == (3, "")
-    assert err == "oracle failure: the grid coefficients are not finite at r_max = 2e+161\n"
+    assert err == ("oracle failure: the grid coefficients are not finite at "
+                   "r = 1.0000000000000067e+154\n")
 
 
 def test_quadrature_failure_exits_3(capsys):

@@ -7,7 +7,6 @@ import pytest
 from hulthen import (
     PotentialParams,
     QuantumNumbers,
-    RadialGrid,
     bound_state_count,
     centrifugal_approx,
     coulomb_limit_energy,
@@ -461,37 +460,47 @@ def test_samples_d1():
 
 def test_samples_grid_handling():
     qn = QuantumNumbers(0, 0)
-    grid = RadialGrid(r_min=0.1, r_max=50.0, points=100)
-    samples = wavefunction_samples(ANCHOR, qn, grid)
-    assert samples.meta["spacing"] == "linear"
-    assert samples.r_values[0] == pytest.approx(0.1)
-    # a log grid goes in as explicit radii
+    # any increasing radii: the meta holds the grid's ends and size
     log_r = np.geomspace(0.1, 50.0, 100)
-    explicit = wavefunction_samples(ANCHOR, qn, log_r)
-    assert explicit.meta["spacing"] == "explicit"
-    assert explicit.meta["points"] == 100
-    np.testing.assert_array_equal(explicit.U_values, level(ANCHOR, qn)(ANCHOR.alpha * log_r))
-    with pytest.raises(ValueError):
-        wavefunction_samples(ANCHOR, qn, np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        wavefunction_samples(ANCHOR, qn, np.array([-1.0, 2.0]))
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.0, r_max=1.0, points=10)
-    # an infinite end gave a grid of inf and nan radii
-    with pytest.raises(ValueError, match=r"^grid requires 0 < r_min < r_max < inf$"):
-        RadialGrid(r_min=1.0, r_max=math.inf, points=10)
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.1, r_max=1.0, points=1)
+    samples = wavefunction_samples(ANCHOR, qn, log_r)
+    assert {k: samples.meta[k] for k in ("r_min", "r_max", "points")} == {
+        "r_min": float(log_r[0]), "r_max": float(log_r[-1]), "points": 100}
+    assert "spacing" not in samples.meta
+    np.testing.assert_array_equal(samples.r_values, log_r)
+    np.testing.assert_array_equal(samples.U_values, level(ANCHOR, qn)(ANCHOR.alpha * log_r))
+    for bad in ([2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            wavefunction_samples(ANCHOR, qn, np.array(bad))
+    # an inf radius gave a row with U = R = 0
+    for bad in ([-1.0, 2.0], [0.0, 1.0], [1.0, math.inf], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="^radii must be finite positive reals$"):
+            wavefunction_samples(ANCHOR, qn, np.array(bad))
+
+
+def test_default_grid():
+    qn = QuantumNumbers(2, 1)
+    r_max = 40.0 / (ANCHOR.alpha * level(ANCHOR, qn).epsilon)
+    for points in (2, 7, 4000):
+        grid = default_grid(ANCHOR, qn, points)
+        np.testing.assert_array_equal(grid, np.linspace(r_max / (4.0 * points), r_max, points))
+    samples = wavefunction_samples(ANCHOR, qn)
+    np.testing.assert_array_equal(samples.r_values, default_grid(ANCHOR, qn))
+    assert (samples.meta["r_min"], samples.meta["r_max"], samples.meta["points"]) == (
+        r_max / 16000.0, r_max, 4000)
+    # 2.5 passed the old grid class, then failed in linspace with a TypeError
+    for points in (1, 2.5, 0, -3):
+        with pytest.raises(ValueError, match=f"^points must be an integer >= 2, got {points}$"):
+            default_grid(ANCHOR, qn, points)
 
 
 def test_samples_outside_the_float_range_raise():
     # both returned a non-finite R after a RuntimeWarning
     with pytest.raises(ValueError, match=r"^R = U r\^-\(D-1\)/2 is outside the float range "
                                          r"at r = 1e-320$"):
-        wavefunction_samples(ANCHOR, QuantumNumbers(0, 0), RadialGrid(1e-320, 1.0, 3))
+        wavefunction_samples(ANCHOR, QuantumNumbers(0, 0), np.linspace(1e-320, 1.0, 3))
     params = PotentialParams(Z=1.0, alpha=1e-5, D=200)
     with pytest.raises(ValueError, match=r"at r = 0\.0001$"):
-        wavefunction_samples(params, QuantumNumbers(0, 0), RadialGrid(1e-4, 1000.0, 4))
+        wavefunction_samples(params, QuantumNumbers(0, 0), np.linspace(1e-4, 1000.0, 4))
 
 
 def test_samples_keep_shallow_tail():
@@ -499,7 +508,7 @@ def test_samples_keep_shallow_tail():
     # exp(-alpha r) underflows; U must still be sampled there
     params = PotentialParams(Z=1.0, alpha=0.0987, D=4)
     qn = QuantumNumbers(1, 2)
-    r_max = default_grid(params, qn).r_max
+    r_max = default_grid(params, qn)[-1]
     r = np.linspace(r_max * 1e-6, r_max, 200001)
     samples = wavefunction_samples(params, qn, r)
     assert np.count_nonzero(samples.U_values[r * params.alpha > 800.0]) > 0

@@ -55,6 +55,10 @@ def test_solver_input_checks():
     for l in (-1, 1.5):
         with pytest.raises(ValueError, match=f"^l must be an integer >= 0, got {l}$"):
             count_bound_states(ANCHOR, l)
+    # 0.7 and -0.5 both solved the ground state as int(target_nodes) = 0
+    for k in (0.7, -0.5, -1):
+        with pytest.raises(ValueError, match=f"^target_nodes must be an integer >= 0, got {k}$"):
+            solve_exact(ANCHOR, 0, k, cfg)
 
 
 def test_interior_nodes_mapping():
@@ -283,7 +287,7 @@ def test_overflowing_grid_raises(alpha):
     # Q = 2 mu r^2/hbar^2 overflows at r_max = 100/alpha: in D = 3 the count
     # read 17929 at alpha = 1e-154 (after RuntimeWarnings) and 0 at 1e-160,
     # where the closed form has at least 65 levels
-    message = "^the grid coefficients are not finite at r_max = "
+    message = "^the grid coefficients are not finite at r = "
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for dim in (1, 3):
@@ -294,6 +298,30 @@ def test_overflowing_grid_raises(alpha):
         cfg = default_config(params, QuantumNumbers(1))
         with pytest.raises(oracle.OracleError, match=message):
             solve_exact(params, 0, 0, cfg)
+
+
+@pytest.mark.parametrize("Z,alpha,radius", [
+    # V overflows at the r_min end: the count read 0 after RuntimeWarnings
+    (1e308, 1.0, "1.0000000000000004e-06"),
+    # Q V overflows only inside the grid, both ends finite: it read 11866
+    (1e305, 1e-5, "903.2989241519973"),
+])
+def test_grid_overflowing_off_r_max_raises(Z, alpha, radius):
+    message = f"^the grid coefficients are not finite at r = {re.escape(radius)}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.OracleError, match=message):
+            count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0)
+
+
+@pytest.mark.parametrize("Z,alpha", [(1.0, 1e-151), (1e200, 1.0)])
+def test_saturated_count_raises(Z, alpha):
+    # every pivot was negative and the count read 23998, the grid's cap;
+    # the closed form has about 1e75 and 1e100 levels here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.OracleError, match="^all 23998 pivots of the grid are negative"):
+            count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0)
 
 
 def test_count_bound_states_shallow_third_level():

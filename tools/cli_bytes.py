@@ -76,6 +76,10 @@ ARGV_SETS = [argv.split() for argv in (
     "expectation --dim 1 --n 1 --alpha 1e-160",
     "validate --dim 1 --n 1 --alpha 1e-160",
     "expectation --dim 2 --l 1 --n 1 --format json",
+    "wavefunction --r-min 0 --r-max 1",
+    "wavefunction --r-min 2 --r-max 1",
+    "wavefunction --r-min 1 --r-max 1.0000000000000002",
+    "wavefunction --n 3 --l 1 --r-min 0.5 --r-max 400 --points 7 --format json",
 )]
 
 PLACEHOLDER = b"<src>"
