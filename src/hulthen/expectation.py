@@ -33,8 +33,9 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """A non-finite integrand sample, or no convergence within the cap on
-    step halvings (as for an integral that diverges at an end)."""
+    """A non-finite integration range or integrand sample, or no
+    convergence within the cap on step halvings (as for an integral that
+    diverges at an end)."""
 
 
 @dataclass(frozen=True)
@@ -66,25 +67,28 @@ def _tanh_sinh(g, fs, b: float) -> list[float]:
     """integral over [0, b] of f(r) g(r) dr for each f in fs.  A node is
     placed by its offset d from the nearer end, so none rounds onto r = 0;
     the integral beyond the outermost nodes is estimated as d |f g| there."""
+    if not math.isfinite(b):
+        raise QuadratureError(f"the integration range [0, {b!r}] is not finite")
     h, m = 0.5, int(2 * _T_MAX)
     t = h * np.arange(-m, m + 1)
     sums = np.zeros(len(fs))
-    for halving in range(_HALVINGS + 1):
-        d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))  # offset from the nearer end
-        r = np.where(t < 0.0, d, b - d)
-        gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))  # g dr/dt
-        vals = np.array([f(r) * gw for f in fs])
-        bad = ~np.isfinite(vals).all(axis=0)
-        if bad.any():
-            raise QuadratureError(f"non-finite integrand sample at r = {float(r[bad][0])!r}")
-        if halving == 0:
-            tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(_T_MAX))
-        prev, sums = sums, 0.5 * sums + h * vals.sum(axis=1)
-        err = np.abs(sums - prev) + tail
-        if halving and err.max() <= _ABS_TOL:
-            return sums.tolist()
-        h, m = 0.5 * h, 2 * m
-        t = h * np.arange(1 - m, m, 2)
+    with np.errstate(all="ignore"):  # a non-finite sample raises below
+        for halving in range(_HALVINGS + 1):
+            d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))  # offset from the nearer end
+            r = np.where(t < 0.0, d, b - d)
+            gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))  # g dr/dt
+            vals = np.array([f(r) * gw for f in fs])
+            bad = ~np.isfinite(vals).all(axis=0)
+            if bad.any():
+                raise QuadratureError(f"non-finite integrand sample at r = {float(r[bad][0])!r}")
+            if halving == 0:
+                tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(_T_MAX))
+            prev, sums = sums, 0.5 * sums + h * vals.sum(axis=1)
+            err = np.abs(sums - prev) + tail
+            if halving and err.max() <= _ABS_TOL:
+                return sums.tolist()
+            h, m = 0.5 * h, 2 * m
+            t = h * np.arange(1 - m, m, 2)
     raise QuadratureError(
         f"no convergence to {_ABS_TOL!r} within {_HALVINGS} step halvings "
         f"(error estimate {err.max():.3e})"
@@ -108,7 +112,8 @@ def quadrature_expect(f, params: PotentialParams, qn: QuantumNumbers) -> float:
     f takes a numpy array of radii and returns an array (or a scalar).
     The step is halved until the error estimate (see the module
     docstring) is below the absolute tolerance 1e-10; QuadratureError is
-    raised on a non-finite sample or when twelve halvings do not get there.
+    raised on a non-finite range end or sample, or when twelve halvings do
+    not get there.
     """
     return _weighted_integrals([f], model.level(params, qn))[0]
 

@@ -4,7 +4,9 @@ The rising factorial and the terminating 2F1 sum give the Jacobi
 polynomials a second, independent form (P_n^(a,b)(1-2s) =
 (a+1)_n/n! 2F1(-n, a+b+n+1; a+1; s)) that the recurrence in
 hulthen.specfun is checked against; the Beta function gives the n = 0
-normalization constant in closed form.
+normalization constant in closed form.  The level formula in its
+original bracket form is the reference the closed-form energies and
+their parameter derivatives are checked against.
 """
 
 import math
@@ -51,3 +53,18 @@ def hyp_terminating(n: int, b: float, c: float, s: float) -> float:
         term *= (k - n) * (b + k) / denom * s
         total += term
     return total
+
+
+def level_bracket(Z, alpha, mu, hbar, dim, n, l):
+    """The bracket of the level formula, 1/2 + (n(n+2l+D-2) + gamma -
+    delta)/Lambda; the level exists where it is negative (l may be real)."""
+    delta = 2.0 * Z * mu / (alpha * hbar**2)
+    gamma = (2 * l + dim - 1) * (2 * l + dim - 3) / 4.0
+    lam = 2 * n + 2 * l + dim - 1
+    return 0.5 + (n * (n + 2 * l + dim - 2) + gamma - delta) / lam
+
+
+def bracket_energy(Z, alpha, mu, hbar, dim, n, l):
+    """The D-dimensional level in its original bracket form (l may be real)."""
+    bracket = level_bracket(Z, alpha, mu, hbar, dim, n, l)
+    return -(alpha**2 * hbar**2) / (2.0 * mu) * bracket**2

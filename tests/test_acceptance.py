@@ -28,7 +28,7 @@ from hulthen import (
 )
 from hulthen.specfun import jacobi_poly
 from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
-from special_reference import beta, hyp_terminating, pochhammer
+from special_reference import beta, bracket_energy, hyp_terminating, pochhammer
 
 
 @contextmanager
@@ -42,15 +42,6 @@ def criterion(num, name, budget_s):
     elapsed = time.perf_counter() - t0
     assert elapsed < budget_s, f"runtime {elapsed:.1f}s exceeds {budget_s}s budget"
     print(f"ACCEPTANCE {num} ({name}): PASS [{elapsed:.2f}s]")
-
-
-def level_bracket_form(Z, alpha, mu, hbar, dim, n, l):
-    """The D-dimensional level in its original bracket form (real l ok)."""
-    delta = 2.0 * Z * mu / (alpha * hbar**2)
-    gamma = (2 * l + dim - 1) * (2 * l + dim - 3) / 4.0
-    lam = 2 * n + 2 * l + dim - 1
-    bracket = 0.5 + (n * (n + 2 * l + dim - 2) + gamma - delta) / lam
-    return -(alpha**2 * hbar**2) / (2.0 * mu) * bracket**2
 
 
 def level_3d_form(Z, alpha, mu, hbar, n, l):
@@ -69,7 +60,7 @@ def test_criterion_1_3d_reduction():
             Z = rng.uniform(0.5, 2.0)
             mu = rng.uniform(0.5, 2.0)
             hbar = rng.uniform(0.5, 2.0)
-            e_gen = level_bracket_form(Z, alpha, mu, hbar, 3, n, l)
+            e_gen = bracket_energy(Z, alpha, mu, hbar, 3, n, l)
             e_3d = level_3d_form(Z, alpha, mu, hbar, n, l)
             assert abs(e_gen - e_3d) <= 1e-12 * abs(e_3d)
             # the library evaluates the same number for existing states
@@ -171,16 +162,16 @@ def test_criterion_6_hft_closed_forms():
             n, l = qn.n, qn.l
             # dE/dl closed form vs central difference in l
             fd_l = (
-                level_bracket_form(Z, alpha, mu, hbar, dim, n, l + h)
-                - level_bracket_form(Z, alpha, mu, hbar, dim, n, l - h)
+                bracket_energy(Z, alpha, mu, hbar, dim, n, l + h)
+                - bracket_energy(Z, alpha, mu, hbar, dim, n, l - h)
             ) / (2.0 * h)
             lv = level(params, qn)
             closed_l = lv.dE_dl
             assert abs(closed_l - fd_l) <= 1e-6 * abs(closed_l)
             # <V> closed form vs Z * central difference in Z
             fd_z = Z * (
-                level_bracket_form(Z + h, alpha, mu, hbar, dim, n, l)
-                - level_bracket_form(Z - h, alpha, mu, hbar, dim, n, l)
+                bracket_energy(Z + h, alpha, mu, hbar, dim, n, l)
+                - bracket_energy(Z - h, alpha, mu, hbar, dim, n, l)
             ) / (2.0 * h)
             v_closed = lv.v_mean
             assert abs(v_closed - fd_z) <= 1e-6 * abs(v_closed)

@@ -65,10 +65,17 @@ def test_spectrum_json(capsys):
     assert payload["rows"][0]["exists"] is True
 
 
-def test_determinism(capsys):
-    _, out1, _ = run(capsys, "spectrum", "--alpha", "0.1")
-    _, out2, _ = run(capsys, "spectrum", "--alpha", "0.1")
-    assert out1 == out2
+# one fast level per subcommand, each rendered in both formats
+OUTPUT_CASES = ("spectrum --alpha 0.1", "wavefunction --n 1 --points 40",
+                "expectation --n 1 --l 1", "validate --n 0")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", OUTPUT_CASES)
+def test_determinism(capsys, argv, fmt):
+    first = run(capsys, *argv.split(), "--format", fmt)
+    assert first[0] == 0 and first[1]
+    assert run(capsys, *argv.split(), "--format", fmt) == first
 
 
 def test_env_override(capsys, monkeypatch):
@@ -249,6 +256,29 @@ def test_quadrature_failure_exits_3(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # the integration range end overflowed to inf: two RuntimeWarnings,
+        # then exit 1 with "radii must be finite positive reals"
+        ("expectation --alpha 1e-300 --dim 2 --n 1",
+         "the integration range [0, inf] is not finite"),
+        ("expectation --alpha 2 --hbar 1e-20 --dim 4 --l 2 --n 4",
+         "the integration range [0, inf] is not finite"),
+        ("expectation --Z 2 --alpha 0.5 --mu 1e-200 --hbar 1e-150 --n 2",
+         "the integration range [0, inf] is not finite"),
+        # up to five RuntimeWarnings came before this line
+        ("expectation --Z 1e150 --hbar 3 --dim 2",
+         "non-finite integrand sample at r = 4.4905998443128965e-170"),
+        ("expectation --Z 1e150 --alpha 1 --mu 0.05 --hbar 0.05 --dim 1 --n 1",
+         "non-finite integrand sample at r = 7.372142333969932e-172"),
+    ],
+)
+def test_quadrature_range_failures_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (3, "", f"quadrature failure: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         # nan and inf exited 0 with E_oracle = E_closed: no pass ran
         ("validate --oracle-tolerance nan", "tolerance must be a finite positive real, got nan"),
         ("validate --oracle-tolerance inf", "tolerance must be a finite positive real, got inf"),
@@ -312,11 +342,23 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
-def test_out_file(tmp_path, capsys):
-    target = tmp_path / "spec.csv"
-    code, out, _ = run(capsys, "spectrum", "--out", str(target))
-    assert code == 0
-    assert out == ""
-    text = target.read_text()
-    header, rows = parse_csv(text)
-    assert len(rows) == 6
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, code",
+                         [*((argv, 0) for argv in OUTPUT_CASES), ("spectrum --alpha 2.5", 2)])
+def test_out_file(tmp_path, capsys, argv, code, fmt):
+    # the file holds the bytes stdout gets, and stdout stays empty; with no
+    # level, exit 2 and the note is in the file
+    stdout = run(capsys, *argv.split(), "--format", fmt)[1]
+    target = tmp_path / "out"
+    assert run(capsys, *argv.split(), "--format", fmt, "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == stdout.encode()
+    assert ("no bound states for this configuration" in stdout) == (code == 2)
+
+
+@pytest.mark.parametrize("argv, code", [("wavefunction --points 1", 1),
+                                        ("validate --oracle-tolerance 1e-30", 3)])
+def test_no_out_file_on_failure(tmp_path, capsys, argv, code):
+    # both fail after the level is built
+    target = tmp_path / "out"
+    assert run(capsys, *argv.split(), "--out", str(target))[:2] == (code, "")
+    assert not target.exists()

@@ -15,17 +15,10 @@ from hulthen import (
     potential,
     quadrature_expect,
 )
+from special_reference import bracket_energy
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 GROUND = QuantumNumbers(0, 0)
-
-
-def bracket_energy(Z, alpha, mu, hbar, dim, n, l):
-    delta = 2.0 * Z * mu / (alpha * hbar**2)
-    gamma = (2 * l + dim - 1) * (2 * l + dim - 3) / 4.0
-    lam = 2 * n + 2 * l + dim - 1
-    bracket = 0.5 + (n * (n + 2 * l + dim - 2) + gamma - delta) / lam
-    return -(alpha**2 * hbar**2) / (2.0 * mu) * bracket**2
 
 
 def test_dE_dl_anchor_and_fd():
@@ -196,3 +189,23 @@ def test_quadrature_errors():
     p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
     with pytest.raises(QuadratureError, match="^no convergence to 1e-10 within 12 step halvings"):
         quadrature_expect(lambda r: 1.0 / (r * r), p2, GROUND)
+
+
+@pytest.mark.parametrize("params, qn, message", [
+    # r_max = inf: C_n times P_n(1) overflows in its log
+    (PotentialParams(Z=1.0, alpha=1e-300, D=2), QuantumNumbers(1, 0),
+     r"the integration range \[0, inf\] is not finite"),
+    (PotentialParams(Z=1.0, alpha=2.0, hbar=1e-20, D=4), QuantumNumbers(4, 2),
+     r"the integration range \[0, inf\] is not finite"),
+    (PotentialParams(Z=2.0, alpha=0.5, mu=1e-200, hbar=1e-150), QuantumNumbers(2, 0),
+     r"the integration range \[0, inf\] is not finite"),
+    # V overflows near the origin
+    (PotentialParams(Z=1e150, alpha=0.05, hbar=3.0, D=2), GROUND,
+     "non-finite integrand sample at r = 4.4905998443128965e-170"),
+    (PotentialParams(Z=1e150, alpha=1.0, mu=0.05, hbar=0.05, D=1), QuantumNumbers(1, 0),
+     "non-finite integrand sample at r = 7.372142333969932e-172"),
+])
+def test_report_out_of_range_raises_without_warnings(params, qn, message):
+    # warnings are errors here: each of these printed RuntimeWarnings first
+    with pytest.raises(QuadratureError, match=f"^{message}$"):
+        expectation_report(params, qn)

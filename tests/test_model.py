@@ -20,22 +20,13 @@ from hulthen import (
     wavefunction_samples,
 )
 from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
-from special_reference import beta
+from special_reference import beta, bracket_energy, level_bracket
 
 # frozen from a 40-digit evaluation of the defining expressions
 POT_ANCHOR = -0.05819767068693264  # Z=1, alpha=0.1, r=10
 CENT_ANCHOR = 0.9997916927057501  # alpha=0.05, r=1
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)  # delta = 40, mu = hbar = 1, D = 3
-
-
-def bracket_energy(Z, alpha, mu, hbar, dim, n, l):
-    """Level formula in its original bracket form (l may be real here)."""
-    delta = 2.0 * Z * mu / (alpha * hbar**2)
-    gamma = (2 * l + dim - 1) * (2 * l + dim - 3) / 4.0
-    lam = 2 * n + 2 * l + dim - 1
-    bracket = 0.5 + (n * (n + 2 * l + dim - 2) + gamma - delta) / lam
-    return -(alpha**2 * hbar**2) / (2.0 * mu) * bracket**2, bracket
 
 
 def test_params_validation():
@@ -141,7 +132,8 @@ def test_energy_bracket_equivalence():
         hbar = rng.uniform(0.5, 2.0)
         params = PotentialParams(Z=Z, alpha=alpha, mu=mu, hbar=hbar, D=dim)
         st = energy(params, QuantumNumbers(n, l))
-        e_bracket, bracket = bracket_energy(Z, alpha, mu, hbar, dim, n, l)
+        e_bracket = bracket_energy(Z, alpha, mu, hbar, dim, n, l)
+        bracket = level_bracket(Z, alpha, mu, hbar, dim, n, l)
         m = n + l + (dim - 1) / 2.0
         delta = 2.0 * Z * mu / (alpha * hbar**2)
         assert bracket == pytest.approx((m * m - delta) / (2.0 * m), rel=1e-12)
@@ -165,7 +157,7 @@ def test_three_dimensional_reduction():
         hbar = rng.uniform(0.5, 2.0)
         k = n + l + 1
         ref = -(hbar**2 / (2.0 * mu)) * (Z * mu / (hbar**2 * k) - 0.5 * k * alpha) ** 2
-        e_bracket, _ = bracket_energy(Z, alpha, mu, hbar, 3, n, l)
+        e_bracket = bracket_energy(Z, alpha, mu, hbar, 3, n, l)
         assert e_bracket == pytest.approx(ref, rel=1e-12)
 
 

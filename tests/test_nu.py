@@ -8,20 +8,11 @@ from nu_reference import (
     QuadPoly,
     branches,
     eigen_condition,
+    hulthen_problem,
     pi_branches,
     select_branch,
     t_roots,
 )
-
-
-def hulthen_problem(eps, delta, gamma):
-    """Coefficients of the transformed radial equation in s = exp(-alpha r)."""
-    e2 = eps * eps
-    return NUProblem(
-        sigma=QuadPoly(0.0, 1.0, -1.0),
-        sigma_tilde=QuadPoly(-e2, 2.0 * e2 + delta - gamma, -(e2 + delta)),
-        tau_tilde=QuadPoly(1.0, -1.0, 0.0),
-    )
 
 
 def test_quadpoly_basics():

@@ -5,10 +5,14 @@
 Each argv set of ARGV_SETS runs as a fresh `python -m hulthen.cli` child
 against OLD_SRC and against NEW_SRC (directories holding the `hulthen`
 package; NEW_SRC defaults to the `src/` of this checkout).  The exit
-code, stdout and stderr of the two children are compared, with each
-tree's path replaced by a placeholder, so that tracebacks from two
-checkouts can still agree.  The argv sets that differ are printed, and
-the exit status is 1 if there are any, else 0.
+code, stdout and stderr of the two children are compared, and so are
+the bytes of the file an argv set writes through `--out <out>` (or its
+absence): each child gets its own temporary path for <out>.  Each
+tree's path and the temporary path are replaced by placeholders, so
+that tracebacks and messages from two checkouts can still agree.  A
+child that runs longer than TIMEOUT_S seconds is killed and its argv set
+reported as differing in "timeout".  The argv sets that differ are
+printed, and the exit status is 1 if there are any, else 0.
 
 The parent commit's tree can be unpacked next to the checkout with
 
@@ -20,6 +24,7 @@ and is then compared by `python3 tools/cli_bytes.py ../parent/src`.
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 QUADRATURE_FAILURE = ("expectation --Z 2.3163131398668173 --mu 8.680299759535256 "
@@ -80,32 +85,73 @@ ARGV_SETS = [argv.split() for argv in (
     "wavefunction --r-min 2 --r-max 1",
     "wavefunction --r-min 1 --r-max 1.0000000000000002",
     "wavefunction --n 3 --l 1 --r-min 0.5 --r-max 400 --points 7 --format json",
+    # quadratures whose range end, or whose integrand, is not finite
+    "expectation --alpha 1e-300 --dim 2 --n 1",
+    "expectation --alpha 2 --hbar 1e-20 --dim 4 --l 2 --n 4",
+    "expectation --Z 2 --alpha 0.5 --mu 1e-200 --hbar 1e-150 --n 2",
+    "expectation --Z 1e150 --hbar 3 --dim 2",
+    "expectation --Z 1e150 --alpha 1 --mu 0.05 --hbar 0.05 --dim 1 --n 1",
+    "--help",
+    "spectrum --help",
+    "wavefunction --help",
+    "expectation --help",
+    "validate --help",
+    "spectrum --out <out>",
+    "spectrum --alpha 2.5 --format json --out <out>",
+    "wavefunction --n 2 --points 20 --format json --out <out>",
+    "expectation --dim 2 --out <out>",
+    "expectation --n 1 --l 1 --format json --out <out>",
+    "validate --n 0 --out <out>",
+    "validate --dim 1 --n 2 --format json --out <out>",
+    "wavefunction --points 1 --out <out>",
+    "validate --oracle-tolerance 1e-30 --out <out>",
 )]
 
 PLACEHOLDER = b"<src>"
+OUT = "<out>"
+TIMEOUT_S = 60.0
 
 
-def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of `python -m hulthen.cli ARGV` on the
-    tree src, with no HULTHEN_* variables and src's path as PLACEHOLDER."""
+def run(src: Path, argv: list[str], timeout: float = TIMEOUT_S):
+    """Exit code, stdout, stderr and the bytes of the --out file (None if
+    none was written) of `python -m hulthen.cli ARGV` on the tree src, with
+    no HULTHEN_* variables, src's path as PLACEHOLDER and a fresh temporary
+    path for OUT; None if the child outlives timeout seconds."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("HULTHEN_")}
     env["PYTHONPATH"] = str(src)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run([sys.executable, "-m", "hulthen.cli", *argv], cwd=src, env=env,
-                          capture_output=True, check=False)
-    path = os.fsencode(src)
-    return (proc.returncode, proc.stdout.replace(path, PLACEHOLDER),
-            proc.stderr.replace(path, PLACEHOLDER))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hulthen.cli",
+                                   *(out if arg == OUT else arg for arg in argv)],
+                                  cwd=src, env=env, capture_output=True, check=False,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None
+        written = Path(out).read_bytes() if os.path.exists(out) else None
+
+    def scrub(data: bytes) -> bytes:
+        data = data.replace(os.fsencode(out), os.fsencode(OUT))
+        return data.replace(os.fsencode(src), PLACEHOLDER)
+
+    return proc.returncode, scrub(proc.stdout), scrub(proc.stderr), written
 
 
-def compare(old_src, new_src, argv_sets=ARGV_SETS) -> list[tuple[list[str], list[str]]]:
+def compare(old_src, new_src, argv_sets=ARGV_SETS,
+            timeout: float = TIMEOUT_S) -> list[tuple[list[str], list[str]]]:
     """(argv, names of the differing fields) for each argv set whose exit
-    code, stdout or stderr differs between the two trees."""
+    code, stdout, stderr or --out file differs between the two trees, or
+    that timed out on either."""
     trees = [Path(old_src).resolve(), Path(new_src).resolve()]
     diffs = []
     for argv in argv_sets:
-        old, new = (run(src, argv) for src in trees)
-        fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
+        old, new = (run(src, argv, timeout) for src in trees)
+        if old is None or new is None:
+            fields = ["timeout"]
+        else:
+            fields = [name for name, a, b in zip(("exit", "stdout", "stderr", "out"), old, new)
+                      if a != b]
         if fields:
             diffs.append((argv, fields))
     return diffs
