@@ -6,12 +6,13 @@ normalization constants, expectation values from parameter derivatives
 `expectation`), and an independent shooting-method eigensolver of the
 exact radial equation for cross-validation.
 
-The package re-exports `model.__all__`.  `import hulthen` loads the
-closed forms of `model` alone, with no numpy; a level's expectation
-values and node count need none either.  The names of
-`expectation` and `oracle` (and those two submodules) are imported on
-first access; both import numpy, as do V, the centrifugal term, U and
-the array functions of `model` when first called.
+The package's public names are `model.__all__` and the `__all__` of
+`expectation` and `oracle`; `specfun` is reached as a submodule.
+`import hulthen` loads the closed forms of `model` alone, with no numpy;
+a level's expectation values and node count need none either.  The
+names of `expectation` and `oracle` (and those two submodules) are
+imported on first access; both import numpy, as do V, the centrifugal
+term, U and the array functions of `model` when first called.
 """
 
 import importlib
@@ -20,11 +21,10 @@ from . import model
 from .model import *
 
 _LAZY = {
-    "expectation": ("ExpectationReport", "QuadratureError", "expectation_report",
-                    "quadrature_expect"),
+    "expectation": ("ExpectationReport", "QuadratureError", "expectation_report"),
     "oracle": ("BracketError", "ConvergenceError", "NodeCountError", "OracleError",
-               "OracleResult", "ShootingConfig", "approximation_error", "count_bound_states",
-               "default_config", "solve_exact"),
+               "OracleResult", "ShootingConfig", "count_bound_states", "default_config",
+               "solve_exact"),
 }
 _HOME = {name: mod for mod, names in _LAZY.items() for name in names}
 

@@ -88,8 +88,6 @@ def _render(fmt: str, meta: dict, headers: tuple, rows: list[list], shape: str) 
 
 
 def _cmd_spectrum(args, params: model.PotentialParams, _lv) -> tuple[dict, list]:
-    if args.n_max < 0:
-        raise UsageError("--n-max must be >= 0")
     states = model.spectrum(params, l=args.l, n_max=args.n_max)
     return {}, [[st.qn.n, st.qn.l, params.D, st.epsilon, st.energy, st.exists]
                 for st in states]

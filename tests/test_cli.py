@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hulthen import PotentialParams, QuantumNumbers, count_nodes, normalization_constant
+from hulthen import PotentialParams, QuantumNumbers, level, normalization_constant
 from hulthen.cli import main
+from special_reference import sign_changes
 
 
 def run(capsys, *argv):
@@ -140,7 +141,7 @@ def test_wavefunction_high_n_small_alpha(capsys):
         PotentialParams(Z=1.0, alpha=0.001), QuantumNumbers(30, 0)
     )
     _, rows = parse_csv(out)
-    assert count_nodes(np.array([float(row[1]) for row in rows])) == 30
+    assert sign_changes(np.array([float(row[1]) for row in rows])) == 30
 
 
 def test_wavefunction_missing_state(capsys):
@@ -243,14 +244,22 @@ def test_overflowing_oracle_grid_exits_3(capsys):
 
 
 def test_quadrature_failure_exits_3(capsys):
-    # the tanh-sinh rule does not converge on this level; this ended in a
-    # QuadratureError traceback
-    code, out, err = run(capsys, "expectation", "--Z", "2.3163131398668173",
-                         "--mu", "8.680299759535256", "--alpha", "0.11827746864980619",
-                         "--hbar", "0.20155218228825997", "--dim", "1", "--n", "1")
-    assert (code, out) == (3, "")
-    assert err == ("quadrature failure: no convergence to 1e-10 within 12 step halvings "
-                   "(error estimate 2.939e-08)\n")
+    # with P_n evaluated in x = 1 - 2s, U lost its digits near the origin
+    # here and the tanh-sinh rule did not converge (exit 3, "no convergence
+    # to 1e-10 within 12 step halvings"); in y = 1 + x the level exits 0 and
+    # its quadratures agree with the closed forms.  Exit 3 stays covered by
+    # test_quadrature_range_failures_exit_3
+    params = PotentialParams(Z=2.3163131398668173, alpha=0.11827746864980619,
+                             mu=8.680299759535256, hbar=0.20155218228825997, D=1)
+    code, out, err = run(capsys, "expectation", "--Z", str(params.Z), "--mu", str(params.mu),
+                         "--alpha", str(params.alpha), "--hbar", str(params.hbar),
+                         "--dim", "1", "--n", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    lv = level(params, QuantumNumbers(1, 0))
+    assert data["energy"] == lv.energy
+    assert data["v_quad"] == pytest.approx(lv.v_mean, rel=1e-12)
+    assert data["inv_r2_quad_approx"] == pytest.approx(lv.inv_r2, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +299,8 @@ def test_quadrature_range_failures_exit_3(capsys, argv, message):
         ("validate --dim 5 --l 1 --alpha 0.05 --n 1 --oracle-tolerance 0.01",
          "tolerance 0.01 is not below the energy bracket width 0.0045000000000000005"),
         ("wavefunction --r-min 1 --r-max inf", "grid requires 0 < r_min < r_max < inf"),
-        ("spectrum --n-max -1", "--n-max must be >= 0"),
+        # model.spectrum checks the cap; the CLI said "--n-max must be >= 0"
+        ("spectrum --n-max -1", "n_max must be an integer >= 0, got -1"),
         # exited 0 with epsilon = inf, energy = -inf and exists = true
         ("spectrum --alpha 1e-320", "delta = 2 Z mu/(alpha hbar^2) is outside the float range"),
         # exited 0 with energy = -0.0 for an existing level

@@ -13,12 +13,17 @@ from hulthen import (
     expectation_report,
     level,
     potential,
-    quadrature_expect,
 )
+from hulthen.expectation import _weighted_integrals
 from special_reference import bracket_energy
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 GROUND = QuantumNumbers(0, 0)
+
+
+def weighted_integral(f, params, qn):
+    """integral of f(r) |U(r)|^2 dr over (0, inf) for the level (params, qn)."""
+    return _weighted_integrals([f], level(params, qn))[0]
 
 
 def test_dE_dl_anchor_and_fd():
@@ -47,7 +52,7 @@ def test_derivative_vanishes_at_existence_boundary():
 def test_inv_r2_anchor_and_quadrature():
     val = level(ANCHOR, GROUND).inv_r2
     assert val == pytest.approx(1.99875, rel=1e-13)
-    quad = quadrature_expect(lambda r: centrifugal_approx(r, ANCHOR.alpha), ANCHOR, GROUND)
+    quad = weighted_integral(lambda r: centrifugal_approx(r, ANCHOR.alpha), ANCHOR, GROUND)
     assert quad == pytest.approx(val, rel=1e-6)
 
 
@@ -65,7 +70,7 @@ def test_inv_r2_exact_operator_diagnostic():
     for alpha in (0.2, 0.1, 0.05, 0.025):
         params = PotentialParams(Z=1.0, alpha=alpha)
         hft = level(params, GROUND).inv_r2
-        exact = quadrature_expect(lambda r: 1.0 / (r * r), params, GROUND)
+        exact = weighted_integral(lambda r: 1.0 / (r * r), params, GROUND)
         rel.append(abs(exact - hft) / abs(hft))
     assert all(b < a for a, b in zip(rel, rel[1:]))
 
@@ -73,7 +78,7 @@ def test_inv_r2_exact_operator_diagnostic():
 def test_potential_expect_quadrature_and_fd():
     val = level(ANCHOR, GROUND).v_mean
     assert val == pytest.approx(-0.975, rel=1e-13)
-    quad = quadrature_expect(lambda r: potential(r, ANCHOR), ANCHOR, GROUND)
+    quad = weighted_integral(lambda r: potential(r, ANCHOR), ANCHOR, GROUND)
     assert quad == pytest.approx(val, rel=1e-6)
     h = 1e-5
     fd = (
@@ -128,7 +133,7 @@ def test_quadrature_normalization_various_states():
         (PotentialParams(Z=1.0, alpha=0.05, D=4), QuantumNumbers(1, 1)),
     ]
     for params, qn in cases:
-        total = quadrature_expect(lambda r: 1.0, params, qn)
+        total = weighted_integral(lambda r: 1.0, params, qn)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -140,7 +145,20 @@ def test_shallow_level_potential_quadrature():
     rep = expectation_report(params, qn)
     assert rep.v_quad == pytest.approx(rep.v_hft, rel=1e-6)
     assert rep.inv_r2_quad_approx == pytest.approx(rep.inv_r2_hft, rel=1e-6)
-    assert quadrature_expect(lambda r: 1.0, params, qn) == pytest.approx(1.0, abs=1e-8)
+    assert weighted_integral(lambda r: 1.0, params, qn) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadratures_at_extreme_alpha(n):
+    # 1 - 2s rounds onto -1 here, where P_n^(2eps, -1) has a root: with P_n
+    # evaluated in x, U read 0 at every node and so did every quadrature
+    params = PotentialParams(Z=1.0, alpha=1e-90, D=1)
+    qn = QuantumNumbers(n, 0)
+    rep = expectation_report(params, qn)
+    assert abs(weighted_integral(lambda r: 1.0, params, qn) - 1.0) <= 1e-10
+    assert abs(rep.v_quad - rep.v_hft) <= 1e-10
+    assert abs(rep.inv_r2_quad_approx - rep.inv_r2_hft) <= 1e-10
+    assert abs(rep.inv_r2_quad_exact - rep.inv_r2_hft) <= 1e-10
 
 
 def test_report_fields():
@@ -170,25 +188,23 @@ def test_nonexistent_state_errors():
     for fn in (level, expectation_report):
         with pytest.raises(NoBoundState):
             fn(weak, GROUND)
-    with pytest.raises(NoBoundState):
-        quadrature_expect(lambda r: 1.0, weak, GROUND)
 
 
 def test_normalization_at_tiny_alpha():
     # the four log-Gamma terms C_n was built from left it 1.9e-9 off here
     tiny = PotentialParams(Z=1.0, alpha=1e-6)
-    assert abs(quadrature_expect(lambda r: 1.0, tiny, GROUND) - 1.0) <= 1e-12
+    assert abs(weighted_integral(lambda r: 1.0, tiny, GROUND) - 1.0) <= 1e-12
 
 
 def test_quadrature_errors():
     # a non-finite sample is reported, not summed
     with pytest.raises(QuadratureError, match="^non-finite integrand sample at r = "):
-        quadrature_expect(lambda r: np.where(r > 1.0, np.inf, 1.0), ANCHOR, GROUND)
+        weighted_integral(lambda r: np.where(r > 1.0, np.inf, 1.0), ANCHOR, GROUND)
     # U^2 ~ r at l = 0 in D = 2, so the integral of U^2/r^2 diverges like
     # log r at the origin: no step halving brings the estimate down
     p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
     with pytest.raises(QuadratureError, match="^no convergence to 1e-10 within 12 step halvings"):
-        quadrature_expect(lambda r: 1.0 / (r * r), p2, GROUND)
+        weighted_integral(lambda r: 1.0 / (r * r), p2, GROUND)
 
 
 @pytest.mark.parametrize("params, qn, message", [

@@ -7,10 +7,8 @@ import pytest
 from hulthen import (
     PotentialParams,
     QuantumNumbers,
-    bound_state_count,
     centrifugal_approx,
     coulomb_limit_energy,
-    count_nodes,
     default_grid,
     energy,
     level,
@@ -20,7 +18,7 @@ from hulthen import (
     wavefunction_samples,
 )
 from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
-from special_reference import beta, bracket_energy, level_bracket
+from special_reference import beta, bracket_energy, level_bracket, sign_changes
 
 # frozen from a 40-digit evaluation of the defining expressions
 POT_ANCHOR = -0.05819767068693264  # Z=1, alpha=0.1, r=10
@@ -201,7 +199,6 @@ def test_nonexistence_is_a_value():
     assert not st.exists
     assert st.energy is None and st.epsilon is None
     assert spectrum(weak, 0) == []
-    assert bound_state_count(weak, 0) == 0
 
 
 def test_d1_spurious_ground_state():
@@ -211,25 +208,24 @@ def test_d1_spurious_ground_state():
     assert not energy(p1, QuantumNumbers(0, 0)).exists
     assert energy(p1, QuantumNumbers(1, 0)).exists
     # levels n = 1..6 for delta = 40
-    assert bound_state_count(p1, 0) == 6
+    assert sum(st.exists for st in spectrum(p1, 0)) == 6
     states = spectrum(p1, 0)
     assert states[0].exists is False and states[1].exists is True
     assert len(states) == 7
 
 
 def test_bound_state_count_examples():
-    assert bound_state_count(ANCHOR, 0) == 6
+    assert sum(st.exists for st in spectrum(ANCHOR, 0)) == 6
     # delta = 0.1 needs delta > 1 at l = 0, D = 3
-    assert bound_state_count(PotentialParams(Z=1.0, alpha=20.0), 0) == 0
+    assert sum(st.exists for st in spectrum(PotentialParams(Z=1.0, alpha=20.0), 0)) == 0
     # enumeration cap applies when delta is huge
-    assert bound_state_count(PotentialParams(Z=1.0, alpha=1e-4), 0, n_max=10) == 11
+    assert sum(st.exists for st in spectrum(PotentialParams(Z=1.0, alpha=1e-4), 0, 10)) == 11
 
 
 def test_negative_n_max_is_a_value_error():
-    # both used to end in an IndexError
-    for fn in (spectrum, bound_state_count):
-        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
-            fn(ANCHOR, 0, n_max=-1)
+    # it used to end in an IndexError
+    with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
+        spectrum(ANCHOR, 0, n_max=-1)
 
 
 @pytest.mark.parametrize(
@@ -424,6 +420,32 @@ def test_wavefunction_endpoints_and_domain():
     np.testing.assert_allclose(u(t_arr), scalars, rtol=1e-14)
 
 
+def test_wavefunction_near_origin():
+    # U/(alpha r)^(v/2) -> C_n P_n^(2eps, v-1)(-1) = C_n (-1)^n binom(n+v-1, n)
+    # as r -> 0; for v = 0 (l = 0 in D = 1) P_n has a root at x = -1 and
+    # U/r -> (-1)^(n-1) C_n alpha (n + 2 eps), from the slope of P_n there
+    for dim, l in [(1, 0), (1, 1), (2, 0), (3, 0), (3, 2), (5, 1)]:
+        for alpha in (1e-3, 0.05, 0.3):
+            params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+            for st in spectrum(params, l, n_max=6):
+                if not st.exists:
+                    continue
+                lv = level(params, st.qn)
+                n, v = st.qn.n, int(lv.v)
+                for r in (1e-40, 1e-15, 1e-12):
+                    if v == 0:
+                        got = lv(alpha * r) / r
+                        expect = (-1) ** (n - 1) * lv.norm * alpha * (n + 2.0 * lv.epsilon)
+                    else:
+                        got = lv(alpha * r) / (alpha * r) ** (0.5 * v)
+                        expect = (-1) ** n * lv.norm * math.comb(n + v - 1, n)
+                    assert got == pytest.approx(expect, rel=1e-9), (dim, l, alpha, n, r)
+    # P_n in x = 1 - 2s read -1.3156 here
+    d1 = PotentialParams(Z=1.0, alpha=0.05, D=1)
+    assert level(d1, QuantumNumbers(2, 0))(0.05 * 1e-15) / 1e-15 == pytest.approx(
+        -0.70356236397, rel=1e-10)
+
+
 def test_samples_structure_and_nodes():
     for n in range(0, 4):
         qn = QuantumNumbers(n, 0)
@@ -434,11 +456,11 @@ def test_samples_structure_and_nodes():
             samples.U_values,
             rtol=1e-12,
         )
-        assert count_nodes(samples.U_values) == n
+        assert sign_changes(samples.U_values) == n
     # l = 1 states
     for n in range(0, 3):
         samples = wavefunction_samples(ANCHOR, QuantumNumbers(n, 1))
-        assert count_nodes(samples.U_values) == n
+        assert sign_changes(samples.U_values) == n
 
 
 def test_samples_d1():
@@ -447,7 +469,7 @@ def test_samples_d1():
     # R = U identically in D = 1
     np.testing.assert_array_equal(samples.R_values, samples.U_values)
     # one Jacobi root sits on the r = 0 boundary: n - 1 interior nodes
-    assert count_nodes(samples.U_values) == 1
+    assert sign_changes(samples.U_values) == 1
 
 
 def test_samples_grid_handling():

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -11,15 +12,15 @@ from hulthen import (
     PotentialParams,
     QuantumNumbers,
     ShootingConfig,
-    approximation_error,
-    bound_state_count,
     count_bound_states,
     default_config,
     energy,
     level,
     oracle,
     solve_exact,
+    spectrum,
 )
+from hulthen.cli import main
 from hulthen.oracle import _BLOCK, _log_coeffs, _log_grid, _march
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
@@ -279,7 +280,7 @@ def test_upper_bracket_error():
 def test_count_matches_closed_form():
     for alpha in (0.05, 0.1):
         params = PotentialParams(Z=1.0, alpha=alpha)
-        assert count_bound_states(params, 0) == bound_state_count(params, 0)
+        assert count_bound_states(params, 0) == sum(st.exists for st in spectrum(params, 0))
 
 
 @pytest.mark.parametrize("alpha", [1e-154, 1e-160])
@@ -331,14 +332,20 @@ def test_count_bound_states_shallow_third_level():
     assert count_bound_states(params, 0) == 3
 
 
-def test_approximation_error_exact_case():
+def validate_rel_error(capsys, *argv) -> float:
+    """The rel_error column of `hulthen validate ARGV`: |E_closed - E_oracle|
+    / |E_oracle| of one level, solved from default_config."""
+    assert main(["validate", "--format", "json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["rel_error"]
+
+
+def test_approximation_error_exact_case(capsys):
     # s-wave in D = 3: no centrifugal term, error at solver tolerance
-    err = approximation_error(ANCHOR, QuantumNumbers(0, 0))
+    err = validate_rel_error(capsys, "--alpha", "0.05")
     assert err < 1e-7
 
 
-def test_approximation_error_nonzero_gamma():
+def test_approximation_error_nonzero_gamma(capsys):
     # D = 5, l = 0 has gamma = 2: the closed form is genuinely approximate
-    p5 = PotentialParams(Z=1.0, alpha=0.1, D=5)
-    err = approximation_error(p5, QuantumNumbers(0, 0))
+    err = validate_rel_error(capsys, "--alpha", "0.1", "--dim", "5")
     assert err > 1e-5

@@ -15,16 +15,16 @@ from hulthen import (
     NoBoundState,
     PotentialParams,
     QuantumNumbers,
-    count_nodes,
     energy,
     level,
     normalization_constant,
     potential,
-    quadrature_expect,
     wavefunction_samples,
 )
 from hulthen.cli import main
+from hulthen.expectation import _weighted_integrals
 from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
+from special_reference import sign_changes
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -107,7 +107,7 @@ def test_scaled_energy_depends_on_delta_only(params, alpha2, mu2, hbar2, qn):
 def test_quadrature_normalization(params, qn):
     if not energy(params, qn).exists:
         return
-    assert abs(quadrature_expect(lambda r: 1.0, params, qn) - 1.0) <= 1e-10
+    assert abs(_weighted_integrals([lambda r: 1.0], level(params, qn))[0] - 1.0) <= 1e-10
 
 
 @PROPERTY
@@ -118,7 +118,7 @@ def test_energy_is_kinetic_plus_quadrature_potential(params, qn):
     if not bs.exists:
         return
     lv = level(params, qn)
-    v_quad = quadrature_expect(lambda r: potential(r, params), params, qn)
+    v_quad = _weighted_integrals([lambda r: potential(r, params)], lv)[0]
     assert abs(lv.t_mean + v_quad - bs.energy) <= 1e-10 + 1e-12 * abs(lv.v_mean)
 
 
@@ -128,7 +128,7 @@ def test_default_grid_samples_have_interior_nodes(params, qn):
     if not energy(params, qn).exists:
         return
     samples = wavefunction_samples(params, qn)
-    assert count_nodes(samples.U_values) == level(params, qn).nodes
+    assert sign_changes(samples.U_values) == level(params, qn).nodes
 
 
 SHARED_FLAGS = {

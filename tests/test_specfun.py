@@ -104,22 +104,22 @@ def test_jacobi_low_degrees():
         a = rng.uniform(-0.9, 5)
         b = rng.uniform(-0.9, 5)
         x = rng.uniform(-1, 1)
-        assert jacobi_poly(0, a, b)(x) == 1.0
+        assert jacobi_poly(0, a, b)(1.0 + x) == 1.0
         expect1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-        assert jacobi_poly(1, a, b)(x) == pytest.approx(expect1, rel=1e-14, abs=1e-14)
+        assert jacobi_poly(1, a, b)(1.0 + x) == pytest.approx(expect1, rel=1e-14, abs=1e-14)
 
 
 def test_jacobi_endpoint_value():
-    # P_n^(a,b)(1) = (a+1)_n / n!
+    # P_n^(a,b)(1) = (a+1)_n / n!, at y = 1 + x = 2
     for n in range(0, 15):
         for a, b in [(0.0, 0.0), (0.5, -0.5), (2.0, 3.0), (6.3, 0.1)]:
             expect = pochhammer(a + 1.0, n) / math.factorial(n)
-            assert jacobi_poly(n, a, b)(1.0) == pytest.approx(expect, rel=1e-12)
+            assert jacobi_poly(n, a, b)(2.0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_jacobi_frozen_anchors():
-    assert jacobi_poly(3, 0.5, -0.5)(0.3) == pytest.approx(JACOBI_3_ANCHOR, rel=1e-13)
-    assert jacobi_poly(5, 2.0, 3.0)(-0.4) == pytest.approx(JACOBI_5_ANCHOR, rel=1e-13)
+    assert jacobi_poly(3, 0.5, -0.5)(1.0 + 0.3) == pytest.approx(JACOBI_3_ANCHOR, rel=1e-13)
+    assert jacobi_poly(5, 2.0, 3.0)(1.0 - 0.4) == pytest.approx(JACOBI_5_ANCHOR, rel=1e-13)
 
 
 def _hyp_condition_scale(n, b, c, s):
@@ -140,7 +140,7 @@ def _hyp_condition_scale(n, b, c, s):
 
 def test_jacobi_matches_hypergeometric_form():
     # recurrence vs Gamma(n+a+1)/(n! Gamma(1+a)) 2F1(-n, a+b+n+1; 1+a; s)
-    # at x = 1-2s, over n <= 20, a, b in (-0.9, 10], s in [0, 1]
+    # at x = 1-2s (y = 2-2s), over n <= 20, a, b in (-0.9, 10], s in [0, 1]
     rng = np.random.default_rng(13)
     for n in range(0, 21):
         for _ in range(12):
@@ -148,7 +148,7 @@ def test_jacobi_matches_hypergeometric_form():
             b = rng.uniform(-0.9, 10.0)
             s = rng.uniform(0.0, 1.0)
             k_fac = pochhammer(a + 1.0, n) / math.factorial(n)
-            lhs = jacobi_poly(n, a, b)(1.0 - 2.0 * s)
+            lhs = jacobi_poly(n, a, b)(2.0 - 2.0 * s)
             rhs = k_fac * hyp_terminating(n, a + b + n + 1.0, 1.0 + a, s)
             scale = max(
                 abs(lhs),
@@ -170,7 +170,7 @@ def test_jacobi_matches_hypergeometric_well_conditioned():
             s = rng.uniform(0.0, 0.5)
             k_fac = pochhammer(a + 1.0, n) / math.factorial(n)
             cond = abs(k_fac) * _hyp_condition_scale(n, a + b + n + 1.0, 1.0 + a, s)
-            lhs = jacobi_poly(n, a, b)(1.0 - 2.0 * s)
+            lhs = jacobi_poly(n, a, b)(2.0 - 2.0 * s)
             if cond > 1e3 * max(abs(lhs), 1e-300):
                 continue
             rhs = k_fac * hyp_terminating(n, a + b + n + 1.0, 1.0 + a, s)
@@ -186,23 +186,34 @@ def test_jacobi_orthogonality_by_quadrature():
         for m in range(0, 8):
             for n in range(m + 1, 9):
                 integral, _ = scipy.integrate.quad(
-                    lambda x: jacobi_poly(m, a, b)(x) * jacobi_poly(n, a, b)(x),
+                    lambda x: jacobi_poly(m, a, b)(1.0 + x) * jacobi_poly(n, a, b)(1.0 + x),
                     -1.0, 1.0, weight="alg", wvar=(b, a), epsabs=1e-12,
                 )
                 assert abs(integral) <= 1e-9
 
 
+def test_jacobi_near_minus_one_keeps_relative_precision():
+    # b = -1 puts a root of P_n on x = -1, where the slope gives
+    # P_n^(a,-1) = (-1)^(n-1) (n+a)/2 y (1 + O(n^2 y)) in y = 1 + x; a
+    # recurrence in x reads 1 + x with an absolute error of ~1e-16 there
+    for n in range(1, 12):
+        for a in (1e-3, 0.7, 5.0, 40.0):
+            for y in (1e-300, 1e-100, 1e-15):
+                expect = (-1) ** (n - 1) * 0.5 * (n + a) * y
+                assert jacobi_poly(n, a, -1.0)(y) == pytest.approx(expect, rel=1e-12)
+
+
 def test_jacobi_array_input():
-    x = np.linspace(-1, 1, 17)
-    arr = jacobi_poly(6, 1.2, 0.3)(x)
-    scalars = np.array([jacobi_poly(6, 1.2, 0.3)(xi) for xi in x])
+    y = 1.0 + np.linspace(-1, 1, 17)
+    arr = jacobi_poly(6, 1.2, 0.3)(y)
+    scalars = np.array([jacobi_poly(6, 1.2, 0.3)(yi) for yi in y])
     np.testing.assert_allclose(arr, scalars, rtol=1e-15)
 
 
 def test_jacobi_domain():
     with pytest.raises(ValueError):
-        jacobi_poly(-1, 0.0, 0.0)(0.5)
+        jacobi_poly(-1, 0.0, 0.0)(1.5)
     # (s-1) s (s-2) overflows in A_2, so P_2 came out nan at every x
     with pytest.raises(ValueError, match="^Jacobi recurrence of P_2.* outside the float range$"):
         jacobi_poly(2, 1e120, -1.0)
-    assert math.isfinite(jacobi_poly(1, 1e120, -1.0)(0.5))
+    assert math.isfinite(jacobi_poly(1, 1e120, -1.0)(1.5))

@@ -1,10 +1,13 @@
-"""The public names other code looks up by name resolve.
+"""The public names are pinned, and those other code looks up by name
+resolve.
 
-The benchmark's tracer wraps every callable in each module's __all__ by
-getattr, so a name left in __all__ after its definition is deleted
-breaks it; every package-level name must be a listed public name of the
-module that defines it.  `import hulthen` and the closed-form CLI path
-load no numpy; the names of the numpy modules resolve on first access.
+Each module's __all__ is pinned as an exact set, so a name is added or
+removed only with a change here.  The benchmark's tracer wraps every
+callable in each module's __all__ by getattr, so a name left in __all__
+after its definition is deleted breaks it; every package-level name must
+be a listed public name of the module that defines it.  `import hulthen`
+and the closed-form CLI path load no numpy; the names of the numpy
+modules resolve on first access.
 """
 
 import os
@@ -20,6 +23,33 @@ from hulthen import expectation, model, oracle, specfun
 from hulthen.cli import main
 
 SRC = str(Path(hulthen.__file__).parents[1])
+
+
+PUBLIC = {
+    specfun: {"jacobi_poly"},
+    model: {"PotentialParams", "QuantumNumbers", "BoundState", "Level", "NoBoundState",
+            "RadialSamples", "potential", "centrifugal_approx", "energy", "level", "spectrum",
+            "coulomb_limit_energy", "normalization_constant", "wavefunction_samples",
+            "default_grid"},
+    expectation: {"QuadratureError", "ExpectationReport", "expectation_report"},
+    oracle: {"OracleError", "BracketError", "ConvergenceError", "NodeCountError",
+             "ShootingConfig", "OracleResult", "default_config", "solve_exact",
+             "count_bound_states"},
+}
+
+
+@pytest.mark.parametrize("mod", list(PUBLIC), ids=lambda m: m.__name__)
+def test_module_all_is_pinned(mod):
+    assert len(mod.__all__) == len(set(mod.__all__))
+    assert set(mod.__all__) == PUBLIC[mod]
+
+
+def test_package_all_is_pinned():
+    # model's names, then those of the two submodules served on first access
+    public = hulthen.__all__
+    assert len(public) == len(set(public)) == 27
+    assert public[:len(model.__all__)] == model.__all__
+    assert set(public) == PUBLIC[model] | PUBLIC[expectation] | PUBLIC[oracle]
 
 
 @pytest.mark.parametrize("mod", [specfun, model, expectation, oracle],
