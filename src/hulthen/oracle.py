@@ -10,23 +10,44 @@ integration runs on a uniform grid in x = ln(r): substituting U = sqrt(r) y
 turns the equation into y''(x) = [r^2 W(r) + 1/4] y(x), which stays
 resolvable near the Coulomb singularity at the origin without millions of
 linear-grid points.  The scheme is Numerov (fourth order in the step), with
-y = 0 at r_max, on a 24000-point grid (_STEPS).
+y = 0 at r_max.
+
+solve_exact chooses its grid by its error.  Its grids have 3000 * 2^j + 1
+points, each every other point of the next, and the coarsest is the first
+on which T = h^2 g/12 <= 1/2 at the bracket's lower end, since past T = 1
+the Sturm counts below include spurious nodes.  The level is converged on
+grids N/2 and N, and N doubles while the Richardson estimate
+|E_N - E_N/2|/15 of the O(h^4) error exceeds half the tolerance; the solve
+returns E_N + (E_N - E_N/2)/15.  A doubling that shrinks the estimate by
+less than 4 shows an error that is not O(h^4), such as rounding, and a
+grid past 96000 steps (_MAX_STEPS) is not marched: both raise
+ConvergenceError, as no unchecked energy is returned.  count_bound_states
+marches a fixed 24000-point grid (_STEPS).
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
 R_i = F_{i+1}/F_i obey R_i = U_i - 1/R_{i-1}, U_i = (2 + 10 T_i)/(1 - T_i),
 and cannot overflow.  They are the pivots of the tridiagonal Numerov
 matrix, so the number of negative R_i counts the grid levels below E (a
-Sturm count).  A solve starts at the bracket midpoint and moves E by
-Cooley's matching-point correction (Math. Comp. 15, 363 (1961)) from an
-outward and an inward march that meet at the last classical turning point;
-their Sturm count shrinks the bracket, and a step that leaves it is
-replaced by bisection.  Once the correction is below a quarter of the
-tolerance, counts at E -/+ tolerance/2 certify the level.  A count inside
-the bracket proves its upper end if it lies above the target and its lower
-end if not; an end no count has proven is marched on its own only where
+Sturm count).  solve_exact carries them as D_i = R_i - 1 and U_i as
+W_i = U_i - 2, which keeps the digits that hold the energy, and starts its
+marches on the regular branch to third order in r, with the energy in it
+(_log_grid); count_bound_states, whose count at E ~ 0 needs neither,
+marches R from a first-order start.
+
+A solve starts at the bracket midpoint and moves E by Cooley's
+matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
+an inward march that meet at the last classical turning point; their Sturm
+count shrinks the bracket, and a step that leaves it is replaced by
+bisection.  A grid's level is converged once the correction
+is below a quarter of the tolerance; the verdict comes from counts on the
+final grid alone, at E -/+ tolerance/2 around the extrapolated energy.  A
+count inside the bracket proves its upper end if it lies above the target
+and its lower end if not; counts on one grid prove nothing on another, and
+an end no count on the grid has proven is marched on its own only where
 the solve needs it: when it first falls back to bisection, and before it
-returns or fails.  A solve makes at most 300 Cooley passes (_MAX_PASSES).
+certifies or fails.  A solve makes at most 300 Cooley passes over all its
+grids (_MAX_PASSES).
 
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
@@ -66,16 +87,23 @@ class BracketError(OracleError):
 
 
 class ConvergenceError(OracleError):
-    """The tolerance cannot be reached: finer than the float spacing, or not
-    within 300 Cooley passes (_MAX_PASSES)."""
+    """The tolerance cannot be reached: finer than the float spacing, not
+    within 300 Cooley passes (_MAX_PASSES), not on a grid of at most 96000
+    steps (_MAX_STEPS), or with an error estimate that stops shrinking as
+    O(h^4); or the final grid's counts do not certify the extrapolated
+    level."""
 
 
 class NodeCountError(OracleError):
     """The converged eigenfunction has the wrong number of interior nodes."""
 
 
-# points of the ln(r) grid of solve_exact and count_bound_states
+# points of the ln(r) grid of count_bound_states
 _STEPS = 24000
+# steps (points - 1) of the coarsest grid solve_exact may march, and of the
+# finest
+_MIN_STEPS = 3000
+_MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
 _MAX_PASSES = 300
 
@@ -84,8 +112,8 @@ _MAX_PASSES = 300
 class ShootingConfig:
     """Inputs of one solve_exact call.
 
-    r_min, r_max: the ends of the 24000-point ln(r) grid (_STEPS points),
-        0 < r_min < r_max < inf.
+    r_min, r_max: the ends of every ln(r) grid of the solve, 0 < r_min <
+        r_max < inf; the solve chooses the number of points.
     energy_bracket: (E_lo, E_hi) with E_lo < E_hi <= 0, which must straddle
         the target level.
     tolerance: the width of the certified window (the level lies within
@@ -117,17 +145,23 @@ class ShootingConfig:
 @dataclass(frozen=True)
 class OracleResult:
     """energy is the level and residual the half-width of an interval around
-    it that node counts prove to hold the level: the Sturm count is at most
-    node_count at energy - residual and above it at energy + residual.
-    shots is the number of passes over the grid the solve made: its Cooley
-    passes plus its Sturm marches (the two of the certificate, and one at
-    each bracket end that no count had proven)."""
+    it that node counts on the final grid, of `points` points, prove to hold
+    that grid's level: the Sturm count is at most node_count at energy -
+    residual and above it at energy + residual.  error_estimate is the
+    Richardson estimate |E_N - E_N/2|/15 of the final grid's discretization
+    error, at most residual.  shots is the number of passes over a grid the
+    solve made on all its grids: its Cooley passes plus its Sturm marches
+    (the two of the certificate, and one at each bracket end that no count
+    on its grid had proven).  converged is always True: a solve that does
+    not converge raises."""
 
     energy: float
     node_count: int
     converged: bool
     residual: float
     shots: int
+    error_estimate: float
+    points: int
 
 
 def default_config(
@@ -204,9 +238,36 @@ def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: 
 
 
 def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
-    """The grid of _log_coeffs as (h, P, Q, y1), with P and Q on all n points."""
-    h, coeffs, y1 = _log_coeffs(params, l, r_min, r_max, n)
-    return (h, *coeffs(0, n), y1)
+    """The grid of _log_coeffs as (h, P, Q, start) for solve_exact, with P
+    and Q on all n points and start(E) the y_1 - 1 of a march at E (y_0 = 1).
+
+    start follows the regular branch y = r^s (1 + a_1 r + a_2 r^2 + a_3 r^3),
+    s = |v-1|/2, to third order: with r^2 c (V - E) = g_1 r + g_2 r^2 +
+    g_3 r^3 + ..., k (2s + k) a_k = g_1 a_{k-1} + ... + g_k.  With the
+    first-order start of _log_coeffs, which the count of count_bound_states
+    needs no more than, levels moved by ~r_min^2: at s = 0 (D = 2, l = 0)
+    the other branch, y ~ ln r, does not die out outward, and at Z = 3.61,
+    mu = 0.41, hbar = 0.51, alpha = 0.068 the ground state moved by 4.6e-6
+    when r_min shrank 100-fold, and its energy converged only as O(h).
+    """
+    h, coeffs, _ = _log_coeffs(params, l, r_min, r_max, n)
+    s = abs(model._angular_v(l, params.D) - 1) / 2.0
+    c = 2.0 * params.mu / params.hbar**2
+    g1, g3 = -c * params.Z, -c * params.Z * params.alpha**2 / 12.0
+    r0, r1 = r_min, r_min * math.exp(h)
+
+    def start(energy_val):
+        g2 = c * (0.5 * params.Z * params.alpha - energy_val)
+        a1 = g1 / (2.0 * s + 1.0)
+        a2 = (g1 * a1 + g2) / (2.0 * (2.0 * s + 2.0))
+        a3 = (g1 * a2 + g2 * a1 + g3) / (3.0 * (2.0 * s + 3.0))
+        f0 = 1.0 + r0 * (a1 + r0 * (a2 + r0 * a3))
+        f1 = 1.0 + r1 * (a1 + r1 * (a2 + r1 * a3))
+        # y_1 - 1 = (e^{hs} f1 - f0)/f0, without the cancellation
+        df = (r1 - r0) * (a1 + a2 * (r1 + r0) + a3 * (r1 * r1 + r1 * r0 + r0 * r0))
+        return (math.expm1(h * s) * f1 + df) / f0
+
+    return (h, *coeffs(0, n), start)
 
 
 def _numerov(h, p_arr, q_arr, energy_val):
@@ -245,57 +306,96 @@ def _sturm_count(h, y1, blocks, energy_val) -> int:
     return nodes
 
 
-def _march(grid, energy_val) -> int:
-    """Sturm count at energy_val on a (h, P, Q, y1) grid of _log_grid."""
-    h, p_arr, q_arr, y1 = grid
-    return _sturm_count(h, y1, [(p_arr[:-1], q_arr[:-1])], energy_val)
+# D after a pivot R = 0: R = -inf in _sturm_count, and the next
+# D/(1 + D) rounds to 1, as the next 1/R does to 0
+_D_AFTER_ZERO = -1e300
 
 
-def _ratios(u_seq, r):
-    """r, then R = U - 1/R for each U of u_seq, as in _sturm_count (outward
-    R_i = F_{i+1}/F_i, or inward F_{i-1}/F_i).
+def _offsets(h, p_arr, q_arr, energy_val):
+    """T_i = h^2 g_i / 12 (an array) and W_i = U_i - 2 = 12 T_i/(1 - T_i) (a
+    memoryview) at one energy."""
+    t = (h * h / 12.0) * (p_arr - energy_val * q_arr)
+    return t, memoryview(12.0 * t / (1.0 - t))
 
-    _sturm_count keeps its own loop: counting in place takes about two
-    thirds of the time of draining this generator, and it runs four times a
-    solve.
+
+def _d0(t, dy1):
+    """D_0 = R_0 - 1 from dy1 = y_1 - 1, where R_0 = F_1/F_0 and F_i = (1 -
+    T_i) y_i."""
+    return float(((1.0 - t[1]) * dy1 + (t[0] - t[1])) / (1.0 - t[0]))
+
+
+def _deviations(w_seq, d):
+    """d, then D = W + D/(1 + D) for each W of w_seq: the pivots R = U - 1/R
+    of _sturm_count as D = R - 1 (outward R_i = F_{i+1}/F_i, or inward
+    F_{i-1}/F_i).
+
+    Where y is smooth R is near 1 and U near 2, and the energy sits in
+    their small parts, which R and U round off: a level marched as R moves
+    by up to ~eps |E|/h^2, 6.3e-9 at E = -14.4 on a 96001-point grid, and
+    more on each halving of h.  D and W keep their relative precision.
+    solve_exact marches D alone, so its Cooley passes and its counts see
+    the same levels.
     """
-    yield r
-    for u_i in u_seq:
+    yield d
+    for w_i in w_seq:
         try:
-            r = u_i - 1.0 / r
+            d = w_i + d / (1.0 + d)
+        except ZeroDivisionError:  # F_i = 0 exactly, so F_{i+1} = -F_{i-1}
+            d = _D_AFTER_ZERO
+        yield d
+
+
+def _march(grid, energy_val) -> int:
+    """Sturm count at energy_val on a (h, P, Q, start) grid of _log_grid: the
+    pivots R_i = 1 + D_i of _deviations below 0, over grid points 1 .. n-2.
+
+    It keeps its own loop: counting in place takes about two thirds of the
+    time of draining _deviations.
+    """
+    h, p_arr, q_arr, start = grid
+    t, w = _offsets(h, p_arr[:-1], q_arr[:-1], energy_val)
+    d = _d0(t, start(energy_val))
+    nodes = 0
+    for w_i in w[1:]:
+        try:
+            d = w_i + d / (1.0 + d)
         except ZeroDivisionError:
-            r = -math.inf
-        yield r
+            d = _D_AFTER_ZERO
+        if d < -1.0:
+            nodes += 1
+    return nodes
 
 
 def _cooley(grid, energy_val):
     """Sturm count and Cooley's energy correction dE at energy_val.
 
     R_i = F_{i+1}/F_i is marched outward to the last classical turning
-    point m (g_m < 0) and S_i = F_{i-1}/F_i inward from F = 0 at r_max.
-    Joined at F_m = 1, the two solutions miss the Numerov equation at m by
-    gamma = U_m - 1/R_{m-1} - 1/S_{m+1}, the twisted pivot of the Numerov
-    matrix: the negative R, S and gamma add up to the Sturm count, and
-    dE = gamma / (c_m h^2 sum Q y^2) with c = 1 - T and y = F/c.
+    point m (g_m < 0) and S_i = F_{i-1}/F_i inward from F = 0 at r_max, both
+    as D = R - 1 (_deviations).  Joined at F_m = 1, the two solutions miss
+    the Numerov equation at m by gamma = U_m - 1/R_{m-1} - 1/S_{m+1} =
+    W_m + D_{m-1}/(1 + D_{m-1}) + D_{m+1}/(1 + D_{m+1}), the twisted pivot
+    of the Numerov matrix: the negative R, S and gamma add up to the Sturm
+    count, and dE = gamma / (c_m h^2 sum Q y^2) with c = 1 - T and y = F/c.
     """
-    h, p_arr, q_arr, y1 = grid
-    t, u = _numerov(h, p_arr, q_arr, energy_val)
-    r0 = _r0(t, y1)
+    h, p_arr, q_arr, start = grid
+    t, w = _offsets(h, p_arr, q_arr, energy_val)
     n = t.size
     allowed = np.flatnonzero(t < 0.0)
     m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
-    # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}
-    r_out = np.fromiter(_ratios(u[1:m], r0), float, m)
-    s_in = np.fromiter(_ratios(u[n - 3 : m : -1], u[n - 2]), float, n - 2 - m)
+    # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}, less 1; S_{n-2} = U_{n-2}
+    d_out = np.fromiter(_deviations(w[1:m], _d0(t, start(energy_val))), float, m)
+    d_in = np.fromiter(_deviations(w[n - 3 : m : -1], w[n - 2] + 1.0), float, n - 2 - m)
     with np.errstate(all="ignore"):
-        gamma = u[m] - 1.0 / r_out[-1] - 1.0 / s_in[-1]
+        gamma = w[m] + d_out[-1] / (1.0 + d_out[-1]) + d_in[-1] / (1.0 + d_in[-1])
         c = 1.0 - t
-        w = q_arr / (c * c)
-        f_out = np.cumprod(1.0 / r_out[::-1])  # F_{m-1} .. F_0
-        f_in = np.cumprod(1.0 / s_in[::-1])  # F_{m+1} .. F_{n-2}
-        norm = w[m] + w[m - 1 :: -1] @ (f_out * f_out) + w[m + 1 : n - 1] @ (f_in * f_in)
+        weight = q_arr / (c * c)
+        f_out = np.cumprod(1.0 / (1.0 + d_out[::-1]))  # F_{m-1} .. F_0
+        f_in = np.cumprod(1.0 / (1.0 + d_in[::-1]))  # F_{m+1} .. F_{n-2}
+        norm = (weight[m] + weight[m - 1 :: -1] @ (f_out * f_out)
+                + weight[m + 1 : n - 1] @ (f_in * f_in))
         step = float(gamma / (c[m] * h * h * norm))
-    nodes = np.count_nonzero(r_out[1:] < 0.0) + np.count_nonzero(s_in < 0.0) + (gamma < 0.0)
+    nodes = (np.count_nonzero(d_out[1:] < -1.0) + np.count_nonzero(d_in < -1.0)
+             + (gamma < 0.0))
     return int(nodes), step
 
 
@@ -304,29 +404,39 @@ def solve_exact(
 ) -> OracleResult:
     """Eigenvalue of the exact radial problem with the given node count.
 
+    The grids run from cfg.r_min to cfg.r_max with 3000 * 2^j + 1 points
+    (_MIN_STEPS * 2^j steps), so that each grid is every other point of the
+    next.  The coarsest is the first on which T = h^2 g/12 <= 1/2 for every
+    g = P - E_lo Q, so that its Sturm counts count levels; the level is
+    converged on it and then on each grid of twice its steps, until the
+    Richardson estimate |E_N - E_N/2|/15 is at most tolerance/2.  The
+    returned energy is E_N + (E_N - E_N/2)/15, certified by counts on the
+    final grid alone.
+
     Raises BracketError when the bracket does not straddle the target
-    eigenvalue, found when the solve first falls back to bisection or
-    before it returns or fails (an end is marched on its own only if no
-    count of the solve has proven it); ConvergenceError when the tolerance
-    is finer than the float spacing of the bracket energies or the solve
-    takes more than 300 Cooley passes (_MAX_PASSES); NodeCountError if the
-    certified level has the wrong node count.  The grid has 24000 points
-    (_STEPS) from cfg.r_min to cfg.r_max.
+    eigenvalue on a grid, found when the solve first falls back to
+    bisection there or before it certifies or fails (an end is marched on
+    its own only if no count of the solve on that grid has proven it);
+    NodeCountError if the certified level has the wrong node count; and
+    ConvergenceError when the tolerance is finer than the float spacing of
+    the bracket energies, the solve takes more than 300 Cooley passes over
+    all grids (_MAX_PASSES), a grid would pass 96000 steps (_MAX_STEPS),
+    the estimate shrinks by less than 4 on a doubling (an error that is not
+    O(h^4)), or the final grid's level lies outside the certified window.
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
     k = int(target_nodes)
-    e_lo, e_hi = cfg.energy_bracket
     tol = cfg.tolerance
-    if tol < 4.0 * math.ulp(e_lo):
+    if tol < 4.0 * math.ulp(cfg.energy_bracket[0]):
         raise ConvergenceError(
             f"tolerance {tol!r} is below 4 float spacings of the bracket energy "
-            f"{e_lo!r}"
+            f"{cfg.energy_bracket[0]!r}"
         )
-    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, _STEPS)
-    # the Sturm count at each end of the bracket, None until a count proves it
-    nodes_lo = nodes_hi = None
-    shots = 0
+    # the grid being solved and the Sturm count at each end of its bracket,
+    # None until a count on that grid proves it
+    grid = e_lo = e_hi = nodes_lo = nodes_hi = None
+    passes = shots = 0
 
     def march_ends():
         # an end no count has proven is still at its energy from cfg
@@ -362,45 +472,97 @@ def solve_exact(
                 f"float resolution of the march"
             )
 
-    e_val = 0.5 * (e_lo + e_hi)
-    passes = 0
-    while e_hi - e_lo > tol:
-        if passes >= _MAX_PASSES:
-            march_ends()
-            raise ConvergenceError(
-                f"no level to {tol!r} within {_MAX_PASSES} passes "
-                f"(bracket width {e_hi - e_lo!r})"
-            )
-        passes += 1
-        nodes, step = _cooley(grid, e_val)
-        shots += 1
-        narrow(e_val, nodes)
-        e_val += step
-        if not e_lo < e_val < e_hi:
-            march_ends()
-            e_val = 0.5 * (e_lo + e_hi)
-        elif abs(step) <= 0.25 * tol:
-            lo, hi = e_val - 0.5 * tol, e_val + 0.5 * tol
-            n_lo, n_hi = _march(grid, lo), _march(grid, hi)
-            shots += 2
-            # inside the bracket these counts prove its ends as well
-            narrow(lo, n_lo)
-            narrow(hi, n_hi)
-            march_ends()
-            if n_lo <= k < n_hi:
-                if n_lo != k:
-                    raise NodeCountError(
-                        f"certified level has {n_lo} interior nodes, expected {k}"
-                    )
-                return OracleResult(e_val, n_lo, True, 0.5 * tol, shots)
-            e_val = 0.5 * (e_lo + e_hi)
+    def converge(new_grid, e_val):
+        """The level of new_grid by Cooley passes from e_val, once a
+        correction is below a quarter of the tolerance (or the midpoint of
+        a bracket its counts close to the tolerance)."""
+        nonlocal grid, e_lo, e_hi, nodes_lo, nodes_hi, passes, shots
+        grid = new_grid
+        (e_lo, e_hi), nodes_lo, nodes_hi = cfg.energy_bracket, None, None
+        while e_hi - e_lo > tol:
+            if passes >= _MAX_PASSES:
+                march_ends()
+                raise ConvergenceError(
+                    f"no level to {tol!r} within {_MAX_PASSES} passes "
+                    f"(bracket width {e_hi - e_lo!r})"
+                )
+            passes += 1
+            nodes, step = _cooley(grid, e_val)
+            shots += 1
+            narrow(e_val, nodes)
+            e_val += step
+            # a step below the float spacing leaves e_val on the end its
+            # count just proved
+            if abs(step) <= 0.25 * tol and e_lo <= e_val <= e_hi:
+                return e_val
+            if not e_lo < e_val < e_hi:
+                march_ends()
+                e_val = 0.5 * (e_lo + e_hi)
+        return 0.5 * (e_lo + e_hi)
 
+    steps, coarsest = _coarsest_grid(params, l, cfg)
+    coarse = converge(coarsest, 0.5 * sum(cfg.energy_bracket))
+    last = None
+    while True:
+        steps *= 2
+        fine = converge(_log_grid(params, l, cfg.r_min, cfg.r_max, steps + 1), coarse)
+        estimate = abs(fine - coarse) / 15.0
+        if estimate <= 0.5 * tol:
+            break
+        where = f"error estimate {estimate:.3g} of the {steps + 1}-point grid"
+        if last is not None and estimate > 0.25 * last:
+            raise ConvergenceError(
+                f"{where} shrank by less than 4 from {last:.3g}: the error is "
+                f"not O(h^4) at the tolerance {tol!r}"
+            )
+        if 2 * steps > _MAX_STEPS:
+            raise ConvergenceError(
+                f"{where} is above half the tolerance {tol!r}, and a finer grid "
+                f"would pass {_MAX_STEPS} steps"
+            )
+        coarse, last = fine, estimate
+
+    energy_val = fine + (fine - coarse) / 15.0
+    lo, hi = energy_val - 0.5 * tol, energy_val + 0.5 * tol
+    n_lo, n_hi = _march(grid, lo), _march(grid, hi)
+    shots += 2
+    # inside the bracket these counts prove its ends as well
+    narrow(lo, n_lo)
+    narrow(hi, n_hi)
     march_ends()
-    if nodes_lo != k:
-        raise NodeCountError(
-            f"converged eigenfunction has {nodes_lo} interior nodes, expected {k}"
+    if not n_lo <= k < n_hi:
+        raise ConvergenceError(
+            f"the level of the {steps + 1}-point grid lies outside E={energy_val!r} "
+            f"-/+ {0.5 * tol!r} (node counts {n_lo} and {n_hi})"
         )
-    return OracleResult(0.5 * (e_lo + e_hi), nodes_lo, True, 0.5 * (e_hi - e_lo), shots)
+    if n_lo != k:
+        raise NodeCountError(f"certified level has {n_lo} interior nodes, expected {k}")
+    return OracleResult(energy_val, n_lo, True, 0.5 * tol, shots, estimate, steps + 1)
+
+
+def _coarsest_grid(params: PotentialParams, l: int, cfg: ShootingConfig):
+    """(steps, grid) of the fewest steps _MIN_STEPS * 2^j on which T = h^2 g/12 <=
+    1/2 for every g = P - E_lo Q: finer grids only lower T, and past T = 1
+    the pivots turn negative between levels, so the counts of a coarser
+    grid count spurious nodes.  ConvergenceError, before any march, when
+    the grid of twice those steps would pass _MAX_STEPS."""
+    e_lo = cfg.energy_bracket[0]
+    steps = _MIN_STEPS
+    while True:
+        grid = _log_grid(params, l, cfg.r_min, cfg.r_max, steps + 1)
+        h, p_arr, q_arr, _ = grid
+        with np.errstate(over="ignore"):
+            t_max = h * h * float(np.max(np.abs(p_arr - e_lo * q_arr))) / 12.0
+        if t_max <= 0.5:
+            return steps, grid
+        # T falls as h^2: skip to the first grid where it should pass
+        if not steps * math.sqrt(2.0 * t_max) <= 0.5 * _MAX_STEPS:
+            raise ConvergenceError(
+                f"T = h^2 g/12 reaches {t_max:.3g} at E={e_lo!r} on the "
+                f"{steps + 1}-point grid: counts need T <= 1/2 on both grids of "
+                f"the first doubling, and the finer may not pass {_MAX_STEPS} steps"
+            )
+        steps <<= max(1, math.ceil(0.5 * math.log2(2.0 * t_max)))
 
 
 def count_bound_states(params: PotentialParams, l: int = 0) -> int:

@@ -21,7 +21,7 @@ from hulthen import (
     spectrum,
 )
 from hulthen.cli import main
-from hulthen.oracle import _BLOCK, _log_coeffs, _log_grid, _march
+from hulthen.oracle import _BLOCK, _cooley, _deviations, _log_coeffs, _log_grid, _march
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 
@@ -82,18 +82,20 @@ def test_exact_s_wave_anchor():
     assert res.node_count == 0
     assert res.residual <= cfg.tolerance
     assert res.energy == pytest.approx(-0.4753125, rel=1e-6)
-    # one Cooley pass and the two certificate marches; its counts prove
-    # both bracket ends, so neither is marched on its own
-    assert res.shots == 3
+    # one Cooley pass on each of the 3001- and 6001-point grids and the two
+    # certificate marches; on the final grid its counts prove both bracket
+    # ends, so neither is marched on its own
+    assert res.points == 6001
+    assert res.shots == 4
 
 
 def _plain_numerov_nodes(grid, energy_val):
     # reference: march y itself and count its sign changes, rescaling the
     # growing tail so it cannot overflow
-    h, p_arr, q_arr, y1 = grid
+    h, p_arr, q_arr, start = grid
     h12 = h * h / 12.0
     c = [1.0 - h12 * (p - energy_val * q) for p, q in zip(p_arr.tolist(), q_arr.tolist())]
-    y_prev, y_cur = 1.0, y1
+    y_prev, y_cur = 1.0, 1.0 + start(energy_val)
     nodes = 0
     for i in range(1, len(c) - 1):
         y_next = ((12.0 - 10.0 * c[i]) * y_cur - c[i - 1] * y_prev) / c[i + 1]
@@ -112,6 +114,15 @@ def test_ratio_march_matches_plain_numerov(dim, l, alpha):
     grid = _log_grid(params, l, 1e-6 / alpha, 40.0 / alpha, 6000)
     for energy_val in (-0.6, -0.1, -0.03, -0.01, -1e-3, -1e-6):
         assert _march(grid, energy_val) == _plain_numerov_nodes(grid, energy_val)
+
+
+def test_deviation_march_passes_an_exact_zero_pivot():
+    # R = 0 (D = -1) makes the next R = -inf, a node, and the one after it
+    # R = U, as the ratio march R = U - 1/R gives
+    w1, w2 = 0.25, 0.125
+    d = list(_deviations([w1, w2], -1.0))
+    assert d[1] < -1.0
+    assert d[2] == w2 + 1.0
 
 
 def test_grid_blocks_match_whole_grid():
@@ -136,11 +147,11 @@ def test_streamed_count_matches_whole_grid(monkeypatch, steps):
 
 
 def _certified(params, l, k, cfg, res):
-    # fresh marches at E -/+ residual bracket k, and so do marches at the
-    # ends of the configured bracket: the solve skips those marches when its
-    # counts prove the ends, so a level must never solve from a bracket that
-    # does not straddle it
-    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, oracle._STEPS)
+    # fresh marches on the final grid at E -/+ residual bracket k, and so do
+    # marches at the ends of the configured bracket: the solve skips those
+    # marches when its counts prove the ends, so a level must never solve
+    # from a bracket that does not straddle it
+    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, res.points)
     below = _march(grid, res.energy - res.residual)
     above = _march(grid, res.energy + res.residual)
     e_lo, e_hi = cfg.energy_bracket
@@ -183,18 +194,36 @@ def test_levels_solve_only_from_straddling_brackets(dim, l, alpha, n):
     assert res.node_count == k
     assert _certified(params, l, k, cfg, res)
     if (dim, l, alpha, n) == (5, 1, 0.05, 1):
-        # five Cooley passes and the two certificate marches
-        assert res.shots == 7
+        # five Cooley passes on the 3001-point grid, one on the 6001-point
+        # grid and the two certificate marches
+        assert res.shots == 8
 
 
-def test_certificate_counts_both_sides_afresh():
-    # the Cooley count flips ~7.5e-13 below the march count here, so a
-    # certificate that reused the last Cooley count for one side would
-    # certify a level the marches put outside its window
+def test_certificate_counts_both_sides_afresh(monkeypatch):
+    # a Cooley count comes from two marches joined at a turning point, and
+    # at a tolerance this tight it can disagree with a march near the level;
+    # a certificate that reused it for one side could certify a level the
+    # marches put outside its window, so both sides are fresh marches on
+    # the final grid, after its last Cooley pass
+    calls = []
+
+    def spy(name, func):
+        def wrapper(grid, energy_val):
+            calls.append((name, grid[1].size, energy_val))
+            return func(grid, energy_val)
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    spy("_cooley", _cooley)
+    spy("_march", _march)
     params = PotentialParams(Z=1.0, alpha=0.2)
     cfg = default_config(params, QuantumNumbers(0, 0), tolerance=1e-12)
-    with pytest.raises(ConvergenceError, match="^node counts disagree"):
-        solve_exact(params, 0, 0, cfg)
+    res = solve_exact(params, 0, 0, cfg)
+    # gamma = 0: the closed form -0.405 is the exact level
+    assert abs(res.energy + 0.405) <= cfg.tolerance
+    last_pass = max(i for i, call in enumerate(calls) if call[0] == "_cooley")
+    assert calls[last_pass][1] == res.points
+    for side in (res.energy - res.residual, res.energy + res.residual):
+        assert ("_march", res.points, side) in calls[last_pass + 1:]
 
 
 def test_convergence_errors(monkeypatch):
@@ -202,8 +231,9 @@ def test_convergence_errors(monkeypatch):
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-30)
     with pytest.raises(ConvergenceError):
         solve_exact(ANCHOR, 0, 0, cfg)
-    # from the default bracket one corrector pass already certifies the
-    # level; this wider one needs five, so a single pass cannot converge
+    # from the default bracket one corrector pass per grid converges the
+    # level; this wider one needs five on the first grid, so a single pass
+    # cannot converge
     wide = ShootingConfig(r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=(-1.0, -0.3))
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_MAX_PASSES", 1)
@@ -245,13 +275,101 @@ def test_eigenvalue_ordering():
     assert energies[0] < energies[1] < energies[2]
 
 
-def test_grid_refinement_contract(monkeypatch):
+def test_grid_refinement_contract():
+    # the energy is the Richardson extrapolation of the levels of the final
+    # grid and of every other point of it, and they differ by 15 times the
+    # estimate; the grid of every fourth point differs from the middle one
+    # about 16 times as much, as an O(h^4) error does
+    params = PotentialParams(Z=1.0, alpha=0.002, D=3)
+    qn = QuantumNumbers(20, 0)
+    cfg = default_config(params, qn)
+    res = solve_exact(params, 0, level(params, qn).nodes, cfg)
+    assert res.points == 12001
+    assert res.error_estimate <= res.residual
+    levels = []
+    for points in (12001, 6001, 3001):
+        grid = _log_grid(params, 0, cfg.r_min, cfg.r_max, points)
+        e_val = res.energy
+        for _ in range(3):
+            e_val += _cooley(grid, e_val)[1]
+        levels.append(e_val)
+    e_n, e_half, e_quarter = levels
+    assert abs(e_n - e_half) / 15.0 == pytest.approx(res.error_estimate, rel=1e-3)
+    assert abs(res.energy - e_n) == pytest.approx(res.error_estimate, rel=1e-3)
+    assert 8.0 < (e_quarter - e_half) / (e_half - e_n) < 32.0
+
+
+@pytest.mark.parametrize("dim,l,n,alpha", [
+    (3, 0, 0, 0.05), (3, 0, 0, 0.2), (3, 0, 3, 0.05),
+    (1, 0, 21, 1e-3), (1, 1, 20, 1e-3), (1, 1, 2, 0.05),
+])
+def test_exact_levels_within_error_estimate(dim, l, n, alpha):
+    # gamma = 0, so the closed form is the exact level
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    cfg = default_config(params, qn)
+    res = solve_exact(params, l, level(params, qn).nodes, cfg)
+    assert res.error_estimate <= res.residual == 0.5 * cfg.tolerance
+    assert abs(res.energy - level(params, qn).energy) <= min(cfg.tolerance, res.error_estimate)
+
+
+def test_level_past_the_grid_cap_raises():
+    # T = h^2 g/12 reaches 1.25e3 on the 3001-point grid: counts need ~150000
+    # steps, past the 96000 of _MAX_STEPS.  A 24000-point grid counted 2124
+    # spurious nodes here
+    params = PotentialParams(Z=1.0, alpha=0.001)
+    cfg = default_config(params, QuantumNumbers(0, 0))
+    with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches 1.25e\+03 "):
+        solve_exact(params, 0, 0, cfg)
+
+
+def test_estimate_that_stops_shrinking_raises(monkeypatch):
+    # each grid's level drifts by 1e-18 N^2, as roundoff of the march did
+    # when it carried R rather than R - 1: the estimate grows on a doubling
+    # where an O(h^4) error shrinks it 16-fold, and no energy is returned
+    cooley = oracle._cooley
+
+    def drifting(grid, energy_val):
+        return cooley(grid, energy_val - 1e-18 * grid[1].size ** 2)
+
+    monkeypatch.setattr(oracle, "_cooley", drifting)
+    cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-12)
+    with pytest.raises(ConvergenceError, match="^error estimate .* of the 12001-point grid "
+                                               "shrank by less than 4 from "):
+        solve_exact(ANCHOR, 0, 0, cfg)
+
+
+def test_d2_s_wave_level_does_not_depend_on_r_min():
+    # at D = 2, l = 0 the second branch y ~ ln r does not die out outward, so
+    # the start at r_min must follow the regular one closely.  With a
+    # first-order start this level (E = -41.13) moved by 4.6e-6 when r_min
+    # shrank 100-fold, and its grids' energies differed by ~1e-7, which read
+    # as a roundoff floor; a fixed 24000-point grid returned one unchecked
+    params = PotentialParams(Z=3.6079722523521016, mu=0.4100627265092216,
+                             hbar=0.5087195582253824, alpha=0.06844577643064836, D=2)
     qn = QuantumNumbers(0, 0)
-    cfg = default_config(ANCHOR, qn, tolerance=1e-9)
-    e_b = solve_exact(ANCHOR, 0, 0, cfg).energy
-    monkeypatch.setattr(oracle, "_STEPS", 12000)
-    e_a = solve_exact(ANCHOR, 0, 0, cfg).energy
-    assert abs(e_a - e_b) < 4.0 * 1e-9
+    cfg = default_config(params, qn)
+    k = level(params, qn).nodes
+    res = solve_exact(params, 0, k, cfg)
+    assert res.error_estimate <= res.residual
+    assert _certified(params, 0, k, cfg, res)
+    deeper = ShootingConfig(r_min=cfg.r_min / 100.0, r_max=cfg.r_max,
+                            energy_bracket=cfg.energy_bracket, tolerance=cfg.tolerance)
+    assert abs(solve_exact(params, 0, k, deeper).energy - res.energy) <= cfg.tolerance
+
+
+def test_level_past_t_one_on_a_fixed_grid_solves():
+    # T > 1 on a 24000-point grid gave spurious nodes and a false
+    # BracketError; the ladder starts on the 48001-point grid
+    params = PotentialParams(Z=4.274, mu=1.797, hbar=0.33, alpha=0.04291130432367441, D=4)
+    qn = QuantumNumbers(5, 0)
+    cfg = default_config(params, qn)
+    k = level(params, qn).nodes
+    res = solve_exact(params, 0, k, cfg)
+    assert res.points == 96001
+    assert res.node_count == k
+    assert res.error_estimate <= res.residual
+    assert _certified(params, 0, k, cfg, res)
 
 
 def test_bracket_error():

@@ -113,6 +113,13 @@ ARGV_SETS = [argv.split() for argv in (
     # levels the closed form brackets badly or that have no exact partner
     "validate --alpha 0.001",
     "validate --l 1 --alpha 0.4",
+    # a level that needs a grid past the cap of solve_exact, a D = 2 s-wave
+    # level that a first-order start moved by 4.6e-6, and a level that T > 1
+    # on a fixed 24000-point grid rejected with a false bracket complaint
+    "validate --alpha 0.0001 --n 5",
+    "validate --Z 3.6079722523521016 --mu 0.4100627265092216 --hbar 0.5087195582253824 "
+    "--alpha 0.06844577643064836 --dim 2",
+    "validate --Z 4.274 --mu 1.797 --hbar 0.33 --alpha 0.04291130432367441 --dim 4 --n 5",
 )]
 
 PLACEHOLDER = b"<src>"
