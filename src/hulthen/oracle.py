@@ -22,18 +22,16 @@ returns E_N + (E_N - E_N/2)/15.  A doubling that shrinks the estimate by
 less than 4 shows an error that is not O(h^4), such as rounding, and a
 grid past 96000 steps (_MAX_STEPS) is not marched: both raise
 ConvergenceError, as no unchecked energy is returned.  count_bound_states
-marches a fixed 24000-point grid (_STEPS).
+climbs the same grids until two successive counts agree.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
 R_i = F_{i+1}/F_i obey R_i = U_i - 1/R_{i-1}, U_i = (2 + 10 T_i)/(1 - T_i),
 and cannot overflow.  They are the pivots of the tridiagonal Numerov
 matrix, so the number of negative R_i counts the grid levels below E (a
-Sturm count).  solve_exact carries them as D_i = R_i - 1 and U_i as
-W_i = U_i - 2, which keeps the digits that hold the energy, and starts its
-marches on the regular branch to third order in r, with the energy in it
-(_log_grid); count_bound_states, whose count at E ~ 0 needs neither,
-marches R from a first-order start.
+Sturm count).  Every march carries them as D_i = R_i - 1 and U_i as
+W_i = U_i - 2, which keeps the digits that hold the energy, and starts on
+the regular branch to third order in r, with the energy in it (_log_grid).
 
 A solve starts at the bracket midpoint and moves E by Cooley's
 matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
@@ -52,9 +50,8 @@ grids (_MAX_PASSES).
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
 is the only code here that reads the level, for its grid, bracket and
-tolerance.  A grid whose coefficients are not finite raises OracleError
-before its points are marched, and so does a count in which every pivot
-is negative.
+tolerance.  A grid whose coefficients or start are not finite raises
+OracleError before its points are marched.
 """
 
 import math
@@ -91,17 +88,16 @@ class ConvergenceError(OracleError):
     within 300 Cooley passes (_MAX_PASSES), not on a grid of at most 96000
     steps (_MAX_STEPS), or with an error estimate that stops shrinking as
     O(h^4); or the final grid's counts do not certify the extrapolated
-    level."""
+    level.  For count_bound_states: no two successive grids of at most
+    96000 steps agree on the count."""
 
 
 class NodeCountError(OracleError):
     """The converged eigenfunction has the wrong number of interior nodes."""
 
 
-# points of the ln(r) grid of count_bound_states
-_STEPS = 24000
-# steps (points - 1) of the coarsest grid solve_exact may march, and of the
-# finest
+# steps (points - 1) of the coarsest grid a solve or count may march, and
+# of the finest
 _MIN_STEPS = 3000
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
@@ -190,69 +186,44 @@ def default_config(
     )
 
 
-# grid points per block of count_bound_states.  A block's arrays (32 kB)
-# are reused from the allocator's free lists; grid-sized temporaries were
-# handed back to the OS after each call and faulted in again by the next,
-# about 250 page faults a call.
-_BLOCK = 4096
-
-
-def _log_coeffs(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
-    """Uniform ln(r) grid of n points with the E-independent Numerov inputs.
-
-    Returns (h, coeffs, y1): coeffs(lo, hi) gives the arrays P and Q on grid
-    points lo .. hi-1, where g_i = P_i - E*Q_i is the coefficient of
-    y'' = g y, and y_0 = 1, y_1 = y1 start the march on the regular branch
-    y ~ r^{|v-1|/2} (1 + a r).  The Frobenius term a = -(2 mu Z/hbar^2) /
-    (|v-1| + 1) comes from the -Z/r core of V; without it the start leaves
-    an energy error of order r_min^2 that no step count removes.
-
-    coeffs raises OracleError naming the first radius where P or Q is not
-    finite: Q = c r^2 overflows towards r_max (once r >~ 1e154
-    hbar/sqrt(mu)), V towards r_min for a huge Z, and Q V in between.
-    """
-    gam = model._gamma_coeff(l, params.D)
-    v = model._angular_v(l, params.D)
-    c = 2.0 * params.mu / params.hbar**2
-    x0 = math.log(r_min)
-    h = (math.log(r_max) - x0) / (n - 1)
-
-    def coeffs(lo, hi):
-        radii = np.exp(x0 + h * np.arange(lo, hi))
-        # pot before q_arr: the other order made a solve fault in up to three
-        # times the pages (the grid's temporaries are handed back to the OS)
-        with np.errstate(all="ignore"):
-            pot = model.potential(radii, params)
-            q_arr = c * radii * radii
-            p_arr = gam + 0.25 + q_arr * pot
-        # V <= 0, so P is not finite wherever Q = c r^2 overflows
-        finite = np.isfinite(p_arr)
-        if not finite.all():
-            raise OracleError(
-                f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
-        return p_arr, q_arr
-
-    a = -c * params.Z / (abs(v - 1) + 1.0)
-    y1 = math.exp(h * abs(v - 1) / 2.0) * (1.0 + a * r_min * math.exp(h)) / (1.0 + a * r_min)
-    return h, coeffs, y1
-
-
 def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
-    """The grid of _log_coeffs as (h, P, Q, start) for solve_exact, with P
-    and Q on all n points and start(E) the y_1 - 1 of a march at E (y_0 = 1).
+    """Uniform ln(r) grid of n points as (h, P, Q, start): g_i = P_i - E*Q_i
+    is the coefficient of y'' = g y at grid point i, and start(E) is the
+    y_1 - 1 of a march at E (y_0 = 1).
+
+    Raises OracleError naming the first radius where P or Q is not finite:
+    Q = c r^2 overflows towards r_max (once r >~ 1e154 hbar/sqrt(mu)), V
+    towards r_min for a huge Z, and Q V in between.
 
     start follows the regular branch y = r^s (1 + a_1 r + a_2 r^2 + a_3 r^3),
     s = |v-1|/2, to third order: with r^2 c (V - E) = g_1 r + g_2 r^2 +
-    g_3 r^3 + ..., k (2s + k) a_k = g_1 a_{k-1} + ... + g_k.  With the
-    first-order start of _log_coeffs, which the count of count_bound_states
-    needs no more than, levels moved by ~r_min^2: at s = 0 (D = 2, l = 0)
-    the other branch, y ~ ln r, does not die out outward, and at Z = 3.61,
-    mu = 0.41, hbar = 0.51, alpha = 0.068 the ground state moved by 4.6e-6
-    when r_min shrank 100-fold, and its energy converged only as O(h).
+    g_3 r^3 + ..., k (2s + k) a_k = g_1 a_{k-1} + ... + g_k.  The a_1 term
+    comes from the -Z/r core of V; a start to first order leaves an energy
+    error of order r_min^2 that no step count removes: at s = 0 (D = 2,
+    l = 0) the other branch, y ~ ln r, does not die out outward, and at
+    Z = 3.61, mu = 0.41, hbar = 0.51, alpha = 0.068 such a start moved the
+    ground state by 4.6e-6 when r_min shrank 100-fold, and its energy
+    converged only as O(h).  start raises OracleError naming r_min when the
+    series is 0 there or y_1 - 1 is not finite, as at a huge c Z r_min: a
+    march from it would count nothing.
     """
-    h, coeffs, _ = _log_coeffs(params, l, r_min, r_max, n)
+    gam = model._gamma_coeff(l, params.D)
     s = abs(model._angular_v(l, params.D) - 1) / 2.0
     c = 2.0 * params.mu / params.hbar**2
+    x0 = math.log(r_min)
+    h = (math.log(r_max) - x0) / (n - 1)
+    radii = np.exp(x0 + h * np.arange(n))
+    # pot before q_arr: the other order made a solve fault in up to three
+    # times the pages (the grid's temporaries are handed back to the OS)
+    with np.errstate(all="ignore"):
+        pot = model.potential(radii, params)
+        q_arr = c * radii * radii
+        p_arr = gam + 0.25 + q_arr * pot
+    # V <= 0, so P is not finite wherever Q = c r^2 overflows
+    finite = np.isfinite(p_arr)
+    if not finite.all():
+        raise OracleError(
+            f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
     g1, g3 = -c * params.Z, -c * params.Z * params.alpha**2 / 12.0
     r0, r1 = r_min, r_min * math.exp(h)
 
@@ -265,49 +236,17 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
         f1 = 1.0 + r1 * (a1 + r1 * (a2 + r1 * a3))
         # y_1 - 1 = (e^{hs} f1 - f0)/f0, without the cancellation
         df = (r1 - r0) * (a1 + a2 * (r1 + r0) + a3 * (r1 * r1 + r1 * r0 + r0 * r0))
-        return (math.expm1(h * s) * f1 + df) / f0
+        dy1 = (math.expm1(h * s) * f1 + df) / f0 if f0 != 0.0 else math.nan
+        if not math.isfinite(dy1):
+            raise OracleError(f"the regular start at r_min = {r0!r} is not finite at "
+                              f"E={energy_val!r} (y_1 - 1 = {dy1!r})")
+        return dy1
 
-    return (h, *coeffs(0, n), start)
-
-
-def _numerov(h, p_arr, q_arr, energy_val):
-    """T_i = h^2 g_i / 12 (an array) and U_i = (2 + 10 T_i)/(1 - T_i) (a
-    memoryview of floats: fast to iterate, no copy) at one energy."""
-    t = (h * h / 12.0) * (p_arr - energy_val * q_arr)
-    return t, memoryview((2.0 + 10.0 * t) / (1.0 - t))
+    return h, p_arr, q_arr, start
 
 
-def _r0(t, y1):
-    """R_0 = F_1/F_0, where F_i = (1 - T_i) y_i."""
-    return float((1.0 - t[1]) * y1 / (1.0 - t[0]))
-
-
-def _sturm_count(h, y1, blocks, energy_val) -> int:
-    """Sturm count at energy_val: the number of grid levels below it.
-
-    Marches R_i = F_{i+1}/F_i = U_i - 1/R_{i-1} outward over grid points
-    1 .. n-2, whose P and Q `blocks` yields in order as pairs of arrays.
-    The R_i are the pivots of the Numerov matrix, so the negative ones are
-    the nodes of y and count the levels below energy_val.
-    """
-    r = None
-    nodes = 0
-    for p_blk, q_blk in blocks:
-        t, u = _numerov(h, p_blk, q_blk, energy_val)
-        if r is None:  # the first block: start at U_1 from R_0
-            r, u = _r0(t, y1), u[1:]
-        for u_i in u:
-            try:
-                r = u_i - 1.0 / r
-            except ZeroDivisionError:  # F_i = 0 exactly, so F_{i+1} = -F_{i-1}
-                r = -math.inf
-            if r < 0.0:
-                nodes += 1
-    return nodes
-
-
-# D after a pivot R = 0: R = -inf in _sturm_count, and the next
-# D/(1 + D) rounds to 1, as the next 1/R does to 0
+# D after a pivot R = 0: R = U - 1/R would be -inf, and the next D/(1 + D)
+# rounds to 1, as the next 1/R does to 0
 _D_AFTER_ZERO = -1e300
 
 
@@ -326,15 +265,14 @@ def _d0(t, dy1):
 
 def _deviations(w_seq, d):
     """d, then D = W + D/(1 + D) for each W of w_seq: the pivots R = U - 1/R
-    of _sturm_count as D = R - 1 (outward R_i = F_{i+1}/F_i, or inward
-    F_{i-1}/F_i).
+    of the Numerov matrix as D = R - 1 (outward R_i = F_{i+1}/F_i, or
+    inward F_{i-1}/F_i).
 
     Where y is smooth R is near 1 and U near 2, and the energy sits in
     their small parts, which R and U round off: a level marched as R moves
     by up to ~eps |E|/h^2, 6.3e-9 at E = -14.4 on a 96001-point grid, and
     more on each halving of h.  D and W keep their relative precision.
-    solve_exact marches D alone, so its Cooley passes and its counts see
-    the same levels.
+    Every march carries D, so Cooley passes and counts see the same levels.
     """
     yield d
     for w_i in w_seq:
@@ -566,22 +504,29 @@ def _coarsest_grid(params: PotentialParams, l: int, cfg: ShootingConfig):
 
 
 def count_bound_states(params: PotentialParams, l: int = 0) -> int:
-    """Number of bound levels from the node count of the near-zero-energy
-    shooting solution (Sturm oscillation count).
+    """Number of bound levels: the Sturm count of the ln(r) grid at a probe
+    energy just below 0 (-1e-12 alpha^2 hbar^2/(2 mu)).
 
-    The grid has 24000 points (_STEPS) and reaches r = 100/alpha, since
-    the shallowest levels reach far out: at alpha = 0.22, D = 3, l = 0 the
-    third level has E = -5.6e-6 and a decay length of ~300 = 66/alpha, and
-    a march to 30/alpha misses it.  OracleError when every pivot is
-    negative: that count is the grid's cap, not the number of levels.
+    The grids run from r = 1e-6/alpha to r = 100/alpha, since the shallowest
+    levels reach far out: at alpha = 0.22, D = 3, l = 0 the third level has
+    E = -5.6e-6 and a decay length of ~300 = 66/alpha, and a march to
+    30/alpha misses it.  They climb the ladder of solve_exact, 3000 * 2^j + 1
+    points, and the count is returned once two successive grids agree.  A
+    grid too coarse for its levels miscounts, and one whose pivots are all
+    negative reads its own cap, N - 2, which the next grid never repeats.
+    Raises ConvergenceError when the grid after the last one marched would
+    pass 96000 steps (_MAX_STEPS), and OracleError from _log_grid when a
+    grid's coefficients or its start are not finite.
     """
     model._check_index("l", l)
-    h, coeffs, y1 = _log_coeffs(params, l, 1e-6 / params.alpha, 100.0 / params.alpha, _STEPS)
+    r_min, r_max = 1e-6 / params.alpha, 100.0 / params.alpha
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
-    last = _STEPS - 1  # the march stops short of the Dirichlet end
-    blocks = (coeffs(lo, min(lo + _BLOCK, last)) for lo in range(0, last, _BLOCK))
-    nodes = _sturm_count(h, y1, blocks, probe)
-    if nodes == last - 1:  # the pivots R_1 .. R_{n-2}
-        raise OracleError(f"all {nodes} pivots of the grid are negative: the count "
-                          f"exceeds what {_STEPS} points resolve")
-    return nodes
+    steps, coarse = _MIN_STEPS, None
+    while steps <= _MAX_STEPS:
+        nodes = _march(_log_grid(params, l, r_min, r_max, steps + 1), probe)
+        if nodes == coarse:
+            return nodes
+        steps, coarse = 2 * steps, nodes
+    raise ConvergenceError(
+        f"the count of levels did not settle: {coarse} on the {steps // 2 + 1}-point "
+        f"grid, and a finer grid would pass {_MAX_STEPS} steps")

@@ -3,7 +3,6 @@ import math
 import re
 import warnings
 
-import numpy as np
 import pytest
 
 from hulthen import (
@@ -21,7 +20,7 @@ from hulthen import (
     spectrum,
 )
 from hulthen.cli import main
-from hulthen.oracle import _BLOCK, _cooley, _deviations, _log_coeffs, _log_grid, _march
+from hulthen.oracle import _cooley, _deviations, _log_grid, _march
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 
@@ -125,25 +124,22 @@ def test_deviation_march_passes_an_exact_zero_pivot():
     assert d[2] == w2 + 1.0
 
 
-def test_grid_blocks_match_whole_grid():
-    # count_bound_states builds its grid block by block as it marches
-    params = PotentialParams(Z=1.0, alpha=0.05, D=4)
-    n = 2 * _BLOCK + 1000
-    _, coeffs, _ = _log_coeffs(params, 2, 2e-5, 2000.0, n)
-    _, p_arr, q_arr, _ = _log_grid(params, 2, 2e-5, 2000.0, n)
-    blocks = [coeffs(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), p_arr)
-    assert np.array_equal(np.concatenate([b[1] for b in blocks]), q_arr)
-
-
-@pytest.mark.parametrize("steps", [3000, 24000])
-def test_streamed_count_matches_whole_grid(monkeypatch, steps):
-    monkeypatch.setattr(oracle, "_STEPS", steps)
-    for dim, l, alpha in ((3, 0, 0.22), (5, 2, 0.05), (1, 1, 0.4)):
-        params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
-        grid = _log_grid(params, l, 1e-6 / alpha, 100.0 / alpha, steps)
-        probe = -1e-12 * alpha**2 / 2.0
-        assert count_bound_states(params, l) == _march(grid, probe)
+@pytest.mark.parametrize("dim,l,alpha", [
+    (3, 0, 0.00207970698), (3, 0, 0.494912171), (5, 2, 0.0599727272),
+    (5, 2, 0.0864050966), (1, 1, 0.00274128354), (2, 0, 0.00264762269),
+    (2, 0, 0.980185366), (4, 1, 0.131331744), (3, 2, 0.157661960),
+])
+def test_count_near_threshold_matches_finest_grid(dim, l, alpha):
+    # alpha is where the count of the 96001-point grid drops by one, to 10
+    # digits; 1e-6 to either side the count of the grid ladder must read
+    # the finest grid's count, and the two must differ
+    counts = []
+    for a in (alpha * (1 - 1e-6), alpha * (1 + 1e-6)):
+        params = PotentialParams(Z=1.0, alpha=a, D=dim)
+        grid = _log_grid(params, l, 1e-6 / a, 100.0 / a, 96001)
+        counts.append(_march(grid, -1e-12 * a**2 / 2.0))
+        assert count_bound_states(params, l) == counts[-1]
+    assert counts[0] == counts[1] + 1
 
 
 def _certified(params, l, k, cfg, res):
@@ -423,7 +419,7 @@ def test_overflowing_grid_raises(alpha):
     # V overflows at the r_min end: the count read 0 after RuntimeWarnings
     (1e308, 1.0, "1.0000000000000004e-06"),
     # Q V overflows only inside the grid, both ends finite: it read 11866
-    (1e305, 1e-5, "903.2989241519973"),
+    (1e305, 1e-5, "906.4280432116002"),
 ])
 def test_grid_overflowing_off_r_max_raises(Z, alpha, radius):
     message = f"^the grid coefficients are not finite at r = {re.escape(radius)}$"
@@ -435,12 +431,31 @@ def test_grid_overflowing_off_r_max_raises(Z, alpha, radius):
 
 @pytest.mark.parametrize("Z,alpha", [(1.0, 1e-151), (1e200, 1.0)])
 def test_saturated_count_raises(Z, alpha):
-    # every pivot was negative and the count read 23998, the grid's cap;
-    # the closed form has about 1e75 and 1e100 levels here
+    # the closed form has about 1e75 and 1e100 levels here; every pivot of a
+    # march was negative and the count read the grid's cap, and the series
+    # of the start at r_min is not finite, which a march would count as 0
+    message = f"^the regular start at r_min = {re.escape(repr(1e-6 / alpha))} is not finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(oracle.OracleError, match="^all 23998 pivots of the grid are negative"):
+        with pytest.raises(oracle.OracleError, match=message):
             count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0)
+
+
+@pytest.mark.parametrize("Z,count", [(5e5, 999), (1e6, 1414), (2e6, 1999)])
+def test_large_z_count_is_exact(Z, count):
+    # gamma = 0: level n exists iff (n+1)^2 < 2 Z mu/(alpha hbar^2).  The
+    # 24000-point march read 1000 and 2003 levels at 5e5 and 2e6, and at 1e6
+    # its first-order start divided by 1 + a r_min = 0
+    assert count == sum(1 for n in range(2000) if (n + 1) ** 2 < 2.0 * Z)
+    assert count_bound_states(PotentialParams(Z=Z, alpha=1.0), 0) == count
+
+
+@pytest.mark.parametrize("Z", [5e6, 2e7])
+def test_count_past_the_grid_cap_raises(Z):
+    # 3162 and 6324 levels (the 24000-point march read 3208 and 6167): no
+    # two grids of the ladder agree
+    with pytest.raises(ConvergenceError, match="^the count of levels did not settle: "):
+        count_bound_states(PotentialParams(Z=Z, alpha=1.0), 0)
 
 
 def test_count_bound_states_shallow_third_level():
