@@ -16,6 +16,7 @@ Dimensionless quantities used throughout:
     gamma   = (2l+D-1)(2l+D-3)/4                centrifugal coefficient
     v       = 2l+D-1
     Lambda  = 2n+2l+D-1
+    kappa   = alpha epsilon                     decay momentum (an inverse length)
 
 A bound state with radial index n exists iff delta > m^2 with
 m = n + l + (D-1)/2 = Lambda/2 (and m > 0), in which case
@@ -133,18 +134,20 @@ class Level:
     keeps its relative precision as r -> 0, where x = 1 - 2s rounds onto -1.
 
     Its properties are the level's expectation values by the
-    Feynman-Hellmann theorem: dE/dq is the expectation of dH/dq.  The
-    derivative in l gives <r^-2> (precisely, the expectation of the
-    exponential centrifugal stand-in the eigenfunctions solve), the
-    derivative in Z gives <V>, and <T> = E - <V>:
+    Feynman-Hellmann theorem, dE/dq = <dH/dq>: the derivative in Z gives
+    <V>, the one in l gives <r^-2> (precisely, of the exponential
+    centrifugal stand-in the eigenfunctions solve), and <T> = E - <V>.
+    With E = -hbar^2 kappa^2/(2 mu), kappa = Z mu/(hbar^2 m) - alpha m/2 and
+    dm/dl = 1, each is one term where the paper prints 16 delta^2 - Lambda^4:
 
-        dE/dl    = alpha^2 hbar^2 (16 delta^2 - Lambda^4) / (8 mu Lambda^3)
-        <r^-2>   = (alpha^2/4) (16 delta^2 - Lambda^4) / (|2l+D-2| Lambda^3)
-        <V>      = (2 alpha Z / Lambda) [1/2 + (n(n+2l+D-2) + gamma - delta)/Lambda]
+        <V>    = Z dE/dZ = -Z kappa/m
+        dE/dl  = -(hbar^2 kappa/mu) dkappa/dm = kappa (Z/m^2 + alpha hbar^2/(2 mu))
+        <r^-2> = (2 mu/hbar^2) (dE/dl)/|2l+D-2| = kappa (2 mu Z/(hbar^2 m^2) + alpha)/|2l+D-2|
 
-    For l = 0 in D = 1 the continued level is not the physical branch, so
-    dE_dl is the formula's derivative, not that of the true level curve;
-    dgamma/dl and that branch flip sign together there, hence |2l+D-2|.
+    A level has alpha hbar^2/(2 mu) < Z/m^2, so nothing cancels.  For l = 0
+    in D = 1 the continued level is not the physical branch, so dE_dl is the
+    formula's derivative, not that of the true level curve; dgamma/dl and
+    that branch flip sign together there, hence |2l+D-2|.
     """
 
     epsilon: float
@@ -158,24 +161,19 @@ class Level:
     norm: float
     poly: Callable = field(repr=False, compare=False)
 
-    def _formed(self, what: str, formula: Callable[[], float]) -> float:
-        """formula(), or ValueError naming `what` of this level when it is
-        not a finite nonzero float."""
-        qn = self.qn
-        return _in_float_range(f"{what} of n={qn.n}, l={qn.l}, D={self.params.D}", formula)
-
-    def _fh(self, what: str, scale: Callable[[], float], divisor: float) -> float:
-        """scale() (16 delta^2 - Lambda^4) / (divisor Lambda^3), by _formed."""
-        lam = self.Lambda
-        return self._formed(
-            what, lambda: scale() * (16.0 * self.delta**2 - lam**4) / (divisor * lam**3))
+    def _formed(self, what: str, formula: Callable[..., float]) -> float:
+        """formula(params, kappa, m), or ValueError naming `what` of this
+        level when it is not a finite nonzero float."""
+        qn, p = self.qn, self.params
+        return _in_float_range(f"{what} of n={qn.n}, l={qn.l}, D={p.D}",
+                               lambda: formula(p, p.alpha * self.epsilon, 0.5 * self.Lambda))
 
     @property
     def dE_dl(self) -> float:
         """Derivative of the closed-form level in the (continuous) angular
         momentum l."""
-        p = self.params
-        return self._fh("dE/dl", lambda: p.alpha**2 * p.hbar**2, 8.0 * p.mu)
+        return self._formed("dE/dl", lambda p, kappa, m:
+                            kappa * (p.Z / m**2 + p.alpha * p.hbar**2 / (2.0 * p.mu)))
 
     @property
     def inv_r2(self) -> float | None:
@@ -184,14 +182,13 @@ class Level:
         w = self.v - 1.0  # 2l+D-2
         if w == 0:
             return None
-        return self._fh("<r^-2>", lambda: self.params.alpha**2 / 4.0, abs(w))
+        return self._formed("<r^-2>", lambda p, kappa, m:
+                            kappa * (2.0 * p.mu * p.Z / (p.hbar * m) ** 2 + p.alpha) / abs(w))
 
     @property
     def v_mean(self) -> float:
         """<V>, negative for every bound state."""
-        p, n, lam = self.params, self.qn.n, self.Lambda
-        bracket = 0.5 + (n * (n + 2 * self.qn.l + p.D - 2) + self.gamma - self.delta) / lam
-        return self._formed("<V>", lambda: (2.0 * p.alpha * p.Z / lam) * bracket)
+        return self._formed("<V>", lambda p, kappa, m: -p.Z * kappa / m)
 
     @property
     def t_mean(self) -> float:

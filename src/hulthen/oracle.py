@@ -172,8 +172,8 @@ def default_config(
     is the closed-form energy +/- 20%.  The default energy tolerance is
     1e-9, tightened to 1e-8|E| for very shallow levels.
     """
-    e_val = model.level(params, qn).energy
-    kappa = math.sqrt(-2.0 * params.mu * e_val) / params.hbar
+    lv = model.level(params, qn)
+    e_val, kappa = lv.energy, params.alpha * lv.epsilon
     r_min = 1e-6 / params.alpha
     r_max = max(40.0 / kappa, 20.0 / params.alpha)
     if tolerance is None:
@@ -507,16 +507,18 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     """Number of bound levels: the Sturm count of the ln(r) grid at a probe
     energy just below 0 (-1e-12 alpha^2 hbar^2/(2 mu)).
 
-    The grids run from r = 1e-6/alpha to r = 100/alpha, since the shallowest
-    levels reach far out: at alpha = 0.22, D = 3, l = 0 the third level has
-    E = -5.6e-6 and a decay length of ~300 = 66/alpha, and a march to
-    30/alpha misses it.  They climb the ladder of solve_exact, 3000 * 2^j + 1
-    points, and the count is returned once two successive grids agree.  A
-    grid too coarse for its levels miscounts, and one whose pivots are all
-    negative reads its own cap, N - 2, which the next grid never repeats.
-    Raises ConvergenceError when the grid after the last one marched would
-    pass 96000 steps (_MAX_STEPS), and OracleError from _log_grid when a
-    grid's coefficients or its start are not finite.
+    The grids run from r = 1e-6/alpha to r_max = 100/alpha, and levels
+    above about E = -(1.2 alpha hbar/100)^2/(2 mu) may be missed: the end at
+    r_max lifts a level above the probe once its kappa = sqrt(-2 mu E)/hbar
+    is below about 1.2/r_max (where the 96001-point grid's count drops,
+    kappa r_max is 1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and
+    0.14-0.21 at gamma > 0).  The grids climb the ladder of solve_exact,
+    3000 * 2^j + 1 points, and the count is returned once two successive
+    grids agree.  A grid too coarse for its levels miscounts, and one whose
+    pivots are all negative reads its own cap, N - 2, which the next grid
+    never repeats.  Raises ConvergenceError when the grid after the last one
+    marched would pass 96000 steps (_MAX_STEPS), and OracleError from
+    _log_grid when a grid's coefficients or its start are not finite.
     """
     model._check_index("l", l)
     r_min, r_max = 1e-6 / params.alpha, 100.0 / params.alpha

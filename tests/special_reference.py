@@ -6,11 +6,14 @@ polynomials a second, independent form (P_n^(a,b)(1-2s) =
 hulthen.specfun is checked against; the Beta function gives the n = 0
 normalization constant in closed form.  The level formula in its
 original bracket form is the reference the closed-form energies and
-their parameter derivatives are checked against, and sign_changes
-counts the nodes of a sampled wavefunction.
+their parameter derivatives are checked against, the paper's printed
+Feynman-Hellmann values in exact rationals are the reference for
+model.Level's, and sign_changes counts the nodes of a sampled
+wavefunction.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,6 +74,30 @@ def bracket_energy(Z, alpha, mu, hbar, dim, n, l):
     """The D-dimensional level in its original bracket form (l may be real)."""
     bracket = level_bracket(Z, alpha, mu, hbar, dim, n, l)
     return -(alpha**2 * hbar**2) / (2.0 * mu) * bracket**2
+
+
+def feynman_hellmann_exact(Z, alpha, mu, hbar, dim, n, l):
+    """(dE/dl, <r^-2>, <V>, <T>) of the level (n, l) by the paper's printed
+    forms, evaluated exactly in Fractions of the float inputs:
+
+        dE/dl  = alpha^2 hbar^2 (16 delta^2 - Lambda^4) / (8 mu Lambda^3)
+        <r^-2> = (alpha^2/4) (16 delta^2 - Lambda^4) / (|2l+D-2| Lambda^3)
+        <V>    = (2 alpha Z / Lambda) [1/2 + (n(n+2l+D-2) + gamma - delta)/Lambda]
+
+    and <T> = E - <V> with E = -(alpha^2 hbar^2/(2 mu)) [...]^2.  <r^-2> is
+    None where 2l+D-2 = 0.
+    """
+    Z, alpha, mu, hbar = map(Fraction, (Z, alpha, mu, hbar))
+    delta = 2 * Z * mu / (alpha * hbar**2)
+    gamma = Fraction((2 * l + dim - 1) * (2 * l + dim - 3), 4)
+    lam = 2 * n + 2 * l + dim - 1
+    bracket = Fraction(1, 2) + (n * (n + 2 * l + dim - 2) + gamma - delta) / lam
+    core = (16 * delta**2 - lam**4) / lam**3
+    w = abs(2 * l + dim - 2)
+    v_mean = 2 * alpha * Z / lam * bracket
+    energy = -(alpha * hbar) ** 2 / (2 * mu) * bracket**2
+    return (alpha**2 * hbar**2 * core / (8 * mu), alpha**2 / 4 * core / w if w else None,
+            v_mean, energy - v_mean)
 
 
 def sign_changes(values) -> int:

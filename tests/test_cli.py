@@ -262,6 +262,19 @@ def test_quadrature_failure_exits_3(capsys):
     assert data["inv_r2_quad_approx"] == pytest.approx(lv.inv_r2, rel=1e-12)
 
 
+def test_feynman_hellmann_values_past_an_overflowing_intermediate(capsys):
+    # 16 delta^2 overflowed at delta = 2e160: this ended in an OverflowError
+    # traceback, and then exited 1 with "<r^-2> ... is outside the float
+    # range", though <r^-2> = 2
+    code, out, err = run(capsys, "expectation", "--dim", "1", "--n", "1", "--alpha", "1e-160",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["inv_r2_hft"], data["v_hft"], data["t_value"]) == (2.0, -1.0, 0.5)
+    assert data["inv_r2_quad_approx"] == pytest.approx(2.0, rel=1e-12)
+    assert data["v_quad"] == pytest.approx(-1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -323,9 +336,6 @@ def test_quadrature_range_failures_exit_3(capsys, argv, message):
          "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
         ("expectation --dim 1 --n 2 --alpha 1e-120",
          "Jacobi recurrence of P_2^(1e+120, -1.0) is outside the float range"),
-        # 16 delta^2 of <r^-2> ended in an OverflowError traceback
-        ("expectation --dim 1 --n 1 --alpha 1e-160",
-         "<r^-2> of n=1, l=0, D=1 is outside the float range"),
         # flags of another subcommand were ignored (spectrum printed every
         # level), and --alp parsed as --alpha
         ("spectrum --n 3", "unrecognized arguments: --n 3"),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hulthen import (
     potential,
 )
 from hulthen.expectation import _weighted_integrals
-from special_reference import bracket_energy
+from special_reference import bracket_energy, feynman_hellmann_exact
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 GROUND = QuantumNumbers(0, 0)
@@ -96,6 +97,52 @@ def test_potential_expect_virial_limit():
     assert v == pytest.approx(2.0 * (-0.5), rel=1e-5)
     t = lv.t_mean
     assert t == pytest.approx(0.5, rel=1e-5)
+
+
+@pytest.mark.parametrize("dim, n, l", [(1, 1, 0), (1, 3, 2), (2, 0, 0), (2, 2, 1), (3, 0, 0),
+                                       (3, 4, 2), (4, 1, 3), (5, 2, 0)])
+def test_coulomb_limit_virial(dim, n, l):
+    # alpha -> 0: <V> = 2E and <T> = -E, and <r^-2> tends to the Coulomb
+    # 2 (Z mu/hbar^2)^2 / (m^3 |2l+D-2|), m = n + l + (D-1)/2; the
+    # corrections are of relative order alpha m^2 hbar^2/(mu Z) ~ 1e-11
+    params = PotentialParams(Z=1.3, alpha=1e-12, mu=0.7, hbar=1.1, D=dim)
+    lv = level(params, QuantumNumbers(n, l))
+    assert lv.v_mean == pytest.approx(2.0 * lv.energy, rel=1e-10)
+    assert lv.t_mean == pytest.approx(-lv.energy, rel=1e-10)
+    w, m = abs(2 * l + dim - 2), n + l + (dim - 1) / 2
+    if w:
+        coulomb = 2.0 * (params.Z * params.mu / params.hbar**2) ** 2 / (m**3 * w)
+        assert lv.inv_r2 == pytest.approx(coulomb, rel=1e-10)
+    else:
+        assert lv.inv_r2 is None
+
+
+def _ulps(value, exact):
+    """|value - exact| in units of the last place of the float nearest exact."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_feynman_hellmann_values_match_exact_printed_forms():
+    # the kappa/m forms against the paper's 16 delta^2 - Lambda^4 forms in
+    # exact rationals of the same float inputs, on levels with delta >=
+    # 1.5 m^2; the error includes that of eps and E themselves
+    rng = np.random.default_rng(19)
+    checked, worst = 0, [0, 0, 0, 0]
+    while checked < 2000:
+        Z, mu = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        hbar, alpha = 10.0 ** rng.uniform(-0.7, 0.5), 10.0 ** rng.uniform(-4.0, 0.5)
+        dim, l, n = int(rng.integers(1, 6)), int(rng.integers(0, 5)), int(rng.integers(0, 9))
+        m = n + l + (dim - 1) / 2
+        if m <= 0 or 2.0 * Z * mu / (alpha * hbar**2) < 1.5 * m * m:
+            continue
+        lv = level(PotentialParams(Z=Z, alpha=alpha, mu=mu, hbar=hbar, D=dim), QuantumNumbers(n, l))
+        exact = feynman_hellmann_exact(Z, alpha, mu, hbar, dim, n, l)
+        for i, (value, ref) in enumerate(zip((lv.dE_dl, lv.inv_r2, lv.v_mean, lv.t_mean), exact)):
+            assert (value is None) == (ref is None)
+            if ref is not None:
+                worst[i] = max(worst[i], _ulps(value, ref))
+        checked += 1
+    assert max(worst) <= 8, [float(w) for w in worst]
 
 
 def test_kinetic_identity_and_signs():

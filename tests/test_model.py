@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from hulthen import (
     wavefunction_samples,
 )
 from nu_reference import branches, eigen_condition, hulthen_problem, select_branch
-from special_reference import beta, bracket_energy, level_bracket, sign_changes
+from special_reference import (
+    beta,
+    bracket_energy,
+    feynman_hellmann_exact,
+    level_bracket,
+    sign_changes,
+)
 
 # frozen from a 40-digit evaluation of the defining expressions
 POT_ANCHOR = -0.05819767068693264  # Z=1, alpha=0.1, r=10
@@ -282,30 +290,37 @@ def test_recurrence_outside_the_float_range_raises():
 
 
 @pytest.mark.parametrize(
-    "kwargs,qn,what",
+    "kwargs,qn,raised",
     [
-        # 16 delta^2 overflows at delta = 2e160 (an OverflowError traceback)
-        ({"Z": 1.0, "alpha": 1e-160, "D": 1}, QuantumNumbers(1), ("dE/dl", "<r^-2>")),
-        # alpha^2 overflows at alpha = 1e200 (delta = 2)
-        ({"Z": 1.0, "alpha": 1e200, "hbar": 1e-100}, QuantumNumbers(0), ("dE/dl", "<r^-2>")),
-        # 2 alpha Z = 2e308 as well: <V> and <T> read -inf and inf, where E
-        # is the float -1.25e307 and <V> is about -5e307
-        ({"Z": 1e108, "alpha": 1e200, "hbar": 1e-46}, QuantumNumbers(0),
-         ("dE/dl", "<r^-2>", "<V>", "<V>")),
+        # 16 delta^2 overflowed at delta = 2e160, and dE/dl and <r^-2> raised;
+        # they are 1 and 2
+        ({"Z": 1.0, "alpha": 1e-160, "D": 1}, QuantumNumbers(1), ()),
+        # alpha^2 overflowed at alpha = 1e200 (delta = 2), and dE/dl raised;
+        # it is about 7.5e199, while <r^-2> is about 2^1329
+        ({"Z": 1.0, "alpha": 1e200, "hbar": 1e-100}, QuantumNumbers(0), ("<r^-2>",)),
+        # 2 alpha Z = 2e308 as well, and <V> raised: E is -1.25e307, dE/dl
+        # about 7.5e307, <V> about -5e307 and <T> about 3.75e307
+        ({"Z": 1e108, "alpha": 1e200, "hbar": 1e-46}, QuantumNumbers(0), ("<r^-2>",)),
     ],
     ids=["delta2-overflow", "alpha2-overflow", "alpha-Z-overflow"],
 )
-def test_feynman_hellmann_values_outside_the_float_range_raise(kwargs, qn, what):
+def test_feynman_hellmann_values_outside_the_float_range_raise(kwargs, qn, raised):
+    # a value raises only when the paper's form, evaluated exactly, is not
+    # a float; each one returned is within 1e-15 of it
     params = PotentialParams(**kwargs)
     lv = level(params, qn)
-    names = ("dE_dl", "inv_r2", "v_mean", "t_mean")
+    exact = feynman_hellmann_exact(params.Z, params.alpha, params.mu, params.hbar, params.D,
+                                   qn.n, qn.l)
     label = f"of n={qn.n}, l={qn.l}, D={params.D} is outside the float range"
-    for name, quantity in zip(names, what):
-        with pytest.raises(ValueError, match=f"^{re.escape(quantity)} {label}$") as info:
-            getattr(lv, name)
-        assert type(info.value) is ValueError
-    for name in names[len(what):]:
-        assert math.isfinite(getattr(lv, name))
+    for name, what, ref in zip(("dE_dl", "inv_r2", "v_mean", "t_mean"),
+                               ("dE/dl", "<r^-2>", "<V>", "<T>"), exact):
+        if what in raised:
+            assert abs(ref) > sys.float_info.max
+            with pytest.raises(ValueError, match=f"^{re.escape(what)} {label}$") as info:
+                getattr(lv, name)
+            assert type(info.value) is ValueError
+        else:
+            assert abs(Fraction(getattr(lv, name)) - ref) <= 1e-15 * abs(ref)
     assert math.isfinite(lv.energy) and lv.nodes == 0
 
 

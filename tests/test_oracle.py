@@ -142,6 +142,21 @@ def test_count_near_threshold_matches_finest_grid(dim, l, alpha):
     assert counts[0] == counts[1] + 1
 
 
+@pytest.mark.parametrize("dim,l,levels", [(3, 0, 1), (3, 0, 2), (3, 0, 3), (3, 0, 10),
+                                          (3, 0, 30), (1, 1, 5)])
+def test_count_sees_levels_within_its_stated_reach(dim, l, levels):
+    # gamma = 0, where the closed form is exact: alpha puts the shallowest of
+    # `levels` levels at kappa r_max = 100 eps = 1.5, past the 1.2 below
+    # which count_bound_states may miss it (it drops at 1.03-1.09)
+    m = levels  # n + l + (D-1)/2 of the shallowest level, n = levels - 1
+    alpha = 2.0 / (m * m + 0.03 * m)  # delta = 2/alpha = m^2 + 2 m eps
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    shallowest = level(params, QuantumNumbers(levels - 1, l))
+    assert 100.0 * shallowest.epsilon == pytest.approx(1.5, rel=1e-9)
+    assert sum(st.exists for st in spectrum(params, l, n_max=levels + 5)) == levels
+    assert count_bound_states(params, l) == levels
+
+
 def _certified(params, l, k, cfg, res):
     # fresh marches on the final grid at E -/+ residual bracket k, and so do
     # marches at the ends of the configured bracket: the solve skips those
