@@ -12,7 +12,7 @@ resolvable near the Coulomb singularity at the origin without millions of
 linear-grid points.  The scheme is Numerov (fourth order in the step), with
 y = 0 at r_max.
 
-solve_exact chooses its grid by its error.  Its grids have 3000 * 2^j + 1
+solve_exact chooses its grid by its error.  Its grids have 1500 * 2^j + 1
 points, each every other point of the next, and the coarsest is the first
 on which T = h^2 g/12 <= 1/2 at the bracket's lower end, since past T = 1
 the Sturm counts below include spurious nodes.  The level is converged on
@@ -21,8 +21,10 @@ grids N/2 and N, and N doubles while the Richardson estimate
 returns E_N + (E_N - E_N/2)/15.  A doubling that shrinks the estimate by
 less than 4 shows an error that is not O(h^4), such as rounding, and a
 grid past 96000 steps (_MAX_STEPS) is not marched: both raise
-ConvergenceError, as no unchecked energy is returned.  count_bound_states
-climbs the same grids until two successive counts agree.
+ConvergenceError, as no unchecked energy is returned.  Most levels are
+converged on 1501 and 3001 points and end on 3001.  count_bound_states
+climbs the grids of 3000 * 2^j + 1 points from the first with T <= 1/2 at
+its probe energy until two successive counts agree.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -89,16 +91,20 @@ class ConvergenceError(OracleError):
     steps (_MAX_STEPS), or with an error estimate that stops shrinking as
     O(h^4); or the final grid's counts do not certify the extrapolated
     level.  For count_bound_states: no two successive grids of at most
-    96000 steps agree on the count."""
+    96000 steps with T = h^2 g/12 <= 1/2 at the probe agree on the count."""
 
 
 class NodeCountError(OracleError):
     """The converged eigenfunction has the wrong number of interior nodes."""
 
 
-# steps (points - 1) of the coarsest grid a solve or count may march, and
-# of the finest
-_MIN_STEPS = 3000
+# steps (points - 1) of the coarsest grid a solve may march (a count starts
+# at twice as many), and of the finest.  On the 1501/3001-point pair most
+# levels already pass the Richardson test; starts of 1000 and 750 steps
+# march a third grid for 38 % and 57 % of the spectra levels of bench/ and
+# take more shots (7.4 and 7.7 a level against 6.5), and the 1501- and
+# 3001-point counts can agree on a wrong count
+_MIN_STEPS = 1500
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
 _MAX_PASSES = 300
@@ -342,7 +348,7 @@ def solve_exact(
 ) -> OracleResult:
     """Eigenvalue of the exact radial problem with the given node count.
 
-    The grids run from cfg.r_min to cfg.r_max with 3000 * 2^j + 1 points
+    The grids run from cfg.r_min to cfg.r_max with 1500 * 2^j + 1 points
     (_MIN_STEPS * 2^j steps), so that each grid is every other point of the
     next.  The coarsest is the first on which T = h^2 g/12 <= 1/2 for every
     g = P - E_lo Q, so that its Sturm counts count levels; the level is
@@ -438,7 +444,8 @@ def solve_exact(
                 e_val = 0.5 * (e_lo + e_hi)
         return 0.5 * (e_lo + e_hi)
 
-    steps, coarsest = _coarsest_grid(params, l, cfg)
+    steps, coarsest = _coarsest_grid(params, l, cfg.r_min, cfg.r_max, cfg.energy_bracket[0],
+                                     _MIN_STEPS)
     coarse = converge(coarsest, 0.5 * sum(cfg.energy_bracket))
     last = None
     while True:
@@ -478,16 +485,15 @@ def solve_exact(
     return OracleResult(energy_val, n_lo, True, 0.5 * tol, shots, estimate, steps + 1)
 
 
-def _coarsest_grid(params: PotentialParams, l: int, cfg: ShootingConfig):
-    """(steps, grid) of the fewest steps _MIN_STEPS * 2^j on which T = h^2 g/12 <=
-    1/2 for every g = P - E_lo Q: finer grids only lower T, and past T = 1
-    the pivots turn negative between levels, so the counts of a coarser
-    grid count spurious nodes.  ConvergenceError, before any march, when
-    the grid of twice those steps would pass _MAX_STEPS."""
-    e_lo = cfg.energy_bracket[0]
-    steps = _MIN_STEPS
+def _coarsest_grid(params: PotentialParams, l: int, r_min: float, r_max: float,
+                   e_lo: float, steps: int):
+    """(steps, grid) of the fewest steps * 2^j on which T = h^2 g/12 <= 1/2
+    for every g = P - e_lo Q: finer grids only lower T, and past T = 1 the
+    pivots turn negative between levels, so the counts of a coarser grid
+    count spurious nodes.  ConvergenceError, before any march, when the
+    grid of twice those steps would pass _MAX_STEPS."""
     while True:
-        grid = _log_grid(params, l, cfg.r_min, cfg.r_max, steps + 1)
+        grid = _log_grid(params, l, r_min, r_max, steps + 1)
         h, p_arr, q_arr, _ = grid
         with np.errstate(over="ignore"):
             t_max = h * h * float(np.max(np.abs(p_arr - e_lo * q_arr))) / 12.0
@@ -512,23 +518,35 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     r_max lifts a level above the probe once its kappa = sqrt(-2 mu E)/hbar
     is below about 1.2/r_max (where the 96001-point grid's count drops,
     kappa r_max is 1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and
-    0.14-0.21 at gamma > 0).  The grids climb the ladder of solve_exact,
-    3000 * 2^j + 1 points, and the count is returned once two successive
-    grids agree.  A grid too coarse for its levels miscounts, and one whose
-    pivots are all negative reads its own cap, N - 2, which the next grid
-    never repeats.  Raises ConvergenceError when the grid after the last one
-    marched would pass 96000 steps (_MAX_STEPS), and OracleError from
-    _log_grid when a grid's coefficients or its start are not finite.
+    0.14-0.21 at gamma > 0).  The grids have 3000 * 2^j + 1 points (2 *
+    _MIN_STEPS * 2^j steps), starting at the first on which T = h^2 g/12 <=
+    1/2 at the probe (_coarsest_grid), and the count is returned once two
+    successive grids agree.  A grid with T > 1/2 may count spurious nodes,
+    and two of them can agree on the same wrong count.  Where T <= 1/2 the
+    count may still be one too high: the phase error of the coarse grids in
+    a deep core binds one level more, just below the probe, and the two
+    coarsest grids agree on it.  At Z = 13.4497, mu = 2.8839, hbar =
+    0.61093, alpha = 0.0029265, D = 5, l = 4 the 3001- and 6001-point grids
+    read 261, with a 261st level at E = -1.6e-8, and the grids of 12001 to
+    192001 points read 260; 10 of 1488 random potentials with Z in [1, 316]
+    and hbar down to 0.2 read one too many.  Raises ConvergenceError when
+    the grid after the last one marched would pass 96000 steps
+    (_MAX_STEPS), before any march if already the first would need it, and
+    OracleError from _log_grid when a grid's coefficients or its start are
+    not finite.
     """
     model._check_index("l", l)
     r_min, r_max = 1e-6 / params.alpha, 100.0 / params.alpha
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
-    steps, coarse = _MIN_STEPS, None
-    while steps <= _MAX_STEPS:
-        nodes = _march(_log_grid(params, l, r_min, r_max, steps + 1), probe)
+    steps, grid = _coarsest_grid(params, l, r_min, r_max, probe, 2 * _MIN_STEPS)
+    coarse = None
+    while True:
+        nodes = _march(grid, probe)
         if nodes == coarse:
             return nodes
+        if 2 * steps > _MAX_STEPS:
+            raise ConvergenceError(
+                f"the count of levels did not settle: {nodes} on the {steps + 1}-point "
+                f"grid, and a finer grid would pass {_MAX_STEPS} steps")
         steps, coarse = 2 * steps, nodes
-    raise ConvergenceError(
-        f"the count of levels did not settle: {coarse} on the {steps // 2 + 1}-point "
-        f"grid, and a finer grid would pass {_MAX_STEPS} steps")
+        grid = _log_grid(params, l, r_min, r_max, steps + 1)

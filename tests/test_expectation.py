@@ -40,12 +40,23 @@ def test_dE_dl_anchor_and_fd():
 
 
 def test_derivative_vanishes_at_existence_boundary():
-    # at delta = m^2 the factor 16 delta^2 - Lambda^4 vanishes identically
-    for m in (1.0, 2.5, 4.0):
-        delta = m * m
-        lam = 2.0 * m
-        assert 16.0 * delta**2 - lam**4 == 0.0
-    # the non-existing state itself has no level to read it from
+    # a level exists while alpha < alpha_c = 2 Z mu/(hbar^2 m^2) (delta > m^2),
+    # and kappa = (m/2)(alpha_c - alpha): kappa, dE/dl and <V> go to 0 with
+    # alpha_c - alpha, each with the slope of its one-term form
+    z, mu, hbar = 1.3, 0.7, 1.1
+    for dim, n, l in ((3, 0, 0), (3, 1, 1), (2, 2, 0), (5, 0, 2)):
+        m = n + l + 0.5 * (dim - 1)
+        alpha_c = 2.0 * z * mu / (hbar * m) ** 2
+        for gap in (1e-2, 1e-4, 1e-6):
+            alpha = alpha_c * (1.0 - gap)
+            lv = level(PotentialParams(Z=z, mu=mu, hbar=hbar, alpha=alpha, D=dim),
+                       QuantumNumbers(n, l))
+            dist = alpha_c - alpha
+            assert alpha * lv.epsilon / dist == pytest.approx(0.5 * m, rel=1e-8)
+            assert lv.dE_dl / dist == pytest.approx(
+                0.5 * m * (z / m**2 + alpha * hbar**2 / (2.0 * mu)), rel=1e-8)
+            assert lv.v_mean / dist == pytest.approx(-0.5 * z, rel=1e-8)
+    # past alpha_c the state does not exist, and there is no level to read
     with pytest.raises(ValueError):
         level(PotentialParams(Z=1.0, alpha=2.5), GROUND)
 

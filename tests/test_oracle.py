@@ -205,9 +205,10 @@ def test_levels_solve_only_from_straddling_brackets(dim, l, alpha, n):
     assert res.node_count == k
     assert _certified(params, l, k, cfg, res)
     if (dim, l, alpha, n) == (5, 1, 0.05, 1):
-        # five Cooley passes on the 3001-point grid, one on the 6001-point
+        # five Cooley passes on the 1501-point grid, two on the 3001-point
         # grid and the two certificate marches
-        assert res.shots == 8
+        assert res.points == 3001
+        assert res.shots == 9
 
 
 def test_certificate_counts_both_sides_afresh(monkeypatch):
@@ -324,13 +325,35 @@ def test_exact_levels_within_error_estimate(dim, l, n, alpha):
     assert abs(res.energy - level(params, qn).energy) <= min(cfg.tolerance, res.error_estimate)
 
 
+@pytest.mark.parametrize("dim,l,n,alpha,Z,mu,hbar,points", [
+    (2, 0, 1, 0.1, 1.0, 1.0, 1.0, 3001), (5, 1, 1, 0.05, 1.0, 1.0, 1.0, 3001),
+    (3, 2, 5, 0.01, 1.0, 1.0, 1.0, 6001), (4, 1, 2, 0.03, 1.7, 0.6, 1.3, 3001),
+])
+def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z, mu, hbar,
+                                                            points):
+    # gamma != 0, so no closed form is the exact level: the reference is a
+    # solve at a hundredth of the tolerance, which ends on a finer grid.  The
+    # estimate of the 1501/3001-point pair, on which most levels end, and of
+    # the 3001/6001-point pair must hold
+    params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    k = level(params, qn).nodes
+    cfg = default_config(params, qn)
+    res = solve_exact(params, l, k, cfg)
+    ref = solve_exact(params, l, k, default_config(params, qn, cfg.tolerance / 100.0))
+    assert res.points == points < ref.points
+    assert abs(res.energy - ref.energy) <= min(0.5 * cfg.tolerance,
+                                               res.error_estimate + ref.residual)
+
+
 def test_level_past_the_grid_cap_raises():
-    # T = h^2 g/12 reaches 1.25e3 on the 3001-point grid: counts need ~150000
+    # T = h^2 g/12 reaches 5.02e3 on the 1501-point grid: counts need ~150000
     # steps, past the 96000 of _MAX_STEPS.  A 24000-point grid counted 2124
     # spurious nodes here
     params = PotentialParams(Z=1.0, alpha=0.001)
     cfg = default_config(params, QuantumNumbers(0, 0))
-    with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches 1.25e\+03 "):
+    with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches 5.02e\+03 .* on the "
+                                               r"1501-point grid: "):
         solve_exact(params, 0, 0, cfg)
 
 
@@ -444,12 +467,18 @@ def test_grid_overflowing_off_r_max_raises(Z, alpha, radius):
             count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0)
 
 
-@pytest.mark.parametrize("Z,alpha", [(1.0, 1e-151), (1e200, 1.0)])
+# T = h^2 g/12 at the probe on the 3001-point grid of each saturated count
+SATURATED_T = {(1.0, 1e-151): "4.07e+145", (1e200, 1.0): "4.07e+194"}
+
+
+@pytest.mark.parametrize("Z,alpha", SATURATED_T)
 def test_saturated_count_raises(Z, alpha):
     # the closed form has about 1e75 and 1e100 levels here; every pivot of a
     # march was negative and the count read the grid's cap, and the series
-    # of the start at r_min is not finite, which a march would count as 0
-    message = f"^the regular start at r_min = {re.escape(repr(1e-6 / alpha))} is not finite"
+    # of the start at r_min is not finite, which a march would count as 0.
+    # No grid within the cap has T <= 1/2, so none is marched
+    message = (f"^T = h\\^2 g/12 reaches {re.escape(SATURATED_T[Z, alpha])} at E=.* on the "
+               f"3001-point grid: ")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(oracle.OracleError, match=message):
@@ -471,6 +500,23 @@ def test_count_past_the_grid_cap_raises(Z):
     # two grids of the ladder agree
     with pytest.raises(ConvergenceError, match="^the count of levels did not settle: "):
         count_bound_states(PotentialParams(Z=Z, alpha=1.0), 0)
+
+
+@pytest.mark.parametrize("Z,mu,hbar,alpha,dim,l,count", [
+    # T = h^2 g/12 at the probe is 1.07 on the 6001-point grid, whose count
+    # includes spurious nodes: the 6001- and 12001-point grids agreed on
+    # 1465.  The count starts on the 12001-point grid (T = 0.27) and reads
+    # 1465, 1451 and 1451; the grids of 24001 to 384001 points all read 1451
+    (56.17707726493452, 2.8008541506447204, 0.33156342158714763, 0.0013572084517060397, 5, 0,
+     1451),
+    # T <= 1/2 from 1501 points on, but the 1501- and 3001-point grids agree
+    # on 90: the count starts on 3001 points and reads 90, 89 and 89, the
+    # count of every grid from 6001 to 192001 points
+    (4.909714765369235, 0.2749389318941642, 0.2365629962371551, 0.005883333232089026, 2, 1, 89),
+])
+def test_count_matches_the_finest_grids(Z, mu, hbar, alpha, dim, l, count):
+    params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
+    assert count_bound_states(params, l) == count
 
 
 def test_count_bound_states_shallow_third_level():
