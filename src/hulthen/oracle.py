@@ -12,19 +12,22 @@ resolvable near the Coulomb singularity at the origin without millions of
 linear-grid points.  The scheme is Numerov (fourth order in the step), with
 y = 0 at r_max.
 
-solve_exact chooses its grid by its error.  Its grids have 1500 * 2^j + 1
-points, each every other point of the next, and the coarsest is the first
-on which T = h^2 g/12 <= 1/2 at the bracket's lower end, since past T = 1
-the Sturm counts below include spurious nodes.  The level is converged on
-grids N/2 and N, and N doubles while the Richardson estimate
-|E_N - E_N/2|/15 of the O(h^4) error exceeds half the tolerance; the solve
-returns E_N + (E_N - E_N/2)/15.  A doubling that shrinks the estimate by
-less than 4 shows an error that is not O(h^4), such as rounding, and a
-grid past 96000 steps (_MAX_STEPS) is not marched: both raise
-ConvergenceError, as no unchecked energy is returned.  Most levels are
-converged on 1501 and 3001 points and end on 3001.  count_bound_states
-climbs the grids of 3000 * 2^j + 1 points from the first with T <= 1/2 at
-its probe energy until two successive counts agree.
+solve_exact chooses its grid by its error.  Its grids have N0 * 2^j steps,
+each every other point of the next.  N0 is the fewest steps of at most
+ln(2e7)/1500 = 0.0112 in ln(r) (_MAX_LOG_STEP), doubled until T = h^2 g/12
+<= 1/2 at the bracket's lower end, since past T = 1 the Sturm counts below
+include spurious nodes.  The level is converged on grids N/2 and N, and N
+doubles while the Richardson estimate |E_N - E_N/2|/15 of the O(h^4) error
+exceeds half the tolerance; the solve returns E_N + (E_N - E_N/2)/15.  A
+doubling that shrinks the estimate by less than 4 shows an error that is
+not O(h^4), such as rounding, and a grid past 96000 steps (_MAX_STEPS) is
+not marched: both raise ConvergenceError, as no unchecked energy is
+returned.  default_config's grid spans only the level (from 1e-3
+hbar^2/(mu Z) to past its outer turning point), so most levels are
+converged on ~1100 and ~2200 steps and end on the second.
+count_bound_states climbs the grids of 3000 * 2^j + 1 points from r =
+1e-6/alpha to 100/alpha, from the first with T <= 1/2 at its probe energy,
+until two successive counts agree.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -98,13 +101,17 @@ class NodeCountError(OracleError):
     """The converged eigenfunction has the wrong number of interior nodes."""
 
 
-# steps (points - 1) of the coarsest grid a solve may march (a count starts
-# at twice as many), and of the finest.  On the 1501/3001-point pair most
-# levels already pass the Richardson test; starts of 1000 and 750 steps
-# march a third grid for 38 % and 57 % of the spectra levels of bench/ and
-# take more shots (7.4 and 7.7 a level against 6.5), and the 1501- and
-# 3001-point counts can agree on a wrong count
-_MIN_STEPS = 1500
+# the largest step in ln(r) of a solve's coarsest grid: that of 1500 steps
+# over the ln(2e7) of r = 1e-6/alpha to 20/alpha.  On the first two grids
+# most levels already pass the Richardson test; with ln(2e7)/1000 the
+# spectra levels of bench/ marched 13 % fewer points, but 212 of 1008 (59
+# here) needed a third grid, at 7.4 shots a solve (6.4), and solved no
+# faster
+_MAX_LOG_STEP = math.log(2e7) / 1500
+# steps (points - 1) of the coarsest grid a count may march: from 1500
+# steps on, its 1501- and 3001-point grids can agree on a wrong count
+_MIN_STEPS = 3000
+# steps of the finest grid a solve or a count may march
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
 _MAX_PASSES = 300
@@ -173,21 +180,34 @@ def default_config(
 ) -> ShootingConfig:
     """Grid and bracket from the closed-form level as the initial guess.
 
-    r_min = 1e-6/alpha sits deep in the power-law region; r_max is where
-    the closed-form tail exp(-kappa r) drops below ~1e-17.  The bracket
-    is the closed-form energy +/- 20%.  The default energy tolerance is
-    1e-9, tightened to 1e-8|E| for very shallow levels.
+    The bracket is the closed-form energy +/- 20%, and the default energy
+    tolerance 1e-9, tightened to 1e-8|E| for very shallow levels.  The
+    grid spans only the level.  r_min = 1e-3 hbar^2/(mu Z), a thousandth
+    of the Coulomb radius of the core, where the third-order regular start
+    leaves the level within ~1e-15 of |E|.  At D = 2, l = 0 (s = 0) the
+    other branch, y ~ ln r, does not die out outward, and the start's
+    O(r_min^4) error stays in the level: 1.1e-11 |E| there, 0.78 of the
+    tolerance at E = -72.2, so r_min is ten times smaller (1e-15 |E|).
+    r_max = ln(1 + Z alpha/|E_hi|)/alpha + 40/kappa_hi is the outer
+    turning point of V at the bracket's upper end E_hi, plus 40 decay
+    lengths of a level there (kappa_hi = sqrt(-2 mu E_hi)/hbar): past
+    40/kappa alone the polynomial envelope of a high level still holds
+    weight: there D = 1, alpha = 0.001, n = 21 was off by 7.4e-10, 107
+    times its tolerance of 6.9e-12.
     """
     lv = model.level(params, qn)
-    e_val, kappa = lv.energy, params.alpha * lv.epsilon
-    r_min = 1e-6 / params.alpha
-    r_max = max(40.0 / kappa, 20.0 / params.alpha)
+    e_val = lv.energy
+    e_hi = 0.8 * e_val
+    kappa_hi = math.sqrt(-2.0 * params.mu * e_hi) / params.hbar
+    core = 1e-4 if (params.D, qn.l) == (2, 0) else 1e-3
+    r_min = core * params.hbar**2 / (params.mu * params.Z)
+    r_max = math.log1p(params.Z * params.alpha / -e_hi) / params.alpha + 40.0 / kappa_hi
     if tolerance is None:
         tolerance = min(1e-9, 1e-8 * abs(e_val))
     return ShootingConfig(
         r_min=r_min,
         r_max=r_max,
-        energy_bracket=(1.2 * e_val, 0.8 * e_val),
+        energy_bracket=(1.2 * e_val, e_hi),
         tolerance=tolerance,
     )
 
@@ -348,10 +368,12 @@ def solve_exact(
 ) -> OracleResult:
     """Eigenvalue of the exact radial problem with the given node count.
 
-    The grids run from cfg.r_min to cfg.r_max with 1500 * 2^j + 1 points
-    (_MIN_STEPS * 2^j steps), so that each grid is every other point of the
-    next.  The coarsest is the first on which T = h^2 g/12 <= 1/2 for every
-    g = P - E_lo Q, so that its Sturm counts count levels; the level is
+    The grids run from cfg.r_min to cfg.r_max with N0 * 2^j steps, so that
+    each grid is every other point of the next.  N0 is the fewest steps
+    (at least 8) of at most _MAX_LOG_STEP = ln(2e7)/1500 in ln(r), the step
+    of 1500 steps over r = 1e-6/alpha .. 20/alpha.  The coarsest grid is the
+    first N0 * 2^j on which T = h^2 g/12 <= 1/2 for every g = P - E_lo Q,
+    so that its Sturm counts count levels; the level is
     converged on it and then on each grid of twice its steps, until the
     Richardson estimate |E_N - E_N/2|/15 is at most tolerance/2.  The
     returned energy is E_N + (E_N - E_N/2)/15, certified by counts on the
@@ -444,8 +466,10 @@ def solve_exact(
                 e_val = 0.5 * (e_lo + e_hi)
         return 0.5 * (e_lo + e_hi)
 
+    # a march needs points on both sides of its matching point
+    steps = max(8, math.ceil((math.log(cfg.r_max) - math.log(cfg.r_min)) / _MAX_LOG_STEP))
     steps, coarsest = _coarsest_grid(params, l, cfg.r_min, cfg.r_max, cfg.energy_bracket[0],
-                                     _MIN_STEPS)
+                                     steps)
     coarse = converge(coarsest, 0.5 * sum(cfg.energy_bracket))
     last = None
     while True:
@@ -490,8 +514,9 @@ def _coarsest_grid(params: PotentialParams, l: int, r_min: float, r_max: float,
     """(steps, grid) of the fewest steps * 2^j on which T = h^2 g/12 <= 1/2
     for every g = P - e_lo Q: finer grids only lower T, and past T = 1 the
     pivots turn negative between levels, so the counts of a coarser grid
-    count spurious nodes.  ConvergenceError, before any march, when the
-    grid of twice those steps would pass _MAX_STEPS."""
+    count spurious nodes.  A solve starts from the steps of its largest ln(r)
+    step, a count from _MIN_STEPS.  ConvergenceError, before any march,
+    when the grid of twice those steps would pass _MAX_STEPS."""
     while True:
         grid = _log_grid(params, l, r_min, r_max, steps + 1)
         h, p_arr, q_arr, _ = grid
@@ -518,8 +543,8 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     r_max lifts a level above the probe once its kappa = sqrt(-2 mu E)/hbar
     is below about 1.2/r_max (where the 96001-point grid's count drops,
     kappa r_max is 1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and
-    0.14-0.21 at gamma > 0).  The grids have 3000 * 2^j + 1 points (2 *
-    _MIN_STEPS * 2^j steps), starting at the first on which T = h^2 g/12 <=
+    0.14-0.21 at gamma > 0).  The grids have 3000 * 2^j + 1 points
+    (_MIN_STEPS * 2^j steps), starting at the first on which T = h^2 g/12 <=
     1/2 at the probe (_coarsest_grid), and the count is returned once two
     successive grids agree.  A grid with T > 1/2 may count spurious nodes,
     and two of them can agree on the same wrong count.  Where T <= 1/2 the
@@ -538,7 +563,7 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     model._check_index("l", l)
     r_min, r_max = 1e-6 / params.alpha, 100.0 / params.alpha
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
-    steps, grid = _coarsest_grid(params, l, r_min, r_max, probe, 2 * _MIN_STEPS)
+    steps, grid = _coarsest_grid(params, l, r_min, r_max, probe, _MIN_STEPS)
     coarse = None
     while True:
         nodes = _march(grid, probe)

@@ -233,14 +233,18 @@ def test_validate_oracle_failure(capsys):
     assert "oracle failure" in err
 
 
-def test_overflowing_oracle_grid_exits_3(capsys):
-    # Q = 2 mu r^2/hbar^2 overflows from r ~ 1e154 on, well inside the grid
-    # that ends at r_max = 2e161 (unchecked, two RuntimeWarnings and then a
-    # BracketError computed on nan)
+def test_level_past_the_old_oracle_grid_exits_0(capsys):
+    # the grid of the oracle ended at r_max = 2e161, and Q = 2 mu r^2/hbar^2
+    # overflowed from r ~ 1e154 on, well inside it (exit 3, "the grid
+    # coefficients are not finite"; before that, two RuntimeWarnings and a
+    # BracketError computed on nan).  It now spans only the level, which
+    # ends at r = 47.2; gamma = 0, so the closed form is the exact level
     code, out, err = run(capsys, "validate", "--dim", "1", "--n", "1", "--alpha", "1e-160")
-    assert (code, out) == (3, "")
-    assert err == ("oracle failure: the grid coefficients are not finite at "
-                   "r = 1.0000000000000067e+154\n")
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert header == ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]
+    assert rows == [["-5.0000000000000000e-01", "-5.0000000000000022e-01",
+                     "4.4408920985006242e-16", "0", "true"]]
 
 
 def test_quadrature_failure_exits_3(capsys):

@@ -81,10 +81,10 @@ def test_exact_s_wave_anchor():
     assert res.node_count == 0
     assert res.residual <= cfg.tolerance
     assert res.energy == pytest.approx(-0.4753125, rel=1e-6)
-    # one Cooley pass on each of the 3001- and 6001-point grids and the two
+    # one Cooley pass on each of the 964- and 1927-point grids and the two
     # certificate marches; on the final grid its counts prove both bracket
     # ends, so neither is marched on its own
-    assert res.points == 6001
+    assert res.points == 1927
     assert res.shots == 4
 
 
@@ -205,9 +205,9 @@ def test_levels_solve_only_from_straddling_brackets(dim, l, alpha, n):
     assert res.node_count == k
     assert _certified(params, l, k, cfg, res)
     if (dim, l, alpha, n) == (5, 1, 0.05, 1):
-        # five Cooley passes on the 1501-point grid, two on the 3001-point
+        # five Cooley passes on the 1137-point grid, two on the 2273-point
         # grid and the two certificate marches
-        assert res.points == 3001
+        assert res.points == 2273
         assert res.shots == 9
 
 
@@ -296,10 +296,10 @@ def test_grid_refinement_contract():
     qn = QuantumNumbers(20, 0)
     cfg = default_config(params, qn)
     res = solve_exact(params, 0, level(params, qn).nodes, cfg)
-    assert res.points == 12001
+    assert res.points == 10585
     assert res.error_estimate <= res.residual
     levels = []
-    for points in (12001, 6001, 3001):
+    for points in (10585, 5293, 2647):
         grid = _log_grid(params, 0, cfg.r_min, cfg.r_max, points)
         e_val = res.energy
         for _ in range(3):
@@ -326,15 +326,15 @@ def test_exact_levels_within_error_estimate(dim, l, n, alpha):
 
 
 @pytest.mark.parametrize("dim,l,n,alpha,Z,mu,hbar,points", [
-    (2, 0, 1, 0.1, 1.0, 1.0, 1.0, 3001), (5, 1, 1, 0.05, 1.0, 1.0, 1.0, 3001),
-    (3, 2, 5, 0.01, 1.0, 1.0, 1.0, 6001), (4, 1, 2, 0.03, 1.7, 0.6, 1.3, 3001),
+    (2, 0, 1, 0.1, 1.0, 1.0, 1.0, 2429), (5, 1, 1, 0.05, 1.0, 1.0, 1.0, 2273),
+    (3, 2, 5, 0.01, 1.0, 1.0, 1.0, 4793), (4, 1, 2, 0.03, 1.7, 0.6, 1.3, 2327),
 ])
 def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z, mu, hbar,
                                                             points):
     # gamma != 0, so no closed form is the exact level: the reference is a
     # solve at a hundredth of the tolerance, which ends on a finer grid.  The
-    # estimate of the 1501/3001-point pair, on which most levels end, and of
-    # the 3001/6001-point pair must hold
+    # estimate of the first two grids, on which most levels end, and of the
+    # second and third must hold
     params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
     qn = QuantumNumbers(n, l)
     k = level(params, qn).nodes
@@ -346,12 +346,60 @@ def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z,
                                                res.error_estimate + ref.residual)
 
 
+@pytest.mark.parametrize("Z,mu,hbar,alpha,dim,l,n", [
+    # s = 0: the other branch, y ~ ln r, does not die out outward
+    (3.6079722523521016, 0.4100627265092216, 0.5087195582253824, 0.06844577643064836, 2, 0, 0),
+    # a shallow level whose polynomial envelope reaches past 40/kappa
+    (1.0, 1.0, 1.0, 1e-3, 1, 0, 21),
+    (1.0, 1.0, 1.0, 0.01, 3, 2, 5),
+    # a deep level: the grid ends at r = 5.66
+    (4.274, 1.797, 0.33, 0.04291130432367441, 4, 0, 5),
+])
+def test_grid_ends_of_default_config_converge(Z, mu, hbar, alpha, dim, l, n):
+    # the grid spans only the level: a start ten times nearer the origin or
+    # an end twice as far out moves it by less than a tenth of the tolerance
+    params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    k = level(params, qn).nodes
+    cfg = default_config(params, qn)
+    res = solve_exact(params, l, k, cfg)
+    for r_min, r_max in ((cfg.r_min / 10.0, cfg.r_max), (cfg.r_min, 2.0 * cfg.r_max)):
+        wider = ShootingConfig(r_min=r_min, r_max=r_max, energy_bracket=cfg.energy_bracket,
+                               tolerance=cfg.tolerance)
+        assert abs(solve_exact(params, l, k, wider).energy - res.energy) < 0.1 * cfg.tolerance
+
+
+def _old_ends(params, cfg):
+    # the grid ends default_config gave before its grid spanned only the
+    # level: r = 1e-6/alpha .. 20/alpha (40/kappa is shorter for every level
+    # used here)
+    return ShootingConfig(r_min=1e-6 / params.alpha, r_max=20.0 / params.alpha,
+                          energy_bracket=cfg.energy_bracket, tolerance=cfg.tolerance)
+
+
+@pytest.mark.parametrize("dim,n,alpha", [(3, 0, 1e-3), (3, 5, 1e-4), (1, 1, 1e-154),
+                                         (1, 1, 1e-160)])
+def test_levels_past_the_old_grid_ends_solve(dim, n, alpha):
+    # gamma = 0, so the closed form is the exact level.  On the old ends T =
+    # h^2 g/12 reached 5.02e3 and 1.39e4 on the 1501-point grid at the
+    # first two (ConvergenceError), and Q = 2 mu r^2/hbar^2 overflowed
+    # inside the grid at the last two (OracleError)
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, 0)
+    lv = level(params, qn)
+    cfg = default_config(params, qn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_exact(params, 0, lv.nodes, cfg)
+    assert abs(res.energy - lv.energy) <= 0.5 * cfg.tolerance
+
+
 def test_level_past_the_grid_cap_raises():
-    # T = h^2 g/12 reaches 5.02e3 on the 1501-point grid: counts need ~150000
-    # steps, past the 96000 of _MAX_STEPS.  A 24000-point grid counted 2124
-    # spurious nodes here
+    # T = h^2 g/12 reaches 5.02e3 on the 1501-point grid of the old ends:
+    # counts need ~150000 steps, past the 96000 of _MAX_STEPS.  A
+    # 24000-point grid counted 2124 spurious nodes here
     params = PotentialParams(Z=1.0, alpha=0.001)
-    cfg = default_config(params, QuantumNumbers(0, 0))
+    cfg = _old_ends(params, default_config(params, QuantumNumbers(0, 0)))
     with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches 5.02e\+03 .* on the "
                                                r"1501-point grid: "):
         solve_exact(params, 0, 0, cfg)
@@ -368,7 +416,7 @@ def test_estimate_that_stops_shrinking_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "_cooley", drifting)
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-12)
-    with pytest.raises(ConvergenceError, match="^error estimate .* of the 12001-point grid "
+    with pytest.raises(ConvergenceError, match="^error estimate .* of the 7705-point grid "
                                                "shrank by less than 4 from "):
         solve_exact(ANCHOR, 0, 0, cfg)
 
@@ -394,13 +442,15 @@ def test_d2_s_wave_level_does_not_depend_on_r_min():
 
 def test_level_past_t_one_on_a_fixed_grid_solves():
     # T > 1 on a 24000-point grid gave spurious nodes and a false
-    # BracketError; the ladder starts on the 48001-point grid
+    # BracketError.  On r = 1e-6/alpha .. 20/alpha the ladder started on the
+    # 48001-point grid and ended on 96001 points; the grid of default_config
+    # ends at r = 5.66, where T <= 1/2 from its 1152-point grid on
     params = PotentialParams(Z=4.274, mu=1.797, hbar=0.33, alpha=0.04291130432367441, D=4)
     qn = QuantumNumbers(5, 0)
     cfg = default_config(params, qn)
     k = level(params, qn).nodes
     res = solve_exact(params, 0, k, cfg)
-    assert res.points == 96001
+    assert res.points == 9209
     assert res.node_count == k
     assert res.error_estimate <= res.residual
     assert _certified(params, 0, k, cfg, res)
@@ -415,6 +465,14 @@ def test_bracket_error():
         tolerance=1e-9,
     )
     with pytest.raises(BracketError, match="^lower bracket E=-0.2 already lies above"):
+        solve_exact(ANCHOR, 0, 0, cfg)
+
+
+def test_narrow_grid_keeps_eight_steps():
+    # the coarsest grid is sized by its step in ln(r), and a span of 1e-3
+    # in ln(r) would be one step, on which a march fails with an IndexError
+    cfg = ShootingConfig(r_min=1.0, r_max=1.001, energy_bracket=(-100.0, -0.1))
+    with pytest.raises(BracketError, match="^upper bracket E=-0.1 lies below the target"):
         solve_exact(ANCHOR, 0, 0, cfg)
 
 
@@ -446,9 +504,11 @@ def test_overflowing_grid_raises(alpha):
         for dim in (1, 3):
             with pytest.raises(oracle.OracleError, match=message):
                 count_bound_states(PotentialParams(Z=1.0, alpha=alpha, D=dim), 0)
-        # r_max = 20/alpha here; D = 1 keeps C_n of the level a float
+        # on the old ends, r_max = 20/alpha; D = 1 keeps C_n of the level a
+        # float.  The grid of default_config solves this level
+        # (test_levels_past_the_old_grid_ends_solve)
         params = PotentialParams(Z=1.0, alpha=alpha, D=1)
-        cfg = default_config(params, QuantumNumbers(1))
+        cfg = _old_ends(params, default_config(params, QuantumNumbers(1)))
         with pytest.raises(oracle.OracleError, match=message):
             solve_exact(params, 0, 0, cfg)
 

@@ -11,12 +11,21 @@ own, `solve_exact` from `default_config` for the level's node count and
 or the class of the exception raised in its place (a draw with no
 closed-form level raises NoBoundState from default_config).
 
+A level that only NEW_SRC solves (an error -> ok change) is checked
+against a refined solve of NEW_SRC: the same bracket on a grid from a
+tenth of r_min to twice r_max, at a hundredth of the tolerance.
+
 Printed: the outcomes of each tree by class, every draw whose solve or
-count outcome changed, the largest |E_new - E_old|/tolerance over the
-levels both trees solve, the histograms of final grid points and of
-shots of each tree, and each tree's wall time for the solves and the
-counts.  The exit status is 1 if an outcome changed or a level moved by
-more than half its tolerance, else 0.
+count outcome changed (a mended level with its |E - E_refined|/tolerance),
+the largest |E_new - E_old|/tolerance over the levels both trees solve
+and the largest |E - E_refined|/tolerance over the mended ones, the
+histograms of final grid steps (by the power of two at or above them)
+and of shots of each tree, and each tree's wall time for the solves and
+the counts.  The exit status is 1 if a level one tree solved raises in
+NEW_SRC (an ok -> error change), a count changed, or a level lies more
+than half its tolerance from its old value or from its refined one (a
+refined solve that raises counts as such), else 0.  A change from one
+error class to another is printed but does not fail.
 
 The parent commit's tree can be unpacked next to the checkout with
 
@@ -27,6 +36,7 @@ and is then compared by `python3 tools/oracle_sweep.py ../parent/src`.
 
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -46,14 +56,20 @@ def draws(seed: int, count: int) -> list[dict]:
             for _ in range(count)]
 
 
-def child(seed: int, count: int) -> dict:
+def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
     """The outcomes of every draw on the `hulthen` found on sys.path, as
-    {"solves": [...], "counts": [...], "solve_s": s, "count_s": s}."""
-    from hulthen import PotentialParams, QuantumNumbers, count_bound_states, default_config, level
-    from hulthen import solve_exact
+    {"solves": [...], "counts": [...], "solve_s": s, "count_s": s}; or, if
+    refine lists draw indices, {"refined": [...]}, the outcomes of their
+    refined solves in that order."""
+    from hulthen import PotentialParams, QuantumNumbers, ShootingConfig, count_bound_states
+    from hulthen import default_config, level, solve_exact
 
-    def solve(params, qn):
+    def solve(params, qn, refined=False):
         cfg = default_config(params, qn)
+        if refined:
+            cfg = ShootingConfig(r_min=cfg.r_min / 10.0, r_max=2.0 * cfg.r_max,
+                                 energy_bracket=cfg.energy_bracket,
+                                 tolerance=cfg.tolerance / 100.0)
         res = solve_exact(params, qn.l, level(params, qn).nodes, cfg)
         return {"energy": res.energy, "tolerance": cfg.tolerance, "points": res.points,
                 "shots": res.shots}
@@ -64,9 +80,17 @@ def child(seed: int, count: int) -> dict:
         except (ArithmeticError, ValueError, RuntimeError) as exc:  # the class is the outcome
             return {"outcome": type(exc).__name__}
 
+    def potential(d):
+        return PotentialParams(Z=d["Z"], mu=d["mu"], hbar=d["hbar"], alpha=d["alpha"], D=d["D"])
+
+    picks = draws(seed, count)
+    if refine is not None:
+        return {"refined": [outcome(solve, potential(picks[i]),
+                                    QuantumNumbers(picks[i]["n"], picks[i]["l"]), True)
+                            for i in refine]}
     out = {"solves": [], "counts": [], "solve_s": 0.0, "count_s": 0.0}
-    for d in draws(seed, count):
-        params = PotentialParams(Z=d["Z"], mu=d["mu"], hbar=d["hbar"], alpha=d["alpha"], D=d["D"])
+    for d in picks:
+        params = potential(d)
         start = time.perf_counter()
         out["solves"].append(outcome(solve, params, QuantumNumbers(d["n"], d["l"])))
         mid = time.perf_counter()
@@ -76,14 +100,15 @@ def child(seed: int, count: int) -> dict:
     return out
 
 
-def run(src, seed: int, count: int) -> dict:
-    """child(seed, count) in a fresh interpreter with src as its only
-    PYTHONPATH entry."""
+def run(src, seed: int, count: int, refine: list[int] | None = None) -> dict:
+    """child(seed, count, refine) in a fresh interpreter with src as its
+    only PYTHONPATH entry."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("HULTHEN_")}
     env["PYTHONPATH"] = str(Path(src).resolve())
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    extra = [] if refine is None else ["--refine", ",".join(map(str, refine))]
     proc = subprocess.run([sys.executable, __file__, "--child", "--seed", str(seed),
-                           "--draws", str(count), str(src)],
+                           "--draws", str(count), *extra, str(src)],
                           env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"the child on {src} exited {proc.returncode}:\n{proc.stderr}")
@@ -92,15 +117,18 @@ def run(src, seed: int, count: int) -> dict:
 
 def compare(old: dict, new: dict) -> dict:
     """The outcome changes of the solves and the counts, as lists of (draw
-    index, old outcome, new outcome), and the largest |dE|/tolerance over
-    the levels both trees solve (0 if none)."""
+    index, old outcome, new outcome), the draws only new solves
+    ("mended"), and the largest |dE|/tolerance over the levels both trees
+    solve (0 if none)."""
     def changes(key, same):
         return [(i, a, b) for i, (a, b) in enumerate(zip(old[key], new[key])) if not same(a, b)]
 
     solved = [(a, b) for a, b in zip(old["solves"], new["solves"])
               if a["outcome"] == b["outcome"] == "ok"]
+    solves = changes("solves", lambda a, b: a["outcome"] == b["outcome"])
     return {
-        "solves": changes("solves", lambda a, b: a["outcome"] == b["outcome"]),
+        "solves": solves,
+        "mended": [i for i, a, b in solves if b["outcome"] == "ok"],
         "counts": changes("counts", lambda a, b: (a["outcome"], a.get("count"))
                           == (b["outcome"], b.get("count"))),
         "max_ratio": max((abs(b["energy"] - a["energy"]) / a["tolerance"] for a, b in solved),
@@ -109,8 +137,16 @@ def compare(old: dict, new: dict) -> dict:
     }
 
 
-def _histogram(rows, key) -> str:
-    hist = Counter(row[key] for row in rows if row["outcome"] == "ok")
+def refined_ratios(new: dict, refined: list[dict], mended: list[int]) -> dict:
+    """{draw index: |E - E_refined|/tolerance} of each mended level, inf
+    where its refined solve raised."""
+    return {i: (abs(new["solves"][i]["energy"] - ref["energy"]) / new["solves"][i]["tolerance"]
+                if ref["outcome"] == "ok" else math.inf)
+            for i, ref in zip(mended, refined)}
+
+
+def _histogram(values) -> str:
+    hist = Counter(values)
     return " ".join(f"{value}:{hist[value]}" for value in sorted(hist)) or "-"
 
 
@@ -127,14 +163,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--draws", type=int, default=500)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--refine", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(child(args.seed, args.draws)))
+        refine = None if args.refine is None else [int(i) for i in args.refine.split(",")]
+        print(json.dumps(child(args.seed, args.draws, refine)))
         return 0
 
     trees = {"old": run(args.old_src, args.seed, args.draws),
              "new": run(args.new_src, args.seed, args.draws)}
     diff = compare(trees["old"], trees["new"])
+    mended = diff["mended"]
+    refined = run(args.new_src, args.seed, args.draws, mended)["refined"] if mended else []
+    ratios = refined_ratios(trees["new"], refined, mended)
     picks = draws(args.seed, args.draws)
     print(f"{args.draws} draws of seed {args.seed}")
     for name, out in trees.items():
@@ -146,15 +187,27 @@ def main(argv=None) -> int:
         print(f"{key} changed: {len(diff[key])}"
               + "".join(f", {a} -> {b} {k}" for (a, b), k in sorted(pairs.items())))
         for i, a, b in diff[key]:
-            print(f"  draw {i}: {_label(a)} -> {_label(b)}  {picks[i]}")
+            note = (f"  |dE|/tolerance to refined {ratios[i]:.3g}"
+                    if key == "solves" and i in ratios else "")
+            print(f"  draw {i}: {_label(a)} -> {_label(b)}{note}  {picks[i]}")
+    worst_refined = max(ratios.values(), default=0.0)
     print(f"max |dE|/tolerance over {diff['solved']} levels solved by both: "
           f"{diff['max_ratio']:.3g}")
-    for key in ("points", "shots"):
-        for name, out in trees.items():
-            print(f"{name} {key}: {_histogram(out['solves'], key)}")
+    print(f"max |dE|/tolerance to refined over {len(ratios)} mended levels: "
+          f"{worst_refined:.3g}")
+    solved = {name: [row for row in out["solves"] if row["outcome"] == "ok"]
+              for name, out in trees.items()}
+    # final grid sizes seldom repeat: each is binned by the power of two at
+    # or above its steps
+    for name, rows in solved.items():
+        print(f"{name} steps up to: "
+              f"{_histogram(1 << (row['points'] - 2).bit_length() for row in rows)}")
+    for name, rows in solved.items():
+        print(f"{name} shots: {_histogram(row['shots'] for row in rows)}")
     for name, out in trees.items():
         print(f"{name} wall: solves {out['solve_s']:.2f} s, counts {out['count_s']:.2f} s")
-    return 1 if diff["solves"] or diff["counts"] or diff["max_ratio"] > 0.5 else 0
+    broken = [i for i, a, b in diff["solves"] if a["outcome"] == "ok"]
+    return 1 if broken or diff["counts"] or max(diff["max_ratio"], worst_refined) > 0.5 else 0
 
 
 if __name__ == "__main__":
