@@ -65,7 +65,6 @@ __all__ = [
     "energy",
     "level",
     "spectrum",
-    "coulomb_limit_energy",
     "normalization_constant",
     "wavefunction_samples",
     "default_grid",
@@ -365,14 +364,6 @@ def spectrum(params: PotentialParams, l: int = 0, n_max: int = 64) -> list[Bound
             break
         states.append(st)
     return states if states[-1].exists else []
-
-
-def coulomb_limit_energy(params: PotentialParams, qn: QuantumNumbers) -> float:
-    """alpha -> 0 limit of the level: -(mu/2 hbar^2) (2Z/Lambda)^2."""
-    lam = _lambda(qn.n, qn.l, params.D)
-    if lam <= 0:
-        raise ValueError("level is singular: 2n+2l+D-1 must be positive")
-    return -(params.mu / (2.0 * params.hbar**2)) * (2.0 * params.Z / lam) ** 2
 
 
 def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float:

@@ -12,22 +12,20 @@ resolvable near the Coulomb singularity at the origin without millions of
 linear-grid points.  The scheme is Numerov (fourth order in the step), with
 y = 0 at r_max.
 
-solve_exact chooses its grid by its error.  Its grids have N0 * 2^j steps,
-each every other point of the next.  N0 is the fewest steps of at most
-ln(2e7)/1500 = 0.0112 in ln(r) (_MAX_LOG_STEP), doubled until T = h^2 g/12
-<= 1/2 at the bracket's lower end, since past T = 1 the Sturm counts below
-include spurious nodes.  The level is converged on grids N/2 and N, and N
-doubles while the Richardson estimate |E_N - E_N/2|/15 of the O(h^4) error
-exceeds half the tolerance; the solve returns E_N + (E_N - E_N/2)/15.  A
-doubling that shrinks the estimate by less than 4 shows an error that is
-not O(h^4), such as rounding, and a grid past 96000 steps (_MAX_STEPS) is
-not marched: both raise ConvergenceError, as no unchecked energy is
-returned.  default_config's grid spans only the level (from 1e-3
-hbar^2/(mu Z) to past its outer turning point), so most levels are
-converged on ~1100 and ~2200 steps and end on the second.
-count_bound_states climbs the grids of 3000 * 2^j + 1 points from r =
-1e-6/alpha to 100/alpha, from the first with T <= 1/2 at its probe energy,
-until two successive counts agree.
+solve_exact and count_bound_states march one ladder of grids, each every
+other point of the next; _ladder states where it starts and stops.
+solve_exact chooses its grid by its error: its ladder starts from the
+fewest steps of at most ln(2e7)/1500 = 0.0112 in ln(r) (_MAX_LOG_STEP),
+the level is converged on each grid in turn, and the solve returns E_N +
+(E_N - E_N/2)/15 once the Richardson estimate |E_N - E_N/2|/15 of the
+O(h^4) error is at most half the tolerance.  A doubling that shrinks the
+estimate by less than 4 shows an error that is not O(h^4), such as
+rounding, and raises ConvergenceError, as does the end of the ladder: no
+unchecked energy is returned.  default_config's grid spans only the level
+(from 1e-3 hbar^2/(mu Z) to past its outer turning point), so most levels
+are converged on ~1100 and ~2200 steps and end on the second.
+count_bound_states climbs its ladder from 3000 steps on r = 1e-6/alpha ..
+100/alpha until two successive counts agree.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -90,11 +88,11 @@ class BracketError(OracleError):
 
 class ConvergenceError(OracleError):
     """The tolerance cannot be reached: finer than the float spacing, not
-    within 300 Cooley passes (_MAX_PASSES), not on a grid of at most 96000
-    steps (_MAX_STEPS), or with an error estimate that stops shrinking as
-    O(h^4); or the final grid's counts do not certify the extrapolated
-    level.  For count_bound_states: no two successive grids of at most
-    96000 steps with T = h^2 g/12 <= 1/2 at the probe agree on the count."""
+    within 300 Cooley passes (_MAX_PASSES), not on the grids of _ladder,
+    or with an error estimate that stops shrinking as O(h^4); or the final
+    grid's counts do not certify the extrapolated level.  For
+    count_bound_states: no two successive grids of _ladder agree on the
+    count.  For both: _ladder has no first grid within its cap."""
 
 
 class NodeCountError(OracleError):
@@ -111,7 +109,7 @@ _MAX_LOG_STEP = math.log(2e7) / 1500
 # steps (points - 1) of the coarsest grid a count may march: from 1500
 # steps on, its 1501- and 3001-point grids can agree on a wrong count
 _MIN_STEPS = 3000
-# steps of the finest grid a solve or a count may march
+# steps of the finest grid of _ladder
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
 _MAX_PASSES = 300
@@ -122,7 +120,10 @@ class ShootingConfig:
     """Inputs of one solve_exact call.
 
     r_min, r_max: the ends of every ln(r) grid of the solve, 0 < r_min <
-        r_max < inf; the solve chooses the number of points.
+        r_max < inf; the solve chooses the number of points.  The start's
+        error from r_min is not part of the certificate: on r = 0.026 ..
+        80, the ground state at Z = 1, alpha = 0.05, D = 3 lies 7.8 half
+        tolerances from the exact level (0.067 at r_min = 0.01, 7e-7 at 1e-3).
     energy_bracket: (E_lo, E_hi) with E_lo < E_hi <= 0, which must straddle
         the target level.
     tolerance: the width of the certified window (the level lies within
@@ -276,17 +277,14 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
 _D_AFTER_ZERO = -1e300
 
 
-def _offsets(h, p_arr, q_arr, energy_val):
-    """T_i = h^2 g_i / 12 (an array) and W_i = U_i - 2 = 12 T_i/(1 - T_i) (a
-    memoryview) at one energy."""
+def _offsets(grid, energy_val):
+    """T_i = h^2 g_i / 12 (an array), W_i = U_i - 2 = 12 T_i/(1 - T_i) (a
+    memoryview) and D_0 = R_0 - 1 of a march at one energy on a (h, P, Q,
+    start) grid of _log_grid, where R_0 = F_1/F_0 and F_i = (1 - T_i) y_i."""
+    h, p_arr, q_arr, start = grid
     t = (h * h / 12.0) * (p_arr - energy_val * q_arr)
-    return t, memoryview(12.0 * t / (1.0 - t))
-
-
-def _d0(t, dy1):
-    """D_0 = R_0 - 1 from dy1 = y_1 - 1, where R_0 = F_1/F_0 and F_i = (1 -
-    T_i) y_i."""
-    return float(((1.0 - t[1]) * dy1 + (t[0] - t[1])) / (1.0 - t[0]))
+    w = memoryview(12.0 * t / (1.0 - t))
+    return t, w, float(((1.0 - t[1]) * start(energy_val) + (t[0] - t[1])) / (1.0 - t[0]))
 
 
 def _deviations(w_seq, d):
@@ -316,11 +314,9 @@ def _march(grid, energy_val) -> int:
     It keeps its own loop: counting in place takes about two thirds of the
     time of draining _deviations.
     """
-    h, p_arr, q_arr, start = grid
-    t, w = _offsets(h, p_arr[:-1], q_arr[:-1], energy_val)
-    d = _d0(t, start(energy_val))
+    _, w, d = _offsets(grid, energy_val)
     nodes = 0
-    for w_i in w[1:]:
+    for w_i in w[1:-1]:
         try:
             d = w_i + d / (1.0 + d)
         except ZeroDivisionError:
@@ -341,13 +337,13 @@ def _cooley(grid, energy_val):
     of the Numerov matrix: the negative R, S and gamma add up to the Sturm
     count, and dE = gamma / (c_m h^2 sum Q y^2) with c = 1 - T and y = F/c.
     """
-    h, p_arr, q_arr, start = grid
-    t, w = _offsets(h, p_arr, q_arr, energy_val)
+    h, _, q_arr, _ = grid
+    t, w, d0 = _offsets(grid, energy_val)
     n = t.size
     allowed = np.flatnonzero(t < 0.0)
     m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
     # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}, less 1; S_{n-2} = U_{n-2}
-    d_out = np.fromiter(_deviations(w[1:m], _d0(t, start(energy_val))), float, m)
+    d_out = np.fromiter(_deviations(w[1:m], d0), float, m)
     d_in = np.fromiter(_deviations(w[n - 3 : m : -1], w[n - 2] + 1.0), float, n - 2 - m)
     with np.errstate(all="ignore"):
         gamma = w[m] + d_out[-1] / (1.0 + d_out[-1]) + d_in[-1] / (1.0 + d_in[-1])
@@ -368,13 +364,10 @@ def solve_exact(
 ) -> OracleResult:
     """Eigenvalue of the exact radial problem with the given node count.
 
-    The grids run from cfg.r_min to cfg.r_max with N0 * 2^j steps, so that
-    each grid is every other point of the next.  N0 is the fewest steps
-    (at least 8) of at most _MAX_LOG_STEP = ln(2e7)/1500 in ln(r), the step
-    of 1500 steps over r = 1e-6/alpha .. 20/alpha.  The coarsest grid is the
-    first N0 * 2^j on which T = h^2 g/12 <= 1/2 for every g = P - E_lo Q,
-    so that its Sturm counts count levels; the level is
-    converged on it and then on each grid of twice its steps, until the
+    The grids are those of _ladder from cfg.r_min to cfg.r_max at E_lo,
+    from the fewest steps (at least 8) of at most _MAX_LOG_STEP =
+    ln(2e7)/1500 in ln(r), the step of 1500 steps over r = 1e-6/alpha ..
+    20/alpha.  The level is converged on each grid in turn, until the
     Richardson estimate |E_N - E_N/2|/15 is at most tolerance/2.  The
     returned energy is E_N + (E_N - E_N/2)/15, certified by counts on the
     final grid alone.
@@ -385,10 +378,12 @@ def solve_exact(
     its own only if no count of the solve on that grid has proven it);
     NodeCountError if the certified level has the wrong node count; and
     ConvergenceError when the tolerance is finer than the float spacing of
-    the bracket energies, the solve takes more than 300 Cooley passes over
-    all grids (_MAX_PASSES), a grid would pass 96000 steps (_MAX_STEPS),
-    the estimate shrinks by less than 4 on a doubling (an error that is not
-    O(h^4)), or the final grid's level lies outside the certified window.
+    the bracket energies, _ladder has no first grid, the solve takes more
+    than 300 Cooley passes over all grids (_MAX_PASSES), the estimate is
+    still above tolerance/2 on the last grid of _ladder or shrinks by less
+    than 4 on a doubling (an error that is not O(h^4)), the counts of a
+    grid close its bracket on no level, or the final grid's level lies
+    outside the certified window.
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
@@ -468,13 +463,11 @@ def solve_exact(
 
     # a march needs points on both sides of its matching point
     steps = max(8, math.ceil((math.log(cfg.r_max) - math.log(cfg.r_min)) / _MAX_LOG_STEP))
-    steps, coarsest = _coarsest_grid(params, l, cfg.r_min, cfg.r_max, cfg.energy_bracket[0],
-                                     steps)
-    coarse = converge(coarsest, 0.5 * sum(cfg.energy_bracket))
+    grids = _ladder(params, l, cfg.r_min, cfg.r_max, cfg.energy_bracket[0], steps)
+    coarse = converge(next(grids)[1], 0.5 * sum(cfg.energy_bracket))
     last = None
-    while True:
-        steps *= 2
-        fine = converge(_log_grid(params, l, cfg.r_min, cfg.r_max, steps + 1), coarse)
+    for steps, fine_grid in grids:
+        fine = converge(fine_grid, coarse)
         estimate = abs(fine - coarse) / 15.0
         if estimate <= 0.5 * tol:
             break
@@ -484,12 +477,12 @@ def solve_exact(
                 f"{where} shrank by less than 4 from {last:.3g}: the error is "
                 f"not O(h^4) at the tolerance {tol!r}"
             )
-        if 2 * steps > _MAX_STEPS:
-            raise ConvergenceError(
-                f"{where} is above half the tolerance {tol!r}, and a finer grid "
-                f"would pass {_MAX_STEPS} steps"
-            )
         coarse, last = fine, estimate
+    else:
+        raise ConvergenceError(
+            f"{where} is above half the tolerance {tol!r}, and a finer grid "
+            f"would pass {_MAX_STEPS} steps"
+        )
 
     energy_val = fine + (fine - coarse) / 15.0
     lo, hi = energy_val - 0.5 * tol, energy_val + 0.5 * tol
@@ -509,29 +502,41 @@ def solve_exact(
     return OracleResult(energy_val, n_lo, True, 0.5 * tol, shots, estimate, steps + 1)
 
 
-def _coarsest_grid(params: PotentialParams, l: int, r_min: float, r_max: float,
-                   e_lo: float, steps: int):
-    """(steps, grid) of the fewest steps * 2^j on which T = h^2 g/12 <= 1/2
-    for every g = P - e_lo Q: finer grids only lower T, and past T = 1 the
-    pivots turn negative between levels, so the counts of a coarser grid
-    count spurious nodes.  A solve starts from the steps of its largest ln(r)
-    step, a count from _MIN_STEPS.  ConvergenceError, before any march,
-    when the grid of twice those steps would pass _MAX_STEPS."""
+def _ladder(params: PotentialParams, l: int, r_min: float, r_max: float, e_lo: float,
+            steps: int):
+    """(steps, grid) of each ln(r) grid from r_min to r_max that a solve or
+    a count may march, each every other point of the next.  The first has
+    the fewest steps * 2^j on which T = h^2 g/12 <= 1/2 for every g = P -
+    e_lo Q: finer grids only lower T, and past T = 1 the pivots turn
+    negative between levels, so the counts of a coarser grid count
+    spurious nodes.  As T falls as h^2, a grid with T > 1/2 skips to the
+    first steps * 2^j where it should pass.  Then the steps double up to
+    96000 (_MAX_STEPS).  ConvergenceError, before any march, when the first
+    grid has no doubling within 96000 steps."""
     while True:
         grid = _log_grid(params, l, r_min, r_max, steps + 1)
-        h, p_arr, q_arr, _ = grid
+        h = grid[0]
         with np.errstate(over="ignore"):
-            t_max = h * h * float(np.max(np.abs(p_arr - e_lo * q_arr))) / 12.0
-        if t_max <= 0.5:
-            return steps, grid
-        # T falls as h^2: skip to the first grid where it should pass
-        if not steps * math.sqrt(2.0 * t_max) <= 0.5 * _MAX_STEPS:
+            t_max = h * h * float(np.max(np.abs(grid[1] - e_lo * grid[2]))) / 12.0
+        # an infinite T has no log, and passes on no grid
+        skip = 0
+        if 0.5 < t_max < math.inf:
+            skip = max(1, math.ceil(0.5 * math.log2(2.0 * t_max)))
+        if t_max == math.inf or 2 * (steps << skip) > _MAX_STEPS:
             raise ConvergenceError(
                 f"T = h^2 g/12 reaches {t_max:.3g} at E={e_lo!r} on the "
                 f"{steps + 1}-point grid: counts need T <= 1/2 on both grids of "
                 f"the first doubling, and the finer may not pass {_MAX_STEPS} steps"
             )
-        steps <<= max(1, math.ceil(0.5 * math.log2(2.0 * t_max)))
+        if not skip:
+            break
+        steps <<= skip
+    yield steps, grid
+    # rebinding grid keeps no grid alive here but the last one yielded
+    while 2 * steps <= _MAX_STEPS:
+        steps *= 2
+        grid = _log_grid(params, l, r_min, r_max, steps + 1)
+        yield steps, grid
 
 
 def count_bound_states(params: PotentialParams, l: int = 0) -> int:
@@ -543,35 +548,29 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     r_max lifts a level above the probe once its kappa = sqrt(-2 mu E)/hbar
     is below about 1.2/r_max (where the 96001-point grid's count drops,
     kappa r_max is 1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and
-    0.14-0.21 at gamma > 0).  The grids have 3000 * 2^j + 1 points
-    (_MIN_STEPS * 2^j steps), starting at the first on which T = h^2 g/12 <=
-    1/2 at the probe (_coarsest_grid), and the count is returned once two
-    successive grids agree.  A grid with T > 1/2 may count spurious nodes,
-    and two of them can agree on the same wrong count.  Where T <= 1/2 the
-    count may still be one too high: the phase error of the coarse grids in
-    a deep core binds one level more, just below the probe, and the two
-    coarsest grids agree on it.  At Z = 13.4497, mu = 2.8839, hbar =
-    0.61093, alpha = 0.0029265, D = 5, l = 4 the 3001- and 6001-point grids
-    read 261, with a 261st level at E = -1.6e-8, and the grids of 12001 to
-    192001 points read 260; 10 of 1488 random potentials with Z in [1, 316]
-    and hbar down to 0.2 read one too many.  Raises ConvergenceError when
-    the grid after the last one marched would pass 96000 steps
-    (_MAX_STEPS), before any march if already the first would need it, and
-    OracleError from _log_grid when a grid's coefficients or its start are
-    not finite.
+    0.14-0.21 at gamma > 0).  The grids are those of _ladder at the probe
+    from _MIN_STEPS = 3000 steps, and the count is returned once two
+    successive grids agree.  The count may still be one too high: the phase
+    error of the coarse grids in a deep core binds one level more, just
+    below the probe, and the two coarsest grids agree on it.  At Z =
+    13.4497, mu = 2.8839, hbar = 0.61093, alpha = 0.0029265, D = 5, l = 4
+    the 3001- and 6001-point grids read 261, with a 261st level at E =
+    -1.6e-8, and the grids of 12001 to 192001 points read 260; 10 of 1488
+    random potentials with Z in [1, 316] and hbar down to 0.2 read one too
+    many.  Raises ConvergenceError when
+    no two successive grids of _ladder agree, before any march if _ladder
+    has no first grid, and OracleError from _log_grid when a grid's
+    coefficients or its start are not finite.
     """
     model._check_index("l", l)
     r_min, r_max = 1e-6 / params.alpha, 100.0 / params.alpha
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
-    steps, grid = _coarsest_grid(params, l, r_min, r_max, probe, _MIN_STEPS)
     coarse = None
-    while True:
+    for steps, grid in _ladder(params, l, r_min, r_max, probe, _MIN_STEPS):
         nodes = _march(grid, probe)
         if nodes == coarse:
             return nodes
-        if 2 * steps > _MAX_STEPS:
-            raise ConvergenceError(
-                f"the count of levels did not settle: {nodes} on the {steps + 1}-point "
-                f"grid, and a finer grid would pass {_MAX_STEPS} steps")
-        steps, coarse = 2 * steps, nodes
-        grid = _log_grid(params, l, r_min, r_max, steps + 1)
+        coarse = nodes
+    raise ConvergenceError(
+        f"the count of levels did not settle: {nodes} on the {steps + 1}-point "
+        f"grid, and a finer grid would pass {_MAX_STEPS} steps")

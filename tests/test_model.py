@@ -10,7 +10,6 @@ from hulthen import (
     PotentialParams,
     QuantumNumbers,
     centrifugal_approx,
-    coulomb_limit_energy,
     default_grid,
     energy,
     level,
@@ -354,16 +353,9 @@ def test_spectrum_stops_at_first_missing_level(monkeypatch):
         assert states == spectrum(params, l, n_max=len(states) + 5)
 
 
-def test_coulomb_limit():
-    qn = QuantumNumbers(0, 0)
-    assert coulomb_limit_energy(ANCHOR, qn) == pytest.approx(-0.5, rel=1e-15)
-    tiny = PotentialParams(Z=1.0, alpha=1e-6)
-    st = energy(tiny, qn)
+def test_energy_approaches_the_coulomb_limit():
+    st = energy(PotentialParams(Z=1.0, alpha=1e-6), QuantumNumbers(0, 0))
     assert abs(st.energy - (-0.5)) / 0.5 < 1e-4
-    big_lam = coulomb_limit_energy(ANCHOR, QuantumNumbers(40, 10))
-    assert -1e-3 < big_lam < 0.0
-    with pytest.raises(ValueError):
-        coulomb_limit_energy(PotentialParams(Z=1.0, alpha=0.05, D=1), QuantumNumbers(0, 0))
 
 
 def test_normalization_ground_state_closed_form():

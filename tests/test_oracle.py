@@ -3,11 +3,13 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from hulthen import (
     BracketError,
     ConvergenceError,
+    NodeCountError,
     PotentialParams,
     QuantumNumbers,
     ShootingConfig,
@@ -122,6 +124,10 @@ def test_deviation_march_passes_an_exact_zero_pivot():
     d = list(_deviations([w1, w2], -1.0))
     assert d[1] < -1.0
     assert d[2] == w2 + 1.0
+    # the count loop of _march does the same: on this grid T_0 = T_1 = 0
+    # and y_1 = 0 (R_0 = 0), and T_2 = -1/2 gives R_2 = U_2 = -2
+    grid = (1.0, np.array([0.0, 0.0, -6.0, 0.0]), np.zeros(4), lambda energy_val: -1.0)
+    assert _march(grid, -0.5) == 2
 
 
 @pytest.mark.parametrize("dim,l,alpha", [
@@ -236,6 +242,49 @@ def test_certificate_counts_both_sides_afresh(monkeypatch):
     assert calls[last_pass][1] == res.points
     for side in (res.energy - res.residual, res.energy + res.residual):
         assert ("_march", res.points, side) in calls[last_pass + 1:]
+
+
+def test_counts_at_the_float_resolution_raise():
+    # at 6 float spacings of the bracket energy a count can contradict an
+    # end an earlier count proved: the bracket closes on no level
+    params = PotentialParams(Z=1.0, alpha=0.2)
+    qn = QuantumNumbers(0, 0)
+    tol = 6.0 * math.ulp(default_config(params, qn).energy_bracket[0])
+    with pytest.raises(ConvergenceError, match="^node counts disagree at E=-0.405"):
+        solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
+
+
+def test_level_outside_the_certified_window_raises():
+    # at 6 float spacings the extrapolated level of this D = 2 ground state
+    # misses the final grid's level, and both fresh counts see it below
+    params = PotentialParams(Z=1.0, alpha=0.05, D=2)
+    qn = QuantumNumbers(0, 0)
+    tol = 6.0 * math.ulp(default_config(params, qn).energy_bracket[0])
+    with pytest.raises(ConvergenceError, match=r"^the level of the 35297-point grid lies "
+                                               r"outside E=.* \(node counts 1 and 1\)$"):
+        solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
+
+
+def test_bracket_closed_by_counts_returns_its_midpoint():
+    # on the first grid one count at -0.65 closes the bracket to (-0.65, -0.3),
+    # within the tolerance 0.5, so that grid's level is the midpoint -0.475;
+    # the second grid's is converged by one pass from there
+    cfg = ShootingConfig(r_min=1e-3, r_max=400.0, energy_bracket=(-1.0, -0.3), tolerance=0.5)
+    res = solve_exact(ANCHOR, 0, 0, cfg)
+    assert res.error_estimate == pytest.approx(abs(res.energy + 0.475) / 16.0, rel=1e-9)
+    assert (res.points, res.shots) == (9209, 4)
+    # gamma = 0: the closed form -0.4753125 is the exact level
+    assert abs(res.energy + 0.4753125) <= res.residual
+
+
+def test_wrong_node_count_raises():
+    # the window of width 0.02 around E = -0.0067 holds both the fourth and
+    # the fifth level (-0.01125 and -0.0028): the count at its lower end
+    # is 3, not the 4 of the target
+    cfg = ShootingConfig(r_min=1e-3, r_max=400.0, energy_bracket=(-0.5, -1e-4), tolerance=0.02)
+    with pytest.raises(NodeCountError, match="^certified level has 3 interior nodes, "
+                                             "expected 4$"):
+        solve_exact(ANCHOR, 0, 4, cfg)
 
 
 def test_convergence_errors(monkeypatch):
@@ -403,6 +452,45 @@ def test_level_past_the_grid_cap_raises():
     with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches 5.02e\+03 .* on the "
                                                r"1501-point grid: "):
         solve_exact(params, 0, 0, cfg)
+
+
+@pytest.mark.parametrize("r_min,r_max,bracket,tolerance,t_max,points", [
+    # the first grid passes T <= 1/2 on 49721 points; its doubling marched
+    # 99441 points and returned the level from them
+    (1e-240, 100.0, (-0.6, -0.4), 1e-9, "0.126", 49721),
+    # T = 704 skipped the 1100-point grid to 70337 points, and the solve
+    # then marched 140673
+    (0.026, 5800.0, (-1.0, -0.3), 1e-9, "704", 1100),
+    # g = P - E_lo Q overflows, and the skip to a finer grid takes the log
+    # of T
+    (1e-3, 1e10, (-1e300, -1e299), 1e290, "inf", 2672),
+])
+def test_no_grid_past_the_cap_is_marched(monkeypatch, r_min, r_max, bracket, tolerance, t_max,
+                                         points):
+    sizes = []
+
+    def spy(params, l, r_lo, r_hi, n):
+        sizes.append(n)
+        return _log_grid(params, l, r_lo, r_hi, n)
+
+    monkeypatch.setattr(oracle, "_log_grid", spy)
+    cfg = ShootingConfig(r_min=r_min, r_max=r_max, energy_bracket=bracket, tolerance=tolerance)
+    with pytest.raises(ConvergenceError, match=f"^T = h\\^2 g/12 reaches {t_max} at E=.* on "
+                                               f"the {points}-point grid: "):
+        solve_exact(ANCHOR, 0, 0, cfg)
+    assert sizes == [points]
+
+
+def test_estimate_above_tolerance_on_the_last_grid_raises():
+    # the 25065-step grid from r_min = 1e-120 keeps the largest ln(r) step:
+    # its doubling still reads an O(h^4) estimate of 3.91e-12, and a third
+    # grid would have 100260 steps
+    cfg = ShootingConfig(r_min=1e-120, r_max=100.0, energy_bracket=(-0.6, -0.4),
+                         tolerance=1e-12)
+    message = ("error estimate 3.91e-12 of the 50131-point grid is above half the tolerance "
+               "1e-12, and a finer grid would pass 96000 steps")
+    with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+        solve_exact(ANCHOR, 0, 0, cfg)
 
 
 def test_estimate_that_stops_shrinking_raises(monkeypatch):

@@ -29,8 +29,7 @@ PUBLIC = {
     specfun: {"jacobi_poly"},
     model: {"PotentialParams", "QuantumNumbers", "BoundState", "Level", "NoBoundState",
             "RadialSamples", "potential", "centrifugal_approx", "energy", "level", "spectrum",
-            "coulomb_limit_energy", "normalization_constant", "wavefunction_samples",
-            "default_grid"},
+            "normalization_constant", "wavefunction_samples", "default_grid"},
     expectation: {"QuadratureError", "ExpectationReport", "expectation_report"},
     oracle: {"OracleError", "BracketError", "ConvergenceError", "NodeCountError",
              "ShootingConfig", "OracleResult", "default_config", "solve_exact",
@@ -47,7 +46,7 @@ def test_module_all_is_pinned(mod):
 def test_package_all_is_pinned():
     # model's names, then those of the two submodules served on first access
     public = hulthen.__all__
-    assert len(public) == len(set(public)) == 27
+    assert len(public) == len(set(public)) == 26
     assert public[:len(model.__all__)] == model.__all__
     assert set(public) == PUBLIC[model] | PUBLIC[expectation] | PUBLIC[oracle]
 
