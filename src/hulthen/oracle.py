@@ -21,9 +21,9 @@ the level is converged on each grid in turn, and the solve returns E_N +
 O(h^4) error is at most half the tolerance.  A doubling that shrinks the
 estimate by less than 4 shows an error that is not O(h^4), such as
 rounding, and raises ConvergenceError, as does the end of the ladder: no
-unchecked energy is returned.  default_config's grid spans only the level
-(from 1e-3 hbar^2/(mu Z) to past its outer turning point), so most levels
-are converged on ~1100 and ~2200 steps and end on the second.
+unchecked energy is returned.  A solve's grid spans only the level
+(_grid_ends), so most levels are converged on ~1100 and ~2200 steps and
+end on the second.
 count_bound_states climbs its ladder from 3000 steps on r = 1e-6/alpha ..
 100/alpha until two successive counts agree.
 
@@ -52,7 +52,7 @@ grids (_MAX_PASSES).
 
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
-is the only code here that reads the level, for its grid, bracket and
+is the only code here that reads the level, for its bracket and
 tolerance.  A grid whose coefficients or start are not finite raises
 OracleError before its points are marched.
 """
@@ -117,31 +117,23 @@ _MAX_PASSES = 300
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Inputs of one solve_exact call.
+    """Inputs of one solve_exact call; the solve picks its grid from
+    params, l and the bracket's upper end (_grid_ends).
 
-    r_min, r_max: the ends of every ln(r) grid of the solve, 0 < r_min <
-        r_max < inf; the solve chooses the number of points.  The start's
-        error from r_min is not part of the certificate: on r = 0.026 ..
-        80, the ground state at Z = 1, alpha = 0.05, D = 3 lies 7.8 half
-        tolerances from the exact level (0.067 at r_min = 0.01, 7e-7 at 1e-3).
-    energy_bracket: (E_lo, E_hi) with E_lo < E_hi <= 0, which must straddle
+    energy_bracket: (E_lo, E_hi) with E_lo < E_hi < 0, which must straddle
         the target level.
     tolerance: the width of the certified window (the level lies within
         energy -/+ tolerance/2); finite, positive and below the bracket
         width.
     """
 
-    r_min: float
-    r_max: float
     energy_bracket: tuple[float, float]
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise ValueError("shooting grid requires 0 < r_min < r_max < inf")
         lo, hi = self.energy_bracket
-        if not (lo < hi <= 0.0):
-            raise ValueError("energy bracket must satisfy E_lo < E_hi <= 0")
+        if not (lo < hi < 0.0):
+            raise ValueError("energy bracket must satisfy E_lo < E_hi < 0")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError(f"tolerance must be a finite positive real, got {self.tolerance!r}")
         # a bracket within the tolerance would be returned as its midpoint
@@ -179,38 +171,43 @@ def default_config(
     qn: QuantumNumbers,
     tolerance: float | None = None,
 ) -> ShootingConfig:
-    """Grid and bracket from the closed-form level as the initial guess.
+    """Bracket and tolerance from the closed-form level as the initial guess.
 
     The bracket is the closed-form energy +/- 20%, and the default energy
-    tolerance 1e-9, tightened to 1e-8|E| for very shallow levels.  The
-    grid spans only the level.  r_min = 1e-3 hbar^2/(mu Z), a thousandth
-    of the Coulomb radius of the core, where the third-order regular start
-    leaves the level within ~1e-15 of |E|.  At D = 2, l = 0 (s = 0) the
-    other branch, y ~ ln r, does not die out outward, and the start's
-    O(r_min^4) error stays in the level: 1.1e-11 |E| there, 0.78 of the
-    tolerance at E = -72.2, so r_min is ten times smaller (1e-15 |E|).
-    r_max = ln(1 + Z alpha/|E_hi|)/alpha + 40/kappa_hi is the outer
-    turning point of V at the bracket's upper end E_hi, plus 40 decay
-    lengths of a level there (kappa_hi = sqrt(-2 mu E_hi)/hbar): past
-    40/kappa alone the polynomial envelope of a high level still holds
-    weight: there D = 1, alpha = 0.001, n = 21 was off by 7.4e-10, 107
-    times its tolerance of 6.9e-12.
+    tolerance 1e-9, tightened to 1e-8|E| for very shallow levels.
     """
-    lv = model.level(params, qn)
-    e_val = lv.energy
-    e_hi = 0.8 * e_val
-    kappa_hi = math.sqrt(-2.0 * params.mu * e_hi) / params.hbar
-    core = 1e-4 if (params.D, qn.l) == (2, 0) else 1e-3
-    r_min = core * params.hbar**2 / (params.mu * params.Z)
-    r_max = math.log1p(params.Z * params.alpha / -e_hi) / params.alpha + 40.0 / kappa_hi
+    e_val = model.level(params, qn).energy
     if tolerance is None:
         tolerance = min(1e-9, 1e-8 * abs(e_val))
-    return ShootingConfig(
-        r_min=r_min,
-        r_max=r_max,
-        energy_bracket=(1.2 * e_val, e_hi),
-        tolerance=tolerance,
-    )
+    return ShootingConfig(energy_bracket=(1.2 * e_val, 0.8 * e_val), tolerance=tolerance)
+
+
+def _grid_ends(params: PotentialParams, l: int, e_hi: float) -> tuple[float, float]:
+    """(r_min, r_max) of each ln(r) grid of a solve with the upper bracket e_hi.
+
+    The grid spans only the level.  r_min = 1e-3 hbar^2/(mu Z), a
+    thousandth of the Coulomb radius of the core, where the third-order
+    regular start leaves the level within ~1e-15 of |E|.  At D = 2, l = 0
+    (s = 0) the other branch, y ~ ln r, does not die out outward, and the
+    start's O(r_min^4) error stays in the level: 1.1e-11 |E| there, 0.78 of
+    the tolerance at E = -72.2, so r_min is ten times smaller (1e-15 |E|).
+    r_max = ln(1 + Z alpha/|E_hi|)/alpha + 40/kappa_hi is the outer turning
+    point of V at E_hi, plus 40 decay lengths of a level there (kappa_hi =
+    sqrt(-2 mu E_hi)/hbar): past 40/kappa alone the polynomial envelope of
+    a high level still holds weight: there D = 1, alpha = 0.001, n = 21 was
+    off by 7.4e-10, 107 times its tolerance of 6.9e-12.
+
+    BracketError unless 0 < r_min < r_max < inf.  r_max <= r_min needs E_hi
+    < -8e8 mu Z^2/hbar^2, below every level of the -Z/r core and so of V.
+    """
+    kappa_hi = math.sqrt(-2.0 * params.mu * e_hi) / params.hbar
+    core = 1e-4 if (params.D, l) == (2, 0) else 1e-3
+    r_min = core * params.hbar**2 / (params.mu * params.Z)
+    r_max = math.log1p(params.Z * params.alpha / -e_hi) / params.alpha + 40.0 / kappa_hi
+    if not 0.0 < r_min < r_max < math.inf:
+        raise BracketError(f"upper bracket E={e_hi!r} gives no grid: it would run from "
+                           f"r_min = {r_min!r} to r_max = {r_max!r}")
+    return r_min, r_max
 
 
 def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
@@ -364,26 +361,26 @@ def solve_exact(
 ) -> OracleResult:
     """Eigenvalue of the exact radial problem with the given node count.
 
-    The grids are those of _ladder from cfg.r_min to cfg.r_max at E_lo,
-    from the fewest steps (at least 8) of at most _MAX_LOG_STEP =
+    The grids are those of _ladder at E_lo, on the ends _grid_ends gives at
+    E_hi, from the fewest steps (at least 8) of at most _MAX_LOG_STEP =
     ln(2e7)/1500 in ln(r), the step of 1500 steps over r = 1e-6/alpha ..
     20/alpha.  The level is converged on each grid in turn, until the
     Richardson estimate |E_N - E_N/2|/15 is at most tolerance/2.  The
     returned energy is E_N + (E_N - E_N/2)/15, certified by counts on the
     final grid alone.
 
-    Raises BracketError when the bracket does not straddle the target
-    eigenvalue on a grid, found when the solve first falls back to
-    bisection there or before it certifies or fails (an end is marched on
-    its own only if no count of the solve on that grid has proven it);
-    NodeCountError if the certified level has the wrong node count; and
-    ConvergenceError when the tolerance is finer than the float spacing of
-    the bracket energies, _ladder has no first grid, the solve takes more
-    than 300 Cooley passes over all grids (_MAX_PASSES), the estimate is
-    still above tolerance/2 on the last grid of _ladder or shrinks by less
-    than 4 on a doubling (an error that is not O(h^4)), the counts of a
-    grid close its bracket on no level, or the final grid's level lies
-    outside the certified window.
+    Raises BracketError when _grid_ends finds no grid for E_hi or the
+    bracket does not straddle the target eigenvalue on a grid, found when
+    the solve first falls back to bisection there or before it certifies or
+    fails (an end is marched on its own only if no count of the solve on
+    that grid has proven it); NodeCountError if the certified level has the
+    wrong node count; and ConvergenceError when the tolerance is finer than
+    the float spacing of the bracket energies, _ladder has no first grid,
+    the solve takes more than 300 Cooley passes over all grids
+    (_MAX_PASSES), the estimate is still above tolerance/2 on the last grid
+    of _ladder or shrinks by less than 4 on a doubling (an error that is not
+    O(h^4)), the counts of a grid close its bracket on no level, or the
+    final grid's level lies outside the certified window.
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
@@ -461,9 +458,10 @@ def solve_exact(
                 e_val = 0.5 * (e_lo + e_hi)
         return 0.5 * (e_lo + e_hi)
 
+    r_min, r_max = _grid_ends(params, l, cfg.energy_bracket[1])
     # a march needs points on both sides of its matching point
-    steps = max(8, math.ceil((math.log(cfg.r_max) - math.log(cfg.r_min)) / _MAX_LOG_STEP))
-    grids = _ladder(params, l, cfg.r_min, cfg.r_max, cfg.energy_bracket[0], steps)
+    steps = max(8, math.ceil((math.log(r_max) - math.log(r_min)) / _MAX_LOG_STEP))
+    grids = _ladder(params, l, r_min, r_max, cfg.energy_bracket[0], steps)
     coarse = converge(next(grids)[1], 0.5 * sum(cfg.energy_bracket))
     last = None
     for steps, fine_grid in grids:
@@ -512,7 +510,7 @@ def _ladder(params: PotentialParams, l: int, r_min: float, r_max: float, e_lo: f
     spurious nodes.  As T falls as h^2, a grid with T > 1/2 skips to the
     first steps * 2^j where it should pass.  Then the steps double up to
     96000 (_MAX_STEPS).  ConvergenceError, before any march, when the first
-    grid has no doubling within 96000 steps."""
+    grid has no doubling within 96000 steps, naming T if T > 1/2 there."""
     while True:
         grid = _log_grid(params, l, r_min, r_max, steps + 1)
         h = grid[0]
@@ -523,11 +521,11 @@ def _ladder(params: PotentialParams, l: int, r_min: float, r_max: float, e_lo: f
         if 0.5 < t_max < math.inf:
             skip = max(1, math.ceil(0.5 * math.log2(2.0 * t_max)))
         if t_max == math.inf or 2 * (steps << skip) > _MAX_STEPS:
-            raise ConvergenceError(
-                f"T = h^2 g/12 reaches {t_max:.3g} at E={e_lo!r} on the "
-                f"{steps + 1}-point grid: counts need T <= 1/2 on both grids of "
-                f"the first doubling, and the finer may not pass {_MAX_STEPS} steps"
-            )
+            cause = (f"the first grid has {steps} steps" if t_max <= 0.5 else
+                     f"T = h^2 g/12 reaches {t_max:.3g} at E={e_lo!r} on the "
+                     f"{steps + 1}-point grid")
+            raise ConvergenceError(f"{cause}: counts need T <= 1/2 on both grids of the first "
+                                   f"doubling, and the finer may not pass {_MAX_STEPS} steps")
         if not skip:
             break
         steps <<= skip

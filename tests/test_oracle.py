@@ -22,31 +22,75 @@ from hulthen import (
     spectrum,
 )
 from hulthen.cli import main
-from hulthen.oracle import _cooley, _deviations, _log_grid, _march
+from hulthen.oracle import _cooley, _deviations, _grid_ends, _log_grid, _march
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ShootingConfig(r_min=1.0, r_max=0.5, energy_bracket=(-1.0, -0.5))
+        ShootingConfig(energy_bracket=(-0.5, -1.0))
     with pytest.raises(ValueError):
-        ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-0.5, -1.0))
+        ShootingConfig(energy_bracket=(-1.0, 0.5))
     with pytest.raises(ValueError):
-        ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, 0.5))
-    with pytest.raises(ValueError):
-        ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=0.0)
+        ShootingConfig(energy_bracket=(-1.0, -0.5), tolerance=0.0)
     # a nan tolerance made solve_exact return the bracket midpoint unchecked
     for tol in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="^tolerance must be a finite positive real"):
-            ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=tol)
-    with pytest.raises(ValueError, match="r_max < inf"):
-        ShootingConfig(r_min=0.1, r_max=math.inf, energy_bracket=(-1.0, -0.5))
+            ShootingConfig(energy_bracket=(-1.0, -0.5), tolerance=tol)
     # a bracket within the tolerance was returned as its midpoint unchecked
     for tol in (0.5, 0.6):
         with pytest.raises(ValueError, match=f"^tolerance {tol} is not below the energy "
                                              f"bracket width 0.5$"):
-            ShootingConfig(r_min=0.1, r_max=10.0, energy_bracket=(-1.0, -0.5), tolerance=tol)
+            ShootingConfig(energy_bracket=(-1.0, -0.5), tolerance=tol)
+
+
+def _ends(monkeypatch, r_min, r_max):
+    # solve on the grid r_min .. r_max, not on the ends of _grid_ends
+    monkeypatch.setattr(oracle, "_grid_ends", lambda params, l, e_hi: (r_min, r_max))
+
+
+def test_bracket_ending_at_zero_raises():
+    # the grid ends 40 decay lengths past the turning point at E_hi, and at
+    # E_hi = 0 a level has no decay length
+    with pytest.raises(ValueError, match=r"^energy bracket must satisfy E_lo < E_hi < 0$"):
+        ShootingConfig(energy_bracket=(-1.0, 0.0))
+
+
+@pytest.mark.parametrize("bracket,tolerance,r_max", [
+    # r_max = 8.9e-4 from E_hi = -1e9 falls short of r_min = 1e-3: a grid
+    # between them would have a negative step
+    ((-2e9, -1e9), 10.0, "0.0008944"),
+    # Z alpha/|E_hi| overflows, and a grid to r_max = inf has no step count
+    ((-1.0, -1e-320), 1e-9, "inf"),
+])
+def test_bracket_that_gives_no_grid_builds_none(monkeypatch, bracket, tolerance, r_max):
+    sizes = []
+
+    def spy(params, l, r_lo, r_hi, n):
+        sizes.append(n)
+        return _log_grid(params, l, r_lo, r_hi, n)
+
+    monkeypatch.setattr(oracle, "_log_grid", spy)
+    cfg = ShootingConfig(energy_bracket=bracket, tolerance=tolerance)
+    with pytest.raises(BracketError, match=f"^upper bracket E={bracket[1]!r} gives no grid: it "
+                                           f"would run from r_min = 0.001 to r_max = {r_max}"):
+        solve_exact(ANCHOR, 0, 0, cfg)
+    assert sizes == []
+
+
+def test_bracket_ending_near_zero_raises_before_a_march(monkeypatch):
+    # E_hi = -1e-300 puts r_max at 40/kappa_hi = 2.8e151, where T at E_lo = -1
+    # passes 1/2 on every grid within the cap
+    def no_march(grid, energy_val):
+        raise AssertionError("a grid was marched")
+
+    monkeypatch.setattr(oracle, "_march", no_march)
+    monkeypatch.setattr(oracle, "_cooley", no_march)
+    cfg = ShootingConfig(energy_bracket=(-1.0, -1e-300))
+    with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches .* on the 31734-point "
+                                               r"grid: "):
+        solve_exact(ANCHOR, 0, 0, cfg)
 
 
 def test_solver_input_checks():
@@ -168,7 +212,7 @@ def _certified(params, l, k, cfg, res):
     # marches at the ends of the configured bracket: the solve skips those
     # marches when its counts prove the ends, so a level must never solve
     # from a bracket that does not straddle it
-    grid = _log_grid(params, l, cfg.r_min, cfg.r_max, res.points)
+    grid = _log_grid(params, l, *_grid_ends(params, l, cfg.energy_bracket[1]), res.points)
     below = _march(grid, res.energy - res.residual)
     above = _march(grid, res.energy + res.residual)
     e_lo, e_hi = cfg.energy_bracket
@@ -265,11 +309,12 @@ def test_level_outside_the_certified_window_raises():
         solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
 
 
-def test_bracket_closed_by_counts_returns_its_midpoint():
+def test_bracket_closed_by_counts_returns_its_midpoint(monkeypatch):
     # on the first grid one count at -0.65 closes the bracket to (-0.65, -0.3),
     # within the tolerance 0.5, so that grid's level is the midpoint -0.475;
     # the second grid's is converged by one pass from there
-    cfg = ShootingConfig(r_min=1e-3, r_max=400.0, energy_bracket=(-1.0, -0.3), tolerance=0.5)
+    _ends(monkeypatch, 1e-3, 400.0)
+    cfg = ShootingConfig(energy_bracket=(-1.0, -0.3), tolerance=0.5)
     res = solve_exact(ANCHOR, 0, 0, cfg)
     assert res.error_estimate == pytest.approx(abs(res.energy + 0.475) / 16.0, rel=1e-9)
     assert (res.points, res.shots) == (9209, 4)
@@ -277,11 +322,12 @@ def test_bracket_closed_by_counts_returns_its_midpoint():
     assert abs(res.energy + 0.4753125) <= res.residual
 
 
-def test_wrong_node_count_raises():
+def test_wrong_node_count_raises(monkeypatch):
     # the window of width 0.02 around E = -0.0067 holds both the fourth and
     # the fifth level (-0.01125 and -0.0028): the count at its lower end
     # is 3, not the 4 of the target
-    cfg = ShootingConfig(r_min=1e-3, r_max=400.0, energy_bracket=(-0.5, -1e-4), tolerance=0.02)
+    _ends(monkeypatch, 1e-3, 400.0)
+    cfg = ShootingConfig(energy_bracket=(-0.5, -1e-4), tolerance=0.02)
     with pytest.raises(NodeCountError, match="^certified level has 3 interior nodes, "
                                              "expected 4$"):
         solve_exact(ANCHOR, 0, 4, cfg)
@@ -295,7 +341,7 @@ def test_convergence_errors(monkeypatch):
     # from the default bracket one corrector pass per grid converges the
     # level; this wider one needs five on the first grid, so a single pass
     # cannot converge
-    wide = ShootingConfig(r_min=cfg.r_min, r_max=cfg.r_max, energy_bracket=(-1.0, -0.3))
+    wide = ShootingConfig(energy_bracket=(-1.0, -0.3))
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_MAX_PASSES", 1)
         with pytest.raises(ConvergenceError, match="^no level to 1e-09 within 1 passes"):
@@ -349,7 +395,7 @@ def test_grid_refinement_contract():
     assert res.error_estimate <= res.residual
     levels = []
     for points in (10585, 5293, 2647):
-        grid = _log_grid(params, 0, cfg.r_min, cfg.r_max, points)
+        grid = _log_grid(params, 0, *_grid_ends(params, 0, cfg.energy_bracket[1]), points)
         e_val = res.energy
         for _ in range(3):
             e_val += _cooley(grid, e_val)[1]
@@ -404,7 +450,7 @@ def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z,
     # a deep level: the grid ends at r = 5.66
     (4.274, 1.797, 0.33, 0.04291130432367441, 4, 0, 5),
 ])
-def test_grid_ends_of_default_config_converge(Z, mu, hbar, alpha, dim, l, n):
+def test_grid_ends_of_default_config_converge(monkeypatch, Z, mu, hbar, alpha, dim, l, n):
     # the grid spans only the level: a start ten times nearer the origin or
     # an end twice as far out moves it by less than a tenth of the tolerance
     params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
@@ -412,18 +458,19 @@ def test_grid_ends_of_default_config_converge(Z, mu, hbar, alpha, dim, l, n):
     k = level(params, qn).nodes
     cfg = default_config(params, qn)
     res = solve_exact(params, l, k, cfg)
-    for r_min, r_max in ((cfg.r_min / 10.0, cfg.r_max), (cfg.r_min, 2.0 * cfg.r_max)):
-        wider = ShootingConfig(r_min=r_min, r_max=r_max, energy_bracket=cfg.energy_bracket,
-                               tolerance=cfg.tolerance)
-        assert abs(solve_exact(params, l, k, wider).energy - res.energy) < 0.1 * cfg.tolerance
+    r_min, r_max = _grid_ends(params, l, cfg.energy_bracket[1])
+    for ends in ((r_min / 10.0, r_max), (r_min, 2.0 * r_max)):
+        with monkeypatch.context() as patch:
+            _ends(patch, *ends)
+            wider = solve_exact(params, l, k, cfg)
+        assert abs(wider.energy - res.energy) < 0.1 * cfg.tolerance
 
 
-def _old_ends(params, cfg):
+def _old_ends(monkeypatch, params):
     # the grid ends default_config gave before its grid spanned only the
     # level: r = 1e-6/alpha .. 20/alpha (40/kappa is shorter for every level
     # used here)
-    return ShootingConfig(r_min=1e-6 / params.alpha, r_max=20.0 / params.alpha,
-                          energy_bracket=cfg.energy_bracket, tolerance=cfg.tolerance)
+    _ends(monkeypatch, 1e-6 / params.alpha, 20.0 / params.alpha)
 
 
 @pytest.mark.parametrize("dim,n,alpha", [(3, 0, 1e-3), (3, 5, 1e-4), (1, 1, 1e-154),
@@ -443,12 +490,13 @@ def test_levels_past_the_old_grid_ends_solve(dim, n, alpha):
     assert abs(res.energy - lv.energy) <= 0.5 * cfg.tolerance
 
 
-def test_level_past_the_grid_cap_raises():
+def test_level_past_the_grid_cap_raises(monkeypatch):
     # T = h^2 g/12 reaches 5.02e3 on the 1501-point grid of the old ends:
     # counts need ~150000 steps, past the 96000 of _MAX_STEPS.  A
     # 24000-point grid counted 2124 spurious nodes here
     params = PotentialParams(Z=1.0, alpha=0.001)
-    cfg = _old_ends(params, default_config(params, QuantumNumbers(0, 0)))
+    cfg = default_config(params, QuantumNumbers(0, 0))
+    _old_ends(monkeypatch, params)
     with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches 5.02e\+03 .* on the "
                                                r"1501-point grid: "):
         solve_exact(params, 0, 0, cfg)
@@ -474,19 +522,24 @@ def test_no_grid_past_the_cap_is_marched(monkeypatch, r_min, r_max, bracket, tol
         return _log_grid(params, l, r_lo, r_hi, n)
 
     monkeypatch.setattr(oracle, "_log_grid", spy)
-    cfg = ShootingConfig(r_min=r_min, r_max=r_max, energy_bracket=bracket, tolerance=tolerance)
-    with pytest.raises(ConvergenceError, match=f"^T = h\\^2 g/12 reaches {t_max} at E=.* on "
-                                               f"the {points}-point grid: "):
+    _ends(monkeypatch, r_min, r_max)
+    cfg = ShootingConfig(energy_bracket=bracket, tolerance=tolerance)
+    # where T <= 1/2 on the first grid, its steps, not T, stop the ladder
+    cause = (f"the first grid has {points - 1} steps" if float(t_max) <= 0.5 else
+             f"T = h\\^2 g/12 reaches {t_max} at E=.* on the {points}-point grid")
+    with pytest.raises(ConvergenceError, match=f"^{cause}: counts need T <= 1/2 on both grids "
+                                               f"of the first doubling, and the finer may not "
+                                               f"pass 96000 steps$"):
         solve_exact(ANCHOR, 0, 0, cfg)
     assert sizes == [points]
 
 
-def test_estimate_above_tolerance_on_the_last_grid_raises():
+def test_estimate_above_tolerance_on_the_last_grid_raises(monkeypatch):
     # the 25065-step grid from r_min = 1e-120 keeps the largest ln(r) step:
     # its doubling still reads an O(h^4) estimate of 3.91e-12, and a third
     # grid would have 100260 steps
-    cfg = ShootingConfig(r_min=1e-120, r_max=100.0, energy_bracket=(-0.6, -0.4),
-                         tolerance=1e-12)
+    _ends(monkeypatch, 1e-120, 100.0)
+    cfg = ShootingConfig(energy_bracket=(-0.6, -0.4), tolerance=1e-12)
     message = ("error estimate 3.91e-12 of the 50131-point grid is above half the tolerance "
                "1e-12, and a finer grid would pass 96000 steps")
     with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
@@ -509,7 +562,7 @@ def test_estimate_that_stops_shrinking_raises(monkeypatch):
         solve_exact(ANCHOR, 0, 0, cfg)
 
 
-def test_d2_s_wave_level_does_not_depend_on_r_min():
+def test_d2_s_wave_level_does_not_depend_on_r_min(monkeypatch):
     # at D = 2, l = 0 the second branch y ~ ln r does not die out outward, so
     # the start at r_min must follow the regular one closely.  With a
     # first-order start this level (E = -41.13) moved by 4.6e-6 when r_min
@@ -523,9 +576,9 @@ def test_d2_s_wave_level_does_not_depend_on_r_min():
     res = solve_exact(params, 0, k, cfg)
     assert res.error_estimate <= res.residual
     assert _certified(params, 0, k, cfg, res)
-    deeper = ShootingConfig(r_min=cfg.r_min / 100.0, r_max=cfg.r_max,
-                            energy_bracket=cfg.energy_bracket, tolerance=cfg.tolerance)
-    assert abs(solve_exact(params, 0, k, deeper).energy - res.energy) <= cfg.tolerance
+    r_min, r_max = _grid_ends(params, 0, cfg.energy_bracket[1])
+    _ends(monkeypatch, r_min / 100.0, r_max)
+    assert abs(solve_exact(params, 0, k, cfg).energy - res.energy) <= cfg.tolerance
 
 
 def test_level_past_t_one_on_a_fixed_grid_solves():
@@ -546,20 +599,16 @@ def test_level_past_t_one_on_a_fixed_grid_solves():
 
 def test_bracket_error():
     # a bracket above the ground state (toward zero) cannot straddle it
-    cfg = ShootingConfig(
-        r_min=1e-6 / 0.05,
-        r_max=400.0,
-        energy_bracket=(-0.2, -0.15),
-        tolerance=1e-9,
-    )
+    cfg = ShootingConfig(energy_bracket=(-0.2, -0.15), tolerance=1e-9)
     with pytest.raises(BracketError, match="^lower bracket E=-0.2 already lies above"):
         solve_exact(ANCHOR, 0, 0, cfg)
 
 
-def test_narrow_grid_keeps_eight_steps():
+def test_narrow_grid_keeps_eight_steps(monkeypatch):
     # the coarsest grid is sized by its step in ln(r), and a span of 1e-3
     # in ln(r) would be one step, on which a march fails with an IndexError
-    cfg = ShootingConfig(r_min=1.0, r_max=1.001, energy_bracket=(-100.0, -0.1))
+    _ends(monkeypatch, 1.0, 1.001)
+    cfg = ShootingConfig(energy_bracket=(-100.0, -0.1))
     with pytest.raises(BracketError, match="^upper bracket E=-0.1 lies below the target"):
         solve_exact(ANCHOR, 0, 0, cfg)
 
@@ -582,7 +631,7 @@ def test_count_matches_closed_form():
 
 
 @pytest.mark.parametrize("alpha", [1e-154, 1e-160])
-def test_overflowing_grid_raises(alpha):
+def test_overflowing_grid_raises(monkeypatch, alpha):
     # Q = 2 mu r^2/hbar^2 overflows at r_max = 100/alpha: in D = 3 the count
     # read 17929 at alpha = 1e-154 (after RuntimeWarnings) and 0 at 1e-160,
     # where the closed form has at least 65 levels
@@ -596,7 +645,8 @@ def test_overflowing_grid_raises(alpha):
         # float.  The grid of default_config solves this level
         # (test_levels_past_the_old_grid_ends_solve)
         params = PotentialParams(Z=1.0, alpha=alpha, D=1)
-        cfg = _old_ends(params, default_config(params, QuantumNumbers(1)))
+        cfg = default_config(params, QuantumNumbers(1))
+        _old_ends(monkeypatch, params)
         with pytest.raises(oracle.OracleError, match=message):
             solve_exact(params, 0, 0, cfg)
 

@@ -12,8 +12,9 @@ or the class of the exception raised in its place (a draw with no
 closed-form level raises NoBoundState from default_config).
 
 A level that only NEW_SRC solves (an error -> ok change) is checked
-against a refined solve of NEW_SRC: the same bracket on a grid from a
-tenth of r_min to twice r_max, at a hundredth of the tolerance.
+against a refined solve of NEW_SRC: the same bracket at a hundredth of the
+tolerance, on a grid from a tenth of the r_min of its `oracle._grid_ends`
+to twice its r_max.
 
 Printed: the outcomes of each tree by class, every draw whose solve or
 count outcome changed (a mended level with its |E - E_refined|/tolerance),
@@ -61,15 +62,13 @@ def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
     {"solves": [...], "counts": [...], "solve_s": s, "count_s": s}; or, if
     refine lists draw indices, {"refined": [...]}, the outcomes of their
     refined solves in that order."""
-    from hulthen import PotentialParams, QuantumNumbers, ShootingConfig, count_bound_states
+    from hulthen import PotentialParams, QuantumNumbers, count_bound_states, oracle
     from hulthen import default_config, level, solve_exact
 
     def solve(params, qn, refined=False):
         cfg = default_config(params, qn)
         if refined:
-            cfg = ShootingConfig(r_min=cfg.r_min / 10.0, r_max=2.0 * cfg.r_max,
-                                 energy_bracket=cfg.energy_bracket,
-                                 tolerance=cfg.tolerance / 100.0)
+            cfg = default_config(params, qn, cfg.tolerance / 100.0)
         res = solve_exact(params, qn.l, level(params, qn).nodes, cfg)
         return {"energy": res.energy, "tolerance": cfg.tolerance, "points": res.points,
                 "shots": res.shots}
@@ -85,6 +84,13 @@ def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
 
     picks = draws(seed, count)
     if refine is not None:
+        grid_ends = oracle._grid_ends
+
+        def wider(params, l, e_hi):
+            r_min, r_max = grid_ends(params, l, e_hi)
+            return r_min / 10.0, 2.0 * r_max
+
+        oracle._grid_ends = wider
         return {"refined": [outcome(solve, potential(picks[i]),
                                     QuantumNumbers(picks[i]["n"], picks[i]["l"]), True)
                             for i in refine]}
