@@ -11,9 +11,11 @@ The quadratures use the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
 721 (1974)): r = r_max / (1 + exp(-pi sinh t)) maps the line onto
 [0, r_max] with weights that decay double-exponentially, so the trapezoid
 sum in t about doubles its correct digits per halving of the step, even
-with the integrands' r^p behaviour at the origin.  U^2 is evaluated once
-per node, as an array, for every weight.  The error estimate is the last
-halving's change plus the integral left beyond the outermost nodes.
+with the integrands' r^p behaviour at the origin.  U^2 and each weight
+are evaluated once per node, as arrays: the 449 nodes of the first six
+trapezoid sums (step 1/64 in t) in one pass, the nodes each later halving
+adds in a pass of their own.  The error estimate is the last halving's
+change plus the integral left beyond the outermost nodes.
 """
 
 import math
@@ -60,34 +62,63 @@ _T_MAX = 3.5
 _HALVINGS = 12
 # absolute error every quadrature is taken to
 _ABS_TOL = 1e-10
+# halvings 0 .. _FIRST_PASS are evaluated together, on the 449 nodes of step
+# 1/64 in t.  5 because nearly every level returns by then: of the 5403
+# levels in the bench's `reports` inputs for seed 1, 3 return at halving 3,
+# 4057 at 4 and 1342 at 5.  The n = 20 and 25 levels at alpha = 1e-3 return
+# at 5 as well; only n = 30 there goes on, to 6.  So a level needs a single
+# evaluation, and a larger first pass would be wasted on nearly all of them.
+_FIRST_PASS = 5
 
 
 def _tanh_sinh(g, fs, b: float) -> list[float]:
     """integral over [0, b] of f(r) g(r) dr for each f in fs.  A node is
     placed by its offset d from the nearer end, so none rounds onto r = 0;
-    the integral beyond the outermost nodes is estimated as d |f g| there."""
+    the integral beyond the outermost nodes is estimated as d |f g| there.
+
+    One evaluation covers every node of halvings 0 .. _FIRST_PASS; each
+    later halving is evaluated on its own.  A halving's new nodes are
+    summed as a contiguous copy, in ascending t, and checked for finite
+    values only when the sums reach it, so the sums, the halving that
+    returns and the r a non-finite sample names are those of evaluating
+    each halving on its own."""
     if not math.isfinite(b):
         raise QuadratureError(f"the integration range [0, {b!r}] is not finite")
-    h, m = 0.5, int(2 * _T_MAX)
-    t = h * np.arange(-m, m + 1)
+    m = int(2 * _T_MAX)
+
+    def sample(t):
+        """r at the nodes t, and f g dr/dt there: one row per f"""
+        d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))  # offset from the nearer end
+        r = np.where(t < 0.0, d, b - d)
+        gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))  # g dr/dt
+        return r, np.array([f(r) * gw for f in fs])
+
     sums = np.zeros(len(fs))
     with np.errstate(all="ignore"):  # a non-finite sample raises below
+        last = m << _FIRST_PASS
+        first_r, first_vals = sample(0.5 ** (_FIRST_PASS + 1) * np.arange(-last, last + 1))
+        first_finite = np.isfinite(first_vals).all(axis=0)
         for halving in range(_HALVINGS + 1):
-            d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))  # offset from the nearer end
-            r = np.where(t < 0.0, d, b - d)
-            gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))  # g dr/dt
-            vals = np.array([f(r) * gw for f in fs])
-            bad = ~np.isfinite(vals).all(axis=0)
-            if bad.any():
-                raise QuadratureError(f"non-finite integrand sample at r = {float(r[bad][0])!r}")
+            h = 0.5 ** (halving + 1)
+            if halving <= _FIRST_PASS:
+                # the first pass's step is h/s: halving 0 holds every s-th
+                # node, a later one the odd multiples of s
+                s = 1 << (_FIRST_PASS - halving)
+                new = slice(0, None, s) if halving == 0 else slice(s, None, 2 * s)
+                r, finite = first_r[new], first_finite[new]
+                vals = np.ascontiguousarray(first_vals[:, new])
+            else:
+                r, vals = sample(h * np.arange(1 - (m << halving), m << halving, 2))
+                finite = np.isfinite(vals).all(axis=0)
+            if not finite.all():
+                bad = float(r[~finite][0])
+                raise QuadratureError(f"non-finite integrand sample at r = {bad!r}")
             if halving == 0:
                 tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(_T_MAX))
             prev, sums = sums, 0.5 * sums + h * vals.sum(axis=1)
             err = np.abs(sums - prev) + tail
             if halving and err.max() <= _ABS_TOL:
                 return sums.tolist()
-            h, m = 0.5 * h, 2 * m
-            t = h * np.arange(1 - m, m, 2)
     raise QuadratureError(
         f"no convergence to {_ABS_TOL!r} within {_HALVINGS} step halvings "
         f"(error estimate {err.max():.3e})"

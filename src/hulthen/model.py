@@ -375,11 +375,16 @@ def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float
 def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> np.ndarray:
     """Evenly spaced radii covering the state: `points` of them (an integer
     >= 2) from r_max/(4 points) to r_max = 40/kappa, kappa = alpha*eps."""
-    import numpy as np
-
     if points != int(points) or points < 2:
         raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    r_max = 40.0 / (params.alpha * level(params, qn).epsilon)
+    return _even_grid(level(params, qn), points)
+
+
+def _even_grid(lv: Level, points: int = 4000) -> np.ndarray:
+    """default_grid of the level lv, with `points` already checked."""
+    import numpy as np
+
+    r_max = 40.0 / (lv.params.alpha * lv.epsilon)
     return np.linspace(r_max / (4.0 * points), r_max, int(points))
 
 
@@ -397,13 +402,17 @@ def wavefunction_samples(
     """
     import numpy as np
 
-    r = _radii(default_grid(params, qn) if grid is None else grid)
+    # without a grid the level is built first, so its errors come before
+    # the radii checks; with one, after them
+    lv = level(params, qn) if grid is None else None
+    r = _radii(_even_grid(lv) if grid is None else grid)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("radial grid must be a 1-D array")
     if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
 
-    lv = level(params, qn)
+    if lv is None:
+        lv = level(params, qn)
     u = lv(params.alpha * r)
     with np.errstate(all="ignore"):
         rr = u * r ** (-(params.D - 1) / 2.0)

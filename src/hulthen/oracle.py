@@ -203,7 +203,9 @@ def _grid_ends(params: PotentialParams, l: int, e_hi: float) -> tuple[float, flo
     kappa_hi = math.sqrt(-2.0 * params.mu * e_hi) / params.hbar
     core = 1e-4 if (params.D, l) == (2, 0) else 1e-3
     r_min = core * params.hbar**2 / (params.mu * params.Z)
-    r_max = math.log1p(params.Z * params.alpha / -e_hi) / params.alpha + 40.0 / kappa_hi
+    # kappa_hi = 0 (-2 mu E_hi rounds to 0) puts r_max at inf, raised below
+    r_max = (math.log1p(params.Z * params.alpha / -e_hi) / params.alpha + 40.0 / kappa_hi
+             if kappa_hi else math.inf)
     if not 0.0 < r_min < r_max < math.inf:
         raise BracketError(f"upper bracket E={e_hi!r} gives no grid: it would run from "
                            f"r_min = {r_min!r} to r_max = {r_max!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ from hulthen import (
     level,
     potential,
 )
-from hulthen.expectation import _weighted_integrals
+from hulthen import expectation
+from hulthen.expectation import _tanh_sinh, _weighted_integrals
 from special_reference import bracket_energy, feynman_hellmann_exact
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
@@ -283,3 +285,132 @@ def test_report_out_of_range_raises_without_warnings(params, qn, message):
     # warnings are errors here: each of these printed RuntimeWarnings first
     with pytest.raises(QuadratureError, match=f"^{message}$"):
         expectation_report(params, qn)
+
+
+def _plain_nodes(b, halving):
+    # reference: t, the offset d from the nearer end and r of the nodes a
+    # halving adds, in ascending t
+    h, m = 0.5 ** (halving + 1), 7 << halving
+    t = h * (np.arange(-m, m + 1) if halving == 0 else np.arange(1 - m, m, 2))
+    d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))
+    return t, d, np.where(t < 0.0, d, b - d)
+
+
+def _plain_tanh_sinh(g, fs, b):
+    # reference: the tanh-sinh sums with each halving evaluated on its own;
+    # (sums, the halving that returns them)
+    if not math.isfinite(b):
+        raise QuadratureError(f"the integration range [0, {b!r}] is not finite")
+    sums = np.zeros(len(fs))
+    with np.errstate(all="ignore"):
+        for halving in range(13):
+            t, d, r = _plain_nodes(b, halving)
+            gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))
+            vals = np.array([f(r) * gw for f in fs])
+            bad = ~np.isfinite(vals).all(axis=0)
+            if bad.any():
+                raise QuadratureError(f"non-finite integrand sample at r = {float(r[bad][0])!r}")
+            if halving == 0:
+                tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(3.5))
+            prev, sums = sums, 0.5 * sums + 0.5 ** (halving + 1) * vals.sum(axis=1)
+            err = np.abs(sums - prev) + tail
+            if halving and err.max() <= 1e-10:
+                return sums.tolist(), halving
+    raise QuadratureError(f"no convergence to 1e-10 within 12 step halvings "
+                          f"(error estimate {err.max():.3e})")
+
+
+def _report_quadrature(monkeypatch, params, qn):
+    """The (g, fs, b) that expectation_report integrates."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(expectation, "_tanh_sinh",
+                      lambda *args: calls.append(args) or [1.0] * len(args[1]))
+        expectation_report(params, qn)
+    return calls[0]
+
+
+# levels whose quadratures return at halvings 4, 5 (the first pass's last)
+# and 6 (the first evaluated on its own); D = 2, l = 0 has <V> alone
+@pytest.mark.parametrize("params, qn, halving", [
+    (ANCHOR, GROUND, 4),
+    (PotentialParams(Z=1.0, alpha=0.002, D=5), QuantumNumbers(20, 3), 5),
+    (PotentialParams(Z=1.0, alpha=0.001), QuantumNumbers(30, 0), 6),
+    (PotentialParams(Z=1.0, alpha=0.05, D=2), QuantumNumbers(1, 0), 4),
+])
+def test_one_pass_sums_as_halving_by_halving(monkeypatch, params, qn, halving):
+    g, fs, b = _report_quadrature(monkeypatch, params, qn)
+    assert len(fs) == (1 if (params.D, qn.l) == (2, 0) else 3)
+    sums = _tanh_sinh(g, fs, b)
+    assert (sums, halving) == _plain_tanh_sinh(g, fs, b)
+    # it returns at that halving: allowed one less, it does not converge
+    monkeypatch.setattr(expectation, "_HALVINGS", halving)
+    assert _tanh_sinh(g, fs, b) == sums
+    monkeypatch.setattr(expectation, "_HALVINGS", halving - 1)
+    with pytest.raises(QuadratureError, match=f"^no convergence to 1e-10 within {halving - 1} "):
+        _tanh_sinh(g, fs, b)
+
+
+def _raised(quadrature, *args) -> str:
+    with pytest.raises(QuadratureError) as info:
+        quadrature(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_infinite_range_error_is_unchanged(b):
+    fs = [lambda r: 1.0]
+    message = _raised(_tanh_sinh, lambda r: r, fs, b)
+    assert message == _raised(_plain_tanh_sinh, lambda r: r, fs, b)
+    assert message == f"the integration range [0, {b!r}] is not finite"
+
+
+def _own_radii(b, halving):
+    # the radii of a halving's nodes that no other halving up to 6 has: near
+    # r = b, b - d rounds to b on the outer nodes of every halving
+    others = [_plain_nodes(b, k)[2] for k in range(7) if k != halving]
+    return np.setdiff1d(_plain_nodes(b, halving)[2], np.concatenate(others))
+
+
+def _poisoned(radii):
+    """A weight that is nan at the radii and 0 elsewhere."""
+    return lambda r: np.where(np.isin(r, radii), np.nan, 0.0)
+
+
+def test_non_finite_sample_names_the_r_of_its_halving(monkeypatch):
+    g, fs, b = _report_quadrature(monkeypatch, ANCHOR, GROUND)
+    # the outermost node of halving 2 comes after the innermost of halving
+    # 3 in the first pass's t order; halving 2 is summed first, so its r is
+    # the one named
+    r2, r3 = _own_radii(b, 2)[-1], _own_radii(b, 3)[0]
+    fs = [*fs, _poisoned([r2, r3])]
+    message = _raised(_tanh_sinh, g, fs, b)
+    assert message == _raised(_plain_tanh_sinh, g, fs, b)
+    assert message == f"non-finite integrand sample at r = {float(r2)!r}"
+
+
+@pytest.mark.parametrize("params, qn, halving", [
+    # returns at 4: halving 5 is in the first pass but never summed
+    (ANCHOR, GROUND, 5),
+    # returns at 5: halving 6 is never evaluated
+    (PotentialParams(Z=1.0, alpha=0.002, D=5), QuantumNumbers(20, 3), 6),
+])
+def test_non_finite_sample_past_the_last_halving_is_not_reported(monkeypatch, params, qn,
+                                                                  halving):
+    g, fs, b = _report_quadrature(monkeypatch, params, qn)
+    poisoned = [*fs, _poisoned(_own_radii(b, halving))]
+    sums = _tanh_sinh(g, poisoned, b)
+    assert (sums, halving - 1) == _plain_tanh_sinh(g, poisoned, b)
+    assert sums == _tanh_sinh(g, fs, b) + [0.0]
+
+
+def test_no_convergence_error_keeps_its_estimate():
+    # U^2/r^2 diverges like log r at the origin for l = 0 in D = 2
+    p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
+    lv = level(p2, GROUND)
+    g, b = lambda r: lv(p2.alpha * r) ** 2, 1e3
+    fs = [lambda r: 1.0 / (r * r)]
+    message = _raised(_tanh_sinh, g, fs, b)
+    assert message == _raised(_plain_tanh_sinh, g, fs, b)
+    assert re.fullmatch(r"no convergence to 1e-10 within 12 step halvings "
+                        r"\(error estimate \d\.\d{3}e[+-]\d+\)", message)

@@ -79,6 +79,16 @@ def test_bracket_that_gives_no_grid_builds_none(monkeypatch, bracket, tolerance,
     assert sizes == []
 
 
+def test_bracket_whose_decay_rate_rounds_to_zero_raises(monkeypatch):
+    # -2 mu E_hi = 1e-324 rounds to 0, so kappa_hi = 0 and 40/kappa_hi raised
+    # a bare ZeroDivisionError; at mu = 1 the same bracket overflows r_max
+    monkeypatch.setattr(oracle, "_log_grid", None)  # a grid built would raise TypeError
+    cfg = ShootingConfig(energy_bracket=(-1.0, -5e-324))
+    with pytest.raises(BracketError, match=r"^upper bracket E=-5e-324 gives no grid: it would "
+                                           r"run from r_min = 0\.01 to r_max = inf$"):
+        solve_exact(PotentialParams(Z=1.0, alpha=0.05, mu=0.1), 0, 0, cfg)
+
+
 def test_bracket_ending_near_zero_raises_before_a_march(monkeypatch):
     # E_hi = -1e-300 puts r_max at 40/kappa_hi = 2.8e151, where T at E_lo = -1
     # passes 1/2 on every grid within the cap

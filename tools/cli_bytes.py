@@ -53,6 +53,7 @@ ARGV_SETS = [argv.split() for argv in (
     "expectation --alpha 2.5",
     "expectation --dim 1 --n 1",
     "expectation --dim 1 --n 0",
+    "expectation --dim 5 --l 3 --alpha 0.002 --n 20",
     "expectation --alpha 0.001 --n 30",
     "expectation --alpha 1e-6",
     "validate --n 0",
