@@ -22,7 +22,7 @@ O(h^4) error is at most half the tolerance.  A doubling that shrinks the
 estimate by less than 4 shows an error that is not O(h^4), such as
 rounding, and raises ConvergenceError, as does the end of the ladder: no
 unchecked energy is returned.  A solve's grid spans only the level
-(_grid_ends), so most levels are converged on ~1100 and ~2200 steps and
+(_grid_ends), so most levels are converged on ~680 and ~1350 steps and
 end on the second.
 count_bound_states climbs its ladder from 3000 steps on r = 1e-6/alpha ..
 100/alpha until two successive counts agree.
@@ -34,7 +34,8 @@ and cannot overflow.  They are the pivots of the tridiagonal Numerov
 matrix, so the number of negative R_i counts the grid levels below E (a
 Sturm count).  Every march carries them as D_i = R_i - 1 and U_i as
 W_i = U_i - 2, which keeps the digits that hold the energy, and starts on
-the regular branch to third order in r, with the energy in it (_log_grid).
+the regular branch, a Frobenius series in r summed to machine precision
+with the energy in it (_log_grid).
 
 A solve starts at the bracket midpoint and moves E by Cooley's
 matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
@@ -53,8 +54,9 @@ grids (_MAX_PASSES).
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
 is the only code here that reads the level, for its bracket and
-tolerance.  A grid whose coefficients or start are not finite raises
-OracleError before its points are marched.
+tolerance.  A grid whose coefficients are not finite, or whose start is
+not summed to machine precision, raises OracleError before its points
+are marched.
 """
 
 import math
@@ -104,7 +106,8 @@ class NodeCountError(OracleError):
 # most levels already pass the Richardson test; with ln(2e7)/1000 the
 # spectra levels of bench/ marched 13 % fewer points, but 212 of 1008 (59
 # here) needed a third grid, at 7.4 shots a solve (6.4), and solved no
-# faster
+# faster, on the grid ends of _grid_ends as on those from r_min = 1e-3
+# hbar^2/(mu Z)
 _MAX_LOG_STEP = math.log(2e7) / 1500
 # steps (points - 1) of the coarsest grid a count may march: from 1500
 # steps on, its 1501- and 3001-point grids can agree on a wrong count
@@ -113,6 +116,33 @@ _MIN_STEPS = 3000
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
 _MAX_PASSES = 300
+# terms of the regular series a start may sum (_log_grid); at the r_min of
+# _grid_ends every level's series ends within ~20
+_START_TERMS = 64
+# the series ends once two successive terms are within 2^-60 of its sum
+_START_TAIL = 2.0**-60
+# terms whose magnitudes add up to more than 2^20 times the sum leave it
+# less than 33 of its 53 bits
+_START_LOSS = 2.0**20
+
+
+def _bernoulli_ratios(count):
+    """B_m/m!, m < count: the Taylor coefficients of x/(e^x - 1), from
+    sum_{j <= m} B_j/j! / (m + 1 - j)! = 0 (m > 0).
+
+    B_m = 0 at odd m > 1, but the recurrence keeps the rounding residues
+    it finds there: with them every even entry of 64 holds within 2e-14 of
+    B_m/m!, and with zeros in their place the error grows ~4-fold per even
+    entry (3e-12 at m = 14, 23 % at m = 50).  The returned odd entries past
+    1 are 0."""
+    inverse_factorials = [1.0 / math.factorial(j) for j in range(count + 1)]
+    ratios = [1.0]
+    for m in range(1, count):
+        ratios.append(-math.fsum(ratios[j] * inverse_factorials[m + 1 - j] for j in range(m)))
+    return tuple(ratio if m < 2 or m % 2 == 0 else 0.0 for m, ratio in enumerate(ratios))
+
+
+_BERNOULLI = _bernoulli_ratios(_START_TERMS)
 
 
 @dataclass(frozen=True)
@@ -125,6 +155,13 @@ class ShootingConfig:
     tolerance: the width of the certified window (the level lies within
         energy -/+ tolerance/2); finite, positive and below the bracket
         width.
+
+    The window certifies the level of the final grid and the Richardson
+    estimate bounds that grid's step error; the start's error from r_min
+    is not part of either.  That start is summed to within 2^-60 of the
+    regular series, or the solve raises OracleError (_log_grid), and on
+    the levels of tests/test_oracle.py a solve from r_min/100 moves the
+    level by at most 1.2e-2 of its tolerance.
     """
 
     energy_bracket: tuple[float, float]
@@ -185,12 +222,14 @@ def default_config(
 def _grid_ends(params: PotentialParams, l: int, e_hi: float) -> tuple[float, float]:
     """(r_min, r_max) of each ln(r) grid of a solve with the upper bracket e_hi.
 
-    The grid spans only the level.  r_min = 1e-3 hbar^2/(mu Z), a
-    thousandth of the Coulomb radius of the core, where the third-order
-    regular start leaves the level within ~1e-15 of |E|.  At D = 2, l = 0
-    (s = 0) the other branch, y ~ ln r, does not die out outward, and the
-    start's O(r_min^4) error stays in the level: 1.1e-11 |E| there, 0.78 of
-    the tolerance at E = -72.2, so r_min is ten times smaller (1e-15 |E|).
+    The grid spans only the level.  r_min = 0.1 hbar^2/(mu Z), a tenth of
+    the Coulomb radius of the core, for every (D, l): the start there is
+    the regular series of _log_grid summed to machine precision, whose
+    scaled terms do not depend on the units (c Z r_min = 0.2, and alpha
+    r_min < 0.8, well inside the series' radius 2 pi, at every closed-form
+    level), so it ends within ~20 terms.  A third-order start needed r_min
+    = 1e-3 hbar^2/(mu Z), and 1e-4 at D = 2, l = 0, for its O(r_min^4)
+    error, and its grids spent ~36 % of their points below 0.1.
     r_max = ln(1 + Z alpha/|E_hi|)/alpha + 40/kappa_hi is the outer turning
     point of V at E_hi, plus 40 decay lengths of a level there (kappa_hi =
     sqrt(-2 mu E_hi)/hbar): past 40/kappa alone the polynomial envelope of
@@ -198,11 +237,10 @@ def _grid_ends(params: PotentialParams, l: int, e_hi: float) -> tuple[float, flo
     off by 7.4e-10, 107 times its tolerance of 6.9e-12.
 
     BracketError unless 0 < r_min < r_max < inf.  r_max <= r_min needs E_hi
-    < -8e8 mu Z^2/hbar^2, below every level of the -Z/r core and so of V.
+    < -8e4 mu Z^2/hbar^2, below every level of the -Z/r core and so of V.
     """
     kappa_hi = math.sqrt(-2.0 * params.mu * e_hi) / params.hbar
-    core = 1e-4 if (params.D, l) == (2, 0) else 1e-3
-    r_min = core * params.hbar**2 / (params.mu * params.Z)
+    r_min = 0.1 * params.hbar**2 / (params.mu * params.Z)
     # kappa_hi = 0 (-2 mu E_hi rounds to 0) puts r_max at inf, raised below
     r_max = (math.log1p(params.Z * params.alpha / -e_hi) / params.alpha + 40.0 / kappa_hi
              if kappa_hi else math.inf)
@@ -221,17 +259,29 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     Q = c r^2 overflows towards r_max (once r >~ 1e154 hbar/sqrt(mu)), V
     towards r_min for a huge Z, and Q V in between.
 
-    start follows the regular branch y = r^s (1 + a_1 r + a_2 r^2 + a_3 r^3),
-    s = |v-1|/2, to third order: with r^2 c (V - E) = g_1 r + g_2 r^2 +
-    g_3 r^3 + ..., k (2s + k) a_k = g_1 a_{k-1} + ... + g_k.  The a_1 term
-    comes from the -Z/r core of V; a start to first order leaves an energy
-    error of order r_min^2 that no step count removes: at s = 0 (D = 2,
-    l = 0) the other branch, y ~ ln r, does not die out outward, and at
-    Z = 3.61, mu = 0.41, hbar = 0.51, alpha = 0.068 such a start moved the
-    ground state by 4.6e-6 when r_min shrank 100-fold, and its energy
-    converged only as O(h).  start raises OracleError naming r_min when the
-    series is 0 there or y_1 - 1 is not finite, as at a huge c Z r_min: a
-    march from it would count nothing.
+    start follows the regular branch y = r^s f(r), f = sum_k a_k r^k, a_0 =
+    1 and s = |v-1|/2, by its Frobenius series: with r^2 c (V - E) = sum_j
+    g_j r^j, k (2s + k) a_k = g_1 a_{k-1} + ... + g_k a_0.  As r^2 c V =
+    -c Z r (alpha r)/(e^{alpha r} - 1), g_j = -c Z B_{j-1} alpha^{j-1}/(j-1)!
+    - [j = 2] c E with the Bernoulli numbers B_m (_BERNOULLI): g_1 comes
+    from the -Z/r core, and g_j = 0 at even j > 2.  The series is summed in
+    its scaled terms b_k = a_k r_min^k until two successive terms are
+    within 2^-60 of the sum, and y_1 - 1 = (e^{hs} f(r_1) - f(r_min)) /
+    f(r_min) is formed from f(r_1) - f(r_min) = sum b_k (e^{kh} - 1),
+    without the cancellation.  A start short of that order leaves an
+    energy error that no step count removes: at s = 0 (D = 2, l = 0) the
+    other branch, y ~ ln r, does not die out outward.  A first-order start
+    at Z = 3.61, mu = 0.41, hbar = 0.51, alpha = 0.068 moved the ground
+    state by 4.6e-6 when r_min shrank 100-fold, and its energy converged
+    only as O(h).
+
+    start raises OracleError naming r_min and E when the series is not
+    summed to machine precision: its terms have not passed 2^-60 within 64
+    (_START_TERMS), as at a deep E or an alpha r_min past 2 pi; their
+    magnitudes add up to more than 2^20 times the sum, which leaves it
+    fewer than 33 good bits, as at a large c Z r_min; or the sum or y_1 - 1
+    is not finite.  The terms are built only as a start needs them, so a
+    grid that is never marched builds none.
     """
     gam = model._gamma_coeff(l, params.D)
     s = abs(model._angular_v(l, params.D) - 1) / 2.0
@@ -250,22 +300,40 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     if not finite.all():
         raise OracleError(
             f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
-    g1, g3 = -c * params.Z, -c * params.Z * params.alpha**2 / 12.0
-    r0, r1 = r_min, r_min * math.exp(h)
+    czr, ar = c * params.Z * r_min, params.alpha * r_min
+    # G_j = g_j r_min^j of the odd j; G_j = 0 at even j > 2, where B_{j-1}
+    # = 0, and G_2 holds the energy.  Each start extends the list as far as
+    # its terms need
+    odd_g = [0.0, -czr]
 
     def start(energy_val):
-        g2 = c * (0.5 * params.Z * params.alpha - energy_val)
-        a1 = g1 / (2.0 * s + 1.0)
-        a2 = (g1 * a1 + g2) / (2.0 * (2.0 * s + 2.0))
-        a3 = (g1 * a2 + g2 * a1 + g3) / (3.0 * (2.0 * s + 3.0))
-        f0 = 1.0 + r0 * (a1 + r0 * (a2 + r0 * a3))
-        f1 = 1.0 + r1 * (a1 + r1 * (a2 + r1 * a3))
-        # y_1 - 1 = (e^{hs} f1 - f0)/f0, without the cancellation
-        df = (r1 - r0) * (a1 + a2 * (r1 + r0) + a3 * (r1 * r1 + r1 * r0 + r0 * r0))
-        dy1 = (math.expm1(h * s) * f1 + df) / f0 if f0 != 0.0 else math.nan
-        if not math.isfinite(dy1):
-            raise OracleError(f"the regular start at r_min = {r0!r} is not finite at "
-                              f"E={energy_val!r} (y_1 - 1 = {dy1!r})")
+        g2 = c * (0.5 * params.Z * params.alpha - energy_val) * r_min * r_min
+        # b_k = a_k r_min^k: f(r_min) = f0 = sum b_k, and f(r_1) - f0 = df =
+        # sum b_k (e^{kh} - 1) without the cancellation
+        b, f0, df, size, dy1 = [1.0], 1.0, 0.0, 1.0, math.nan
+        try:
+            for k in range(1, _START_TERMS):
+                if k == len(odd_g):
+                    odd_g.append(-czr * _BERNOULLI[k - 1] * ar ** (k - 1) if k % 2 else 0.0)
+                acc = -czr * b[k - 1] + (g2 * b[k - 2] if k > 1 else 0.0)
+                for j in range(3, k + 1, 2):
+                    acc += odd_g[j] * b[k - j]
+                b_k = acc / (k * (2.0 * s + k))
+                b.append(b_k)
+                f0 += b_k
+                df += b_k * math.expm1(k * h)
+                size += abs(b_k)
+                if abs(b[k - 1]) + abs(b_k) <= _START_TAIL * abs(f0):
+                    # y_1 - 1 = (e^{hs} f(r_1) - f0)/f0
+                    dy1 = (math.expm1(h * s) * (f0 + df) + df) / f0
+                    break
+        except (OverflowError, ZeroDivisionError):
+            pass
+        if not (math.isfinite(dy1) and size <= _START_LOSS * abs(f0)):
+            raise OracleError(
+                f"the regular series at r_min = {r_min!r} is not summed to machine precision "
+                f"at E={energy_val!r}: its first {len(b)} terms add up to {f0!r} ({size:.3g} "
+                f"in magnitude), y_1 - 1 = {dy1!r}")
         return dy1
 
     return h, p_arr, q_arr, start

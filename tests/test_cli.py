@@ -238,13 +238,14 @@ def test_level_past_the_old_oracle_grid_exits_0(capsys):
     # overflowed from r ~ 1e154 on, well inside it (exit 3, "the grid
     # coefficients are not finite"; before that, two RuntimeWarnings and a
     # BracketError computed on nan).  It now spans only the level, which
-    # ends at r = 47.2; gamma = 0, so the closed form is the exact level
+    # ends at r = 47.2; gamma = 0, so the closed form is the exact level,
+    # and E_oracle lies 7.3e-14 from it, within the tolerance 1e-9
     code, out, err = run(capsys, "validate", "--dim", "1", "--n", "1", "--alpha", "1e-160")
     assert (code, err) == (0, "")
     header, rows = parse_csv(out)
     assert header == ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]
-    assert rows == [["-5.0000000000000000e-01", "-5.0000000000000022e-01",
-                     "4.4408920985006242e-16", "0", "true"]]
+    assert rows == [["-5.0000000000000000e-01", "-4.9999999999992734e-01",
+                     "1.4532819392345412e-13", "0", "true"]]
 
 
 def test_quadrature_failure_exits_3(capsys):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hulthen import (
     default_config,
     energy,
     level,
+    model,
     oracle,
     solve_exact,
     spectrum,
@@ -58,7 +60,7 @@ def test_bracket_ending_at_zero_raises():
 
 
 @pytest.mark.parametrize("bracket,tolerance,r_max", [
-    # r_max = 8.9e-4 from E_hi = -1e9 falls short of r_min = 1e-3: a grid
+    # r_max = 8.9e-4 from E_hi = -1e9 falls short of r_min = 0.1: a grid
     # between them would have a negative step
     ((-2e9, -1e9), 10.0, "0.0008944"),
     # Z alpha/|E_hi| overflows, and a grid to r_max = inf has no step count
@@ -74,7 +76,7 @@ def test_bracket_that_gives_no_grid_builds_none(monkeypatch, bracket, tolerance,
     monkeypatch.setattr(oracle, "_log_grid", spy)
     cfg = ShootingConfig(energy_bracket=bracket, tolerance=tolerance)
     with pytest.raises(BracketError, match=f"^upper bracket E={bracket[1]!r} gives no grid: it "
-                                           f"would run from r_min = 0.001 to r_max = {r_max}"):
+                                           f"would run from r_min = 0.1 to r_max = {r_max}"):
         solve_exact(ANCHOR, 0, 0, cfg)
     assert sizes == []
 
@@ -85,7 +87,7 @@ def test_bracket_whose_decay_rate_rounds_to_zero_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_log_grid", None)  # a grid built would raise TypeError
     cfg = ShootingConfig(energy_bracket=(-1.0, -5e-324))
     with pytest.raises(BracketError, match=r"^upper bracket E=-5e-324 gives no grid: it would "
-                                           r"run from r_min = 0\.01 to r_max = inf$"):
+                                           r"run from r_min = 1\.0 to r_max = inf$"):
         solve_exact(PotentialParams(Z=1.0, alpha=0.05, mu=0.1), 0, 0, cfg)
 
 
@@ -98,7 +100,7 @@ def test_bracket_ending_near_zero_raises_before_a_march(monkeypatch):
     monkeypatch.setattr(oracle, "_march", no_march)
     monkeypatch.setattr(oracle, "_cooley", no_march)
     cfg = ShootingConfig(energy_bracket=(-1.0, -1e-300))
-    with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches .* on the 31734-point "
+    with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches .* on the 31323-point "
                                                r"grid: "):
         solve_exact(ANCHOR, 0, 0, cfg)
 
@@ -137,10 +139,10 @@ def test_exact_s_wave_anchor():
     assert res.node_count == 0
     assert res.residual <= cfg.tolerance
     assert res.energy == pytest.approx(-0.4753125, rel=1e-6)
-    # one Cooley pass on each of the 964- and 1927-point grids and the two
+    # one Cooley pass on each of the 553- and 1105-point grids and the two
     # certificate marches; on the final grid its counts prove both bracket
     # ends, so neither is marched on its own
-    assert res.points == 1927
+    assert res.points == 1105
     assert res.shots == 4
 
 
@@ -265,9 +267,9 @@ def test_levels_solve_only_from_straddling_brackets(dim, l, alpha, n):
     assert res.node_count == k
     assert _certified(params, l, k, cfg, res)
     if (dim, l, alpha, n) == (5, 1, 0.05, 1):
-        # five Cooley passes on the 1137-point grid, two on the 2273-point
+        # five Cooley passes on the 726-point grid, two on the 1451-point
         # grid and the two certificate marches
-        assert res.points == 2273
+        assert res.points == 1451
         assert res.shots == 9
 
 
@@ -309,12 +311,13 @@ def test_counts_at_the_float_resolution_raise():
 
 
 def test_level_outside_the_certified_window_raises():
-    # at 6 float spacings the extrapolated level of this D = 2 ground state
-    # misses the final grid's level, and both fresh counts see it below
+    # at 8 float spacings the extrapolated level of this D = 2 ground state
+    # misses the final grid's level, and both fresh counts see it below (at
+    # 6 the counts of a grid disagree first)
     params = PotentialParams(Z=1.0, alpha=0.05, D=2)
     qn = QuantumNumbers(0, 0)
-    tol = 6.0 * math.ulp(default_config(params, qn).energy_bracket[0])
-    with pytest.raises(ConvergenceError, match=r"^the level of the 35297-point grid lies "
+    tol = 8.0 * math.ulp(default_config(params, qn).energy_bracket[0])
+    with pytest.raises(ConvergenceError, match=r"^the level of the 15553-point grid lies "
                                                r"outside E=.* \(node counts 1 and 1\)$"):
         solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
 
@@ -401,10 +404,10 @@ def test_grid_refinement_contract():
     qn = QuantumNumbers(20, 0)
     cfg = default_config(params, qn)
     res = solve_exact(params, 0, level(params, qn).nodes, cfg)
-    assert res.points == 10585
+    assert res.points == 7297
     assert res.error_estimate <= res.residual
     levels = []
-    for points in (10585, 5293, 2647):
+    for points in (7297, 3649, 1825):
         grid = _log_grid(params, 0, *_grid_ends(params, 0, cfg.energy_bracket[1]), points)
         e_val = res.energy
         for _ in range(3):
@@ -430,12 +433,15 @@ def test_exact_levels_within_error_estimate(dim, l, n, alpha):
     assert abs(res.energy - level(params, qn).energy) <= min(cfg.tolerance, res.error_estimate)
 
 
-@pytest.mark.parametrize("dim,l,n,alpha,Z,mu,hbar,points", [
-    (2, 0, 1, 0.1, 1.0, 1.0, 1.0, 2429), (5, 1, 1, 0.05, 1.0, 1.0, 1.0, 2273),
-    (3, 2, 5, 0.01, 1.0, 1.0, 1.0, 4793), (4, 1, 2, 0.03, 1.7, 0.6, 1.3, 2327),
-])
-def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z, mu, hbar,
-                                                            points):
+# points of the final grid of each level at the default tolerance
+CENTRIFUGAL_POINTS = {
+    (2, 0, 1, 0.1, 1.0, 1.0, 1.0): 1197, (5, 1, 1, 0.05, 1.0, 1.0, 1.0): 1451,
+    (3, 2, 5, 0.01, 1.0, 1.0, 1.0): 3149, (4, 1, 2, 0.03, 1.7, 0.6, 1.3): 1505,
+}
+
+
+@pytest.mark.parametrize("dim,l,n,alpha,Z,mu,hbar", CENTRIFUGAL_POINTS)
+def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z, mu, hbar):
     # gamma != 0, so no closed form is the exact level: the reference is a
     # solve at a hundredth of the tolerance, which ends on a finer grid.  The
     # estimate of the first two grids, on which most levels end, and of the
@@ -446,7 +452,7 @@ def test_levels_with_centrifugal_term_within_error_estimate(dim, l, n, alpha, Z,
     cfg = default_config(params, qn)
     res = solve_exact(params, l, k, cfg)
     ref = solve_exact(params, l, k, default_config(params, qn, cfg.tolerance / 100.0))
-    assert res.points == points < ref.points
+    assert res.points == CENTRIFUGAL_POINTS[dim, l, n, alpha, Z, mu, hbar] < ref.points
     assert abs(res.energy - ref.energy) <= min(0.5 * cfg.tolerance,
                                                res.error_estimate + ref.residual)
 
@@ -557,19 +563,36 @@ def test_estimate_above_tolerance_on_the_last_grid_raises(monkeypatch):
 
 
 def test_estimate_that_stops_shrinking_raises(monkeypatch):
-    # each grid's level drifts by 1e-18 N^2, as roundoff of the march did
-    # when it carried R rather than R - 1: the estimate grows on a doubling
-    # where an O(h^4) error shrinks it 16-fold, and no energy is returned
+    # each grid's level drifts by 3e-18 N^2, eps |E|/h^2 over the ln(r) span
+    # of this level's grid, as roundoff of the march did when it carried R
+    # rather than R - 1: the estimate grows on a doubling where an O(h^4)
+    # error shrinks it 16-fold, and no energy is returned
     cooley = oracle._cooley
 
     def drifting(grid, energy_val):
-        return cooley(grid, energy_val - 1e-18 * grid[1].size ** 2)
+        return cooley(grid, energy_val - 3e-18 * grid[1].size ** 2)
 
     monkeypatch.setattr(oracle, "_cooley", drifting)
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-12)
-    with pytest.raises(ConvergenceError, match="^error estimate .* of the 7705-point grid "
+    with pytest.raises(ConvergenceError, match="^error estimate .* of the 4417-point grid "
                                                "shrank by less than 4 from "):
         solve_exact(ANCHOR, 0, 0, cfg)
+
+
+def _solve_at_r_min_over_100(monkeypatch, params, qn):
+    # the level of default_config, certified, and the level of the same
+    # solve on a grid from a hundredth of its r_min: the start's error from
+    # r_min is not part of the certificate, so the two must agree
+    cfg = default_config(params, qn)
+    k = level(params, qn).nodes
+    res = solve_exact(params, qn.l, k, cfg)
+    assert res.error_estimate <= res.residual
+    assert _certified(params, qn.l, k, cfg, res)
+    r_min, r_max = _grid_ends(params, qn.l, cfg.energy_bracket[1])
+    with monkeypatch.context() as patch:
+        _ends(patch, r_min / 100.0, r_max)
+        nearer = solve_exact(params, qn.l, k, cfg)
+    return res.energy, nearer.energy, cfg.tolerance
 
 
 def test_d2_s_wave_level_does_not_depend_on_r_min(monkeypatch):
@@ -580,28 +603,67 @@ def test_d2_s_wave_level_does_not_depend_on_r_min(monkeypatch):
     # as a roundoff floor; a fixed 24000-point grid returned one unchecked
     params = PotentialParams(Z=3.6079722523521016, mu=0.4100627265092216,
                              hbar=0.5087195582253824, alpha=0.06844577643064836, D=2)
-    qn = QuantumNumbers(0, 0)
-    cfg = default_config(params, qn)
-    k = level(params, qn).nodes
-    res = solve_exact(params, 0, k, cfg)
-    assert res.error_estimate <= res.residual
-    assert _certified(params, 0, k, cfg, res)
-    r_min, r_max = _grid_ends(params, 0, cfg.energy_bracket[1])
-    _ends(monkeypatch, r_min / 100.0, r_max)
-    assert abs(solve_exact(params, 0, k, cfg).energy - res.energy) <= cfg.tolerance
+    energy_val, nearer, tol = _solve_at_r_min_over_100(monkeypatch, params, QuantumNumbers(0, 0))
+    assert abs(nearer - energy_val) <= 0.5 * tol
+
+
+@pytest.mark.parametrize("Z,mu,hbar,alpha,dim,l,n", [
+    (1.0, 1.0, 1.0, 0.05, 1, 0, 2), (1.0, 1.0, 1.0, 0.3, 1, 1, 0),
+    (1.0, 1.0, 1.0, 0.05, 2, 0, 3), (1.0, 1.0, 1.0, 0.02, 3, 3, 1),
+    (2.3, 0.7, 1.3, 0.02, 3, 3, 0), (1.0, 1.0, 1.0, 0.02, 5, 1, 1),
+    (0.4, 2.5, 0.8, 0.03, 4, 2, 0), (1.0, 1.0, 1.0, 1.5, 2, 0, 0),
+])
+def test_level_does_not_depend_on_r_min(monkeypatch, Z, mu, hbar, alpha, dim, l, n):
+    # r_min = 0.1 hbar^2/(mu Z) for every (D, l): the series start leaves the
+    # level within half its tolerance of a solve started 100 times nearer
+    # the origin, also at D = 1 (s = 1/2 + l) and l = 3
+    params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
+    energy_val, nearer, tol = _solve_at_r_min_over_100(monkeypatch, params, QuantumNumbers(n, l))
+    assert abs(nearer - energy_val) <= 0.5 * tol
+
+
+@pytest.mark.parametrize("Z,mu,hbar,alpha,dim,l,energy_val", [
+    (1.0, 1.0, 1.0, 0.05, 2, 0, -1.97), (1.0, 1.0, 1.0, 0.05, 3, 0, -0.475),
+    (1.0, 1.0, 1.0, 0.3, 1, 0, -0.1), (1.0, 1.0, 1.0, 0.02, 3, 3, -0.02),
+    (2.0, 0.7, 1.3, 0.5, 5, 1, -0.3), (1.0, 1.0, 1.0, 3.0, 2, 0, -0.01),
+])
+def test_start_matches_an_ode_solve(Z, mu, hbar, alpha, dim, l, energy_val):
+    # y_1/y_0 of the regular series against DOP853 at rtol 1e-13 on y'' = (s^2
+    # + r^2 c (V - E)) y in x = ln r, started at r = 1e-8 on y = r^s (1 +
+    # a_1 r), whose O(r^2) error is below the rounding there.  The
+    # third-order start is off by 5e-10 to 2.7e-6 here
+    from scipy.integrate import solve_ivp
+
+    params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
+    s = math.sqrt(model._gamma_coeff(l, dim) + 0.25)
+    c = 2.0 * mu / hbar**2
+    r_min, r_max = _grid_ends(params, l, 0.8 * energy_val)
+    h, _, _, start = _log_grid(params, l, r_min, r_max, 1000)
+
+    def rhs(x, u):
+        r = math.exp(x)
+        return [u[1], (s * s + c * r * r * (model.potential(r, params) - energy_val)) * u[0]]
+
+    r_a, a_1 = 1e-8, -c * Z / (2.0 * s + 1.0)
+    y_a = r_a**s * (1.0 + a_1 * r_a)
+    ends = (math.log(r_min), math.log(r_min) + h)
+    sol = solve_ivp(rhs, (math.log(r_a), ends[1]), [y_a, s * y_a + a_1 * r_a ** (s + 1.0)],
+                    method="DOP853", rtol=1e-13, atol=1e-300, t_eval=ends)
+    y_0, y_1 = sol.y[0]
+    assert abs(start(energy_val) - (y_1 / y_0 - 1.0)) <= 1e-13
 
 
 def test_level_past_t_one_on_a_fixed_grid_solves():
     # T > 1 on a 24000-point grid gave spurious nodes and a false
     # BracketError.  On r = 1e-6/alpha .. 20/alpha the ladder started on the
     # 48001-point grid and ended on 96001 points; the grid of default_config
-    # ends at r = 5.66, where T <= 1/2 from its 1152-point grid on
+    # ends at r = 5.66, where T <= 1/2 from its 741-point grid on
     params = PotentialParams(Z=4.274, mu=1.797, hbar=0.33, alpha=0.04291130432367441, D=4)
     qn = QuantumNumbers(5, 0)
     cfg = default_config(params, qn)
     k = level(params, qn).nodes
     res = solve_exact(params, 0, k, cfg)
-    assert res.points == 9209
+    assert res.points == 5921
     assert res.node_count == k
     assert res.error_estimate <= res.residual
     assert _certified(params, 0, k, cfg, res)
@@ -621,6 +683,45 @@ def test_narrow_grid_keeps_eight_steps(monkeypatch):
     cfg = ShootingConfig(energy_bracket=(-100.0, -0.1))
     with pytest.raises(BracketError, match="^upper bracket E=-0.1 lies below the target"):
         solve_exact(ANCHOR, 0, 0, cfg)
+
+
+def test_bracket_too_deep_for_the_series_raises():
+    # G_2 = -c E r_min^2 = 300 at the midpoint E = -15000: the terms of the
+    # regular series pass 2^-60 of their sum only after the 64 it may sum
+    cfg = ShootingConfig(energy_bracket=(-2e4, -1e4))
+    with pytest.raises(oracle.OracleError, match=r"^the regular series at r_min = 0\.1 is not "
+                                                 r"summed to machine precision at E=-15000\.0: "
+                                                 r"its first 64 terms add up to "):
+        solve_exact(ANCHOR, 0, 0, cfg)
+
+
+@pytest.mark.parametrize("Z,alpha,r_min,r_max,points,energy_val,terms", [
+    # alpha r_min = 1000 lies past the series' radius of convergence, 2 pi
+    (1.0, 1e3, 1.0, 2.0, 9, -0.5, "64 terms add up to -3.2"),
+    # c Z r_min = 60: the terms cancel to 1/3e6 of their magnitudes
+    (1.0, 1e-6, 30.0, 30.3, 9, -1e-4, r"38 terms add up to 0\.0218.* \(6\.87e\+04 in"),
+    # c Z r_min = 2e145: the terms overflow
+    (1.0, 1e-151, 1e145, 1e146, 9, -1e-300, r"4 terms add up to -inf \(inf in"),
+    # h = 176: e^{kh} - 1 overflows at k = 5
+    (1.0, 0.05, 1e-3, 1e150, 3, -0.5, r"6 terms add up to 0\.999.*, y_1 - 1 = nan$"),
+])
+def test_start_not_summed_to_machine_precision_raises(Z, alpha, r_min, r_max, points,
+                                                      energy_val, terms):
+    # never an unconverged start, nor a bare OverflowError
+    grid = _log_grid(PotentialParams(Z=Z, alpha=alpha), 0, r_min, r_max, points)
+    head = (f"the regular series at r_min = {r_min!r} is not summed to machine precision at "
+            f"E={energy_val!r}: its first ")
+    with pytest.raises(oracle.OracleError, match=f"^{re.escape(head)}{terms}"):
+        grid[3](energy_val)
+
+
+def test_bernoulli_ratios_match_exact_fractions():
+    # B_m/m! from the same recurrence in exact rationals
+    exact = [Fraction(1)]
+    for m in range(1, oracle._START_TERMS):
+        exact.append(-sum(exact[j] / math.factorial(m + 1 - j) for j in range(m)))
+    for m, (ratio, value) in enumerate(zip(oracle._BERNOULLI, exact, strict=True)):
+        assert ratio == pytest.approx(float(value), rel=2e-14, abs=0.0), m
 
 
 def test_upper_bracket_error():

@@ -43,6 +43,7 @@ def test_copy_at_another_path_matches_and_a_changed_count_is_found(tmp_path, cap
     assert "new solves: NoBoundState 3, ok 3\n" in out
     assert "max |dE|/tolerance over 3 levels solved by both: 0\n" in out
     assert "max |dE|/tolerance to refined over 0 mended levels: 0\n" in out
+    assert "solves moved by more than 0.001 of their tolerance: 0\n" in out
 
     counting = _copy(tmp_path, "counting", "            return nodes\n",
                      "            return nodes + 1\n")
@@ -75,3 +76,18 @@ def test_mended_levels_are_checked_against_refined_solves(tmp_path, capsys):
     code, out = _sweep(failing, shifted, capsys)
     assert code == 1
     assert "max |dE|/tolerance to refined over 3 mended levels: 0.99\n" in out
+
+
+def test_moved_levels_are_checked_against_refined_solves(tmp_path, capsys):
+    # both trees return each level off by a share of its tolerance: 0.4 of
+    # it apart, which passes, but the new tree's levels lie 0.8 of it from
+    # their refined solves, which are off by a hundredth as much
+    solve = "    return OracleResult(energy_val, "
+    old = _copy(tmp_path, "old", solve, "    return OracleResult(energy_val + 0.4 * tol, ")
+    new = _copy(tmp_path, "new", solve, "    return OracleResult(energy_val + 0.8 * tol, ")
+    code, out = _sweep(old, new, capsys)
+    assert code == 1
+    assert "solves changed: 0\n" in out
+    assert "solves moved by more than 0.001 of their tolerance: 3\n" in out
+    assert "max |dE|/tolerance over 3 levels solved by both: 0.4\n" in out
+    assert "max |dE|/tolerance to refined over 3 moved levels: 0.792\n" in out

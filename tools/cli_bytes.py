@@ -121,8 +121,8 @@ ARGV_SETS = [argv.split() for argv in (
     "validate --Z 3.6079722523521016 --mu 0.4100627265092216 --hbar 0.5087195582253824 "
     "--alpha 0.06844577643064836 --dim 2",
     "validate --Z 4.274 --mu 1.797 --hbar 0.33 --alpha 0.04291130432367441 --dim 4 --n 5",
-    # D = 2 levels off the s wave, whose grid starts at 1e-3 hbar^2/(mu Z)
-    # rather than the 1e-4 of l = 0
+    # D = 2 levels off the s wave, whose grids once started ten times
+    # farther out than those of l = 0
     "validate --dim 2 --l 1 --alpha 0.05 --n 1",
     "validate --dim 2 --l 2 --Z 2.5 --mu 0.7 --hbar 1.3 --alpha 0.03 --n 2 --format json",
 )]

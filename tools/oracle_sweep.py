@@ -11,22 +11,25 @@ own, `solve_exact` from `default_config` for the level's node count and
 or the class of the exception raised in its place (a draw with no
 closed-form level raises NoBoundState from default_config).
 
-A level that only NEW_SRC solves (an error -> ok change) is checked
-against a refined solve of NEW_SRC: the same bracket at a hundredth of the
-tolerance, on a grid from a tenth of the r_min of its `oracle._grid_ends`
-to twice its r_max.
+A level that only NEW_SRC solves (an error -> ok change, "mended") and a
+level both trees solve whose energy moved by more than MOVED = 1e-3 of
+its tolerance ("moved") are checked against a refined solve of NEW_SRC:
+the same bracket at a hundredth of the tolerance, on a grid from a tenth
+of the r_min of its `oracle._grid_ends` to twice its r_max.
 
 Printed: the outcomes of each tree by class, every draw whose solve or
 count outcome changed (a mended level with its |E - E_refined|/tolerance),
-the largest |E_new - E_old|/tolerance over the levels both trees solve
-and the largest |E - E_refined|/tolerance over the mended ones, the
-histograms of final grid steps (by the power of two at or above them)
-and of shots of each tree, and each tree's wall time for the solves and
-the counts.  The exit status is 1 if a level one tree solved raises in
-NEW_SRC (an ok -> error change), a count changed, or a level lies more
-than half its tolerance from its old value or from its refined one (a
-refined solve that raises counts as such), else 0.  A change from one
-error class to another is printed but does not fail.
+every moved level with its |E_new - E_old|/tolerance and |E -
+E_refined|/tolerance, the largest |E_new - E_old|/tolerance over the
+levels both trees solve and the largest |E - E_refined|/tolerance over
+the mended and over the moved ones, the histograms of final grid steps
+(by the power of two at or above them) and of shots of each tree, and
+each tree's wall time for the solves and the counts.  The exit status is
+1 if a level one tree solved raises in NEW_SRC (an ok -> error change), a
+count changed, or a level lies more than half its tolerance from its old
+value or from its refined one (a refined solve that raises counts as
+such), else 0.  A change from one error class to another is printed but
+does not fail.
 
 The parent commit's tree can be unpacked next to the checkout with
 
@@ -45,6 +48,10 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+# a level both trees solve is checked against its refined solve once its
+# energy moved by more than this share of its tolerance
+MOVED = 1e-3
 
 
 def draws(seed: int, count: int) -> list[dict]:
@@ -124,31 +131,33 @@ def run(src, seed: int, count: int, refine: list[int] | None = None) -> dict:
 def compare(old: dict, new: dict) -> dict:
     """The outcome changes of the solves and the counts, as lists of (draw
     index, old outcome, new outcome), the draws only new solves
-    ("mended"), and the largest |dE|/tolerance over the levels both trees
-    solve (0 if none)."""
+    ("mended"), {draw index: |dE|/tolerance} of the levels both trees
+    solve ("ratios") and of those that moved by more than MOVED of their
+    tolerance ("moved"), and the largest of the ratios (0 if none)."""
     def changes(key, same):
         return [(i, a, b) for i, (a, b) in enumerate(zip(old[key], new[key])) if not same(a, b)]
 
-    solved = [(a, b) for a, b in zip(old["solves"], new["solves"])
-              if a["outcome"] == b["outcome"] == "ok"]
+    ratios = {i: abs(b["energy"] - a["energy"]) / a["tolerance"]
+              for i, (a, b) in enumerate(zip(old["solves"], new["solves"]))
+              if a["outcome"] == b["outcome"] == "ok"}
     solves = changes("solves", lambda a, b: a["outcome"] == b["outcome"])
     return {
         "solves": solves,
         "mended": [i for i, a, b in solves if b["outcome"] == "ok"],
+        "moved": {i: ratio for i, ratio in ratios.items() if ratio > MOVED},
         "counts": changes("counts", lambda a, b: (a["outcome"], a.get("count"))
                           == (b["outcome"], b.get("count"))),
-        "max_ratio": max((abs(b["energy"] - a["energy"]) / a["tolerance"] for a, b in solved),
-                         default=0.0),
-        "solved": len(solved),
+        "max_ratio": max(ratios.values(), default=0.0),
+        "solved": len(ratios),
     }
 
 
-def refined_ratios(new: dict, refined: list[dict], mended: list[int]) -> dict:
-    """{draw index: |E - E_refined|/tolerance} of each mended level, inf
+def refined_ratios(new: dict, refined: list[dict], checked: list[int]) -> dict:
+    """{draw index: |E - E_refined|/tolerance} of each checked level, inf
     where its refined solve raised."""
     return {i: (abs(new["solves"][i]["energy"] - ref["energy"]) / new["solves"][i]["tolerance"]
                 if ref["outcome"] == "ok" else math.inf)
-            for i, ref in zip(mended, refined)}
+            for i, ref in zip(checked, refined)}
 
 
 def _histogram(values) -> str:
@@ -179,9 +188,9 @@ def main(argv=None) -> int:
     trees = {"old": run(args.old_src, args.seed, args.draws),
              "new": run(args.new_src, args.seed, args.draws)}
     diff = compare(trees["old"], trees["new"])
-    mended = diff["mended"]
-    refined = run(args.new_src, args.seed, args.draws, mended)["refined"] if mended else []
-    ratios = refined_ratios(trees["new"], refined, mended)
+    checked = diff["mended"] + sorted(diff["moved"])
+    refined = run(args.new_src, args.seed, args.draws, checked)["refined"] if checked else []
+    ratios = refined_ratios(trees["new"], refined, checked)
     picks = draws(args.seed, args.draws)
     print(f"{args.draws} draws of seed {args.seed}")
     for name, out in trees.items():
@@ -196,11 +205,17 @@ def main(argv=None) -> int:
             note = (f"  |dE|/tolerance to refined {ratios[i]:.3g}"
                     if key == "solves" and i in ratios else "")
             print(f"  draw {i}: {_label(a)} -> {_label(b)}{note}  {picks[i]}")
-    worst_refined = max(ratios.values(), default=0.0)
+    print(f"solves moved by more than {MOVED:g} of their tolerance: {len(diff['moved'])}")
+    for i, moved in sorted(diff["moved"].items()):
+        print(f"  draw {i}: |dE|/tolerance {moved:.3g}, to refined {ratios[i]:.3g}  {picks[i]}")
+    worst_mended = max((ratios[i] for i in diff["mended"]), default=0.0)
+    worst_moved = max((ratios[i] for i in diff["moved"]), default=0.0)
     print(f"max |dE|/tolerance over {diff['solved']} levels solved by both: "
           f"{diff['max_ratio']:.3g}")
-    print(f"max |dE|/tolerance to refined over {len(ratios)} mended levels: "
-          f"{worst_refined:.3g}")
+    print(f"max |dE|/tolerance to refined over {len(diff['mended'])} mended levels: "
+          f"{worst_mended:.3g}")
+    print(f"max |dE|/tolerance to refined over {len(diff['moved'])} moved levels: "
+          f"{worst_moved:.3g}")
     solved = {name: [row for row in out["solves"] if row["outcome"] == "ok"]
               for name, out in trees.items()}
     # final grid sizes seldom repeat: each is binned by the power of two at
@@ -213,7 +228,7 @@ def main(argv=None) -> int:
     for name, out in trees.items():
         print(f"{name} wall: solves {out['solve_s']:.2f} s, counts {out['count_s']:.2f} s")
     broken = [i for i, a, b in diff["solves"] if a["outcome"] == "ok"]
-    return 1 if broken or diff["counts"] or max(diff["max_ratio"], worst_refined) > 0.5 else 0
+    return 1 if broken or diff["counts"] or max(diff["max_ratio"], worst_mended, worst_moved) > 0.5 else 0
 
 
 if __name__ == "__main__":
