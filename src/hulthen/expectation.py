@@ -7,15 +7,19 @@ the quadrature of the true 1/r^2 is reported separately as a diagnostic
 of the exponential approximation.  One report builds the level once and
 shares it, and each U^2 value, among its integrals.
 
-The quadratures use the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
-721 (1974)): r = r_max / (1 + exp(-pi sinh t)) maps the line onto
-[0, r_max] with weights that decay double-exponentially, so the trapezoid
-sum in t about doubles its correct digits per halving of the step, even
-with the integrands' r^p behaviour at the origin.  U^2 and each weight
-are evaluated once per node, as arrays: the 449 nodes of the first six
-trapezoid sums (step 1/64 in t) in one pass, the nodes each later halving
-adds in a pass of their own.  The error estimate is the last halving's
-change plus the integral left beyond the outermost nodes.
+The quadratures use the exp-sinh rule (Takahasi & Mori, Publ. RIMS 9,
+721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001)):
+r = s exp(pi/2 sinh t) maps the line onto (0, inf) with weights that
+decay double-exponentially at both ends, so the trapezoid sum in t about
+doubles its correct digits per halving of the step, even with the
+integrands' r^p behaviour at the origin.  The scale s is the level's
+decay length 1/kappa, kappa = alpha epsilon, so |U|^2 ~ exp(-2r/s) dies
+out at the same t for every level and no end of the range is guessed.
+U^2 and each weight are evaluated once per node, as arrays: the 417 nodes
+of the first six trapezoid sums (step 1/64 in t) in one pass, the nodes
+each later halving adds in a pass of their own.  The error estimate is
+the last halving's change plus the integral left beyond the outermost
+nodes, taken as r |f U^2| at each of them.
 """
 
 import math
@@ -34,9 +38,9 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """A non-finite integration range or integrand sample, or no
-    convergence within the cap on step halvings (as for an integral that
-    diverges at an end)."""
+    """A decay length that is not a finite positive float, a non-finite
+    integrand sample, or no convergence within the cap on step halvings (as
+    for an integral that diverges at an end)."""
 
 
 @dataclass(frozen=True)
@@ -57,24 +61,32 @@ class ExpectationReport:
     v_quad: float
 
 
-# the rule's t range: the outermost nodes lie 2.6e-23 r_max from an end
-_T_MAX = 3.5
+# the rule's t range: its nodes run from r = 8.0e-22 s to r = 4.3e3 s.  The
+# inner end weighs two limits of the float range.  The integral left out
+# below it, ~r |f U^2| there, is 1.6e-21 of <r^-2> at l = 0, D = 3, so it
+# stays below the absolute tolerance up to <r^-2> ~ 6e10; and alpha r there,
+# 8.0e-22/epsilon, stays above the smallest float up to epsilon ~ 3e302,
+# beyond which U reads 0 and V -inf.  Past the outer end U^2 has died out
+# (at alpha = 1e-7, D = 3, for n up to 140; at n = 64 it falls below 1e-17
+# of its peak by r = 180 s), and U of n = 150 is nan there.  ~5 % of the
+# 417 first-pass nodes on the bench's levels lie past the underflow of U^2.
+_T = (-4.125, 2.375)
 _HALVINGS = 12
 # absolute error every quadrature is taken to
 _ABS_TOL = 1e-10
-# halvings 0 .. _FIRST_PASS are evaluated together, on the 449 nodes of step
-# 1/64 in t.  5 because nearly every level returns by then: of the 5403
-# levels in the bench's `reports` inputs for seed 1, 3 return at halving 3,
-# 4057 at 4 and 1342 at 5.  The n = 20 and 25 levels at alpha = 1e-3 return
-# at 5 as well; only n = 30 there goes on, to 6.  So a level needs a single
+# halvings 0 .. _FIRST_PASS are evaluated together, on the 417 nodes of step
+# 1/64 in t.  5 because nearly every level returns by then: of the first 960
+# levels in the bench's `reports` inputs for seed 1, 77 return at halving 3,
+# 526 at 4, 297 at 5 and 60 at 6.  The 60 are the n = 20, 25 and 30 levels at
+# alpha = 1e-3; every other level returns by 5.  So a level needs a single
 # evaluation, and a larger first pass would be wasted on nearly all of them.
 _FIRST_PASS = 5
 
 
-def _tanh_sinh(g, fs, b: float) -> list[float]:
-    """integral over [0, b] of f(r) g(r) dr for each f in fs.  A node is
-    placed by its offset d from the nearer end, so none rounds onto r = 0;
-    the integral beyond the outermost nodes is estimated as d |f g| there.
+def _exp_sinh(g, fs, s: float) -> list[float]:
+    """integral over (0, inf) of f(r) g(r) dr for each f in fs, on the nodes
+    r = s exp(pi/2 sinh t) of scale s; the integral beyond each outermost
+    node is estimated as r |f g| there.
 
     One evaluation covers every node of halvings 0 .. _FIRST_PASS; each
     later halving is evaluated on its own.  A halving's new nodes are
@@ -82,39 +94,36 @@ def _tanh_sinh(g, fs, b: float) -> list[float]:
     values only when the sums reach it, so the sums, the halving that
     returns and the r a non-finite sample names are those of evaluating
     each halving on its own."""
-    if not math.isfinite(b):
-        raise QuadratureError(f"the integration range [0, {b!r}] is not finite")
-    m = int(2 * _T_MAX)
-
     def sample(t):
         """r at the nodes t, and f g dr/dt there: one row per f"""
-        d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))  # offset from the nearer end
-        r = np.where(t < 0.0, d, b - d)
-        gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))  # g dr/dt
+        r = s * np.exp(0.5 * np.pi * np.sinh(t))
+        gw = g(r) * (0.5 * np.pi * np.cosh(t) * r)  # g dr/dt
         return r, np.array([f(r) * gw for f in fs])
 
     sums = np.zeros(len(fs))
     with np.errstate(all="ignore"):  # a non-finite sample raises below
-        last = m << _FIRST_PASS
-        first_r, first_vals = sample(0.5 ** (_FIRST_PASS + 1) * np.arange(-last, last + 1))
+        # the ends and every step are dyadic, so each node t is exact
+        step = 0.5 ** (_FIRST_PASS + 1)
+        first_r, first_vals = sample(np.arange(_T[0], _T[1] + 0.5 * step, step))
         first_finite = np.isfinite(first_vals).all(axis=0)
         for halving in range(_HALVINGS + 1):
             h = 0.5 ** (halving + 1)
             if halving <= _FIRST_PASS:
-                # the first pass's step is h/s: halving 0 holds every s-th
-                # node, a later one the odd multiples of s
-                s = 1 << (_FIRST_PASS - halving)
-                new = slice(0, None, s) if halving == 0 else slice(s, None, 2 * s)
+                # the first pass's step is h/k: halving 0 holds every k-th
+                # node, a later one the odd multiples of k
+                k = 1 << (_FIRST_PASS - halving)
+                new = slice(0, None, k) if halving == 0 else slice(k, None, 2 * k)
                 r, finite = first_r[new], first_finite[new]
                 vals = np.ascontiguousarray(first_vals[:, new])
             else:
-                r, vals = sample(h * np.arange(1 - (m << halving), m << halving, 2))
+                r, vals = sample(np.arange(_T[0] + h, _T[1], 2.0 * h))
                 finite = np.isfinite(vals).all(axis=0)
             if not finite.all():
                 bad = float(r[~finite][0])
                 raise QuadratureError(f"non-finite integrand sample at r = {bad!r}")
             if halving == 0:
-                tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(_T_MAX))
+                # r |f g| = |f g dr/dt| / (pi/2 cosh t) at each end
+                tail = (np.abs(vals[:, [0, -1]]) / np.cosh(_T)).sum(axis=1) / (0.5 * np.pi)
             prev, sums = sums, 0.5 * sums + h * vals.sum(axis=1)
             err = np.abs(sums - prev) + tail
             if halving and err.max() <= _ABS_TOL:
@@ -127,13 +136,13 @@ def _tanh_sinh(g, fs, b: float) -> list[float]:
 
 def _weighted_integrals(fs, lv: model.Level) -> list[float]:
     """integral of f(r) |U(r)|^2 dr over (0, inf) for each f in fs, with
-    U^2 computed once per node and shared among the integrals.  r_max cuts
-    off a |U|^2 tail (polynomial envelope included) below ~1e-14 of the total."""
+    U^2 computed once per node and shared among the integrals, on the scale
+    of the level's decay length 1/kappa."""
     alpha = lv.params.alpha
-    # |P_n| on the interval is bounded by its s -> 0 (x = 1, y = 2) endpoint value here
-    poly_peak = lv.poly(2.0)
-    r_max = (50.0 + max(0.0, 2.0 * math.log(lv.norm * poly_peak))) / (2.0 * alpha * lv.epsilon)
-    return _tanh_sinh(lambda r: lv(alpha * r) ** 2, fs, r_max)
+    s = 1.0 / (alpha * lv.epsilon)
+    if not 0.0 < s < math.inf:
+        raise QuadratureError(f"the decay length 1/kappa = {s!r} is not a finite positive float")
+    return _exp_sinh(lambda r: lv(alpha * r) ** 2, fs, s)
 
 
 def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> ExpectationReport:

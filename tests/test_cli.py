@@ -283,19 +283,22 @@ def test_feynman_hellmann_values_past_an_overflowing_intermediate(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the integration range end overflowed to inf: two RuntimeWarnings,
-        # then exit 1 with "radii must be finite positive reals"
-        ("expectation --alpha 1e-300 --dim 2 --n 1",
-         "the integration range [0, inf] is not finite"),
-        ("expectation --alpha 2 --hbar 1e-20 --dim 4 --l 2 --n 4",
-         "the integration range [0, inf] is not finite"),
+        # the integration range end overflowed to inf (exit 3, "the
+        # integration range [0, inf] is not finite"); before that, two
+        # RuntimeWarnings and exit 1 with "radii must be finite positive
+        # reals".  Now <r^-2> = 3.0e199 moves by ~1e-16 of itself per
+        # halving, far more than the absolute tolerance 1e-10
         ("expectation --Z 2 --alpha 0.5 --mu 1e-200 --hbar 1e-150 --n 2",
-         "the integration range [0, inf] is not finite"),
+         "no convergence to 1e-10 within 12 step halvings (error estimate 4.249e+183)"),
+        # 1/kappa overflows: without a check on it, exit 1 with "radii must
+        # be finite positive reals"
+        ("expectation --Z 1e290 --alpha 1e-310 --mu 1e-300 --hbar 1e150 --dim 2",
+         "the decay length 1/kappa = inf is not a finite positive float"),
         # up to five RuntimeWarnings came before this line
         ("expectation --Z 1e150 --hbar 3 --dim 2",
-         "non-finite integrand sample at r = 4.4905998443128965e-170"),
+         "non-finite integrand sample at r = 3.5973424695460584e-171"),
         ("expectation --Z 1e150 --alpha 1 --mu 0.05 --hbar 0.05 --dim 1 --n 1",
-         "non-finite integrand sample at r = 7.372142333969932e-172"),
+         "non-finite integrand sample at r = 3.9970471883845105e-173"),
     ],
 )
 def test_quadrature_range_failures_exit_3(capsys, argv, message):

@@ -17,7 +17,7 @@ from hulthen import (
     potential,
 )
 from hulthen import expectation
-from hulthen.expectation import _tanh_sinh, _weighted_integrals
+from hulthen.expectation import _exp_sinh, _weighted_integrals
 from special_reference import bracket_energy, feynman_hellmann_exact
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
@@ -268,18 +268,23 @@ def test_quadrature_errors():
 
 
 @pytest.mark.parametrize("params, qn, message", [
-    # r_max = inf: C_n times P_n(1) overflows in its log
-    (PotentialParams(Z=1.0, alpha=1e-300, D=2), QuantumNumbers(1, 0),
-     r"the integration range \[0, inf\] is not finite"),
-    (PotentialParams(Z=1.0, alpha=2.0, hbar=1e-20, D=4), QuantumNumbers(4, 2),
-     r"the integration range \[0, inf\] is not finite"),
+    # <r^-2> = 3.0e199: every halving moves its sum by ~1e-16 of itself, far
+    # more than the absolute tolerance 1e-10
     (PotentialParams(Z=2.0, alpha=0.5, mu=1e-200, hbar=1e-150), QuantumNumbers(2, 0),
-     r"the integration range \[0, inf\] is not finite"),
+     r"no convergence to 1e-10 within 12 step halvings \(error estimate 4\.249e\+183\)"),
+    # 1/kappa overflows (kappa = 1.75e-310)
+    (PotentialParams(Z=1e290, alpha=1e-310, mu=1e-300, hbar=1e150, D=2), GROUND,
+     "the decay length 1/kappa = inf is not a finite positive float"),
+    # U is nan at the outer end, r = 4.3e3/kappa, where its Jacobi factor
+    # overflows; with r_max = 25/kappa, cut short by P_n(2) = nan, the
+    # quadrature returned <V> 81 % off the closed form
+    (PotentialParams(Z=1.0, alpha=1e-7), QuantumNumbers(150, 0),
+     "non-finite integrand sample at r = 652909.0636221785"),
     # V overflows near the origin
     (PotentialParams(Z=1e150, alpha=0.05, hbar=3.0, D=2), GROUND,
-     "non-finite integrand sample at r = 4.4905998443128965e-170"),
+     "non-finite integrand sample at r = 3.5973424695460584e-171"),
     (PotentialParams(Z=1e150, alpha=1.0, mu=0.05, hbar=0.05, D=1), QuantumNumbers(1, 0),
-     "non-finite integrand sample at r = 7.372142333969932e-172"),
+     "non-finite integrand sample at r = 3.9970471883845105e-173"),
 ])
 def test_report_out_of_range_raises_without_warnings(params, qn, message):
     # warnings are errors here: each of these printed RuntimeWarnings first
@@ -287,31 +292,53 @@ def test_report_out_of_range_raises_without_warnings(params, qn, message):
         expectation_report(params, qn)
 
 
-def _plain_nodes(b, halving):
-    # reference: t, the offset d from the nearer end and r of the nodes a
-    # halving adds, in ascending t
-    h, m = 0.5 ** (halving + 1), 7 << halving
-    t = h * (np.arange(-m, m + 1) if halving == 0 else np.arange(1 - m, m, 2))
-    d = b / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))
-    return t, d, np.where(t < 0.0, d, b - d)
+@pytest.mark.parametrize("params, qn", [
+    (PotentialParams(Z=1.0, alpha=1e-300, D=2), QuantumNumbers(1, 0)),
+    (PotentialParams(Z=1.0, alpha=2.0, hbar=1e-20, D=4), QuantumNumbers(4, 2)),
+    (PotentialParams(Z=1.0, alpha=1e-7), QuantumNumbers(100, 0)),
+])
+def test_quadratures_where_the_range_end_failed(params, qn):
+    # the range end r_max was read from log(C_n P_n(2)): that overflowed to
+    # inf on the first two levels, and the quadrature raised; on the third
+    # P_n(2) was nan, r_max fell to 25/kappa and <V> read 77 % off.  On the
+    # scale 1/kappa no end is needed
+    rep = expectation_report(params, qn)
+    assert rep.v_quad == pytest.approx(rep.v_hft, rel=1e-13)
+    if rep.inv_r2_hft is not None:
+        assert rep.inv_r2_quad_approx == pytest.approx(rep.inv_r2_hft, rel=1e-13)
 
 
-def _plain_tanh_sinh(g, fs, b):
-    # reference: the tanh-sinh sums with each halving evaluated on its own;
+def test_decay_length_past_the_float_range_raises_before_any_sample(monkeypatch):
+    # every node r = s exp(...) would be inf, and U rejects such radii
+    params = PotentialParams(Z=1e290, alpha=1e-310, mu=1e-300, hbar=1e150, D=2)
+    monkeypatch.setattr(expectation, "_exp_sinh", None)
+    with pytest.raises(QuadratureError, match="^the decay length 1/kappa = inf "):
+        expectation_report(params, GROUND)
+
+
+def _plain_nodes(s, halving):
+    # reference: t and r of the nodes a halving adds, in ascending t; the
+    # range [-4.125, 2.375] is 13 steps of halving 0
+    h, m = 0.5 ** (halving + 1), 13 << halving
+    t = -4.125 + h * (np.arange(m + 1) if halving == 0 else np.arange(1, m, 2))
+    return t, s * np.exp(0.5 * np.pi * np.sinh(t))
+
+
+def _plain_exp_sinh(g, fs, s):
+    # reference: the exp-sinh sums with each halving evaluated on its own;
     # (sums, the halving that returns them)
-    if not math.isfinite(b):
-        raise QuadratureError(f"the integration range [0, {b!r}] is not finite")
     sums = np.zeros(len(fs))
     with np.errstate(all="ignore"):
         for halving in range(13):
-            t, d, r = _plain_nodes(b, halving)
-            gw = g(r) * (np.pi * np.cosh(t) * d * (1.0 - d / b))
+            t, r = _plain_nodes(s, halving)
+            gw = g(r) * (0.5 * np.pi * np.cosh(t) * r)
             vals = np.array([f(r) * gw for f in fs])
             bad = ~np.isfinite(vals).all(axis=0)
             if bad.any():
                 raise QuadratureError(f"non-finite integrand sample at r = {float(r[bad][0])!r}")
             if halving == 0:
-                tail = (np.abs(vals[:, 0]) + np.abs(vals[:, -1])) / (np.pi * math.cosh(3.5))
+                tail = (np.abs(vals[:, 0]) / (0.5 * np.pi * math.cosh(-4.125))
+                        + np.abs(vals[:, -1]) / (0.5 * np.pi * math.cosh(2.375)))
             prev, sums = sums, 0.5 * sums + 0.5 ** (halving + 1) * vals.sum(axis=1)
             err = np.abs(sums - prev) + tail
             if halving and err.max() <= 1e-10:
@@ -321,34 +348,45 @@ def _plain_tanh_sinh(g, fs, b):
 
 
 def _report_quadrature(monkeypatch, params, qn):
-    """The (g, fs, b) that expectation_report integrates."""
+    """The (g, fs, s) that expectation_report integrates."""
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(expectation, "_tanh_sinh",
+        patch.setattr(expectation, "_exp_sinh",
                       lambda *args: calls.append(args) or [1.0] * len(args[1]))
         expectation_report(params, qn)
     return calls[0]
 
 
-# levels whose quadratures return at halvings 4, 5 (the first pass's last)
-# and 6 (the first evaluated on its own); D = 2, l = 0 has <V> alone
+# levels whose quadratures return at halvings 3, 4, 5 (the first pass's
+# last) and 6 (the first evaluated on its own); D = 2, l = 0 has <V> alone
 @pytest.mark.parametrize("params, qn, halving", [
-    (ANCHOR, GROUND, 4),
+    (ANCHOR, QuantumNumbers(1, 0), 4),
     (PotentialParams(Z=1.0, alpha=0.002, D=5), QuantumNumbers(20, 3), 5),
     (PotentialParams(Z=1.0, alpha=0.001), QuantumNumbers(30, 0), 6),
     (PotentialParams(Z=1.0, alpha=0.05, D=2), QuantumNumbers(1, 0), 4),
+    (ANCHOR, GROUND, 3),
 ])
 def test_one_pass_sums_as_halving_by_halving(monkeypatch, params, qn, halving):
-    g, fs, b = _report_quadrature(monkeypatch, params, qn)
+    g, fs, s = _report_quadrature(monkeypatch, params, qn)
     assert len(fs) == (1 if (params.D, qn.l) == (2, 0) else 3)
-    sums = _tanh_sinh(g, fs, b)
-    assert (sums, halving) == _plain_tanh_sinh(g, fs, b)
+    sums = _exp_sinh(g, fs, s)
+    assert (sums, halving) == _plain_exp_sinh(g, fs, s)
     # it returns at that halving: allowed one less, it does not converge
     monkeypatch.setattr(expectation, "_HALVINGS", halving)
-    assert _tanh_sinh(g, fs, b) == sums
+    assert _exp_sinh(g, fs, s) == sums
     monkeypatch.setattr(expectation, "_HALVINGS", halving - 1)
     with pytest.raises(QuadratureError, match=f"^no convergence to 1e-10 within {halving - 1} "):
-        _tanh_sinh(g, fs, b)
+        _exp_sinh(g, fs, s)
+
+
+def test_first_pass_samples_each_radius_once():
+    # the tanh-sinh nodes were placed by their offset d from the nearer end
+    # of [0, r_max], and b - d rounded onto r_max on ~5 % of them; U^2 was
+    # sampled there more than once
+    radii = []
+    _exp_sinh(lambda r: radii.append(r) or np.exp(-2.0 * r), [lambda r: 1.0], 1.0)
+    r = radii[0]
+    assert r.size == 417 and r[0] > 0.0 and np.all(np.diff(r) > 0.0)
 
 
 def _raised(quadrature, *args) -> str:
@@ -357,60 +395,45 @@ def _raised(quadrature, *args) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize("b", [math.inf, math.nan])
-def test_infinite_range_error_is_unchanged(b):
-    fs = [lambda r: 1.0]
-    message = _raised(_tanh_sinh, lambda r: r, fs, b)
-    assert message == _raised(_plain_tanh_sinh, lambda r: r, fs, b)
-    assert message == f"the integration range [0, {b!r}] is not finite"
-
-
-def _own_radii(b, halving):
-    # the radii of a halving's nodes that no other halving up to 6 has: near
-    # r = b, b - d rounds to b on the outer nodes of every halving
-    others = [_plain_nodes(b, k)[2] for k in range(7) if k != halving]
-    return np.setdiff1d(_plain_nodes(b, halving)[2], np.concatenate(others))
-
-
 def _poisoned(radii):
     """A weight that is nan at the radii and 0 elsewhere."""
     return lambda r: np.where(np.isin(r, radii), np.nan, 0.0)
 
 
 def test_non_finite_sample_names_the_r_of_its_halving(monkeypatch):
-    g, fs, b = _report_quadrature(monkeypatch, ANCHOR, GROUND)
+    g, fs, s = _report_quadrature(monkeypatch, ANCHOR, GROUND)
     # the outermost node of halving 2 comes after the innermost of halving
     # 3 in the first pass's t order; halving 2 is summed first, so its r is
     # the one named
-    r2, r3 = _own_radii(b, 2)[-1], _own_radii(b, 3)[0]
+    r2, r3 = _plain_nodes(s, 2)[1][-1], _plain_nodes(s, 3)[1][0]
     fs = [*fs, _poisoned([r2, r3])]
-    message = _raised(_tanh_sinh, g, fs, b)
-    assert message == _raised(_plain_tanh_sinh, g, fs, b)
+    message = _raised(_exp_sinh, g, fs, s)
+    assert message == _raised(_plain_exp_sinh, g, fs, s)
     assert message == f"non-finite integrand sample at r = {float(r2)!r}"
 
 
 @pytest.mark.parametrize("params, qn, halving", [
     # returns at 4: halving 5 is in the first pass but never summed
-    (ANCHOR, GROUND, 5),
+    (ANCHOR, QuantumNumbers(1, 0), 5),
     # returns at 5: halving 6 is never evaluated
     (PotentialParams(Z=1.0, alpha=0.002, D=5), QuantumNumbers(20, 3), 6),
 ])
 def test_non_finite_sample_past_the_last_halving_is_not_reported(monkeypatch, params, qn,
                                                                   halving):
-    g, fs, b = _report_quadrature(monkeypatch, params, qn)
-    poisoned = [*fs, _poisoned(_own_radii(b, halving))]
-    sums = _tanh_sinh(g, poisoned, b)
-    assert (sums, halving - 1) == _plain_tanh_sinh(g, poisoned, b)
-    assert sums == _tanh_sinh(g, fs, b) + [0.0]
+    g, fs, s = _report_quadrature(monkeypatch, params, qn)
+    poisoned = [*fs, _poisoned(_plain_nodes(s, halving)[1])]
+    sums = _exp_sinh(g, poisoned, s)
+    assert (sums, halving - 1) == _plain_exp_sinh(g, poisoned, s)
+    assert sums == _exp_sinh(g, fs, s) + [0.0]
 
 
 def test_no_convergence_error_keeps_its_estimate():
     # U^2/r^2 diverges like log r at the origin for l = 0 in D = 2
     p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
     lv = level(p2, GROUND)
-    g, b = lambda r: lv(p2.alpha * r) ** 2, 1e3
+    g, s = lambda r: lv(p2.alpha * r) ** 2, 1.0 / (p2.alpha * lv.epsilon)
     fs = [lambda r: 1.0 / (r * r)]
-    message = _raised(_tanh_sinh, g, fs, b)
-    assert message == _raised(_plain_tanh_sinh, g, fs, b)
+    message = _raised(_exp_sinh, g, fs, s)
+    assert message == _raised(_plain_exp_sinh, g, fs, s)
     assert re.fullmatch(r"no convergence to 1e-10 within 12 step halvings "
                         r"\(error estimate \d\.\d{3}e[+-]\d+\)", message)

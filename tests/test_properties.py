@@ -15,6 +15,7 @@ from hulthen import (
     NoBoundState,
     PotentialParams,
     QuantumNumbers,
+    centrifugal_approx,
     energy,
     level,
     normalization_constant,
@@ -108,6 +109,18 @@ def test_quadrature_normalization(params, qn):
     if not energy(params, qn).exists:
         return
     assert abs(_weighted_integrals([lambda r: 1.0], level(params, qn))[0] - 1.0) <= 1e-10
+
+
+@PROPERTY
+@given(params_st, qn_st)
+def test_quadrature_of_the_centrifugal_stand_in(params, qn):
+    # <r^-2> of the stand-in the eigenfunctions solve, to the quadrature's
+    # absolute tolerance; it is undefined where 2l+D-2 = 0
+    if not energy(params, qn).exists or 2 * qn.l + params.D - 2 == 0:
+        return
+    lv = level(params, qn)
+    quad = _weighted_integrals([lambda r: centrifugal_approx(r, params.alpha)], lv)[0]
+    assert abs(quad - lv.inv_r2) <= 1e-10
 
 
 @PROPERTY

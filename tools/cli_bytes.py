@@ -94,6 +94,14 @@ ARGV_SETS = [argv.split() for argv in (
     "expectation --Z 2 --alpha 0.5 --mu 1e-200 --hbar 1e-150 --n 2",
     "expectation --Z 1e150 --hbar 3 --dim 2",
     "expectation --Z 1e150 --alpha 1 --mu 0.05 --hbar 0.05 --dim 1 --n 1",
+    # a decay length 1/kappa past the float range, and integrals far below
+    # the absolute tolerance 1e-10
+    "expectation --Z 1e290 --alpha 1e-310 --mu 1e-300 --hbar 1e150 --dim 2",
+    "expectation --Z 1e-6 --alpha 1e-9 --l 1",
+    "expectation --Z 1e-6 --alpha 1e-9",
+    # levels whose P_n(2) is nan, once read for the range end
+    "expectation --alpha 1e-7 --n 100",
+    "expectation --alpha 1e-7 --n 150",
     "--help",
     "spectrum --help",
     "wavefunction --help",
