@@ -307,6 +307,28 @@ def test_quadrature_range_failures_exit_3(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, err_expected",
+    [
+        ("expectation --alpha 1e-300 --dim 2 --n 1",
+         "warning: <r^-2> is undefined for l = 0 in D = 2; fields left empty\n"),
+        ("expectation --alpha 2 --hbar 1e-20 --dim 4 --l 2 --n 4", ""),
+    ],
+    ids=["expectation --alpha 1e-300 --dim 2 --n 1",
+         "expectation --alpha 2 --hbar 1e-20 --dim 4 --l 2 --n 4"],
+)
+def test_levels_whose_range_end_overflowed_exit_0(capsys, argv, err_expected):
+    # the range end r_max, read from log(C_n P_n(2)), overflowed to inf on
+    # these levels: exit 3 with "the integration range [0, inf] is not
+    # finite".  The quadrature on the scale 1/kappa needs no end
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert (code, err) == (0, err_expected)
+    data = json.loads(out)
+    assert data["v_quad"] == pytest.approx(data["v_hft"], rel=1e-13)
+    if data["inv_r2_hft"] is not None:
+        assert data["inv_r2_quad_approx"] == pytest.approx(data["inv_r2_hft"], rel=1e-13)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # nan and inf exited 0 with E_oracle = E_closed: no pass ran

@@ -395,6 +395,15 @@ def _raised(quadrature, *args) -> str:
     return str(info.value)
 
 
+@pytest.mark.parametrize("b", [math.inf, math.nan])
+def test_infinite_range_error_is_unchanged(b):
+    # a scale s = b puts every node at r = b: the first sample is not finite
+    fs = [lambda r: 1.0]
+    message = _raised(_exp_sinh, lambda r: r, fs, b)
+    assert message == _raised(_plain_exp_sinh, lambda r: r, fs, b)
+    assert message == f"non-finite integrand sample at r = {b!r}"
+
+
 def _poisoned(radii):
     """A weight that is nan at the radii and 0 elsewhere."""
     return lambda r: np.where(np.isin(r, radii), np.nan, 0.0)
