@@ -24,8 +24,9 @@ rounding, and raises ConvergenceError, as does the end of the ladder: no
 unchecked energy is returned.  A solve's grid spans only the level
 (_grid_ends), so most levels are converged on ~680 and ~1350 steps and
 end on the second.
-count_bound_states climbs its ladder from 3000 steps on r = 1e-6/alpha ..
-100/alpha until two successive counts agree.
+count_bound_states climbs its ladder on r = r_min .. 100/alpha, r_min a
+solve's clamped to [1e-6/alpha, 0.1/alpha], from steps of at most
+ln(1e8)/3000 in ln(r) until two successive counts agree.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -109,8 +110,9 @@ class NodeCountError(OracleError):
 # faster, on the grid ends of _grid_ends as on those from r_min = 1e-3
 # hbar^2/(mu Z)
 _MAX_LOG_STEP = math.log(2e7) / 1500
-# steps (points - 1) of the coarsest grid a count may march: from 1500
-# steps on, its 1501- and 3001-point grids can agree on a wrong count
+# a count's step in ln(r) is at most ln(1e8)/3000, that of 3000 steps
+# over r = 1e-6/alpha .. 100/alpha: at twice that step (1500 steps there)
+# its two coarsest grids can agree on a wrong count
 _MIN_STEPS = 3000
 # steps of the finest grid of _ladder
 _MAX_STEPS = 96000
@@ -611,30 +613,46 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     """Number of bound levels: the Sturm count of the ln(r) grid at a probe
     energy just below 0 (-1e-12 alpha^2 hbar^2/(2 mu)).
 
-    The grids run from r = 1e-6/alpha to r_max = 100/alpha, and levels
-    above about E = -(1.2 alpha hbar/100)^2/(2 mu) may be missed: the end at
-    r_max lifts a level above the probe once its kappa = sqrt(-2 mu E)/hbar
-    is below about 1.2/r_max (where the 96001-point grid's count drops,
-    kappa r_max is 1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and
-    0.14-0.21 at gamma > 0).  The grids are those of _ladder at the probe
-    from _MIN_STEPS = 3000 steps, and the count is returned once two
-    successive grids agree.  The count may still be one too high: the phase
-    error of the coarse grids in a deep core binds one level more, just
-    below the probe, and the two coarsest grids agree on it.  At Z =
-    13.4497, mu = 2.8839, hbar = 0.61093, alpha = 0.0029265, D = 5, l = 4
-    the 3001- and 6001-point grids read 261, with a 261st level at E =
-    -1.6e-8, and the grids of 12001 to 192001 points read 260; 10 of 1488
-    random potentials with Z in [1, 316] and hbar down to 0.2 read one too
-    many.  Raises ConvergenceError when
-    no two successive grids of _ladder agree, before any march if _ladder
-    has no first grid, and OracleError from _log_grid when a grid's
-    coefficients or its start are not finite.
+    The grids run from r_min = min(max(0.1 hbar^2/(mu Z), 1e-6/alpha),
+    0.1/alpha), a solve's r_min (_grid_ends) between two bounds, to r_max =
+    100/alpha.  The first node of the zero-energy regular solution lies
+    near 2 mu Z r/hbar^2 = 3.67, well above 0.1 hbar^2/(mu Z), so no node
+    is lost below it.  The lower bound 1e-6/alpha keeps every first grid
+    within 3000 steps, so a count at large mu Z/hbar^2 keeps its doublings
+    up to 96000 steps: counts with mu Z/hbar^2 >= 1e5 alpha march the
+    grids of r = 1e-6/alpha .. 100/alpha.  The upper bound keeps alpha
+    r_min at most 0.1, well inside the series' radius 2 pi, where the start
+    is summed (at Z = 1, alpha = 100 the start at 0.1 hbar^2/(mu Z) is
+    not).  The first grid has the fewest steps of at most ln(1e8)/3000 in
+    ln(r) (_MIN_STEPS), and at most 3000.  Levels above about E = -(1.2
+    alpha hbar/100)^2/(2 mu) may be missed: the end at r_max lifts a level
+    above the probe once its kappa = sqrt(-2 mu E)/hbar is below about
+    1.2/r_max (where the 96001-point grid's count drops, kappa r_max is
+    1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and 0.14-0.21 at
+    gamma > 0).  The grids are those of _ladder at the probe from that
+    first grid, and the count is returned once two successive grids agree.
+    The count may still be one too high: the phase error of the coarse
+    grids in a deep core binds one level more, just below the probe, and
+    the two coarsest grids agree on it.  At Z = 13.4497, mu = 2.8839, hbar
+    = 0.61093, alpha = 0.0029265, D = 5, l = 4 the 2833- and 5665-point
+    grids read 261, with a 261st level at E = -1.6e-8, and the grids of
+    12001 to 192001 points from 1e-6/alpha read 260; 10 of 1488 random
+    potentials with Z in [1, 316] and hbar down to 0.2 read one too many.
+    Raises ConvergenceError when no two successive grids of _ladder agree,
+    before any march if _ladder has no first grid, and OracleError from
+    _log_grid when a grid's coefficients or its start are not finite.
     """
     model._check_index("l", l)
-    r_min, r_max = 1e-6 / params.alpha, 100.0 / params.alpha
+    r_min = min(max(0.1 * params.hbar**2 / (params.mu * params.Z), 1e-6 / params.alpha),
+                0.1 / params.alpha)
+    r_max = 100.0 / params.alpha
+    # at r_min = 1e-6/alpha the quotient rounds to 3000 (1 + eps), and 3001
+    # steps would double past _MAX_STEPS where 3000 stay within it
+    steps = min(_MIN_STEPS, math.ceil(
+        _MIN_STEPS * (math.log(r_max) - math.log(r_min)) / math.log(1e8)))
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
     coarse = None
-    for steps, grid in _ladder(params, l, r_min, r_max, probe, _MIN_STEPS):
+    for steps, grid in _ladder(params, l, r_min, r_max, probe, steps):
         nodes = _march(grid, probe)
         if nodes == coarse:
             return nodes

@@ -162,11 +162,15 @@ def pi_branches(p: NUProblem, t: float) -> list[QuadPoly]:
     a, b, c = _under_root(p, t)
     h0, h1 = _half_diff(p)
     scale = max(abs(a), abs(b), abs(c), 1e-300)
-    if abs(a) > _COEF_TOL * scale:
+    # A, B and C are differences of larger terms when t is large; their
+    # rounding error, and that of t, scales with those terms
+    a_terms = h1 * h1 + abs(p.sigma_tilde.c2) + abs(t * p.sigma.c2)
+    # an A within a_round of 0 is rounding: at delta = 20, eps = 0.5, gamma
+    # = 0 and t = 20.50000000000006, A = -5.7e-14 is what is left of terms
+    # of size 41, though it is above 1e-13 max(|B|, |C|) = 2.5e-14
+    a_round = _COEF_TOL * max(scale, a_terms)
+    if abs(a) > a_round:
         resid = b * b - 4.0 * a * c
-        # A, B and C are differences of larger terms when t is large; their
-        # rounding error, and that of t, scales with those terms
-        a_terms = h1 * h1 + abs(p.sigma_tilde.c2) + abs(t * p.sigma.c2)
         b_terms = abs(2.0 * h0 * h1) + abs(p.sigma_tilde.c1) + abs(t * p.sigma.c1)
         c_terms = h0 * h0 + abs(p.sigma_tilde.c0) + abs(t * p.sigma.c0)
         resid_scale = abs(b) * b_terms + 4.0 * (abs(c) * a_terms + abs(a) * c_terms)
@@ -187,7 +191,7 @@ def pi_branches(p: NUProblem, t: float) -> list[QuadPoly]:
         if c < -SQUARE_TOL * scale:
             raise ValueError(f"under-root constant is negative at t = {t!r}")
         c = max(c, 0.0)
-        if b * b > 4.0 * _COEF_TOL * scale * c:
+        if b * b > 4.0 * a_round * c:
             raise ValueError(
                 f"under-root polynomial is linear (not a square) at t = {t!r}"
             )

@@ -735,10 +735,61 @@ def test_upper_bracket_error():
         solve_exact(params, 1, 0, default_config(params, qn))
 
 
+# the (D, l, alpha) of the census workload of bench/
+CENSUS_ALPHAS = tuple(round(0.03 + 0.01 * i, 2) for i in range(28))
+CENSUS = [(dim, l, alpha) for dim in (1, 3, 4, 5) for l in (0, 1, 2) for alpha in CENSUS_ALPHAS]
+
+
 def test_count_matches_closed_form():
-    for alpha in (0.05, 0.1):
-        params = PotentialParams(Z=1.0, alpha=alpha)
-        assert count_bound_states(params, 0) == sum(st.exists for st in spectrum(params, 0))
+    # every gamma = 0 (D, l) of the census, where the closed form is exact
+    for dim, l, alpha in CENSUS:
+        if model._gamma_coeff(l, dim) == 0.0:
+            params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+            expected = sum(st.exists for st in spectrum(params, l))
+            assert count_bound_states(params, l) == expected, (dim, l, alpha)
+
+
+@pytest.mark.parametrize("Z,alpha,r_min,steps,count", [
+    # the solve's r_min, 0.1 hbar^2/(mu Z): half of the ln(r) span of
+    # 1e-6/alpha .. 100/alpha, at the same step
+    (1.0, 0.1, 0.1, 1500, 4),
+    # 0.1 hbar^2/(mu Z) = 2e-7 lies below 1e-6/alpha: the grids are those
+    # of r = 1e-6/alpha .. 100/alpha on 3000 steps, which this count needs
+    # up to its 96000-step rung
+    (5e5, 1.0, 1e-6, 3000, 999),
+    # 0.1/alpha keeps alpha r_min inside the series' radius 2 pi: from 0.1
+    # hbar^2/(mu Z) = 0.1 the start at alpha = 100 could not be summed
+    (1.0, 20.0, 0.1 / 20.0, 1125, 0),
+    (1.0, 100.0, 0.1 / 100.0, 1125, 0),
+])
+def test_count_starts_at_the_core_radius(monkeypatch, Z, alpha, r_min, steps, count):
+    grids = []
+
+    def spy(params, l, r_lo, r_hi, n):
+        grids.append((r_lo, r_hi, n - 1))
+        return _log_grid(params, l, r_lo, r_hi, n)
+
+    monkeypatch.setattr(oracle, "_log_grid", spy)
+    assert count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0) == count
+    assert grids[0] == (r_min, 100.0 / alpha, steps)
+
+
+def test_census_counts_march_under_5200_points(monkeypatch):
+    # from r = 1e-6/alpha each count of the census would march its 3001-
+    # and 6001-point grids, 9002 points; from 0.1 hbar^2/(mu Z) they march
+    # 3968 to 5093
+    points = {}
+
+    def spy(grid, energy_val):
+        points[key] += grid[1].size
+        return _march(grid, energy_val)
+
+    monkeypatch.setattr(oracle, "_march", spy)
+    for key in CENSUS:
+        points[key] = 0
+        dim, l, alpha = key
+        count_bound_states(PotentialParams(Z=1.0, alpha=alpha, D=dim), l)
+    assert {key: n for key, n in points.items() if n >= 5200} == {}
 
 
 @pytest.mark.parametrize("alpha", [1e-154, 1e-160])
