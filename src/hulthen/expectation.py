@@ -17,9 +17,15 @@ decay length 1/kappa, kappa = alpha epsilon, so |U|^2 ~ exp(-2r/s) dies
 out at the same t for every level and no end of the range is guessed.
 U^2 and each weight are evaluated once per node, as arrays: the 417 nodes
 of the first six trapezoid sums (step 1/64 in t) in one pass, the nodes
-each later halving adds in a pass of their own.  The error estimate is
+each later halving adds in a pass of their own.  V and the centrifugal
+stand-in are formed from one decay pair e^{-ar}, e^{-ar} - 1 per node
+array (model._decay, with its one radius check), by the same expressions
+as model.potential and model.centrifugal_approx.  The error estimate is
 the last halving's change plus the integral left beyond the outermost
-nodes, taken as r |f U^2| at each of them.
+nodes, taken as r |f U^2| at each of them.  Only the node arrays are numpy:
+the one to three running sums, their tails and error estimates are Python
+floats, with the same IEEE operations the arrays did, so the sums are
+those of the arrays bit for bit at a fraction of the calls.
 """
 
 import math
@@ -71,6 +77,8 @@ class ExpectationReport:
 # of its peak by r = 180 s), and U of n = 150 is nan there.  ~5 % of the
 # 417 first-pass nodes on the bench's levels lie past the underflow of U^2.
 _T = (-4.125, 2.375)
+# by np.cosh, as the tails always were: math.cosh(-4.125) differs in its last bit
+_COSH_T = np.cosh(_T).tolist()
 _HALVINGS = 12
 # absolute error every quadrature is taken to
 _ABS_TOL = 1e-10
@@ -83,29 +91,34 @@ _ABS_TOL = 1e-10
 _FIRST_PASS = 5
 
 
-def _exp_sinh(g, fs, s: float) -> list[float]:
-    """integral over (0, inf) of f(r) g(r) dr for each f in fs, on the nodes
+def _exp_sinh(g, weights, s: float) -> list[float]:
+    """integral over (0, inf) of w(r) g(r) dr for each w of weights(r), a
+    list of floats or arrays for the radii r, on the nodes
     r = s exp(pi/2 sinh t) of scale s; the integral beyond each outermost
-    node is estimated as r |f g| there.
+    node is estimated as r |w g| there.
 
     One evaluation covers every node of halvings 0 .. _FIRST_PASS; each
     later halving is evaluated on its own.  A halving's new nodes are
-    summed as a contiguous copy, in ascending t, and checked for finite
-    values only when the sums reach it, so the sums, the halving that
-    returns and the r a non-finite sample names are those of evaluating
-    each halving on its own."""
+    summed in ascending t, and the sums, tails and error estimates are
+    Python floats from there on.  The first pass is checked for finite
+    values once, as a whole; only if it holds a non-finite sample is each
+    of its halvings checked when the sums reach it, as each later halving
+    is.  So the sums, the halving that returns and the r a non-finite
+    sample names are those of evaluating each halving on its own."""
     def sample(t):
-        """r at the nodes t, and f g dr/dt there: one row per f"""
+        """r at the nodes t, and w g dr/dt there: one row per weight"""
         r = s * np.exp(0.5 * np.pi * np.sinh(t))
         gw = g(r) * (0.5 * np.pi * np.cosh(t) * r)  # g dr/dt
-        return r, np.array([f(r) * gw for f in fs])
+        return r, np.array([w * gw for w in weights(r)])
 
-    sums = np.zeros(len(fs))
     with np.errstate(all="ignore"):  # a non-finite sample raises below
         # the ends and every step are dyadic, so each node t is exact
         step = 0.5 ** (_FIRST_PASS + 1)
         first_r, first_vals = sample(np.arange(_T[0], _T[1] + 0.5 * step, step))
-        first_finite = np.isfinite(first_vals).all(axis=0)
+        # one check for the whole pass; per node only if it fails
+        first_finite = None
+        if not np.isfinite(first_vals).all():
+            first_finite = np.isfinite(first_vals).all(axis=0)
         for halving in range(_HALVINGS + 1):
             h = 0.5 ** (halving + 1)
             if halving <= _FIRST_PASS:
@@ -113,36 +126,39 @@ def _exp_sinh(g, fs, s: float) -> list[float]:
                 # node, a later one the odd multiples of k
                 k = 1 << (_FIRST_PASS - halving)
                 new = slice(0, None, k) if halving == 0 else slice(k, None, 2 * k)
-                r, finite = first_r[new], first_finite[new]
-                vals = np.ascontiguousarray(first_vals[:, new])
+                r, vals = first_r[new], first_vals[:, new]
+                finite = None if first_finite is None else first_finite[new]
             else:
                 r, vals = sample(np.arange(_T[0] + h, _T[1], 2.0 * h))
                 finite = np.isfinite(vals).all(axis=0)
-            if not finite.all():
+            if finite is not None and not finite.all():
                 bad = float(r[~finite][0])
                 raise QuadratureError(f"non-finite integrand sample at r = {bad!r}")
             if halving == 0:
-                # r |f g| = |f g dr/dt| / (pi/2 cosh t) at each end
-                tail = (np.abs(vals[:, [0, -1]]) / np.cosh(_T)).sum(axis=1) / (0.5 * np.pi)
-            prev, sums = sums, 0.5 * sums + h * vals.sum(axis=1)
-            err = np.abs(sums - prev) + tail
-            if halving and err.max() <= _ABS_TOL:
-                return sums.tolist()
+                # r |w g| = |w g dr/dt| / (pi/2 cosh t) at each end
+                tails = [(abs(lo) / _COSH_T[0] + abs(hi) / _COSH_T[1]) / (0.5 * math.pi)
+                         for lo, hi in vals[:, [0, -1]].tolist()]
+                sums = [0.0] * len(tails)
+            prev = sums
+            sums = [0.5 * p + h * v for p, v in zip(prev, vals.sum(axis=1).tolist())]
+            err = [abs(a - p) + t for a, p, t in zip(sums, prev, tails)]
+            if halving and all(e <= _ABS_TOL for e in err):
+                return sums
     raise QuadratureError(
         f"no convergence to {_ABS_TOL!r} within {_HALVINGS} step halvings "
-        f"(error estimate {err.max():.3e})"
+        f"(error estimate {np.max(err):.3e})"
     )
 
 
-def _weighted_integrals(fs, lv: model.Level) -> list[float]:
-    """integral of f(r) |U(r)|^2 dr over (0, inf) for each f in fs, with
-    U^2 computed once per node and shared among the integrals, on the scale
-    of the level's decay length 1/kappa."""
+def _weighted_integrals(weights, lv: model.Level) -> list[float]:
+    """integral of w(r) |U(r)|^2 dr over (0, inf) for each w of weights(r),
+    with U^2 computed once per node and shared among the integrals, on the
+    scale of the level's decay length 1/kappa."""
     alpha = lv.params.alpha
     s = 1.0 / (alpha * lv.epsilon)
     if not 0.0 < s < math.inf:
         raise QuadratureError(f"the decay length 1/kappa = {s!r} is not a finite positive float")
-    return _exp_sinh(lambda r: lv(alpha * r) ** 2, fs, s)
+    return _exp_sinh(lambda r: lv(alpha * r) ** 2, weights, s)
 
 
 def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> ExpectationReport:
@@ -151,9 +167,16 @@ def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> Expectati
     # the closed forms first: one that leaves the float range raises before
     # any quadrature runs
     inv_r2, v_hft, t_value = lv.inv_r2, lv.v_mean, lv.t_mean
-    weights = [lambda r: model.potential(r, params)]
-    if inv_r2 is not None:
-        weights += [lambda r: model.centrifugal_approx(r, params.alpha), lambda r: 1.0 / (r * r)]
+
+    def weights(r):
+        """V, and for <r^-2> its exponential stand-in and 1/r^2, at the
+        radii r, from one decay pair"""
+        e, em = model._decay(r, params.alpha)
+        if inv_r2 is None:
+            return [model._potential(e, em, params)]
+        return [model._potential(e, em, params), model._centrifugal(e, em, params.alpha),
+                1.0 / (r * r)]
+
     v_quad, *inv_r2_quad = _weighted_integrals(weights, lv)
     inv_r2_approx, inv_r2_exact = inv_r2_quad or (None, None)
     return ExpectationReport(

@@ -37,7 +37,10 @@ float range raises ValueError, as do dE/dl, <r^-2> and <V> when read.
 A grid is a numpy array of radii: default_grid spaces them evenly over
 the state, and wavefunction_samples takes any increasing ones and puts
 their ends and size in its meta.  V, the centrifugal term and the samples
-hold every radius to a finite positive real by one check (_radii).
+hold every radius to a finite positive real by one check (_radii).  V and
+the centrifugal term are formed from the decay pair e^{-ar}, e^{-ar} - 1
+(_decay) by _potential and _centrifugal, so a caller that needs both at
+the same radii evaluates the exponentials and the check once.
 
 The closed forms use math alone.  V, the centrifugal term and U use numpy
 for floats and arrays alike (a float comes back as a numpy float64), and
@@ -243,6 +246,20 @@ def _in_float_range(what: str, formula: Callable[[], float]) -> float:
     return value
 
 
+def _sqrt_of_product(factors) -> float:
+    """sqrt(prod(factors)) for positive factors, with the product kept as a
+    mantissa in [0.5, 1) and a power of 2, so that only the root has to be
+    a float; math.ldexp raises OverflowError where it is not."""
+    mant, exp = 1.0, 0
+    for f in factors:
+        f_mant, f_exp = math.frexp(f)
+        mant, m_exp = math.frexp(mant * f_mant)
+        exp += f_exp + m_exp
+    if exp % 2:
+        mant, exp = 2.0 * mant, exp - 1
+    return math.ldexp(math.sqrt(mant), exp // 2)
+
+
 def _delta(params: PotentialParams) -> float:
     return _in_float_range(
         "delta = 2 Z mu/(alpha hbar^2)",
@@ -276,7 +293,11 @@ def potential(r, params: PotentialParams):
     -Z/r + Z alpha/2 + ... is reproduced without cancellation and nothing
     overflows at large r.
     """
-    e, em = _decay(r, params.alpha)
+    return _potential(*_decay(r, params.alpha), params)
+
+
+def _potential(e, em, params: PotentialParams):
+    """potential from the decay pair (e, em) = _decay(r, params.alpha)."""
     return params.Z * params.alpha * e / em
 
 
@@ -288,7 +309,11 @@ def centrifugal_approx(r, alpha: float):
     1 - e^{-ar} taken as -expm1(-ar) the one expression neither cancels
     at small alpha*r nor overflows at large alpha*r.
     """
-    e, em = _decay(r, alpha)
+    return _centrifugal(*_decay(r, alpha), alpha)
+
+
+def _centrifugal(e, em, alpha: float):
+    """centrifugal_approx from the decay pair (e, em) = _decay(r, alpha)."""
     return e * (alpha / em) ** 2
 
 
@@ -332,16 +357,24 @@ def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
 
     (the product is n/(n+a) at v = 0, which has n >= 1).  No ratio is
     below 1 elsewhere, so nothing underflows, and C_n is good to ~1e-15
-    where four log-Gamma values would cancel in their large terms.
+    where four log-Gamma values would cancel in their large terms.  Where
+    that product is not a finite nonzero float (at alpha = 1e-300, a ~ 2e300
+    and C_n^2 ~ 4e600, while C_n ~ 2e300 is a float), C_n is the square root
+    of the same factors multiplied as frexp mantissas and exponents
+    (_sqrt_of_product); every C_n the plain product gives keeps its bits,
+    and a C_n that is itself no finite nonzero float raises ValueError.
     """
     st = energy(params, qn)
     if not st.exists:
         raise NoBoundState(f"no bound state for n={qn.n}, l={qn.l}, D={params.D}")
     n, a, v = qn.n, 2.0 * st.epsilon, int(_angular_v(qn.l, params.D))
     ratios = [(n + a + j) / (n + j) for j in range(1, v)] if v else [n / (n + a)]
-    norm = _in_float_range(
-        f"normalization constant of n={n}, l={qn.l}, D={params.D}",
-        lambda: math.sqrt(params.alpha * a * (2 * n + a + v) / (2 * n + v) * math.prod(ratios)))
+    norm = math.sqrt(params.alpha * a * (2 * n + a + v) / (2 * n + v) * math.prod(ratios))
+    if not 0.0 < norm < math.inf:
+        # C_n^2 left the float range, which C_n itself may not have
+        norm = _in_float_range(
+            f"normalization constant of n={n}, l={qn.l}, D={params.D}",
+            lambda: _sqrt_of_product([params.alpha, a, (2 * n + a + v) / (2 * n + v), *ratios]))
     return Level(epsilon=st.epsilon, delta=_delta(params), gamma=_gamma_coeff(qn.l, params.D),
                  v=float(v), Lambda=_lambda(n, qn.l, params.D), params=params, qn=qn,
                  energy=st.energy, norm=norm, poly=specfun.jacobi_poly(n, a, v - 1.0))

@@ -118,7 +118,7 @@ def test_criterion_5_normalization():
                 qn = QuantumNumbers(n, l)
                 if not energy(params, qn).exists:
                     continue
-                total = _weighted_integrals([lambda r: 1.0], level(params, qn))[0]
+                total = _weighted_integrals(lambda r: [1.0], level(params, qn))[0]
                 assert abs(total - 1.0) <= 1e-8
             # ground state: the double sum collapses to the closed form
             qn0 = QuantumNumbers(0, l)
@@ -175,10 +175,10 @@ def test_criterion_6_hft_closed_forms():
             v_closed = lv.v_mean
             assert abs(v_closed - fd_z) <= 1e-6 * abs(v_closed)
             # model-exact identities against |U|^2 quadrature
-            v_quad = _weighted_integrals([lambda r: potential(r, params)], lv)[0]
+            v_quad = _weighted_integrals(lambda r: [potential(r, params)], lv)[0]
             assert abs(v_closed - v_quad) <= 1e-6 * abs(v_closed)
             r2_closed = lv.inv_r2
-            r2_quad = _weighted_integrals([lambda r: centrifugal_approx(r, alpha)], lv)[0]
+            r2_quad = _weighted_integrals(lambda r: [centrifugal_approx(r, alpha)], lv)[0]
             assert abs(r2_closed - r2_quad) <= 1e-6 * abs(r2_closed)
 
 

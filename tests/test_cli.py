@@ -354,12 +354,9 @@ def test_levels_whose_range_end_overflowed_exit_0(capsys, argv, err_expected):
         ("expectation --Z 1e200", "energy of n=0, l=0, D=3 is outside the float range"),
         # ZeroDivisionError traceback
         ("spectrum --hbar 1e-200", "delta = 2 Z mu/(alpha hbar^2) is outside the float range"),
-        # C_n^2 overflowed: exited 0 with norm_const = inf and U = R = inf
-        ("wavefunction --alpha 1e-300",
-         "normalization constant of n=0, l=0, D=3 is outside the float range"),
-        # three RuntimeWarnings, then a complaint about the radii
-        ("expectation --alpha 1e-300",
-         "normalization constant of n=0, l=0, D=3 is outside the float range"),
+        # C_n itself, ~1e1047, is not a float
+        ("expectation --alpha 1e-300 --dim 4 --l 2",
+         "normalization constant of n=0, l=2, D=4 is outside the float range"),
         # A_2 = inf/inf: wavefunction exited 0 with U = R = nan, and
         # expectation complained about the radii
         ("wavefunction --dim 1 --n 2 --alpha 1e-120",
@@ -382,6 +379,27 @@ def test_levels_whose_range_end_overflowed_exit_0(capsys, argv, err_expected):
 def test_invalid_values_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_normalization_whose_square_overflows(capsys):
+    # C_n ~ 2e300 is a float but C_n^2 ~ 4e600 is not.  Both exited 1 with
+    # "normalization constant of n=0, l=0, D=3 is outside the float range";
+    # before that, wavefunction exited 0 with U = R = inf.  At alpha = 1e-300
+    # the level is hydrogen's ground state, U = 2 r e^-r.  Past r ~ 20 the
+    # factor e^-r alpha r of U is a subnormal float before C_n multiplies
+    # it, so there U keeps ~1e-23 absolute, not its relative precision
+    code, out, err = run(capsys, "wavefunction", "--alpha", "1e-300")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    r, u = np.array(rows, dtype=float)[:, :2].T
+    assert len(r) == 4000
+    np.testing.assert_allclose(u, 2.0 * r * np.exp(-r), rtol=1e-14, atol=1e-22)
+    code, out, err = run(capsys, "expectation", "--alpha", "1e-300", "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["v_quad"] == pytest.approx(-1.0, rel=1e-15)
+    assert data["inv_r2_quad_approx"] == pytest.approx(2.0, rel=1e-15)
+    assert data["inv_r2_quad_exact"] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):

@@ -26,7 +26,7 @@ GROUND = QuantumNumbers(0, 0)
 
 def weighted_integral(f, params, qn):
     """integral of f(r) |U(r)|^2 dr over (0, inf) for the level (params, qn)."""
-    return _weighted_integrals([f], level(params, qn))[0]
+    return _weighted_integrals(lambda r: [f(r)], level(params, qn))[0]
 
 
 def test_dE_dl_anchor_and_fd():
@@ -324,15 +324,16 @@ def _plain_nodes(s, halving):
     return t, s * np.exp(0.5 * np.pi * np.sinh(t))
 
 
-def _plain_exp_sinh(g, fs, s):
+def _plain_exp_sinh(g, weights, s):
     # reference: the exp-sinh sums with each halving evaluated on its own;
     # (sums, the halving that returns them)
-    sums = np.zeros(len(fs))
     with np.errstate(all="ignore"):
         for halving in range(13):
             t, r = _plain_nodes(s, halving)
             gw = g(r) * (0.5 * np.pi * np.cosh(t) * r)
-            vals = np.array([f(r) * gw for f in fs])
+            vals = np.array([w * gw for w in weights(r)])
+            if halving == 0:
+                sums = np.zeros(len(vals))
             bad = ~np.isfinite(vals).all(axis=0)
             if bad.any():
                 raise QuadratureError(f"non-finite integrand sample at r = {float(r[bad][0])!r}")
@@ -352,9 +353,14 @@ def _report_quadrature(monkeypatch, params, qn):
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(expectation, "_exp_sinh",
-                      lambda *args: calls.append(args) or [1.0] * len(args[1]))
+                      lambda *args: calls.append(args) or [1.0] * _count(args[1]))
         expectation_report(params, qn)
     return calls[0]
+
+
+def _count(weights) -> int:
+    """How many integrals weights(r) asks for."""
+    return len(weights(np.ones(1)))
 
 
 # levels whose quadratures return at halvings 3, 4, 5 (the first pass's
@@ -368,7 +374,7 @@ def _report_quadrature(monkeypatch, params, qn):
 ])
 def test_one_pass_sums_as_halving_by_halving(monkeypatch, params, qn, halving):
     g, fs, s = _report_quadrature(monkeypatch, params, qn)
-    assert len(fs) == (1 if (params.D, qn.l) == (2, 0) else 3)
+    assert _count(fs) == (1 if (params.D, qn.l) == (2, 0) else 3)
     sums = _exp_sinh(g, fs, s)
     assert (sums, halving) == _plain_exp_sinh(g, fs, s)
     # it returns at that halving: allowed one less, it does not converge
@@ -384,7 +390,7 @@ def test_first_pass_samples_each_radius_once():
     # of [0, r_max], and b - d rounded onto r_max on ~5 % of them; U^2 was
     # sampled there more than once
     radii = []
-    _exp_sinh(lambda r: radii.append(r) or np.exp(-2.0 * r), [lambda r: 1.0], 1.0)
+    _exp_sinh(lambda r: radii.append(r) or np.exp(-2.0 * r), lambda r: [1.0], 1.0)
     r = radii[0]
     assert r.size == 417 and r[0] > 0.0 and np.all(np.diff(r) > 0.0)
 
@@ -398,15 +404,16 @@ def _raised(quadrature, *args) -> str:
 @pytest.mark.parametrize("b", [math.inf, math.nan])
 def test_infinite_range_error_is_unchanged(b):
     # a scale s = b puts every node at r = b: the first sample is not finite
-    fs = [lambda r: 1.0]
+    fs = lambda r: [1.0]
     message = _raised(_exp_sinh, lambda r: r, fs, b)
     assert message == _raised(_plain_exp_sinh, lambda r: r, fs, b)
     assert message == f"non-finite integrand sample at r = {b!r}"
 
 
-def _poisoned(radii):
-    """A weight that is nan at the radii and 0 elsewhere."""
-    return lambda r: np.where(np.isin(r, radii), np.nan, 0.0)
+def _poisoned(fs, radii):
+    """The weights fs and one more, which is nan at the radii and 0
+    elsewhere."""
+    return lambda r: [*fs(r), np.where(np.isin(r, radii), np.nan, 0.0)]
 
 
 def test_non_finite_sample_names_the_r_of_its_halving(monkeypatch):
@@ -415,7 +422,7 @@ def test_non_finite_sample_names_the_r_of_its_halving(monkeypatch):
     # 3 in the first pass's t order; halving 2 is summed first, so its r is
     # the one named
     r2, r3 = _plain_nodes(s, 2)[1][-1], _plain_nodes(s, 3)[1][0]
-    fs = [*fs, _poisoned([r2, r3])]
+    fs = _poisoned(fs, [r2, r3])
     message = _raised(_exp_sinh, g, fs, s)
     assert message == _raised(_plain_exp_sinh, g, fs, s)
     assert message == f"non-finite integrand sample at r = {float(r2)!r}"
@@ -430,7 +437,7 @@ def test_non_finite_sample_names_the_r_of_its_halving(monkeypatch):
 def test_non_finite_sample_past_the_last_halving_is_not_reported(monkeypatch, params, qn,
                                                                   halving):
     g, fs, s = _report_quadrature(monkeypatch, params, qn)
-    poisoned = [*fs, _poisoned(_plain_nodes(s, halving)[1])]
+    poisoned = _poisoned(fs, _plain_nodes(s, halving)[1])
     sums = _exp_sinh(g, poisoned, s)
     assert (sums, halving - 1) == _plain_exp_sinh(g, poisoned, s)
     assert sums == _exp_sinh(g, fs, s) + [0.0]
@@ -441,7 +448,7 @@ def test_no_convergence_error_keeps_its_estimate():
     p2 = PotentialParams(Z=1.0, alpha=0.05, D=2)
     lv = level(p2, GROUND)
     g, s = lambda r: lv(p2.alpha * r) ** 2, 1.0 / (p2.alpha * lv.epsilon)
-    fs = [lambda r: 1.0 / (r * r)]
+    fs = lambda r: [1.0 / (r * r)]
     message = _raised(_exp_sinh, g, fs, s)
     assert message == _raised(_plain_exp_sinh, g, fs, s)
     assert re.fullmatch(r"no convergence to 1e-10 within 12 step halvings "

@@ -265,15 +265,25 @@ def test_levels_outside_the_float_range_raise(kwargs, what):
 
 
 def test_normalization_outside_the_float_range_raises():
-    # C_n^2 = alpha a (2n+a+v)/(2n+v) * prod overflows at a = 2 eps ~ 2e300
-    # (it gave norm = inf); E and the level itself are finite
-    params = PotentialParams(Z=1.0, alpha=1e-300)
-    assert math.isfinite(energy(params, QuantumNumbers(0)).energy)
-    message = "^normalization constant of n=0, l=0, D=3 is outside the float range$"
+    # C_n^2 = alpha a (2n+a+v)/(2n+v) * prod ~ a^8/5040 * 1e-300 at
+    # a = 2 eps ~ 6e299, so C_n ~ 1e1047 is itself not a float; E and the
+    # level itself are finite
+    params, qn = PotentialParams(Z=1.0, alpha=1e-300, D=4), QuantumNumbers(0, 2)
+    assert math.isfinite(energy(params, qn).energy)
+    message = "^normalization constant of n=0, l=2, D=4 is outside the float range$"
     for call in (level, normalization_constant, default_grid, wavefunction_samples):
         with pytest.raises(ValueError, match=message) as info:
-            call(params, QuantumNumbers(0))
+            call(params, qn)
         assert type(info.value) is ValueError
+
+
+def test_normalization_whose_square_overflows():
+    # at alpha = 1e-300, D = 3 the level is hydrogen's ground state: C_n^2
+    # = 4 alpha eps^3 (1 + O(1/eps)) ~ 4e600 is not a float, but C_n ~ 2e300 is
+    params = PotentialParams(Z=1.0, alpha=1e-300)
+    eps = energy(params, QuantumNumbers(0)).epsilon
+    assert normalization_constant(params, QuantumNumbers(0)) == pytest.approx(
+        2.0 * eps * math.sqrt(params.alpha * eps), rel=1e-15)
 
 
 def test_recurrence_outside_the_float_range_raises():

@@ -112,7 +112,7 @@ def test_scaled_energy_depends_on_delta_only(params, alpha2, mu2, hbar2, qn):
 def test_quadrature_normalization(params, qn):
     if not energy(params, qn).exists:
         return
-    assert abs(_weighted_integrals([lambda r: 1.0], level(params, qn))[0] - 1.0) <= 1e-10
+    assert abs(_weighted_integrals(lambda r: [1.0], level(params, qn))[0] - 1.0) <= 1e-10
 
 
 @PROPERTY
@@ -123,7 +123,7 @@ def test_quadrature_of_the_centrifugal_stand_in(params, qn):
     if not energy(params, qn).exists or 2 * qn.l + params.D - 2 == 0:
         return
     lv = level(params, qn)
-    quad = _weighted_integrals([lambda r: centrifugal_approx(r, params.alpha)], lv)[0]
+    quad = _weighted_integrals(lambda r: [centrifugal_approx(r, params.alpha)], lv)[0]
     assert abs(quad - lv.inv_r2) <= 1e-10
 
 
@@ -135,7 +135,7 @@ def test_energy_is_kinetic_plus_quadrature_potential(params, qn):
     if not bs.exists:
         return
     lv = level(params, qn)
-    v_quad = _weighted_integrals([lambda r: potential(r, params)], lv)[0]
+    v_quad = _weighted_integrals(lambda r: [potential(r, params)], lv)[0]
     assert abs(lv.t_mean + v_quad - bs.energy) <= 1e-10 + 1e-12 * abs(lv.v_mean)
 
 

@@ -133,6 +133,13 @@ ARGV_SETS = [argv.split() for argv in (
     # farther out than those of l = 0
     "validate --dim 2 --l 1 --alpha 0.05 --n 1",
     "validate --dim 2 --l 2 --Z 2.5 --mu 0.7 --hbar 1.3 --alpha 0.03 --n 2 --format json",
+    # an eight-step Jacobi recurrence, and a report with Z, mu, hbar != 1
+    "wavefunction --dim 5 --l 2 --n 8 --alpha 0.01 --format json",
+    "expectation --Z 1.7 --mu 0.8 --hbar 1.2 --alpha 0.02 --dim 4 --l 1 --n 6",
+    # C_n a float whose square is not, and a C_n that is not a float
+    "expectation --alpha 1e-200",
+    "wavefunction --alpha 1e-200 --points 5",
+    "expectation --alpha 1e-300 --dim 4 --l 2",
 )]
 
 PLACEHOLDER = b"<src>"
