@@ -381,8 +381,9 @@ def test_invalid_values_exit_1(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_normalization_whose_square_overflows(capsys):
-    # C_n ~ 2e300 is a float but C_n^2 ~ 4e600 is not.  Both exited 1 with
+def test_normalization_whose_square_overflows_wavefunction(capsys):
+    # C_n ~ 2e300 is a float but C_n^2 ~ 4e600 is not.  This argv set and
+    # the one of the expectation test below exited 1 with
     # "normalization constant of n=0, l=0, D=3 is outside the float range";
     # before that, wavefunction exited 0 with U = R = inf.  At alpha = 1e-300
     # the level is hydrogen's ground state, U = 2 r e^-r.  Past r ~ 20 the
@@ -394,6 +395,11 @@ def test_normalization_whose_square_overflows(capsys):
     r, u = np.array(rows, dtype=float)[:, :2].T
     assert len(r) == 4000
     np.testing.assert_allclose(u, 2.0 * r * np.exp(-r), rtol=1e-14, atol=1e-22)
+
+
+def test_normalization_whose_square_overflows_expectation(capsys):
+    # exited 1 like wavefunction above; the quadratures of hydrogen's
+    # ground state give <V> = -1 and <r^-2> = 2
     code, out, err = run(capsys, "expectation", "--alpha", "1e-300", "--format", "json")
     assert (code, err) == (0, "")
     data = json.loads(out)
