@@ -38,6 +38,16 @@ W_i = U_i - 2, which keeps the digits that hold the energy, and starts on
 the regular branch, a Frobenius series in r summed to machine precision
 with the energy in it (_log_grid).
 
+A Sturm count (_march) stops once it is final.  Past the last interior
+point where W_i <= 0 or is not finite, every W is positive and finite,
+and a finite D >= 0 makes the next D positive: 1 + D >= 1, so D/(1 + D)
+lies in [0, 1] (rounding is monotone), and W + D/(1 + D) >= W > 0.  So
+no later pivot is negative, and the march stops at the first check that
+finds D >= 0 there, once every 64 points (_CHUNK).  A nan D never passes
+the check, and an infinite D turns nan, which counts no pivot.  The
+counts of the census inputs of bench/ march ~58 % of their grid points,
+and the certificate marches of its spectra levels ~86 %.
+
 A solve starts at the bracket midpoint and moves E by Cooley's
 matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
 an inward march that meet at the last classical turning point; their Sturm
@@ -193,8 +203,9 @@ class OracleResult:
     error, at most residual.  shots is the number of passes over a grid the
     solve made on all its grids: its Cooley passes plus its Sturm marches
     (the two of the certificate, and one at each bracket end that no count
-    on its grid had proven).  converged is always True: a solve that does
-    not converge raises."""
+    on its grid had proven); a Sturm march counts as one shot wherever it
+    stops (_march).  converged is always True: a solve that does not
+    converge raises."""
 
     energy: float
     node_count: int
@@ -344,6 +355,11 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
 # D after a pivot R = 0: R = U - 1/R would be -inf, and the next D/(1 + D)
 # rounds to 1, as the next 1/R does to 0
 _D_AFTER_ZERO = -1e300
+# points a Sturm march takes past its last W <= 0 between checks of D >= 0
+# (_march).  Chunks of 32 to 128 points timed alike on the census and
+# spectra marches of bench/, ~0.6 of the time of a march in full on the
+# census grids; 16 and 256 were a little slower
+_CHUNK = 64
 
 
 def _offsets(grid, energy_val):
@@ -380,18 +396,32 @@ def _march(grid, energy_val) -> int:
     """Sturm count at energy_val on a (h, P, Q, start) grid of _log_grid: the
     pivots R_i = 1 + D_i of _deviations below 0, over grid points 1 .. n-2.
 
-    It keeps its own loop: counting in place takes about two thirds of the
-    time of draining _deviations.
+    It marches every point up to the last interior one where W <= 0 or is
+    not finite, then stops at the first chunk end (every _CHUNK points)
+    where D >= 0: past that point no pivot turns negative (see the module
+    docstring), so the count is final.  Checking once per chunk, not once
+    per point, leaves the loop over the points that of a march without the
+    stop, and the points before the tail share it.  It keeps its own loop:
+    counting in place takes about two thirds of the time of draining
+    _deviations.
     """
     _, w, d = _offsets(grid, energy_val)
+    end = len(w) - 1
+    inner = np.asarray(w)[1:end]
+    barred = np.flatnonzero(~((inner > 0.0) & (inner < math.inf)))
+    start, stop = 1, int(barred[-1]) + 2 if barred.size else 1
     nodes = 0
-    for w_i in w[1:-1]:
-        try:
-            d = w_i + d / (1.0 + d)
-        except ZeroDivisionError:
-            d = _D_AFTER_ZERO
-        if d < -1.0:
-            nodes += 1
+    while start < end:
+        for w_i in w[start:stop]:
+            try:
+                d = w_i + d / (1.0 + d)
+            except ZeroDivisionError:
+                d = _D_AFTER_ZERO
+            if d < -1.0:
+                nodes += 1
+        if d >= 0.0:
+            break
+        start, stop = stop, min(stop + _CHUNK, end)
     return nodes
 
 
@@ -631,6 +661,7 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     1.03-1.09 at gamma = 0, 1.13-1.17 at D = 2, l = 0 and 0.14-0.21 at
     gamma > 0).  The grids are those of _ladder at the probe from that
     first grid, and the count is returned once two successive grids agree.
+    Each march stops once its count is final (_march).
     The count may still be one too high: the phase error of the coarse
     grids in a deep core binds one level more, just below the probe, and
     the two coarsest grids agree on it.  At Z = 13.4497, mu = 2.8839, hbar

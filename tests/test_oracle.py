@@ -1,16 +1,22 @@
+import itertools
 import json
 import math
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hulthen import (
     BracketError,
     ConvergenceError,
     NodeCountError,
+    NoBoundState,
+    OracleError,
     PotentialParams,
     QuantumNumbers,
     ShootingConfig,
@@ -24,7 +30,7 @@ from hulthen import (
     spectrum,
 )
 from hulthen.cli import main
-from hulthen.oracle import _cooley, _deviations, _grid_ends, _log_grid, _march
+from hulthen.oracle import _cooley, _deviations, _grid_ends, _log_grid, _march, _offsets
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 
@@ -184,6 +190,123 @@ def test_deviation_march_passes_an_exact_zero_pivot():
     # and y_1 = 0 (R_0 = 0), and T_2 = -1/2 gives R_2 = U_2 = -2
     grid = (1.0, np.array([0.0, 0.0, -6.0, 0.0]), np.zeros(4), lambda energy_val: -1.0)
     assert _march(grid, -0.5) == 2
+
+
+def _drained_count(w, d0):
+    # the Sturm count from every pivot of _deviations, D_0 left out
+    return sum(d < -1.0 for d in itertools.islice(_deviations(w[1:-1], d0), 1, None))
+
+
+# the potentials and levels of tools/oracle_sweep.py
+sweep_params = st.builds(
+    lambda z, mu, hbar, alpha, dim: PotentialParams(Z=10.0**z, mu=10.0**mu, hbar=10.0**hbar,
+                                                    alpha=10.0**alpha, D=dim),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.7, 0.5), st.floats(-3.0, 0.0),
+    st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sweep_params, st.integers(0, 3), st.integers(0, 6))
+@example(PotentialParams(Z=1.0, alpha=0.05, D=2), 0, 2)  # gamma < 0
+@example(PotentialParams(Z=2.7, mu=0.4, hbar=0.6, alpha=0.004, D=2), 0, 6)
+def test_march_count_matches_the_full_drain(params, l, n):
+    # the count of a march that stops in the tail is that of every pivot:
+    # at the census probe on the grids of count_bound_states, at a solve's
+    # certificate energies and ends, and at E_level (1 -/+ 1e-12) on its
+    # final grid, where D stays below 0 deep into the tail
+    marches = []
+
+    def spy(grid, energy_val):
+        nodes = _march(grid, energy_val)
+        marches.append((grid, energy_val, nodes))
+        return nodes
+
+    with mock.patch.object(oracle, "_march", spy):
+        try:
+            count_bound_states(params, l)
+        except OracleError:
+            pass
+        try:
+            qn = QuantumNumbers(n, l)
+            cfg = default_config(params, qn)
+            res = solve_exact(params, l, level(params, qn).nodes, cfg)
+        except (NoBoundState, OracleError):
+            res = None
+    if res is not None:
+        grid = _log_grid(params, l, *_grid_ends(params, l, cfg.energy_bracket[1]), res.points)
+        for energy_val in (res.energy * (1.0 - 1e-12), res.energy * (1.0 + 1e-12)):
+            marches.append((grid, energy_val, _march(grid, energy_val)))
+    for grid, energy_val, nodes in marches:
+        assert nodes == _drained_count(*_offsets(grid, energy_val)[1:]), (grid[1].size, energy_val)
+
+
+class _CountedView:
+    """A W memoryview that adds up the points sliced out of it: the points
+    a march reads."""
+
+    def __init__(self, view, reads):
+        self.view, self.reads = view, reads
+
+    def __len__(self):
+        return len(self.view)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.view)
+
+    def __getitem__(self, key):
+        part = self.view[key]
+        self.reads[0] += len(part)
+        return part
+
+
+def _hand_march(monkeypatch, w, d0):
+    # _march on the given W_0 .. W_{n-1} and D_0: (count, points read)
+    reads = [0]
+    view = memoryview(np.array(w, dtype=float))
+    monkeypatch.setattr(oracle, "_offsets",
+                        lambda grid, energy_val: (None, _CountedView(view, reads), d0))
+    nodes = _march(None, -1.0)
+    assert nodes == _drained_count(view, d0)
+    return nodes, reads[0]
+
+
+def test_march_without_w_at_or_below_zero(monkeypatch):
+    n = 10 * oracle._CHUNK
+    # D_0 >= 0 is final at once
+    assert _hand_march(monkeypatch, [0.5] * n, 0.0) == (0, 0)
+    # D_0 = -3/4 and W_1 = 1/2 give D_1 = -5/2, a node, and D_2 > 0
+    assert _hand_march(monkeypatch, [0.5] * n, -0.75) == (1, oracle._CHUNK)
+
+
+def test_march_whose_last_w_at_or_below_zero_ends_the_grid(monkeypatch):
+    # W_{n-2} <= 0: every interior point is marched, with no tail to stop in
+    n = 3 * oracle._CHUNK
+    w = [0.5] * n
+    w[n - 2] = -6.0
+    w[1] = -2.0
+    assert _hand_march(monkeypatch, w, 0.0) == (2, n - 2)
+    w[n - 2] = math.nan
+    assert _hand_march(monkeypatch, w, 0.0) == (1, n - 2)
+
+
+@pytest.mark.parametrize("turn,reads", [(0, 1), (1, 2)])
+def test_march_stops_at_the_first_chunk_end_past_d_at_or_above_zero(monkeypatch, turn, reads):
+    # D_0 = 0, W_1 = -2 (a node) and W_2 = -5/2 leave D_2 = -1/2, which
+    # W = 1/2 keeps; W = 1 at point 2 + _CHUNK + turn lifts D to 0, on the
+    # end of the first tail chunk or one point past it
+    chunk = oracle._CHUNK
+    w = [0.5] * (10 * chunk)
+    w[1], w[2] = -2.0, -2.5
+    w[2 + chunk + turn] = 1.0
+    assert _hand_march(monkeypatch, w, 0.0) == (1, 2 + reads * chunk)
+
+
+def test_march_passes_an_exact_zero_pivot_in_the_tail(monkeypatch):
+    # D_0 = -3/4 and W_1 = 2 give D_1 = -1 (R = 0); the next pivot takes
+    # _D_AFTER_ZERO, a node, and the one after it D = W + 1 >= 0
+    w = [0.5] * (4 * oracle._CHUNK)
+    w[1] = 2.0
+    assert _hand_march(monkeypatch, w, -0.75) == (1, oracle._CHUNK)
 
 
 @pytest.mark.parametrize("dim,l,alpha", [
@@ -775,9 +898,10 @@ def test_count_starts_at_the_core_radius(monkeypatch, Z, alpha, r_min, steps, co
 
 
 def test_census_counts_march_under_5200_points(monkeypatch):
-    # from r = 1e-6/alpha each count of the census would march its 3001-
-    # and 6001-point grids, 9002 points; from 0.1 hbar^2/(mu Z) they march
-    # 3968 to 5093
+    # from r = 1e-6/alpha each count of the census would build 3001- and
+    # 6001-point grids, 9002 points; from 0.1 hbar^2/(mu Z) they build 3968
+    # to 5093.  These are the points of the grids built: each march stops
+    # before the last of them (test_census_counts_stop_in_the_tail)
     points = {}
 
     def spy(grid, energy_val):
@@ -790,6 +914,23 @@ def test_census_counts_march_under_5200_points(monkeypatch):
         dim, l, alpha = key
         count_bound_states(PotentialParams(Z=1.0, alpha=alpha, D=dim), l)
     assert {key: n for key, n in points.items() if n >= 5200} == {}
+
+
+def test_census_counts_stop_in_the_tail(monkeypatch):
+    # a count's march stops once D >= 0 past the last W <= 0: the census
+    # counts read 58 % of the interior points of their grids (from none,
+    # where every W > 0 and D_0 >= 0, to all)
+    reads, points = [0], [0]
+
+    def spy(grid, energy_val):
+        t, w, d0 = _offsets(grid, energy_val)
+        points[0] += len(w) - 2
+        return t, _CountedView(w, reads), d0
+
+    monkeypatch.setattr(oracle, "_offsets", spy)
+    for dim, l, alpha in CENSUS:
+        count_bound_states(PotentialParams(Z=1.0, alpha=alpha, D=dim), l)
+    assert reads[0] <= 0.7 * points[0]
 
 
 @pytest.mark.parametrize("alpha", [1e-154, 1e-160])

@@ -65,6 +65,12 @@ ARGV_SETS = [argv.split() for argv in (
     "validate --dim 5 --l 1 --alpha 0.05 --n 1",
     "validate --alpha 0.2 --oracle-tolerance 1e-12",
     "validate --dim 5 --l 1 --alpha 0.05 --n 1 --oracle-tolerance 0.01",
+    # certificate marches that cross long tails, or start from D_0 < 0
+    # (gamma < 0 at D = 2, l = 0), before the count is final
+    "validate --alpha 0.003 --n 12",
+    "validate --dim 2 --alpha 0.2 --n 1",
+    "validate --dim 5 --l 2 --alpha 0.02 --n 4",
+    "validate --dim 4 --l 1 --alpha 0.01 --n 9 --format json",
     "spectrum --dim 0",
     "spectrum --Z -1",
     "spectrum --l -1",
