@@ -22,9 +22,8 @@ from .model import *
 
 _LAZY = {
     "expectation": ("ExpectationReport", "QuadratureError", "expectation_report"),
-    "oracle": ("BracketError", "ConvergenceError", "NodeCountError", "OracleError",
-               "OracleResult", "ShootingConfig", "count_bound_states", "default_config",
-               "solve_exact"),
+    "oracle": ("BracketError", "ConvergenceError", "OracleError", "OracleResult",
+               "ShootingConfig", "count_bound_states", "default_config", "solve_exact"),
 }
 _HOME = {name: mod for mod, names in _LAZY.items() for name in names}
 

@@ -129,7 +129,7 @@ def _cmd_validate(args, params: model.PotentialParams, lv: model.Level) -> tuple
     cfg = oracle.default_config(params, lv.qn, tolerance=args.oracle_tolerance)
     result = oracle.solve_exact(params, lv.qn.l, lv.nodes, cfg)
     rel = abs(lv.energy - result.energy) / abs(result.energy)
-    return {}, [[lv.energy, result.energy, rel, result.node_count, result.converged]]
+    return {}, [[lv.energy, result.energy, rel, result.node_count]]
 
 
 # Flags as (name, type, default, help[, choices]).  A subcommand's --help
@@ -165,7 +165,7 @@ _COMMANDS = {  # name: (help, handler, level flag, extra flags, headers, JSON sh
                  _cmd_validate, _N, (
         ("oracle-tolerance", float, None, "absolute energy tolerance of the eigensolver; "
          "default 1e-9 (auto-tightened for shallow levels)"),),
-        ("E_closed", "E_oracle", "rel_error", "node_count", "converged"), "record"),
+        ("E_closed", "E_oracle", "rel_error", "node_count"), "record"),
 }
 
 

@@ -52,14 +52,16 @@ A solve starts at the bracket midpoint and moves E by Cooley's
 matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
 an inward march that meet at the last classical turning point; their Sturm
 count shrinks the bracket, and a step that leaves it is replaced by
-bisection.  A grid's level is converged once the correction
-is below a quarter of the tolerance; the verdict comes from counts on the
-final grid alone, at E -/+ tolerance/2 around the extrapolated energy.  A
-count inside the bracket proves its upper end if it lies above the target
-and its lower end if not; counts on one grid prove nothing on another, and
-an end no count on the grid has proven is marched on its own only where
-the solve needs it: when it first falls back to bisection, and before it
-certifies or fails.  A solve makes at most 300 Cooley passes over all its
+bisection.  A grid's level is converged once the correction is below a
+quarter of the tolerance.  The verdict is one certificate, from counts on
+the final grid alone at E -/+ tolerance/2 around the extrapolated energy:
+they must read the target node count k at the lower end and more than k
+at the upper, or the solve raises ConvergenceError, so every returned
+level is certified.  A count inside the bracket proves its upper end if it
+lies above the target and its lower end if not; counts on one grid prove
+nothing on another, and an end no count on the grid has proven is marched
+on its own only where the solve needs it: when it first falls back to
+bisection, and before it certifies or fails.  A solve makes at most 300 Cooley passes over all its
 grids (_MAX_PASSES).
 
 The solver reads no closed form: the caller names the node count it
@@ -72,6 +74,7 @@ are marched.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,7 +85,6 @@ __all__ = [
     "OracleError",
     "BracketError",
     "ConvergenceError",
-    "NodeCountError",
     "ShootingConfig",
     "OracleResult",
     "default_config",
@@ -103,13 +105,11 @@ class ConvergenceError(OracleError):
     """The tolerance cannot be reached: finer than the float spacing, not
     within 300 Cooley passes (_MAX_PASSES), not on the grids of _ladder,
     or with an error estimate that stops shrinking as O(h^4); or the final
-    grid's counts do not certify the extrapolated level.  For
+    grid's counts do not certify the extrapolated level: they do not read
+    the target node count k below the window and more than k above it, as
+    when the window misses the level or holds another one too.  For
     count_bound_states: no two successive grids of _ladder agree on the
     count.  For both: _ladder has no first grid within its cap."""
-
-
-class NodeCountError(OracleError):
-    """The converged eigenfunction has the wrong number of interior nodes."""
 
 
 # the largest step in ln(r) of a solve's coarsest grid: that of 1500 steps
@@ -197,19 +197,21 @@ class ShootingConfig:
 class OracleResult:
     """energy is the level and residual the half-width of an interval around
     it that node counts on the final grid, of `points` points, prove to hold
-    that grid's level: the Sturm count is at most node_count at energy -
-    residual and above it at energy + residual.  error_estimate is the
-    Richardson estimate |E_N - E_N/2|/15 of the final grid's discretization
-    error, at most residual.  shots is the number of passes over a grid the
-    solve made on all its grids: its Cooley passes plus its Sturm marches
-    (the two of the certificate, and one at each bracket end that no count
-    on its grid had proven); a Sturm march counts as one shot wherever it
-    stops (_march).  converged is always True: a solve that does not
-    converge raises."""
+    that grid's level with node_count nodes, the target k: the Sturm count
+    is k at energy - residual and above k at energy + residual.  A solve
+    that cannot prove this raises, so converged is no field but a class
+    constant that reads True.  error_estimate is the Richardson estimate
+    |E_N - E_N/2|/15 of the final grid's discretization error, at most
+    residual.  shots is the number of passes over a grid the solve made on
+    all its grids: its Cooley passes plus its Sturm marches (the two of the
+    certificate, and one at each bracket end that no count on its grid had
+    proven); a Sturm march counts as one shot wherever it stops (_march)."""
 
+    # every returned solve is certified, so this is no field; it is kept
+    # only because bench/ops.py reads it
+    converged: ClassVar[bool] = True
     energy: float
     node_count: int
-    converged: bool
     residual: float
     shots: int
     error_estimate: float
@@ -232,7 +234,7 @@ def default_config(
     return ShootingConfig(energy_bracket=(1.2 * e_val, 0.8 * e_val), tolerance=tolerance)
 
 
-def _grid_ends(params: PotentialParams, l: int, e_hi: float) -> tuple[float, float]:
+def _grid_ends(params: PotentialParams, e_hi: float) -> tuple[float, float]:
     """(r_min, r_max) of each ln(r) grid of a solve with the upper bracket e_hi.
 
     The grid spans only the level.  r_min = 0.1 hbar^2/(mu Z), a tenth of
@@ -475,14 +477,15 @@ def solve_exact(
     bracket does not straddle the target eigenvalue on a grid, found when
     the solve first falls back to bisection there or before it certifies or
     fails (an end is marched on its own only if no count of the solve on
-    that grid has proven it); NodeCountError if the certified level has the
-    wrong node count; and ConvergenceError when the tolerance is finer than
-    the float spacing of the bracket energies, _ladder has no first grid,
-    the solve takes more than 300 Cooley passes over all grids
+    that grid has proven it); and ConvergenceError when the tolerance is
+    finer than the float spacing of the bracket energies, _ladder has no
+    first grid, the solve takes more than 300 Cooley passes over all grids
     (_MAX_PASSES), the estimate is still above tolerance/2 on the last grid
     of _ladder or shrinks by less than 4 on a doubling (an error that is not
     O(h^4)), the counts of a grid close its bracket on no level, or the
-    final grid's level lies outside the certified window.
+    final grid's counts do not read target_nodes at energy - tolerance/2
+    and more above energy + tolerance/2 (the window misses the level, or
+    holds another one too).
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
@@ -560,7 +563,7 @@ def solve_exact(
                 e_val = 0.5 * (e_lo + e_hi)
         return 0.5 * (e_lo + e_hi)
 
-    r_min, r_max = _grid_ends(params, l, cfg.energy_bracket[1])
+    r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
     # a march needs points on both sides of its matching point
     steps = max(8, math.ceil((math.log(r_max) - math.log(r_min)) / _MAX_LOG_STEP))
     grids = _ladder(params, l, r_min, r_max, cfg.energy_bracket[0], steps)
@@ -592,14 +595,12 @@ def solve_exact(
     narrow(lo, n_lo)
     narrow(hi, n_hi)
     march_ends()
-    if not n_lo <= k < n_hi:
+    if not n_lo == k < n_hi:
         raise ConvergenceError(
-            f"the level of the {steps + 1}-point grid lies outside E={energy_val!r} "
-            f"-/+ {0.5 * tol!r} (node counts {n_lo} and {n_hi})"
+            f"the node counts {n_lo} and {n_hi} of the {steps + 1}-point grid at "
+            f"E={energy_val!r} -/+ {0.5 * tol!r} do not certify the level with {k} nodes"
         )
-    if n_lo != k:
-        raise NodeCountError(f"certified level has {n_lo} interior nodes, expected {k}")
-    return OracleResult(energy_val, n_lo, True, 0.5 * tol, shots, estimate, steps + 1)
+    return OracleResult(energy_val, k, 0.5 * tol, shots, estimate, steps + 1)
 
 
 def _ladder(params: PotentialParams, l: int, r_min: float, r_max: float, e_lo: float,

@@ -220,7 +220,6 @@ def test_validate_exact_case(capsys):
     code, out, _ = run(capsys, "validate", "--n", "0", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["converged"] is True
     assert payload["node_count"] == 0
     assert payload["rel_error"] <= 1e-6
 
@@ -233,6 +232,18 @@ def test_validate_oracle_failure(capsys):
     assert "oracle failure" in err
 
 
+def test_validate_window_over_three_levels_exits_3(capsys):
+    # the window of width 2.5e-4 holds the levels with 19 to 21 nodes, so
+    # its counts read 19 and 22 and certify no level with 20 nodes (this
+    # exited 3 with "certified level has 19 interior nodes, expected 20")
+    code, out, err = run(capsys, "validate", "--alpha", "0.001", "--n", "20",
+                         "--oracle-tolerance", "2.5e-4")
+    assert (code, out) == (3, "")
+    assert err == ("oracle failure: the node counts 19 and 22 of the 1789-point grid at "
+                   "E=-0.0006889118469281799 -/+ 0.000125 do not certify the level with "
+                   "20 nodes\n")
+
+
 def test_level_past_the_old_oracle_grid_exits_0(capsys):
     # the grid of the oracle ended at r_max = 2e161, and Q = 2 mu r^2/hbar^2
     # overflowed from r ~ 1e154 on, well inside it (exit 3, "the grid
@@ -243,9 +254,9 @@ def test_level_past_the_old_oracle_grid_exits_0(capsys):
     code, out, err = run(capsys, "validate", "--dim", "1", "--n", "1", "--alpha", "1e-160")
     assert (code, err) == (0, "")
     header, rows = parse_csv(out)
-    assert header == ["E_closed", "E_oracle", "rel_error", "node_count", "converged"]
+    assert header == ["E_closed", "E_oracle", "rel_error", "node_count"]
     assert rows == [["-5.0000000000000000e-01", "-4.9999999999992734e-01",
-                     "1.4532819392345412e-13", "0", "true"]]
+                     "1.4532819392345412e-13", "0"]]
 
 
 def test_quadrature_failure_exits_3(capsys):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hulthen import (
     BracketError,
     ConvergenceError,
-    NodeCountError,
     NoBoundState,
     OracleError,
     PotentialParams,
@@ -55,7 +54,7 @@ def test_config_validation():
 
 def _ends(monkeypatch, r_min, r_max):
     # solve on the grid r_min .. r_max, not on the ends of _grid_ends
-    monkeypatch.setattr(oracle, "_grid_ends", lambda params, l, e_hi: (r_min, r_max))
+    monkeypatch.setattr(oracle, "_grid_ends", lambda params, e_hi: (r_min, r_max))
 
 
 def test_bracket_ending_at_zero_raises():
@@ -233,7 +232,7 @@ def test_march_count_matches_the_full_drain(params, l, n):
         except (NoBoundState, OracleError):
             res = None
     if res is not None:
-        grid = _log_grid(params, l, *_grid_ends(params, l, cfg.energy_bracket[1]), res.points)
+        grid = _log_grid(params, l, *_grid_ends(params, cfg.energy_bracket[1]), res.points)
         for energy_val in (res.energy * (1.0 - 1e-12), res.energy * (1.0 + 1e-12)):
             marches.append((grid, energy_val, _march(grid, energy_val)))
     for grid, energy_val, nodes in marches:
@@ -347,7 +346,7 @@ def _certified(params, l, k, cfg, res):
     # marches at the ends of the configured bracket: the solve skips those
     # marches when its counts prove the ends, so a level must never solve
     # from a bracket that does not straddle it
-    grid = _log_grid(params, l, *_grid_ends(params, l, cfg.energy_bracket[1]), res.points)
+    grid = _log_grid(params, l, *_grid_ends(params, cfg.energy_bracket[1]), res.points)
     below = _march(grid, res.energy - res.residual)
     above = _march(grid, res.energy + res.residual)
     e_lo, e_hi = cfg.energy_bracket
@@ -440,8 +439,9 @@ def test_level_outside_the_certified_window_raises():
     params = PotentialParams(Z=1.0, alpha=0.05, D=2)
     qn = QuantumNumbers(0, 0)
     tol = 8.0 * math.ulp(default_config(params, qn).energy_bracket[0])
-    with pytest.raises(ConvergenceError, match=r"^the level of the 15553-point grid lies "
-                                               r"outside E=.* \(node counts 1 and 1\)$"):
+    with pytest.raises(ConvergenceError, match=r"^the node counts 1 and 1 of the 15553-point "
+                                               r"grid at E=.* do not certify the level with "
+                                               r"0 nodes$"):
         solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
 
 
@@ -461,11 +461,13 @@ def test_bracket_closed_by_counts_returns_its_midpoint(monkeypatch):
 def test_wrong_node_count_raises(monkeypatch):
     # the window of width 0.02 around E = -0.0067 holds both the fourth and
     # the fifth level (-0.01125 and -0.0028): the count at its lower end
-    # is 3, not the 4 of the target
+    # is 3, not the 4 of the target (the upper end, above 0, counts 14
+    # grid levels)
     _ends(monkeypatch, 1e-3, 400.0)
     cfg = ShootingConfig(energy_bracket=(-0.5, -1e-4), tolerance=0.02)
-    with pytest.raises(NodeCountError, match="^certified level has 3 interior nodes, "
-                                             "expected 4$"):
+    with pytest.raises(ConvergenceError, match=r"^the node counts 3 and 14 of the 4605-point "
+                                               r"grid at E=.* do not certify the level with "
+                                               r"4 nodes$"):
         solve_exact(ANCHOR, 0, 4, cfg)
 
 
@@ -531,7 +533,7 @@ def test_grid_refinement_contract():
     assert res.error_estimate <= res.residual
     levels = []
     for points in (7297, 3649, 1825):
-        grid = _log_grid(params, 0, *_grid_ends(params, 0, cfg.energy_bracket[1]), points)
+        grid = _log_grid(params, 0, *_grid_ends(params, cfg.energy_bracket[1]), points)
         e_val = res.energy
         for _ in range(3):
             e_val += _cooley(grid, e_val)[1]
@@ -597,7 +599,7 @@ def test_grid_ends_of_default_config_converge(monkeypatch, Z, mu, hbar, alpha, d
     k = level(params, qn).nodes
     cfg = default_config(params, qn)
     res = solve_exact(params, l, k, cfg)
-    r_min, r_max = _grid_ends(params, l, cfg.energy_bracket[1])
+    r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
     for ends in ((r_min / 10.0, r_max), (r_min, 2.0 * r_max)):
         with monkeypatch.context() as patch:
             _ends(patch, *ends)
@@ -711,7 +713,7 @@ def _solve_at_r_min_over_100(monkeypatch, params, qn):
     res = solve_exact(params, qn.l, k, cfg)
     assert res.error_estimate <= res.residual
     assert _certified(params, qn.l, k, cfg, res)
-    r_min, r_max = _grid_ends(params, qn.l, cfg.energy_bracket[1])
+    r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
     with monkeypatch.context() as patch:
         _ends(patch, r_min / 100.0, r_max)
         nearer = solve_exact(params, qn.l, k, cfg)
@@ -760,7 +762,7 @@ def test_start_matches_an_ode_solve(Z, mu, hbar, alpha, dim, l, energy_val):
     params = PotentialParams(Z=Z, mu=mu, hbar=hbar, alpha=alpha, D=dim)
     s = math.sqrt(model._gamma_coeff(l, dim) + 0.25)
     c = 2.0 * mu / hbar**2
-    r_min, r_max = _grid_ends(params, l, 0.8 * energy_val)
+    r_min, r_max = _grid_ends(params, 0.8 * energy_val)
     h, _, _, start = _log_grid(params, l, r_min, r_max, 1000)
 
     def rhs(x, u):

@@ -31,9 +31,8 @@ PUBLIC = {
             "RadialSamples", "potential", "centrifugal_approx", "energy", "level", "spectrum",
             "normalization_constant", "wavefunction_samples", "default_grid"},
     expectation: {"QuadratureError", "ExpectationReport", "expectation_report"},
-    oracle: {"OracleError", "BracketError", "ConvergenceError", "NodeCountError",
-             "ShootingConfig", "OracleResult", "default_config", "solve_exact",
-             "count_bound_states"},
+    oracle: {"OracleError", "BracketError", "ConvergenceError", "ShootingConfig",
+             "OracleResult", "default_config", "solve_exact", "count_bound_states"},
 }
 
 
@@ -46,7 +45,7 @@ def test_module_all_is_pinned(mod):
 def test_package_all_is_pinned():
     # model's names, then those of the two submodules served on first access
     public = hulthen.__all__
-    assert len(public) == len(set(public)) == 26
+    assert len(public) == len(set(public)) == 25
     assert public[:len(model.__all__)] == model.__all__
     assert set(public) == PUBLIC[model] | PUBLIC[expectation] | PUBLIC[oracle]
 

@@ -146,6 +146,13 @@ ARGV_SETS = [argv.split() for argv in (
     "expectation --alpha 1e-200",
     "wavefunction --alpha 1e-200 --points 5",
     "expectation --alpha 1e-300 --dim 4 --l 2",
+    # a window wider than the level spacing: its counts read 19 and 22
+    "validate --alpha 0.001 --n 20 --oracle-tolerance 2.5e-4",
+    "validate --alpha 0.001 --n 20 --oracle-tolerance 2.5e-4 --format json",
+    # U where C_n ~ 2e300 meets a subnormal (-em)^{v/2}, and a C_n from the
+    # odd-exponent branch of model._sqrt_of_product
+    "wavefunction --alpha 1e-300 --r-min 40 --r-max 60 --points 3",
+    "expectation --alpha 1e-300 --n 1",
 )]
 
 PLACEHOLDER = b"<src>"

@@ -93,8 +93,10 @@ def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
     if refine is not None:
         grid_ends = oracle._grid_ends
 
-        def wider(params, l, e_hi):
-            r_min, r_max = grid_ends(params, l, e_hi)
+        # the arguments are passed on as they come, so the same child runs
+        # against trees whose _grid_ends take different ones
+        def wider(*args):
+            r_min, r_max = grid_ends(*args)
             return r_min / 10.0, 2.0 * r_max
 
         oracle._grid_ends = wider
