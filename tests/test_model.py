@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import sys
@@ -284,6 +285,25 @@ def test_normalization_whose_square_overflows():
     eps = energy(params, QuantumNumbers(0)).epsilon
     assert normalization_constant(params, QuantumNumbers(0)) == pytest.approx(
         2.0 * eps * math.sqrt(params.alpha * eps), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha, n", [(1e-200, 0), (1e-300, 1)])
+def test_normalization_from_an_odd_power_of_two(alpha, n):
+    # C_n^2 overflows, and its factors multiply to a mantissa times 2^1331
+    # (alpha = 1e-200, n = 0) or 2^1991 (alpha = 1e-300, n = 1): C_n is the
+    # root of 2 mant times the even power below.  Against a 60-digit root of
+    # the exact product, formed from epsilon, C_n = 2e200 is 0.14 ulp off and
+    # 3.5355e299 0.03 ulp
+    params, qn = PotentialParams(Z=1.0, alpha=alpha), QuantumNumbers(n)
+    lv = level(params, qn)
+    a, v = 2 * Fraction(lv.epsilon), 2
+    square = Fraction(alpha) * a * (2 * n + a + v) / (2 * n + v)
+    for j in range(1, v):
+        square *= (n + a + j) / (n + j)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        root = (decimal.Decimal(square.numerator) / square.denominator).sqrt()
+        assert abs(decimal.Decimal(lv.norm) - root) <= decimal.Decimal(math.ulp(lv.norm))
 
 
 def test_recurrence_outside_the_float_range_raises():
