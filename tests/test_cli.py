@@ -300,7 +300,7 @@ def test_feynman_hellmann_values_past_an_overflowing_intermediate(capsys):
         # reals".  Now <r^-2> = 3.0e199 moves by ~1e-16 of itself per
         # halving, far more than the absolute tolerance 1e-10
         ("expectation --Z 2 --alpha 0.5 --mu 1e-200 --hbar 1e-150 --n 2",
-         "no convergence to 1e-10 within 12 step halvings (error estimate 4.249e+183)"),
+         "no convergence to 1e-10 within 12 step halvings (error estimate 1.421e+179)"),
         # 1/kappa overflows: without a check on it, exit 1 with "radii must
         # be finite positive reals"
         ("expectation --Z 1e290 --alpha 1e-310 --mu 1e-300 --hbar 1e150 --dim 2",
@@ -397,15 +397,19 @@ def test_normalization_whose_square_overflows_wavefunction(capsys):
     # the one of the expectation test below exited 1 with
     # "normalization constant of n=0, l=0, D=3 is outside the float range";
     # before that, wavefunction exited 0 with U = R = inf.  At alpha = 1e-300
-    # the level is hydrogen's ground state, U = 2 r e^-r.  Past r ~ 20 the
-    # factor e^-r alpha r of U is a subnormal float before C_n multiplies
-    # it, so there U keeps ~1e-23 absolute, not its relative precision
-    code, out, err = run(capsys, "wavefunction", "--alpha", "1e-300")
-    assert (code, err) == (0, "")
-    _, rows = parse_csv(out)
-    r, u = np.array(rows, dtype=float)[:, :2].T
-    assert len(r) == 4000
-    np.testing.assert_allclose(u, 2.0 * r * np.exp(-r), rtol=1e-14, atol=1e-22)
+    # the level is hydrogen's ground state, U = 2 r e^-r.  Its factor
+    # alpha r of U is subnormal past r ~ 20; while C_n multiplied it last, U
+    # kept ~1e-23 absolute there (1.2e-8 relative off on the default grid,
+    # r <= 40) and read 0 at r = 60
+    for argv, points in ((["wavefunction", "--alpha", "1e-300"], 4000),
+                         (["wavefunction", "--alpha", "1e-300", "--r-min", "40", "--r-max", "60",
+                           "--points", "3"], 3)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        r, u = np.array(rows, dtype=float)[:, :2].T
+        assert len(r) == points
+        np.testing.assert_allclose(u, 2.0 * r * np.exp(-r), rtol=1e-14, atol=0.0)
 
 
 def test_normalization_whose_square_overflows_expectation(capsys):
