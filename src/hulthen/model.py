@@ -132,9 +132,8 @@ class Level:
     The dimensionless set, E, C_n and the recurrence of P_n^(2eps, v-1).
     Called with t = alpha*r (a float or an array) it returns U.
     s^eps = exp(-eps t), 1 - s = -expm1(-t) and P_n takes y = 1 + x = -2 expm1(-t):
-    s itself is never formed, and C_n multiplies s^eps first (__call__), so
-    U underflows only where U itself does, and keeps its relative precision
-    as r -> 0, where x = 1 - 2s rounds onto -1.
+    s itself is never formed, so U underflows only where U itself does, and
+    keeps its relative precision as r -> 0, where x = 1 - 2s rounds onto -1.
 
     Its properties are the level's expectation values by the
     Feynman-Hellmann theorem, dE/dq = <dH/dq>: the derivative in Z gives
@@ -205,12 +204,8 @@ class Level:
         return self.qn.n - 1 if self.v == 0 else self.qn.n
 
     def __call__(self, t):
-        """U at t = alpha r: C_n s^eps (1 - s)^(v/2) P_n(y), multiplied in
-        that order.  C_n meets s^eps = exp(-eps t) before the factor (1 -
-        s)^(v/2), which is subnormal where C_n is huge: at alpha = 1e-300, C_n
-        ~ 2e300 and (1 - s)^(1) ~ 1e-300 r, and with that factor formed
-        first, U = 2 r e^-r kept ~1e-23 absolute past r ~ 20 and read 0 at
-        r = 60."""
+        """C_n s^eps (1 - s)^(v/2) P_n(y), from the left: where C_n is huge,
+        (1 - s)^(v/2) may be subnormal (~1e-300 r at alpha = 1e-300)."""
         import numpy as np
 
         em = np.expm1(-t)  # -(1 - s) = -y/2

@@ -53,15 +53,14 @@ matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
 an inward march that meet at the last classical turning point; their Sturm
 count shrinks the bracket, and a step that leaves it is replaced by
 bisection.  A grid's level is converged once the correction is below a
-quarter of the tolerance.  The verdict is one certificate, from counts on
-the final grid alone at E -/+ tolerance/2 around the extrapolated energy:
-they must read the target node count k at the lower end and more than k
-at the upper, or the solve raises ConvergenceError, so every returned
-level is certified.  A count inside the bracket proves its upper end if it
-lies above the target and its lower end if not; counts on one grid prove
-nothing on another, and an end no count on the grid has proven is marched
-on its own only where the solve needs it: when it first falls back to
-bisection, and before it certifies or fails.  A solve makes at most 300 Cooley passes over all its
+quarter of the tolerance.  The verdict comes from counts on the final grid
+alone: at E -/+ tolerance/2 around the extrapolated energy they must read
+the target node count k and more than k, or ConvergenceError.  A count
+inside the bracket proves its upper end if it lies above the target and
+its lower end if not; counts on one grid prove nothing on another, and an
+end no count on the grid has proven is marched on its own only where the
+solve needs it: when it first falls back to bisection, and before it
+certifies or fails.  A solve makes at most 300 Cooley passes over all its
 grids (_MAX_PASSES).
 
 The solver reads no closed form: the caller names the node count it
@@ -105,9 +104,8 @@ class ConvergenceError(OracleError):
     """The tolerance cannot be reached: finer than the float spacing, not
     within 300 Cooley passes (_MAX_PASSES), not on the grids of _ladder,
     or with an error estimate that stops shrinking as O(h^4); or the final
-    grid's counts do not certify the extrapolated level: they do not read
-    the target node count k below the window and more than k above it, as
-    when the window misses the level or holds another one too.  For
+    grid's counts below and above the window are not the target node count
+    k and more than k, so they certify no level with k nodes.  For
     count_bound_states: no two successive grids of _ladder agree on the
     count.  For both: _ladder has no first grid within its cap."""
 
@@ -207,8 +205,7 @@ class OracleResult:
     certificate, and one at each bracket end that no count on its grid had
     proven); a Sturm march counts as one shot wherever it stops (_march)."""
 
-    # every returned solve is certified, so this is no field; it is kept
-    # only because bench/ops.py reads it
+    # kept only because bench/ops.py reads it
     converged: ClassVar[bool] = True
     energy: float
     node_count: int
@@ -483,9 +480,8 @@ def solve_exact(
     (_MAX_PASSES), the estimate is still above tolerance/2 on the last grid
     of _ladder or shrinks by less than 4 on a doubling (an error that is not
     O(h^4)), the counts of a grid close its bracket on no level, or the
-    final grid's counts do not read target_nodes at energy - tolerance/2
-    and more above energy + tolerance/2 (the window misses the level, or
-    holds another one too).
+    final grid's counts at energy -/+ tolerance/2 are not target_nodes and
+    more.
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
