@@ -8,9 +8,9 @@ change made for speed alone.  A change that moves a value on purpose
 re-records it here and says so: U's factors were re-ordered so that C_n
 meets exp(-eps t) first (model.Level.__call__), which moved the U and R
 bits of five levels (all but D = 1, where v = 0) and the last bit of one
-<V> quadrature.  The sha256 covers the bytes of r, U and R
-of the default 4000-point grid.  The bits are those of one numpy build: a
-numpy whose exp, expm1 or sinh rounds differently moves them too.
+<V> quadrature.  The sha256 covers the bytes of r, U and R of the default
+4000-point grid.  The bits are those of one numpy build: a numpy whose
+exp, expm1 or sinh rounds differently moves them too.
 """
 
 import hashlib
