@@ -5,7 +5,9 @@ identities are exact for the model the eigenfunctions solve, so the
 |U|^2-weighted quadratures here agree with them to quadrature accuracy;
 the quadrature of the true 1/r^2 is reported separately as a diagnostic
 of the exponential approximation.  One report builds the level once and
-shares it, and each U^2 value, among its integrals.
+shares it, and each U^2 value, among its integrals; model.level keeps the
+level it built last, so a report that follows the normalization and the
+samples of the same level builds none.
 
 The quadratures use the exp-sinh rule (Takahasi & Mori, Publ. RIMS 9,
 721 (1974); Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001)):
@@ -17,7 +19,9 @@ decay length 1/kappa, kappa = alpha epsilon, so |U|^2 ~ exp(-2r/s) dies
 out at the same t for every level and no end of the range is guessed.
 U^2 and each weight are evaluated once per node, as arrays: the 417 nodes
 of the first six trapezoid sums (step 1/64 in t) in one pass, the nodes
-each later halving adds in a pass of their own.  V and the centrifugal
+each later halving adds in a pass of their own.  The first pass's nodes
+and their factors exp(pi/2 sinh t) and pi/2 cosh t do not depend on the
+level, so they are computed once, at import.  V and the centrifugal
 stand-in are formed from one decay pair e^{-ar}, e^{-ar} - 1 per node
 array (model._decay, with its one radius check), by the same expressions
 as model.potential and model.centrifugal_approx.  The error estimate is
@@ -91,6 +95,18 @@ _ABS_TOL = 1e-10
 _FIRST_PASS = 5
 
 
+def _node_factors(t):
+    """At the nodes t: exp(pi/2 sinh t), which r = s exp(pi/2 sinh t)
+    scales, and d(ln r)/dt = pi/2 cosh t."""
+    return np.exp(0.5 * np.pi * np.sinh(t)), 0.5 * np.pi * np.cosh(t)
+
+
+# the first pass's nodes and factors, which no level changes.  The ends and
+# every step are dyadic, so each node t is exact
+_FIRST_STEP = 0.5 ** (_FIRST_PASS + 1)
+_FIRST_FACTORS = _node_factors(np.arange(_T[0], _T[1] + 0.5 * _FIRST_STEP, _FIRST_STEP))
+
+
 def _exp_sinh(g, weights, s: float) -> list[float]:
     """integral over (0, inf) of w(r) g(r) dr for each w of weights(r), a
     list of floats or arrays for the radii r, on the nodes
@@ -105,16 +121,15 @@ def _exp_sinh(g, weights, s: float) -> list[float]:
     of its halvings checked when the sums reach it, as each later halving
     is.  So the sums, the halving that returns and the r a non-finite
     sample names are those of evaluating each halving on its own."""
-    def sample(t):
-        """r at the nodes t, and w g dr/dt there: one row per weight"""
-        r = s * np.exp(0.5 * np.pi * np.sinh(t))
-        gw = g(r) * (0.5 * np.pi * np.cosh(t) * r)  # g dr/dt
+    def sample(stretch, dlnr_dt):
+        """r at the nodes of these _node_factors, and w g dr/dt there: one
+        row per weight"""
+        r = s * stretch
+        gw = g(r) * (dlnr_dt * r)  # g dr/dt
         return r, np.array([w * gw for w in weights(r)])
 
     with np.errstate(all="ignore"):  # a non-finite sample raises below
-        # the ends and every step are dyadic, so each node t is exact
-        step = 0.5 ** (_FIRST_PASS + 1)
-        first_r, first_vals = sample(np.arange(_T[0], _T[1] + 0.5 * step, step))
+        first_r, first_vals = sample(*_FIRST_FACTORS)
         # one check for the whole pass; per node only if it fails
         first_finite = None
         if not np.isfinite(first_vals).all():
@@ -129,7 +144,7 @@ def _exp_sinh(g, weights, s: float) -> list[float]:
                 r, vals = first_r[new], first_vals[:, new]
                 finite = None if first_finite is None else first_finite[new]
             else:
-                r, vals = sample(np.arange(_T[0] + h, _T[1], 2.0 * h))
+                r, vals = sample(*_node_factors(np.arange(_T[0] + h, _T[1], 2.0 * h)))
                 finite = np.isfinite(vals).all(axis=0)
             if finite is not None and not finite.all():
                 bad = float(r[~finite][0])

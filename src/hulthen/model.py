@@ -34,11 +34,16 @@ so that U keeps its relative precision as r -> 0.  A level that does not
 exist raises NoBoundState, and one whose delta, E or C_n leaves the
 float range raises ValueError, as do dE/dl, <r^-2> and <V> when read.
 
+level keeps the last Level it built (a one-slot memo), so the calls that
+one request makes on one level share a single record.
+
 A grid is a numpy array of radii: default_grid spaces them evenly over
 the state, and wavefunction_samples takes any increasing ones and puts
 their ends and size in its meta.  V, the centrifugal term and the samples
-hold every radius to a finite positive real by one check (_radii).  V and
-the centrifugal term are formed from the decay pair e^{-ar}, e^{-ar} - 1
+of a caller's grid hold every radius to a finite positive real by one
+check (_radii); an even grid is checked at its two ends before it is
+built (_even_grid), which holds every radius between them.  V and the
+centrifugal term are formed from the decay pair e^{-ar}, e^{-ar} - 1
 (_decay) by _potential and _centrifugal, so a caller that needs both at
 the same radii evaluates the exponentials and the check once.
 
@@ -50,6 +55,7 @@ called.  From the package, model imports specfun alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -339,8 +345,17 @@ def energy(params: PotentialParams, qn: QuantumNumbers) -> BoundState:
     return BoundState(qn=qn, energy=e_val, epsilon=eps, exists=True)
 
 
+@functools.lru_cache(maxsize=1)
 def level(params: PotentialParams, qn: QuantumNumbers) -> Level:
     """The Level record of (n, l); NoBoundState when the level does not exist.
+
+    The last record built is kept, and equal arguments get that same
+    (frozen) record back, with the params of the call that built it (equal
+    as dataclasses compare, so a record built for D=3.0 also serves D=3).
+    One slot suffices: the calls on one level come one after another
+    (normalize, sample and report; the CLI's main and its handler), and a
+    slot per level would only remember inputs that repeat across requests.
+    A call that raises keeps nothing, so it raises again.
 
     Its norm is the positive constant C_n making U unit-normed.  With
     s = exp(-alpha r), a = 2eps and b = v-1, the integral of U^2 dr is
@@ -416,11 +431,22 @@ def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000
 
 
 def _even_grid(lv: Level, points: int = 4000) -> np.ndarray:
-    """default_grid of the level lv, with `points` already checked."""
+    """default_grid of the level lv, with `points` already checked.
+
+    ValueError unless both ends are finite positive reals, before linspace
+    runs (r_max = 40/kappa is inf where kappa < 40/max float ~ 2e-307).
+    The ends suffice: between them linspace steps up by (r_max -
+    r_min)/(points - 1), and r_max >= 40/max float is a normal float, so on
+    the 4000 points wavefunction_samples takes every radius is finite,
+    positive and above the one before.
+    """
     import numpy as np
 
     r_max = 40.0 / (lv.params.alpha * lv.epsilon)
-    return np.linspace(r_max / (4.0 * points), r_max, int(points))
+    r_min = r_max / (4.0 * points)
+    if not (0.0 < r_min and r_max < math.inf):
+        raise ValueError("radii must be finite positive reals")
+    return np.linspace(r_min, r_max, int(points))
 
 
 def wavefunction_samples(
@@ -432,27 +458,29 @@ def wavefunction_samples(
     None), a nonempty, strictly increasing 1-D array; meta holds its ends
     and size with the level's eps and C_n.
 
-    U has exactly Level.nodes interior sign changes.  An R that is not a
-    finite float raises ValueError.
+    A caller's grid is checked radius by radius.  The default grid is this
+    module's own linspace, checked at its ends by _even_grid, so it is not
+    checked again.  U has exactly Level.nodes interior sign changes.  An R
+    that is not a finite float raises ValueError.
     """
     import numpy as np
 
-    # without a grid the level is built first, so its errors come before
-    # the radii checks; with one, after them
-    lv = level(params, qn) if grid is None else None
-    r = _radii(_even_grid(lv) if grid is None else grid)
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError("radial grid must be a 1-D array")
-    if not np.all(np.diff(r) > 0.0):
-        raise ValueError("radii must be strictly increasing")
-
-    if lv is None:
+    if grid is None:
+        # the level is built first, so its errors come before the grid's
+        lv = level(params, qn)
+        r = _even_grid(lv)
+    else:
+        r = _radii(grid)
+        if r.ndim != 1 or r.size < 1:
+            raise ValueError("radial grid must be a 1-D array")
+        if not np.all(np.diff(r) > 0.0):
+            raise ValueError("radii must be strictly increasing")
         lv = level(params, qn)
     u = lv(params.alpha * r)
     with np.errstate(all="ignore"):
         rr = u * r ** (-(params.D - 1) / 2.0)
-    bad = r[~np.isfinite(rr)]
-    if bad.size:
+    if not np.isfinite(rr).all():
+        bad = r[~np.isfinite(rr)]
         raise ValueError(f"R = U r^-(D-1)/2 is outside the float range at r = {float(bad[0])!r}")
     meta = {"r_min": float(r[0]), "r_max": float(r[-1]), "points": r.size,
             "epsilon": lv.epsilon, "norm_const": lv.norm, "units": "hbar,mu as given"}

@@ -353,6 +353,10 @@ def test_levels_whose_range_end_overflowed_exit_0(capsys, argv, err_expected):
         ("validate --dim 5 --l 1 --alpha 0.05 --n 1 --oracle-tolerance 0.01",
          "tolerance 0.01 is not below the energy bracket width 0.0045000000000000005"),
         ("wavefunction --r-min 1 --r-max inf", "grid requires 0 < r_min < r_max < inf"),
+        # the default grid's r_max = 40/kappa is inf: a RuntimeWarning from
+        # linspace came first
+        ("wavefunction --Z 2e-9 --alpha 2e-309 --hbar 1e150 --points 3",
+         "radii must be finite positive reals"),
         # model.spectrum checks the cap; the CLI said "--n-max must be >= 0"
         ("spectrum --n-max -1", "n_max must be an integer >= 0, got -1"),
         # exited 0 with epsilon = inf, energy = -inf and exists = true

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hulthen import (
+    NoBoundState,
     PotentialParams,
     QuantumNumbers,
     centrifugal_approx,
@@ -535,13 +536,62 @@ def test_default_grid():
         grid = default_grid(ANCHOR, qn, points)
         np.testing.assert_array_equal(grid, np.linspace(r_max / (4.0 * points), r_max, points))
     samples = wavefunction_samples(ANCHOR, qn)
-    np.testing.assert_array_equal(samples.r_values, default_grid(ANCHOR, qn))
     assert (samples.meta["r_min"], samples.meta["r_max"], samples.meta["points"]) == (
         r_max / 16000.0, r_max, 4000)
     # 2.5 passed the old grid class, then failed in linspace with a TypeError
     for points in (1, 2.5, 0, -3):
         with pytest.raises(ValueError, match=f"^points must be an integer >= 2, got {points}$"):
             default_grid(ANCHOR, qn, points)
+
+
+@pytest.mark.parametrize("params, qn", [
+    (ANCHOR, QuantumNumbers(2, 1)),
+    (PotentialParams(Z=1.0, alpha=0.05, D=1), QuantumNumbers(2, 0)),
+    (PotentialParams(Z=1.0, alpha=0.05, D=2), QuantumNumbers(1, 0)),
+    (PotentialParams(Z=1.0, alpha=0.002), QuantumNumbers(8, 0)),
+    # C_n ~ 2e300 meets a subnormal (1 - s)^(v/2)
+    (PotentialParams(Z=1.0, alpha=1e-300), QuantumNumbers(0, 0)),
+])
+def test_default_grid_samples_as_the_explicit_grid(params, qn):
+    # without a grid only the ends of the default one are checked; the
+    # samples keep every bit of those of the same grid passed in
+    own = wavefunction_samples(params, qn)
+    given = wavefunction_samples(params, qn, default_grid(params, qn))
+    for name in ("r_values", "U_values", "R_values"):
+        assert getattr(own, name).tobytes() == getattr(given, name).tobytes(), name
+    assert own.meta == given.meta
+
+
+def test_default_grid_past_the_float_range_raises():
+    # kappa = alpha eps = 1e-309, so r_max = 40/kappa is inf: linspace(inf,
+    # inf) ran and warned before the radii check raised
+    params, qn = PotentialParams(Z=2e-9, alpha=2e-309, hbar=1e150), QuantumNumbers(0, 0)
+    assert 40.0 / (params.alpha * level(params, qn).epsilon) == math.inf
+    for call in (default_grid, wavefunction_samples):
+        with pytest.raises(ValueError, match="^radii must be finite positive reals$"):
+            call(params, qn)
+
+
+def test_level_keeps_the_last_record():
+    qn = QuantumNumbers(2, 1)
+    lv = level(ANCHOR, qn)
+    assert level(ANCHOR, qn) is lv
+    assert level(PotentialParams(Z=1.0, alpha=0.05), QuantumNumbers(2, 1)) is lv
+    # one slot: after another level the first is built anew, equal to it
+    other = level(ANCHOR, QuantumNumbers(0, 0))
+    assert other is not lv
+    again = level(ANCHOR, qn)
+    assert again is not lv and again == lv
+
+
+def test_level_that_raises_raises_on_every_call():
+    missing = PotentialParams(Z=1.0, alpha=2.5), QuantumNumbers(0, 0)
+    no_norm = PotentialParams(Z=1.0, alpha=1e-300, D=4), QuantumNumbers(0, 2)
+    for _ in range(2):
+        with pytest.raises(NoBoundState):
+            level(*missing)
+        with pytest.raises(ValueError, match="^normalization constant of n=0, l=2, D=4 "):
+            level(*no_norm)
 
 
 def test_samples_outside_the_float_range_raise():

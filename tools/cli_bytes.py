@@ -153,6 +153,8 @@ ARGV_SETS = [argv.split() for argv in (
     # odd-exponent branch of model._sqrt_of_product
     "wavefunction --alpha 1e-300 --r-min 40 --r-max 60 --points 3",
     "expectation --alpha 1e-300 --n 1",
+    # a default grid whose r_max = 40/kappa overflows to inf
+    "wavefunction --Z 2e-9 --alpha 2e-309 --hbar 1e150 --points 3",
 )]
 
 PLACEHOLDER = b"<src>"
