@@ -15,12 +15,12 @@ that cannot be written), 2 no bound state, 3 numerical failure (oracle
 or quadrature).
 
 spectrum runs on the closed forms of `model` alone and never loads
-numpy.  wavefunction loads numpy for its grid; expectation imports
-`expectation` and validate imports `oracle` (both load numpy) when run.
+numpy, and json is imported only to render JSON.  wavefunction loads
+numpy for its grid; expectation imports `expectation` and validate
+imports `oracle` (both load numpy) when run.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -77,6 +77,8 @@ def _render(fmt: str, meta: dict, headers: tuple, rows: list[list], shape: str) 
     """rows as CSV (meta as `# key = value` lines) or as JSON: under "rows"
     for a "table", or as fields beside "meta" for a single "record"."""
     if fmt == "json":
+        import json
+
         records = [dict(zip(headers, row)) for row in rows]
         payload = {"meta": meta, **({"rows": records} if shape == "table" else records[0])}
         return json.dumps(payload, indent=2) + "\n"
@@ -107,8 +109,8 @@ def _cmd_wavefunction(args, params: model.PotentialParams, lv: model.Level) -> t
     else:
         grid = model.default_grid(params, lv.qn, points=args.points)
     samples = model.wavefunction_samples(params, lv.qn, grid)
-    rows = [[float(r), float(u), float(rr)]
-            for r, u, rr in zip(samples.r_values, samples.U_values, samples.R_values)]
+    rows = [list(row) for row in zip(samples.r_values.tolist(), samples.U_values.tolist(),
+                                     samples.R_values.tolist())]
     return {"epsilon": lv.epsilon, "norm_const": lv.norm}, rows
 
 

@@ -63,6 +63,11 @@ solve needs it: when it first falls back to bisection, and before it
 certifies or fails.  A solve makes at most 300 Cooley passes over all its
 grids (_MAX_PASSES).
 
+A Cooley pass within 1e-4 |E| (_CHORD_SPAN) of the last full pass, at
+its matching point, is a chord pass (the simplified Newton method): it
+counts in place and reuses that pass's norm, as the next grid's first
+pass reuses the coarse grid's, doubled, at 2m.
+
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
 is the only code here that reads the level, for its bracket and
@@ -262,10 +267,14 @@ def _grid_ends(params: PotentialParams, e_hi: float) -> tuple[float, float]:
     return r_min, r_max
 
 
-def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int):
+def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: int,
+              coarse=None):
     """Uniform ln(r) grid of n points as (h, P, Q, start): g_i = P_i - E*Q_i
     is the coefficient of y'' = g y at grid point i, and start(E) is the
     y_1 - 1 of a march at E (y_0 = 1).
+
+    coarse, the grid of every other point (_ladder), gives P and Q at the
+    even points: its step is 2h exactly, so its radius i is this grid's 2i.
 
     Raises OracleError naming the first radius where P or Q is not finite:
     Q = c r^2 overflows towards r_max (once r >~ 1e154 hbar/sqrt(mu)), V
@@ -300,7 +309,7 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     c = 2.0 * params.mu / params.hbar**2
     x0 = math.log(r_min)
     h = (math.log(r_max) - x0) / (n - 1)
-    radii = np.exp(x0 + h * np.arange(n))
+    radii = np.exp(x0 + h * (np.arange(n) if coarse is None else np.arange(1, n, 2)))
     # pot before q_arr: the other order made a solve fault in up to three
     # times the pages (the grid's temporaries are handed back to the OS)
     with np.errstate(all="ignore"):
@@ -312,11 +321,16 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     if not finite.all():
         raise OracleError(
             f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
+    if coarse is not None:
+        odd = p_arr, q_arr
+        p_arr, q_arr = np.empty(n), np.empty(n)
+        p_arr[::2], q_arr[::2] = coarse[1], coarse[2]
+        p_arr[1::2], q_arr[1::2] = odd
     czr, ar = c * params.Z * r_min, params.alpha * r_min
-    # G_j = g_j r_min^j of the odd j; G_j = 0 at even j > 2, where B_{j-1}
-    # = 0, and G_2 holds the energy.  Each start extends the list as far as
-    # its terms need
-    odd_g = [0.0, -czr]
+    # of each term k = 0, 1, ...: G_k = g_k r_min^k at odd k (G_k = 0 at
+    # even k > 2, where B_{k-1} = 0, and G_2 holds the energy), k (2s + k)
+    # and e^{kh} - 1.  Each start extends the lists as far as its terms need
+    odd_g, scales, rises = [0.0], [1.0], [0.0]
 
     def start(energy_val):
         g2 = c * (0.5 * params.Z * params.alpha - energy_val) * r_min * r_min
@@ -327,13 +341,17 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
             for k in range(1, _START_TERMS):
                 if k == len(odd_g):
                     odd_g.append(-czr * _BERNOULLI[k - 1] * ar ** (k - 1) if k % 2 else 0.0)
+                    scales.append(k * (2.0 * s + k))
                 acc = -czr * b[k - 1] + (g2 * b[k - 2] if k > 1 else 0.0)
                 for j in range(3, k + 1, 2):
                     acc += odd_g[j] * b[k - j]
-                b_k = acc / (k * (2.0 * s + k))
+                b_k = acc / scales[k]
                 b.append(b_k)
                 f0 += b_k
-                df += b_k * math.expm1(k * h)
+                # after b_k: a start whose e^{kh} - 1 overflows has k + 1 terms
+                if k == len(rises):
+                    rises.append(math.expm1(k * h))
+                df += b_k * rises[k]
                 size += abs(b_k)
                 if abs(b[k - 1]) + abs(b_k) <= _START_TAIL * abs(f0):
                     # y_1 - 1 = (e^{hs} f(r_1) - f0)/f0
@@ -391,6 +409,20 @@ def _deviations(w_seq, d):
         yield d
 
 
+def _count(w_seq, d):
+    """(nodes, D): D = W + D/(1 + D) (_deviations) from d over w_seq, in
+    place: the D below -1 (negative pivots; not d) and the last D."""
+    nodes = 0
+    for w_i in w_seq:
+        try:
+            d = w_i + d / (1.0 + d)
+        except ZeroDivisionError:
+            d = _D_AFTER_ZERO
+        if d < -1.0:
+            nodes += 1
+    return nodes, d
+
+
 def _march(grid, energy_val) -> int:
     """Sturm count at energy_val on a (h, P, Q, start) grid of _log_grid: the
     pivots R_i = 1 + D_i of _deviations below 0, over grid points 1 .. n-2.
@@ -400,9 +432,8 @@ def _march(grid, energy_val) -> int:
     where D >= 0: past that point no pivot turns negative (see the module
     docstring), so the count is final.  Checking once per chunk, not once
     per point, leaves the loop over the points that of a march without the
-    stop, and the points before the tail share it.  It keeps its own loop:
-    counting in place takes about two thirds of the time of draining
-    _deviations.
+    stop, and the points before the tail share it.  It counts in place
+    (_count), in about two thirds of the time of draining _deviations.
     """
     _, w, d = _offsets(grid, energy_val)
     end = len(w) - 1
@@ -411,21 +442,23 @@ def _march(grid, energy_val) -> int:
     start, stop = 1, int(barred[-1]) + 2 if barred.size else 1
     nodes = 0
     while start < end:
-        for w_i in w[start:stop]:
-            try:
-                d = w_i + d / (1.0 + d)
-            except ZeroDivisionError:
-                d = _D_AFTER_ZERO
-            if d < -1.0:
-                nodes += 1
+        found, d = _count(w[start:stop], d)
+        nodes += found
         if d >= 0.0:
             break
         start, stop = stop, min(stop + _CHUNK, end)
     return nodes
 
 
-def _cooley(grid, energy_val):
-    """Sturm count and Cooley's energy correction dE at energy_val.
+# the reach in |E| of a chord pass (_cooley).  On the 1008 spectra levels
+# of bench/ (seeds 1-3) a solve made 2.6 full and 1.8 chord passes (4.4
+# full before), and no level moved by 1e-4 of its tolerance
+_CHORD_SPAN = 1e-4
+_NO_BASIS = (0, 0.0, 0.0)  # no matching point is 0
+
+
+def _cooley(grid, energy_val, basis=_NO_BASIS):
+    """Sturm count, Cooley's energy correction dE and its basis at energy_val.
 
     R_i = F_{i+1}/F_i is marched outward to the last classical turning
     point m (g_m < 0) and S_i = F_{i-1}/F_i inward from F = 0 at r_max, both
@@ -433,28 +466,40 @@ def _cooley(grid, energy_val):
     the Numerov equation at m by gamma = U_m - 1/R_{m-1} - 1/S_{m+1} =
     W_m + D_{m-1}/(1 + D_{m-1}) + D_{m+1}/(1 + D_{m+1}), the twisted pivot
     of the Numerov matrix: the negative R, S and gamma add up to the Sturm
-    count, and dE = gamma / (c_m h^2 sum Q y^2) with c = 1 - T and y = F/c.
+    count, and dE = gamma / (c_m h^2 norm), norm = sum Q y^2, with c = 1 -
+    T and y = F/c.  A full pass returns the basis (m, norm, energy_val).
+    Offered a basis at the same m within _CHORD_SPAN |E|, it is a chord
+    pass: it counts in place (_count), with the same count, and steps on
+    the basis's norm, off by the norm's relative change since.
     """
     h, _, q_arr, _ = grid
     t, w, d0 = _offsets(grid, energy_val)
     n = t.size
     allowed = np.flatnonzero(t < 0.0)
     m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
-    # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}, less 1; S_{n-2} = U_{n-2}
-    d_out = np.fromiter(_deviations(w[1:m], d0), float, m)
-    d_in = np.fromiter(_deviations(w[n - 3 : m : -1], w[n - 2] + 1.0), float, n - 2 - m)
+    d_end = w[n - 2] + 1.0  # S_{n-2} = U_{n-2}, less 1
+    if m == basis[0] and abs(energy_val - basis[2]) <= _CHORD_SPAN * abs(energy_val):
+        nodes_out, d_lo = _count(w[1:m], d0)
+        nodes_in, d_hi = _count(w[n - 3 : m : -1], d_end)
+        nodes, norm = nodes_out + nodes_in + (d_end < -1.0), basis[1]
+    else:
+        # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}, less 1
+        d_out = np.fromiter(_deviations(w[1:m], d0), float, m)
+        d_in = np.fromiter(_deviations(w[n - 3 : m : -1], d_end), float, n - 2 - m)
+        with np.errstate(all="ignore"):
+            c = 1.0 - t
+            weight = q_arr / (c * c)
+            f_out = np.cumprod(1.0 / (1.0 + d_out[::-1]))  # F_{m-1} .. F_0
+            f_in = np.cumprod(1.0 / (1.0 + d_in[::-1]))  # F_{m+1} .. F_{n-2}
+            norm = (weight[m] + weight[m - 1 :: -1] @ (f_out * f_out)
+                    + weight[m + 1 : n - 1] @ (f_in * f_in))
+        nodes = np.count_nonzero(d_out[1:] < -1.0) + np.count_nonzero(d_in < -1.0)
+        d_lo, d_hi, basis = d_out[-1], d_in[-1], (m, norm, energy_val)
     with np.errstate(all="ignore"):
-        gamma = w[m] + d_out[-1] / (1.0 + d_out[-1]) + d_in[-1] / (1.0 + d_in[-1])
-        c = 1.0 - t
-        weight = q_arr / (c * c)
-        f_out = np.cumprod(1.0 / (1.0 + d_out[::-1]))  # F_{m-1} .. F_0
-        f_in = np.cumprod(1.0 / (1.0 + d_in[::-1]))  # F_{m+1} .. F_{n-2}
-        norm = (weight[m] + weight[m - 1 :: -1] @ (f_out * f_out)
-                + weight[m + 1 : n - 1] @ (f_in * f_in))
-        step = float(gamma / (c[m] * h * h * norm))
-    nodes = (np.count_nonzero(d_out[1:] < -1.0) + np.count_nonzero(d_in < -1.0)
-             + (gamma < 0.0))
-    return int(nodes), step
+        d_lo, d_hi = np.float64(d_lo), np.float64(d_hi)
+        gamma = w[m] + d_lo / (1.0 + d_lo) + d_hi / (1.0 + d_hi)
+        step = float(gamma / ((1.0 - t[m]) * h * h * norm))
+    return int(nodes + (gamma < 0.0)), step, basis
 
 
 def solve_exact(
@@ -531,10 +576,11 @@ def solve_exact(
                 f"float resolution of the march"
             )
 
-    def converge(new_grid, e_val):
+    def converge(new_grid, e_val, basis):
         """The level of new_grid by Cooley passes from e_val, once a
         correction is below a quarter of the tolerance (or the midpoint of
-        a bracket its counts close to the tolerance)."""
+        a bracket its counts close to the tolerance), and the basis of its
+        last full pass.  Its first pass is offered basis (_cooley)."""
         nonlocal grid, e_lo, e_hi, nodes_lo, nodes_hi, passes, shots
         grid = new_grid
         (e_lo, e_hi), nodes_lo, nodes_hi = cfg.energy_bracket, None, None
@@ -546,27 +592,28 @@ def solve_exact(
                     f"(bracket width {e_hi - e_lo!r})"
                 )
             passes += 1
-            nodes, step = _cooley(grid, e_val)
+            nodes, step, basis = _cooley(grid, e_val, basis)
             shots += 1
             narrow(e_val, nodes)
             e_val += step
             # a step below the float spacing leaves e_val on the end its
             # count just proved
             if abs(step) <= 0.25 * tol and e_lo <= e_val <= e_hi:
-                return e_val
+                return e_val, basis
             if not e_lo < e_val < e_hi:
                 march_ends()
                 e_val = 0.5 * (e_lo + e_hi)
-        return 0.5 * (e_lo + e_hi)
+        return 0.5 * (e_lo + e_hi), basis
 
     r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
     # a march needs points on both sides of its matching point
     steps = max(8, math.ceil((math.log(r_max) - math.log(r_min)) / _MAX_LOG_STEP))
     grids = _ladder(params, l, r_min, r_max, cfg.energy_bracket[0], steps)
-    coarse = converge(next(grids)[1], 0.5 * sum(cfg.energy_bracket))
+    coarse, basis = converge(next(grids)[1], 0.5 * sum(cfg.energy_bracket), _NO_BASIS)
     last = None
     for steps, fine_grid in grids:
-        fine = converge(fine_grid, coarse)
+        # the coarse point m is the fine 2m, and a fine norm sums twice the points
+        fine, basis = converge(fine_grid, coarse, (2 * basis[0], 2.0 * basis[1], basis[2]))
         estimate = abs(fine - coarse) / 15.0
         if estimate <= 0.5 * tol:
             break
@@ -632,7 +679,7 @@ def _ladder(params: PotentialParams, l: int, r_min: float, r_max: float, e_lo: f
     # rebinding grid keeps no grid alive here but the last one yielded
     while 2 * steps <= _MAX_STEPS:
         steps *= 2
-        grid = _log_grid(params, l, r_min, r_max, steps + 1)
+        grid = _log_grid(params, l, r_min, r_max, steps + 1, grid)
         yield steps, grid
 
 

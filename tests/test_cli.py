@@ -240,7 +240,7 @@ def test_validate_window_over_three_levels_exits_3(capsys):
                          "--oracle-tolerance", "2.5e-4")
     assert (code, out) == (3, "")
     assert err == ("oracle failure: the node counts 19 and 22 of the 1789-point grid at "
-                   "E=-0.0006889118469281799 -/+ 0.000125 do not certify the level with "
+                   "E=-0.0006889118503323729 -/+ 0.000125 do not certify the level with "
                    "20 nodes\n")
 
 
@@ -250,13 +250,13 @@ def test_level_past_the_old_oracle_grid_exits_0(capsys):
     # coefficients are not finite"; before that, two RuntimeWarnings and a
     # BracketError computed on nan).  It now spans only the level, which
     # ends at r = 47.2; gamma = 0, so the closed form is the exact level,
-    # and E_oracle lies 7.3e-14 from it, within the tolerance 1e-9
+    # and E_oracle lies 7.2e-14 from it, within the tolerance 1e-9
     code, out, err = run(capsys, "validate", "--dim", "1", "--n", "1", "--alpha", "1e-160")
     assert (code, err) == (0, "")
     header, rows = parse_csv(out)
     assert header == ["E_closed", "E_oracle", "rel_error", "node_count"]
-    assert rows == [["-5.0000000000000000e-01", "-4.9999999999992734e-01",
-                     "1.4532819392345412e-13", "0"]]
+    assert rows == [["-5.0000000000000000e-01", "-4.9999999999992784e-01",
+                     "1.4432899320129118e-13", "0"]]
 
 
 def test_quadrature_failure_exits_3(capsys):

@@ -74,9 +74,9 @@ def test_bracket_ending_at_zero_raises():
 def test_bracket_that_gives_no_grid_builds_none(monkeypatch, bracket, tolerance, r_max):
     sizes = []
 
-    def spy(params, l, r_lo, r_hi, n):
+    def spy(params, l, r_lo, r_hi, n, *coarse):
         sizes.append(n)
-        return _log_grid(params, l, r_lo, r_hi, n)
+        return _log_grid(params, l, r_lo, r_hi, n, *coarse)
 
     monkeypatch.setattr(oracle, "_log_grid", spy)
     cfg = ShootingConfig(energy_bracket=bracket, tolerance=tolerance)
@@ -401,12 +401,16 @@ def test_certificate_counts_both_sides_afresh(monkeypatch):
     # a certificate that reused it for one side could certify a level the
     # marches put outside its window, so both sides are fresh marches on
     # the final grid, after its last Cooley pass
+    # (a chord pass counts as a full pass does, so this holds for both)
     calls = []
 
     def spy(name, func):
-        def wrapper(grid, energy_val):
-            calls.append((name, grid[1].size, energy_val))
-            return func(grid, energy_val)
+        def wrapper(grid, energy_val, *basis):
+            out = func(grid, energy_val, *basis)
+            # a chord pass returns the basis it was offered
+            kind = "chord" if basis and out[2] is basis[0] else name
+            calls.append((kind, grid[1].size, energy_val))
+            return out
         monkeypatch.setattr(oracle, name, wrapper)
 
     spy("_cooley", _cooley)
@@ -416,8 +420,8 @@ def test_certificate_counts_both_sides_afresh(monkeypatch):
     res = solve_exact(params, 0, 0, cfg)
     # gamma = 0: the closed form -0.405 is the exact level
     assert abs(res.energy + 0.405) <= cfg.tolerance
-    last_pass = max(i for i, call in enumerate(calls) if call[0] == "_cooley")
-    assert calls[last_pass][1] == res.points
+    last_pass = max(i for i, call in enumerate(calls) if call[0] in ("_cooley", "chord"))
+    assert calls[last_pass][:2] == ("chord", res.points)
     for side in (res.energy - res.residual, res.energy + res.residual):
         assert ("_march", res.points, side) in calls[last_pass + 1:]
 
@@ -534,14 +538,67 @@ def test_grid_refinement_contract():
     levels = []
     for points in (7297, 3649, 1825):
         grid = _log_grid(params, 0, *_grid_ends(params, cfg.energy_bracket[1]), points)
-        e_val = res.energy
+        # a full pass, then chord passes on its basis, as in a solve
+        e_val, basis = res.energy, oracle._NO_BASIS
         for _ in range(3):
-            e_val += _cooley(grid, e_val)[1]
+            _, step, basis = _cooley(grid, e_val, basis)
+            e_val += step
         levels.append(e_val)
     e_n, e_half, e_quarter = levels
     assert abs(e_n - e_half) / 15.0 == pytest.approx(res.error_estimate, rel=1e-3)
     assert abs(res.energy - e_n) == pytest.approx(res.error_estimate, rel=1e-3)
     assert 8.0 < (e_quarter - e_half) / (e_half - e_n) < 32.0
+
+
+@pytest.mark.parametrize("dim,l,n,alpha", [
+    (3, 0, 0, 0.05), (3, 0, 20, 0.002), (5, 2, 3, 0.01), (2, 0, 1, 0.1),
+])
+def test_chord_pass_steps_as_a_full_pass(dim, l, n, alpha):
+    # at a level, a chord pass on the basis of a full pass 1e-8 |E| away
+    # counts as the full pass there does and steps within 1e-6 of it.  On
+    # the final grid the coarse grid's basis, carried over as (2m, 2 norm),
+    # steps within 1e-4 of it where the fine m is 2m, and where it is not
+    # (n = 20: 6541 against 6540) the pass is a full one
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    cfg = default_config(params, qn)
+    res = solve_exact(params, l, level(params, qn).nodes, cfg)
+    ends = _grid_ends(params, cfg.energy_bracket[1])
+    grid = _log_grid(params, l, *ends, res.points)
+    nodes, step, basis = _cooley(grid, res.energy)
+    near = _cooley(grid, res.energy * (1.0 + 1e-8))[2]
+    chord = _cooley(grid, res.energy, near)
+    assert chord[0] == nodes and chord[2] is near
+    assert chord[1] == pytest.approx(step, rel=1e-6)
+    m, norm, e_full = _cooley(_log_grid(params, l, *ends, res.points // 2 + 1), res.energy)[2]
+    carried = (2 * m, 2.0 * norm, e_full)
+    chord = _cooley(grid, res.energy, carried)
+    assert chord[0] == nodes
+    if basis[0] == 2 * m:
+        assert chord[2] is carried and chord[1] == pytest.approx(step, rel=1e-4)
+    else:
+        assert (n, chord[1:]) == (20, (step, basis))
+
+
+@pytest.mark.parametrize("params,l,r_min,r_max,e_lo,steps", [
+    # a solve's ladder at the anchor, a count's, and one in other units
+    (ANCHOR, 0, 0.1, 834.3, -0.54, 700),
+    (PotentialParams(Z=1.0, alpha=0.01, D=5), 2, 0.1, 1e4, -5e-17, 3000),
+    (PotentialParams(Z=3.61, mu=0.41, hbar=0.51, alpha=0.068, D=2), 0, 0.017, 31.0, -9.0, 900),
+])
+def test_ladder_grids_take_their_even_points_from_the_grid_before(params, l, r_min, r_max,
+                                                                   e_lo, steps):
+    # a finer grid of _ladder has half the step of the one before, exactly,
+    # so its even points are that grid's: it takes P and Q there from it,
+    # and they equal those of the same grid built alone, bit for bit
+    grids = list(itertools.islice(oracle._ladder(params, l, r_min, r_max, e_lo, steps), 3))
+    assert len(grids) == 3
+    for (_, coarse), (steps, fine) in zip(grids, grids[1:]):
+        alone = _log_grid(params, l, r_min, r_max, steps + 1)
+        assert 2.0 * fine[0] == coarse[0] and fine[0] == alone[0]
+        for i in (1, 2):
+            assert fine[i][::2].tobytes() == coarse[i].tobytes()
+            assert fine[i].tobytes() == alone[i].tobytes()
 
 
 @pytest.mark.parametrize("dim,l,n,alpha", [
@@ -658,9 +715,9 @@ def test_no_grid_past_the_cap_is_marched(monkeypatch, r_min, r_max, bracket, tol
                                          points):
     sizes = []
 
-    def spy(params, l, r_lo, r_hi, n):
+    def spy(params, l, r_lo, r_hi, n, *coarse):
         sizes.append(n)
-        return _log_grid(params, l, r_lo, r_hi, n)
+        return _log_grid(params, l, r_lo, r_hi, n, *coarse)
 
     monkeypatch.setattr(oracle, "_log_grid", spy)
     _ends(monkeypatch, r_min, r_max)
@@ -694,8 +751,8 @@ def test_estimate_that_stops_shrinking_raises(monkeypatch):
     # error shrinks it 16-fold, and no energy is returned
     cooley = oracle._cooley
 
-    def drifting(grid, energy_val):
-        return cooley(grid, energy_val - 3e-18 * grid[1].size ** 2)
+    def drifting(grid, energy_val, *basis):
+        return cooley(grid, energy_val - 3e-18 * grid[1].size ** 2, *basis)
 
     monkeypatch.setattr(oracle, "_cooley", drifting)
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0), tolerance=1e-12)
@@ -890,9 +947,9 @@ def test_count_matches_closed_form():
 def test_count_starts_at_the_core_radius(monkeypatch, Z, alpha, r_min, steps, count):
     grids = []
 
-    def spy(params, l, r_lo, r_hi, n):
+    def spy(params, l, r_lo, r_hi, n, *coarse):
         grids.append((r_lo, r_hi, n - 1))
-        return _log_grid(params, l, r_lo, r_hi, n)
+        return _log_grid(params, l, r_lo, r_hi, n, *coarse)
 
     monkeypatch.setattr(oracle, "_log_grid", spy)
     assert count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0) == count

@@ -44,12 +44,25 @@ def test_copy_at_another_path_matches_and_a_changed_count_is_found(tmp_path, cap
     assert "max |dE|/tolerance over 3 levels solved by both: 0\n" in out
     assert "max |dE|/tolerance to refined over 0 mended levels: 0\n" in out
     assert "solves moved by more than 0.001 of their tolerance: 0\n" in out
+    assert "shots new - old over 3 levels solved by both: 0:3\n" in out
 
     counting = _copy(tmp_path, "counting", "            return nodes\n",
                      "            return nodes + 1\n")
     code, out = _sweep(copy, counting, capsys)
     assert code == 1
     assert f"counts changed: {DRAWS}, ok -> ok {DRAWS}\n" in out
+
+
+def test_change_in_shots_is_shown_per_level(tmp_path, capsys):
+    # a solve that counts one shot more on each level changes no outcome,
+    # and the histogram of shots(new) - shots(old) shows it on all three
+    shooting = _copy(tmp_path, "shooting", "    shots += 2\n", "    shots += 3\n")
+    code, out = _sweep(ROOT / "src", shooting, capsys)
+    assert code == 0
+    assert "solves changed: 0\ncounts changed: 0\n" in out
+    assert "shots new - old over 3 levels solved by both: 1:3\n" in out
+    code, out = _sweep(shooting, ROOT / "src", capsys)
+    assert "shots new - old over 3 levels solved by both: -1:3\n" in out
 
 
 def test_mended_levels_are_checked_against_refined_solves(tmp_path, capsys):

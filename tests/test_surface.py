@@ -111,7 +111,8 @@ def test_bare_import_loads_no_numpy():
 
 
 def test_spectrum_run_leaves_numpy_unloaded():
-    report = ("print(sorted({'numpy', 'hulthen.oracle', 'hulthen.expectation'}"
+    # json too: the CLI imports it only to render JSON
+    report = ("print(sorted({'numpy', 'json', 'hulthen.oracle', 'hulthen.expectation'}"
               " & set(sys.modules)), file=sys.stderr)")
     proc = python(RUN_CLI.format(argv=["spectrum"], after=report))
     assert (proc.returncode, proc.stderr) == (0, b"[]\n")

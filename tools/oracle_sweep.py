@@ -23,8 +23,10 @@ every moved level with its |E_new - E_old|/tolerance and |E -
 E_refined|/tolerance, the largest |E_new - E_old|/tolerance over the
 levels both trees solve and the largest |E - E_refined|/tolerance over
 the mended and over the moved ones, the histograms of final grid steps
-(by the power of two at or above them) and of shots of each tree, and
-each tree's wall time for the solves and the counts.  The exit status is
+(by the power of two at or above them) and of shots of each tree, the
+histogram of shots(new) - shots(old) over the levels both trees solve
+(so a change in the passes a solve makes shows at once), and each
+tree's wall time for the solves and the counts.  The exit status is
 1 if a level one tree solved raises in NEW_SRC (an ok -> error change), a
 count changed, or a level lies more than half its tolerance from its old
 value or from its refined one (a refined solve that raises counts as
@@ -135,13 +137,14 @@ def compare(old: dict, new: dict) -> dict:
     index, old outcome, new outcome), the draws only new solves
     ("mended"), {draw index: |dE|/tolerance} of the levels both trees
     solve ("ratios") and of those that moved by more than MOVED of their
-    tolerance ("moved"), and the largest of the ratios (0 if none)."""
+    tolerance ("moved"), the largest of the ratios (0 if none), and the
+    shots(new) - shots(old) of each level both trees solve ("shots")."""
     def changes(key, same):
         return [(i, a, b) for i, (a, b) in enumerate(zip(old[key], new[key])) if not same(a, b)]
 
-    ratios = {i: abs(b["energy"] - a["energy"]) / a["tolerance"]
-              for i, (a, b) in enumerate(zip(old["solves"], new["solves"]))
-              if a["outcome"] == b["outcome"] == "ok"}
+    both = {i: (a, b) for i, (a, b) in enumerate(zip(old["solves"], new["solves"]))
+            if a["outcome"] == b["outcome"] == "ok"}
+    ratios = {i: abs(b["energy"] - a["energy"]) / a["tolerance"] for i, (a, b) in both.items()}
     solves = changes("solves", lambda a, b: a["outcome"] == b["outcome"])
     return {
         "solves": solves,
@@ -151,6 +154,7 @@ def compare(old: dict, new: dict) -> dict:
                           == (b["outcome"], b.get("count"))),
         "max_ratio": max(ratios.values(), default=0.0),
         "solved": len(ratios),
+        "shots": [b["shots"] - a["shots"] for a, b in both.values()],
     }
 
 
@@ -227,6 +231,8 @@ def main(argv=None) -> int:
               f"{_histogram(1 << (row['points'] - 2).bit_length() for row in rows)}")
     for name, rows in solved.items():
         print(f"{name} shots: {_histogram(row['shots'] for row in rows)}")
+    print(f"shots new - old over {diff['solved']} levels solved by both: "
+          f"{_histogram(diff['shots'])}")
     for name, out in trees.items():
         print(f"{name} wall: solves {out['solve_s']:.2f} s, counts {out['count_s']:.2f} s")
     broken = [i for i, a, b in diff["solves"] if a["outcome"] == "ok"]
