@@ -165,8 +165,9 @@ _COMMANDS = {  # name: (help, handler, level flag, extra flags, headers, JSON sh
                      "inv_r2_quad_approx", "inv_r2_quad_exact", "v_quad"), "record"),
     "validate": ("cross-check one level against the exact-equation eigensolver",
                  _cmd_validate, _N, (
-        ("oracle-tolerance", float, None, "absolute energy tolerance of the eigensolver; "
-         "default 1e-9 (auto-tightened for shallow levels)"),),
+        ("oracle-tolerance", float, None, "absolute energy tolerance of the eigensolver, at "
+         "least 128 float spacings of max(1.2 |E|, Z alpha); default 1e-9, or 1e-8 |E| if "
+         "smaller, or that floor if larger"),),
         ("E_closed", "E_oracle", "rel_error", "node_count"), "record"),
 }
 

@@ -53,14 +53,19 @@ matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
 an inward march that meet at the last classical turning point; their Sturm
 count shrinks the bracket, and a step that leaves it is replaced by
 bisection.  A grid's level is converged once the correction is below a
-quarter of the tolerance.  The verdict comes from counts on the final grid
-alone: at E -/+ tolerance/2 around the extrapolated energy they must read
-the target node count k and more than k, or ConvergenceError.  A count
-inside the bracket proves its upper end if it lies above the target and
-its lower end if not; counts on one grid prove nothing on another, and an
-end no count on the grid has proven is marched on its own only where the
-solve needs it: when it first falls back to bisection, and before it
-certifies or fails.  A solve makes at most 300 Cooley passes over all its
+quarter of the tolerance, and only then: every grid's level, and so each
+side of the Richardson step, is a Cooley level.  The verdict comes from
+counts on the final grid alone: at E -/+ tolerance/2 around the
+extrapolated energy they must read the target node count k and k + 1, so
+that the window holds the level with k nodes and no other, or
+ConvergenceError.  No tolerance finer than 128 float spacings of the
+larger of |E_lo| and Z alpha is accepted (_tolerance_floor): rounding in
+the marches moves a level by up to ~20 of them, and a finer window can
+miss it.  A count inside the bracket proves its upper end if it lies
+above the target and its lower end if not; counts on one grid prove
+nothing on another, and an end no count on the grid has proven is marched
+on its own only where the solve needs it: when it first falls back to
+bisection, and before it certifies or fails.  A solve makes at most 300 Cooley passes over all its
 grids (_MAX_PASSES).
 
 A Cooley pass within 1e-4 |E| (_CHORD_SPAN) of the last full pass, at
@@ -106,11 +111,12 @@ class BracketError(OracleError):
 
 
 class ConvergenceError(OracleError):
-    """The tolerance cannot be reached: finer than the float spacing, not
-    within 300 Cooley passes (_MAX_PASSES), not on the grids of _ladder,
-    or with an error estimate that stops shrinking as O(h^4); or the final
-    grid's counts below and above the window are not the target node count
-    k and more than k, so they certify no level with k nodes.  For
+    """The tolerance cannot be reached: below the floor of _tolerance_floor,
+    not within 300 Cooley passes (_MAX_PASSES), not on the grids of
+    _ladder, or with an error estimate that stops shrinking as O(h^4); or
+    counts on a grid close its bracket on no level; or the final grid's
+    counts below and above the window are not the target node count k and
+    k + 1, so they certify no single level with k nodes.  For
     count_bound_states: no two successive grids of _ladder agree on the
     count.  For both: _ladder has no first grid within its cap."""
 
@@ -131,6 +137,14 @@ _MIN_STEPS = 3000
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
 _MAX_PASSES = 300
+# the finest tolerance a solve accepts, in float spacings of the larger of
+# |E_lo| and Z alpha (_tolerance_floor).  Rounding in the marches moves a
+# level by up to ~20 of them: over 2400 random gamma = 0 levels, windows
+# of 64 and 128 missed none, and the worst was 20.4 off, a 3.1-fold margin
+# at 128.  A shallow level lies in a well ~Z alpha deep, and spacings of
+# |E_lo| alone do not bound its rounding: at 128 of them 3 levels missed,
+# one by 350 (Z alpha = 325 |E|)
+_FLOOR_SPACINGS = 128
 # terms of the regular series a start may sum (_log_grid); at the r_min of
 # _grid_ends every level's series ends within ~20
 _START_TERMS = 64
@@ -169,7 +183,9 @@ class ShootingConfig:
         the target level.
     tolerance: the width of the certified window (the level lies within
         energy -/+ tolerance/2); finite, positive and below the bracket
-        width.
+        width.  It has no default: default_config picks it from the
+        level, and solve_exact refuses one below 128 float spacings of
+        the larger of |E_lo| and Z alpha (_tolerance_floor).
 
     The window certifies the level of the final grid and the Richardson
     estimate bounds that grid's step error; the start's error from r_min
@@ -180,7 +196,7 @@ class ShootingConfig:
     """
 
     energy_bracket: tuple[float, float]
-    tolerance: float = 1e-9
+    tolerance: float
 
     def __post_init__(self):
         lo, hi = self.energy_bracket
@@ -188,8 +204,8 @@ class ShootingConfig:
             raise ValueError("energy bracket must satisfy E_lo < E_hi < 0")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError(f"tolerance must be a finite positive real, got {self.tolerance!r}")
-        # a bracket within the tolerance would be returned as its midpoint
-        # without a single pass
+        # a window as wide as the bracket would certify no more than the
+        # bracket already claims
         if self.tolerance >= hi - lo:
             raise ValueError(
                 f"tolerance {self.tolerance!r} is not below the energy bracket width {hi - lo!r}"
@@ -200,15 +216,16 @@ class ShootingConfig:
 class OracleResult:
     """energy is the level and residual the half-width of an interval around
     it that node counts on the final grid, of `points` points, prove to hold
-    that grid's level with node_count nodes, the target k: the Sturm count
-    is k at energy - residual and above k at energy + residual.  A solve
-    that cannot prove this raises, so converged is no field but a class
-    constant that reads True.  error_estimate is the Richardson estimate
-    |E_N - E_N/2|/15 of the final grid's discretization error, at most
-    residual.  shots is the number of passes over a grid the solve made on
-    all its grids: its Cooley passes plus its Sturm marches (the two of the
-    certificate, and one at each bracket end that no count on its grid had
-    proven); a Sturm march counts as one shot wherever it stops (_march)."""
+    that grid's level with node_count nodes, the target k, and no other: the
+    Sturm count is k at energy - residual and k + 1 at energy + residual.
+    A solve that cannot prove this raises, so converged is no field but a
+    class constant that reads True.  error_estimate is the Richardson
+    estimate |E_N - E_N/2|/15 of the final grid's discretization error,
+    from the Cooley levels of the last two grids, at most residual.  shots
+    is the number of passes over a grid the solve made on all its grids:
+    its Cooley passes plus its Sturm marches (the two of the certificate,
+    and one at each bracket end that no count on its grid had proven); a
+    Sturm march counts as one shot wherever it stops (_march)."""
 
     # kept only because bench/ops.py reads it
     converged: ClassVar[bool] = True
@@ -228,12 +245,21 @@ def default_config(
     """Bracket and tolerance from the closed-form level as the initial guess.
 
     The bracket is the closed-form energy +/- 20%, and the default energy
-    tolerance 1e-9, tightened to 1e-8|E| for very shallow levels.
+    tolerance 1e-9, tightened to 1e-8|E| for very shallow levels, and
+    raised to the floor of solve_exact (_tolerance_floor) where that is
+    larger: for deep levels (|E| >~ 2.7e4), and for levels within ~5e-6 Z
+    alpha of 0.
     """
     e_val = model.level(params, qn).energy
     if tolerance is None:
-        tolerance = min(1e-9, 1e-8 * abs(e_val))
+        tolerance = max(min(1e-9, 1e-8 * abs(e_val)), _tolerance_floor(params, 1.2 * e_val))
     return ShootingConfig(energy_bracket=(1.2 * e_val, 0.8 * e_val), tolerance=tolerance)
+
+
+def _tolerance_floor(params: PotentialParams, e_lo: float) -> float:
+    """The finest tolerance solve_exact accepts for the lower bracket end
+    e_lo: 128 float spacings (_FLOOR_SPACINGS) of max(-e_lo, Z alpha)."""
+    return _FLOOR_SPACINGS * math.ulp(max(-e_lo, params.Z * params.alpha))
 
 
 def _grid_ends(params: PotentialParams, e_hi: float) -> tuple[float, float]:
@@ -520,23 +546,22 @@ def solve_exact(
     the solve first falls back to bisection there or before it certifies or
     fails (an end is marched on its own only if no count of the solve on
     that grid has proven it); and ConvergenceError when the tolerance is
-    finer than the float spacing of the bracket energies, _ladder has no
-    first grid, the solve takes more than 300 Cooley passes over all grids
-    (_MAX_PASSES), the estimate is still above tolerance/2 on the last grid
-    of _ladder or shrinks by less than 4 on a doubling (an error that is not
-    O(h^4)), the counts of a grid close its bracket on no level, or the
-    final grid's counts at energy -/+ tolerance/2 are not target_nodes and
-    more.
+    below the floor of _tolerance_floor, _ladder has no first grid, the
+    solve takes more than 300 Cooley passes over all grids (_MAX_PASSES),
+    the estimate is still above tolerance/2 on the last grid of _ladder or
+    shrinks by less than 4 on a doubling (an error that is not O(h^4)), the
+    counts of a grid close its bracket on no level, or the final grid's
+    counts at energy -/+ tolerance/2 are not target_nodes and target_nodes
+    + 1.
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
     k = int(target_nodes)
     tol = cfg.tolerance
-    if tol < 4.0 * math.ulp(cfg.energy_bracket[0]):
-        raise ConvergenceError(
-            f"tolerance {tol!r} is below 4 float spacings of the bracket energy "
-            f"{cfg.energy_bracket[0]!r}"
-        )
+    floor = _tolerance_floor(params, cfg.energy_bracket[0])
+    if tol < floor:
+        raise ConvergenceError(f"tolerance {tol!r} is below {floor!r}, {_FLOOR_SPACINGS} float "
+                               f"spacings of the larger of -E_lo and Z alpha")
     # the grid being solved and the Sturm count at each end of its bracket,
     # None until a count on that grid proves it
     grid = e_lo = e_hi = nodes_lo = nodes_hi = None
@@ -578,19 +603,13 @@ def solve_exact(
 
     def converge(new_grid, e_val, basis):
         """The level of new_grid by Cooley passes from e_val, once a
-        correction is below a quarter of the tolerance (or the midpoint of
-        a bracket its counts close to the tolerance), and the basis of its
-        last full pass.  Its first pass is offered basis (_cooley)."""
+        correction is below a quarter of the tolerance, and the basis of
+        its last full pass; ConvergenceError once the solve has made
+        _MAX_PASSES passes.  Its first pass is offered basis (_cooley)."""
         nonlocal grid, e_lo, e_hi, nodes_lo, nodes_hi, passes, shots
         grid = new_grid
         (e_lo, e_hi), nodes_lo, nodes_hi = cfg.energy_bracket, None, None
-        while e_hi - e_lo > tol:
-            if passes >= _MAX_PASSES:
-                march_ends()
-                raise ConvergenceError(
-                    f"no level to {tol!r} within {_MAX_PASSES} passes "
-                    f"(bracket width {e_hi - e_lo!r})"
-                )
+        while passes < _MAX_PASSES:
             passes += 1
             nodes, step, basis = _cooley(grid, e_val, basis)
             shots += 1
@@ -603,7 +622,9 @@ def solve_exact(
             if not e_lo < e_val < e_hi:
                 march_ends()
                 e_val = 0.5 * (e_lo + e_hi)
-        return 0.5 * (e_lo + e_hi), basis
+        march_ends()
+        raise ConvergenceError(
+            f"no level to {tol!r} within {_MAX_PASSES} passes (bracket width {e_hi - e_lo!r})")
 
     r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
     # a march needs points on both sides of its matching point
@@ -638,7 +659,7 @@ def solve_exact(
     narrow(lo, n_lo)
     narrow(hi, n_hi)
     march_ends()
-    if not n_lo == k < n_hi:
+    if (n_lo, n_hi) != (k, k + 1):
         raise ConvergenceError(
             f"the node counts {n_lo} and {n_hi} of the {steps + 1}-point grid at "
             f"E={energy_val!r} -/+ {0.5 * tol!r} do not certify the level with {k} nodes"

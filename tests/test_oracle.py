@@ -30,15 +30,16 @@ from hulthen import (
 )
 from hulthen.cli import main
 from hulthen.oracle import _cooley, _deviations, _grid_ends, _log_grid, _march, _offsets
+from special_reference import feynman_hellmann_exact
 
 ANCHOR = PotentialParams(Z=1.0, alpha=0.05)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ShootingConfig(energy_bracket=(-0.5, -1.0))
+        ShootingConfig(energy_bracket=(-0.5, -1.0), tolerance=1e-9)
     with pytest.raises(ValueError):
-        ShootingConfig(energy_bracket=(-1.0, 0.5))
+        ShootingConfig(energy_bracket=(-1.0, 0.5), tolerance=1e-9)
     with pytest.raises(ValueError):
         ShootingConfig(energy_bracket=(-1.0, -0.5), tolerance=0.0)
     # a nan tolerance made solve_exact return the bracket midpoint unchecked
@@ -61,7 +62,7 @@ def test_bracket_ending_at_zero_raises():
     # the grid ends 40 decay lengths past the turning point at E_hi, and at
     # E_hi = 0 a level has no decay length
     with pytest.raises(ValueError, match=r"^energy bracket must satisfy E_lo < E_hi < 0$"):
-        ShootingConfig(energy_bracket=(-1.0, 0.0))
+        ShootingConfig(energy_bracket=(-1.0, 0.0), tolerance=1e-9)
 
 
 @pytest.mark.parametrize("bracket,tolerance,r_max", [
@@ -90,7 +91,7 @@ def test_bracket_whose_decay_rate_rounds_to_zero_raises(monkeypatch):
     # -2 mu E_hi = 1e-324 rounds to 0, so kappa_hi = 0 and 40/kappa_hi raised
     # a bare ZeroDivisionError; at mu = 1 the same bracket overflows r_max
     monkeypatch.setattr(oracle, "_log_grid", None)  # a grid built would raise TypeError
-    cfg = ShootingConfig(energy_bracket=(-1.0, -5e-324))
+    cfg = ShootingConfig(energy_bracket=(-1.0, -5e-324), tolerance=1e-9)
     with pytest.raises(BracketError, match=r"^upper bracket E=-5e-324 gives no grid: it would "
                                            r"run from r_min = 1\.0 to r_max = inf$"):
         solve_exact(PotentialParams(Z=1.0, alpha=0.05, mu=0.1), 0, 0, cfg)
@@ -104,7 +105,7 @@ def test_bracket_ending_near_zero_raises_before_a_march(monkeypatch):
 
     monkeypatch.setattr(oracle, "_march", no_march)
     monkeypatch.setattr(oracle, "_cooley", no_march)
-    cfg = ShootingConfig(energy_bracket=(-1.0, -1e-300))
+    cfg = ShootingConfig(energy_bracket=(-1.0, -1e-300), tolerance=1e-9)
     with pytest.raises(ConvergenceError, match=r"^T = h\^2 g/12 reaches .* on the 31323-point "
                                                r"grid: "):
         solve_exact(ANCHOR, 0, 0, cfg)
@@ -426,52 +427,83 @@ def test_certificate_counts_both_sides_afresh(monkeypatch):
         assert ("_march", res.points, side) in calls[last_pass + 1:]
 
 
-def test_counts_at_the_float_resolution_raise():
-    # at 6 float spacings of the bracket energy a count can contradict an
-    # end an earlier count proved: the bracket closes on no level
-    params = PotentialParams(Z=1.0, alpha=0.2)
+@pytest.mark.parametrize("params,spacings,floor", [
+    (PotentialParams(Z=1.0, alpha=0.2), 6, "7.105427357601002e-15"),
+    (PotentialParams(Z=1.0, alpha=0.05, D=2), 8, "5.684341886080802e-14"),
+    # a level 6.3e-6 Z alpha below 0, whose floor is that of Z alpha = 1.99
+    (PotentialParams(Z=1.0, alpha=1.99), 128, "2.842170943040401e-14"),
+], ids=["D3-6-spacings", "D2-8-spacings", "shallow"])
+def test_tolerance_below_the_floor_raises_before_a_march(monkeypatch, params, spacings, floor):
+    # at 6 float spacings of the bracket energy the counts of a grid once
+    # contradicted each other, and at 8 a D = 2 ground state missed its
+    # window: both lie below the floor of 128 spacings of the larger of
+    # -E_lo and Z alpha, as do 128 spacings of E_lo alone at a shallow level
     qn = QuantumNumbers(0, 0)
-    tol = 6.0 * math.ulp(default_config(params, qn).energy_bracket[0])
-    with pytest.raises(ConvergenceError, match="^node counts disagree at E=-0.405"):
-        solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
+    tol = spacings * math.ulp(default_config(params, qn).energy_bracket[0])
+    cfg = default_config(params, qn, tolerance=tol)
+    monkeypatch.setattr(oracle, "_ladder", None)  # a grid built would raise TypeError
+    with pytest.raises(ConvergenceError, match=f"^tolerance {tol!r} is below {floor}, 128 float "
+                                               f"spacings of the larger of -E_lo and Z alpha$"):
+        solve_exact(params, 0, 0, cfg)
 
 
-def test_level_outside_the_certified_window_raises():
-    # at 8 float spacings the extrapolated level of this D = 2 ground state
-    # misses the final grid's level, and both fresh counts see it below (at
-    # 6 the counts of a grid disagree first)
-    params = PotentialParams(Z=1.0, alpha=0.05, D=2)
-    qn = QuantumNumbers(0, 0)
-    tol = 8.0 * math.ulp(default_config(params, qn).energy_bracket[0])
-    with pytest.raises(ConvergenceError, match=r"^the node counts 1 and 1 of the 15553-point "
-                                               r"grid at E=.* do not certify the level with "
-                                               r"0 nodes$"):
-        solve_exact(params, 0, 0, default_config(params, qn, tolerance=tol))
+def _one_level(monkeypatch, count, k=0):
+    """Cooley passes that land on E = -0.5 in one step, counting k nodes
+    below it or at it and k + 1 above it, and Sturm marches that count
+    count(E)."""
+    monkeypatch.setattr(oracle, "_cooley",
+                        lambda grid, energy_val, basis: (k + (energy_val > -0.5),
+                                                         -0.5 - energy_val, basis))
+    monkeypatch.setattr(oracle, "_march", lambda grid, energy_val: count(energy_val))
+    return ShootingConfig(energy_bracket=(-1.0, -0.3), tolerance=1e-6)
 
 
-def test_bracket_closed_by_counts_returns_its_midpoint(monkeypatch):
+def test_counts_at_the_float_resolution_raise(monkeypatch):
+    # the Cooley count at -0.5 proved the lower end there, and the
+    # certificate's count half a tolerance below reads the level above it,
+    # as counts at the float resolution of the march can: the bracket
+    # closes on no level
+    cfg = _one_level(monkeypatch, lambda energy_val: int(energy_val > -0.5 - 1e-6))
+    with pytest.raises(ConvergenceError, match=r"^node counts disagree at E=-0\.5000005: "):
+        solve_exact(ANCHOR, 0, 0, cfg)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_window_that_holds_not_exactly_the_target_level_raises(monkeypatch, k):
+    # counts of 0 and 2 at the ends of the window: it holds the levels with
+    # 0 and 1 nodes and certifies neither, though for k = 0 its lower count
+    # is the target
+    cfg = _one_level(monkeypatch, lambda energy_val: 2 if energy_val > -0.5 else 0, k)
+    with pytest.raises(ConvergenceError, match=rf"^the node counts 0 and 2 of the \d+-point "
+                                               rf"grid at E=-0\.5 -/\+ 5e-07 do not certify "
+                                               rf"the level with {k} nodes$"):
+        solve_exact(ANCHOR, 0, k, cfg)
+
+
+def test_bracket_closed_by_counts_still_ends_on_a_cooley_level(monkeypatch):
     # on the first grid one count at -0.65 closes the bracket to (-0.65, -0.3),
-    # within the tolerance 0.5, so that grid's level is the midpoint -0.475;
-    # the second grid's is converged by one pass from there
+    # within the tolerance 0.5; that grid's level is still converged by
+    # Cooley passes, so the estimate is that of two grid levels
     _ends(monkeypatch, 1e-3, 400.0)
     cfg = ShootingConfig(energy_bracket=(-1.0, -0.3), tolerance=0.5)
     res = solve_exact(ANCHOR, 0, 0, cfg)
-    assert res.error_estimate == pytest.approx(abs(res.energy + 0.475) / 16.0, rel=1e-9)
-    assert (res.points, res.shots) == (9209, 4)
-    # gamma = 0: the closed form -0.4753125 is the exact level
-    assert abs(res.energy + 0.4753125) <= res.residual
+    assert res.energy == pytest.approx(-0.47539, abs=1e-5)
+    assert res.error_estimate == pytest.approx(8.07e-5, rel=1e-3)
+    assert (res.points, res.shots) == (9209, 5)
+    # gamma = 0: the closed form -0.4753125 is the exact level, 7.8e-5 off
+    assert abs(res.energy + 0.4753125) <= res.error_estimate <= res.residual
 
 
 def test_wrong_node_count_raises(monkeypatch):
-    # the window of width 0.02 around E = -0.0067 holds both the fourth and
-    # the fifth level (-0.01125 and -0.0028): the count at its lower end
-    # is 3, not the 4 of the target (the upper end, above 0, counts 14
-    # grid levels)
+    # the window of width 0.02 around E = -0.00017, the level with 5 nodes
+    # on this grid, also holds the one with 4 (-0.0028): the count at its
+    # lower end is the target 4, but the upper end, above 0, counts 21 grid
+    # levels, so the window certifies no single level
     _ends(monkeypatch, 1e-3, 400.0)
     cfg = ShootingConfig(energy_bracket=(-0.5, -1e-4), tolerance=0.02)
-    with pytest.raises(ConvergenceError, match=r"^the node counts 3 and 14 of the 4605-point "
-                                               r"grid at E=.* do not certify the level with "
-                                               r"4 nodes$"):
+    with pytest.raises(ConvergenceError, match=r"^the node counts 4 and 21 of the 4605-point "
+                                               r"grid at E=-0\.000173.* do not certify the "
+                                               r"level with 4 nodes$"):
         solve_exact(ANCHOR, 0, 4, cfg)
 
 
@@ -483,7 +515,7 @@ def test_convergence_errors(monkeypatch):
     # from the default bracket one corrector pass per grid converges the
     # level; this wider one needs five on the first grid, so a single pass
     # cannot converge
-    wide = ShootingConfig(energy_bracket=(-1.0, -0.3))
+    wide = ShootingConfig(energy_bracket=(-1.0, -0.3), tolerance=1e-9)
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_MAX_PASSES", 1)
         with pytest.raises(ConvergenceError, match="^no level to 1e-09 within 1 passes"):
@@ -613,6 +645,45 @@ def test_exact_levels_within_error_estimate(dim, l, n, alpha):
     res = solve_exact(params, l, level(params, qn).nodes, cfg)
     assert res.error_estimate <= res.residual == 0.5 * cfg.tolerance
     assert abs(res.energy - level(params, qn).energy) <= min(cfg.tolerance, res.error_estimate)
+
+
+# D = 3 and D = 1 potentials of the tolerance floor's sweep (ROADMAP item
+# 2), with Z up to 10^2.5
+floor_params = st.builds(
+    lambda z, mu, hbar, alpha, dim: PotentialParams(Z=10.0**z, mu=10.0**mu, hbar=10.0**hbar,
+                                                    alpha=10.0**alpha, D=dim),
+    st.floats(0.0, 2.5), st.floats(-1.0, 1.0), st.floats(-0.7, 0.5), st.floats(-3.0, 0.0),
+    st.sampled_from([3, 1]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(floor_params, st.integers(0, 4))
+@example(PotentialParams(Z=267.2578875980919, mu=2.0965521440403934, hbar=0.24389413498379664,
+                         alpha=0.044498771571684484), 0)
+@example(PotentialParams(Z=1.0, alpha=0.2), 0)
+@example(PotentialParams(Z=4.462839757968484, mu=0.1852514515949734, hbar=1.7768190161402948,
+                         alpha=0.46873637950573604), 0)
+def test_window_at_the_tolerance_floor_holds_the_exact_level(params, n):
+    # gamma = 0 at D = 3, l = 0 and D = 1, l = 1, so the closed form, in
+    # exact fractions of the inputs, is the exact level.  At 1, 2 and 16
+    # times the floor of 128 float spacings of max(-E_lo, Z alpha) the
+    # window holds it.  At the first example a window of 1e-9 (4.3
+    # spacings) missed it by 2.5 half-widths, at the second one of 6
+    # spacings by 3 of them, and at the third one of 128 spacings of E_lo
+    # alone (Z alpha = 325 |E|) by 5.5
+    l = 0 if params.D == 3 else 1
+    qn = QuantumNumbers(n, l)
+    try:
+        lv = level(params, qn)
+    except NoBoundState:
+        return
+    # <V> + <T> = E
+    exact = sum(feynman_hellmann_exact(params.Z, params.alpha, params.mu, params.hbar,
+                                       params.D, n, l)[2:])
+    floor = 128 * math.ulp(max(-1.2 * lv.energy, params.Z * params.alpha))
+    for factor in (1, 2, 16):
+        res = solve_exact(params, l, lv.nodes, default_config(params, qn, factor * floor))
+        assert abs(Fraction(res.energy) - exact) <= res.residual
 
 
 # points of the final grid of each level at the default tolerance
@@ -862,7 +933,7 @@ def test_narrow_grid_keeps_eight_steps(monkeypatch):
     # the coarsest grid is sized by its step in ln(r), and a span of 1e-3
     # in ln(r) would be one step, on which a march fails with an IndexError
     _ends(monkeypatch, 1.0, 1.001)
-    cfg = ShootingConfig(energy_bracket=(-100.0, -0.1))
+    cfg = ShootingConfig(energy_bracket=(-100.0, -0.1), tolerance=1e-9)
     with pytest.raises(BracketError, match="^upper bracket E=-0.1 lies below the target"):
         solve_exact(ANCHOR, 0, 0, cfg)
 
@@ -870,7 +941,7 @@ def test_narrow_grid_keeps_eight_steps(monkeypatch):
 def test_bracket_too_deep_for_the_series_raises():
     # G_2 = -c E r_min^2 = 300 at the midpoint E = -15000: the terms of the
     # regular series pass 2^-60 of their sum only after the 64 it may sum
-    cfg = ShootingConfig(energy_bracket=(-2e4, -1e4))
+    cfg = ShootingConfig(energy_bracket=(-2e4, -1e4), tolerance=1e-9)
     with pytest.raises(oracle.OracleError, match=r"^the regular series at r_min = 0\.1 is not "
                                                  r"summed to machine precision at E=-15000\.0: "
                                                  r"its first 64 terms add up to "):

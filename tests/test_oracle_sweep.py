@@ -3,6 +3,7 @@ two source trees, and only those, and tells a mended level from a broken
 one."""
 
 import importlib.util
+import math
 import re
 import shutil
 from pathlib import Path
@@ -45,6 +46,8 @@ def test_copy_at_another_path_matches_and_a_changed_count_is_found(tmp_path, cap
     assert "max |dE|/tolerance to refined over 0 mended levels: 0\n" in out
     assert "solves moved by more than 0.001 of their tolerance: 0\n" in out
     assert "shots new - old over 3 levels solved by both: 0:3\n" in out
+    assert ("gamma = 0 levels of new outside energy -/+ residual of their closed form: "
+            "0 of 1, ") in out
 
     counting = _copy(tmp_path, "counting", "            return nodes\n",
                      "            return nodes + 1\n")
@@ -104,3 +107,28 @@ def test_moved_levels_are_checked_against_refined_solves(tmp_path, capsys):
     assert "solves moved by more than 0.001 of their tolerance: 3\n" in out
     assert "max |dE|/tolerance over 3 levels solved by both: 0.4\n" in out
     assert "max |dE|/tolerance to refined over 3 moved levels: 0.792\n" in out
+
+
+def test_gamma_zero_level_off_its_closed_form_is_found(tmp_path, capsys):
+    # both trees return each level 1.5 tolerances off, so neither moved; the
+    # gamma = 0 level (draw 2: D = 1, l = 1) lies 3 residuals from its closed
+    # form
+    shifted = _copy(tmp_path, "shifted", "    return OracleResult(energy_val, ",
+                    "    return OracleResult(energy_val + 1.5 * tol, ")
+    code, out = _sweep(shifted, shifted, capsys)
+    assert code == 1
+    assert "solves changed: 0\ncounts changed: 0\n" in out
+    assert "max |dE|/tolerance over 3 levels solved by both: 0\n" in out
+    assert ("gamma = 0 levels of new outside energy -/+ residual of their closed form: "
+            "1 of 1, ") in out
+    assert re.search(r"\n  draw 2: \|E - E_closed\|/residual 3 ", out)
+
+
+def test_refined_solve_keeps_to_the_tolerance_floor():
+    # draw 1 of seed 90 lies at E = -449.7 (Z alpha = 0.04): a hundredth of
+    # its tolerance 1e-9 is below 128 float spacings of the bracket end
+    # 1.2 E, where solve_exact raises, so its refined solve runs at that floor
+    refined = oracle_sweep.run(ROOT / "src", 90, 2, [1])["refined"][0]
+    floor = 128 * math.ulp(1.2 * -449.6980870785845)
+    assert refined["outcome"] == "ok"
+    assert refined["tolerance"] == floor > 1e-11

@@ -32,6 +32,10 @@ from pathlib import Path
 STRONG_CORE = ("expectation --Z 2.3163131398668173 --mu 8.680299759535256 "
                "--alpha 0.11827746864980619 --hbar 0.20155218228825997 --dim 1 --n 1")
 
+# D = 3, l = 0 (gamma = 0, so the closed form is exact) at E = -1.26e6
+DEEP_LEVEL = ("validate --Z 267.2578875980919 --mu 2.0965521440403934 "
+              "--hbar 0.24389413498379664 --alpha 0.044498771571684484")
+
 ARGV_SETS = [argv.split() for argv in (
     "spectrum",
     "spectrum --alpha 2.5",
@@ -155,6 +159,15 @@ ARGV_SETS = [argv.split() for argv in (
     "expectation --alpha 1e-300 --n 1",
     # a default grid whose r_max = 40/kappa overflows to inf
     "wavefunction --Z 2e-9 --alpha 2e-309 --hbar 1e150 --points 3",
+    # a level deep enough that 1e-9 is below the tolerance floor of 128
+    # float spacings of 1.2 |E|: a window of 1e-9 there missed the exact
+    # level
+    DEEP_LEVEL,
+    DEEP_LEVEL + " --format json",
+    # tolerances just above and just below the floor at the default level
+    # (128 float spacings of max(1.2 |E|, Z alpha) = 0.570375 are 1.42e-14)
+    "validate --oracle-tolerance 1.5e-14",
+    "validate --oracle-tolerance 1.4e-14",
 )]
 
 PLACEHOLDER = b"<src>"

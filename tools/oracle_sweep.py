@@ -14,24 +14,30 @@ closed-form level raises NoBoundState from default_config).
 A level that only NEW_SRC solves (an error -> ok change, "mended") and a
 level both trees solve whose energy moved by more than MOVED = 1e-3 of
 its tolerance ("moved") are checked against a refined solve of NEW_SRC:
-the same bracket at a hundredth of the tolerance, on a grid from a tenth
-of the r_min of its `oracle._grid_ends` to twice its r_max.
+the same bracket at a hundredth of the tolerance, or at the floor of
+`solve_exact` (`oracle._tolerance_floor`) if that is larger, on a grid
+from a tenth of the r_min of its `oracle._grid_ends` to twice its r_max.
+Every level NEW_SRC solves at gamma = 0 (D = 3, l = 0 and D = 1, l <=
+1), where the closed form solves the exact equation, is checked against
+that closed form, taken in exact fractions of the draw.
 
 Printed: the outcomes of each tree by class, every draw whose solve or
 count outcome changed (a mended level with its |E - E_refined|/tolerance),
 every moved level with its |E_new - E_old|/tolerance and |E -
 E_refined|/tolerance, the largest |E_new - E_old|/tolerance over the
 levels both trees solve and the largest |E - E_refined|/tolerance over
-the mended and over the moved ones, the histograms of final grid steps
+the mended and over the moved ones, the gamma = 0 levels of NEW_SRC whose
+closed form lies outside energy -/+ residual and the largest |E -
+E_closed|/residual over them all, the histograms of final grid steps
 (by the power of two at or above them) and of shots of each tree, the
 histogram of shots(new) - shots(old) over the levels both trees solve
 (so a change in the passes a solve makes shows at once), and each
 tree's wall time for the solves and the counts.  The exit status is
 1 if a level one tree solved raises in NEW_SRC (an ok -> error change), a
-count changed, or a level lies more than half its tolerance from its old
+count changed, a level lies more than half its tolerance from its old
 value or from its refined one (a refined solve that raises counts as
-such), else 0.  A change from one error class to another is printed but
-does not fail.
+such), or a gamma = 0 level of NEW_SRC misses its closed form, else 0.
+A change from one error class to another is printed but does not fail.
 
 The parent commit's tree can be unpacked next to the checkout with
 
@@ -49,6 +55,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 # a level both trees solve is checked against its refined solve once its
@@ -77,10 +84,11 @@ def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
     def solve(params, qn, refined=False):
         cfg = default_config(params, qn)
         if refined:
-            cfg = default_config(params, qn, cfg.tolerance / 100.0)
+            floor = oracle._tolerance_floor(params, cfg.energy_bracket[0])
+            cfg = default_config(params, qn, max(cfg.tolerance / 100.0, floor))
         res = solve_exact(params, qn.l, level(params, qn).nodes, cfg)
-        return {"energy": res.energy, "tolerance": cfg.tolerance, "points": res.points,
-                "shots": res.shots}
+        return {"energy": res.energy, "tolerance": cfg.tolerance, "residual": res.residual,
+                "points": res.points, "shots": res.shots}
 
     def outcome(func, *args):
         try:
@@ -166,6 +174,33 @@ def refined_ratios(new: dict, refined: list[dict], checked: list[int]) -> dict:
             for i, ref in zip(checked, refined)}
 
 
+def closed_form(d: dict) -> Fraction | None:
+    """The level of draw d by the closed form E = -(alpha hbar eps)^2/(2 mu),
+    eps = (delta - m^2)/(2m), delta = 2 Z mu/(alpha hbar^2), m = n + l +
+    (D-1)/2, in exact fractions of its inputs, where gamma = 0 (there the
+    closed form solves the exact equation) and the level exists; else
+    None."""
+    if (2 * d["l"] + d["D"] - 1) * (2 * d["l"] + d["D"] - 3) != 0:
+        return None
+    Z, mu, hbar, alpha = (Fraction(d[key]) for key in ("Z", "mu", "hbar", "alpha"))
+    m = d["n"] + d["l"] + Fraction(d["D"] - 1, 2)
+    delta = 2 * Z * mu / (alpha * hbar**2)
+    if m <= 0 or delta <= m * m:
+        return None
+    return -((alpha * hbar * (delta - m * m) / (2 * m)) ** 2) / (2 * mu)
+
+
+def closed_form_ratios(picks: list[dict], solves: list[dict]) -> dict:
+    """{draw index: |E - E_closed|/residual} of each solved level with a
+    closed_form."""
+    ratios = {}
+    for i, (d, row) in enumerate(zip(picks, solves)):
+        exact = closed_form(d)
+        if exact is not None and row["outcome"] == "ok":
+            ratios[i] = float(abs(Fraction(row["energy"]) - exact) / Fraction(row["residual"]))
+    return ratios
+
+
 def _histogram(values) -> str:
     hist = Counter(values)
     return " ".join(f"{value}:{hist[value]}" for value in sorted(hist)) or "-"
@@ -222,6 +257,13 @@ def main(argv=None) -> int:
           f"{worst_mended:.3g}")
     print(f"max |dE|/tolerance to refined over {len(diff['moved'])} moved levels: "
           f"{worst_moved:.3g}")
+    exact = closed_form_ratios(picks, trees["new"]["solves"])
+    misses = [i for i, ratio in exact.items() if ratio > 1.0]
+    print(f"gamma = 0 levels of new outside energy -/+ residual of their closed form: "
+          f"{len(misses)} of {len(exact)}, max |E - E_closed|/residual "
+          f"{max(exact.values(), default=0.0):.3g}")
+    for i in misses:
+        print(f"  draw {i}: |E - E_closed|/residual {exact[i]:.3g}  {picks[i]}")
     solved = {name: [row for row in out["solves"] if row["outcome"] == "ok"]
               for name, out in trees.items()}
     # final grid sizes seldom repeat: each is binned by the power of two at
@@ -236,7 +278,8 @@ def main(argv=None) -> int:
     for name, out in trees.items():
         print(f"{name} wall: solves {out['solve_s']:.2f} s, counts {out['count_s']:.2f} s")
     broken = [i for i, a, b in diff["solves"] if a["outcome"] == "ok"]
-    return 1 if broken or diff["counts"] or max(diff["max_ratio"], worst_mended, worst_moved) > 0.5 else 0
+    worst = max(diff["max_ratio"], worst_mended, worst_moved)
+    return 1 if broken or diff["counts"] or misses or worst > 0.5 else 0
 
 
 if __name__ == "__main__":
