@@ -68,10 +68,11 @@ on its own only where the solve needs it: when it first falls back to
 bisection, and before it certifies or fails.  A solve makes at most 300 Cooley passes over all its
 grids (_MAX_PASSES).
 
-A Cooley pass within 1e-4 |E| (_CHORD_SPAN) of the last full pass, at
-its matching point, is a chord pass (the simplified Newton method): it
-counts in place and reuses that pass's norm, as the next grid's first
-pass reuses the coarse grid's, doubled, at 2m.
+A Cooley pass within 1e-4 |E| (_CHORD_SPAN) of the last full pass is a
+chord pass (the simplified Newton method): it counts in place and reuses
+that pass's norm, as the next grid's first pass reuses the coarse grid's,
+doubled, at 2m.  F is 1 at the matching point, so a pass whose matching
+point has moved rescales that norm by the pivots between the two points.
 
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
@@ -477,8 +478,11 @@ def _march(grid, energy_val) -> int:
 
 
 # the reach in |E| of a chord pass (_cooley).  On the 1008 spectra levels
-# of bench/ (seeds 1-3) a solve made 2.6 full and 1.8 chord passes (4.4
-# full before), and no level moved by 1e-4 of its tolerance
+# of bench/ (seeds 1-3) a solve makes 2.05 full and 2.36 chord passes:
+# 2.57 and 1.84 with chord passes only at the basis's own matching point,
+# where 528 of the 1073 finer grids began on a full pass (none now), and
+# 4.4 full passes with no chord passes.  Neither step moved a level by
+# 1e-4 of its tolerance
 _CHORD_SPAN = 1e-4
 _NO_BASIS = (0, 0.0, 0.0)  # no matching point is 0
 
@@ -494,9 +498,14 @@ def _cooley(grid, energy_val, basis=_NO_BASIS):
     of the Numerov matrix: the negative R, S and gamma add up to the Sturm
     count, and dE = gamma / (c_m h^2 norm), norm = sum Q y^2, with c = 1 -
     T and y = F/c.  A full pass returns the basis (m, norm, energy_val).
-    Offered a basis at the same m within _CHORD_SPAN |E|, it is a chord
-    pass: it counts in place (_count), with the same count, and steps on
-    the basis's norm, off by the norm's relative change since.
+    Offered a basis (m_b, norm_b, E_b) within _CHORD_SPAN |E|, it is a
+    chord pass: it counts in place (_count), with the same count, and steps
+    on norm_b / (F_m/F_{m_b})^2, the norm of the same solution scaled to
+    F_m = 1, off by the norm's relative change since E_b.  F_m/F_{m_b} is
+    the product of the pivots R_{m_b} .. R_{m-1} (m > m_b) or S_{m_b} ..
+    S_{m+1} (m < m_b), which the march there passes one by one, counting
+    them as _count does.  A basis with m_b outside 1 .. n-3, or a rescaled
+    norm that is not a finite positive float, gets a full pass.
     """
     h, _, q_arr, _ = grid
     t, w, d0 = _offsets(grid, energy_val)
@@ -504,11 +513,27 @@ def _cooley(grid, energy_val, basis=_NO_BASIS):
     allowed = np.flatnonzero(t < 0.0)
     m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
     d_end = w[n - 2] + 1.0  # S_{n-2} = U_{n-2}, less 1
-    if m == basis[0] and abs(energy_val - basis[2]) <= _CHORD_SPAN * abs(energy_val):
-        nodes_out, d_lo = _count(w[1:m], d0)
-        nodes_in, d_hi = _count(w[n - 3 : m : -1], d_end)
-        nodes, norm = nodes_out + nodes_in + (d_end < -1.0), basis[1]
-    else:
+    j, norm = basis[0], 0.0
+    if 1 <= j <= n - 3 and abs(energy_val - basis[2]) <= _CHORD_SPAN * abs(energy_val):
+        # each march stops at j or m, whichever it meets first; the pivots
+        # between, R_j .. R_{m-1} or S_j .. S_{m+1}, multiply to F_m/F_j
+        nodes_out, d_lo = _count(w[1 : min(j, m)], d0)
+        nodes_in, d_hi = _count(w[n - 3 : max(j, m) : -1], d_end)
+        if m > j:
+            between = list(_deviations(w[j:m], d_lo))
+            d_lo = between[-1]
+        else:
+            between = list(_deviations(w[j:m:-1], d_hi))
+            d_hi = between[-1]
+        nodes, ratio = nodes_out + nodes_in + (d_end < -1.0), 1.0
+        for d in between[1:]:
+            nodes += d < -1.0
+            ratio *= 1.0 + d
+        # the basis's solution scaled to F_m = 1
+        norm = basis[1] / (ratio * ratio) if ratio * ratio else math.inf
+    # no basis in reach, or a rescaled norm that is not a finite positive
+    # float (a step of 0 on a norm of inf would pass as converged)
+    if not 0.0 < norm < math.inf:
         # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}, less 1
         d_out = np.fromiter(_deviations(w[1:m], d0), float, m)
         d_in = np.fromiter(_deviations(w[n - 3 : m : -1], d_end), float, n - 2 - m)
@@ -517,8 +542,8 @@ def _cooley(grid, energy_val, basis=_NO_BASIS):
             weight = q_arr / (c * c)
             f_out = np.cumprod(1.0 / (1.0 + d_out[::-1]))  # F_{m-1} .. F_0
             f_in = np.cumprod(1.0 / (1.0 + d_in[::-1]))  # F_{m+1} .. F_{n-2}
-            norm = (weight[m] + weight[m - 1 :: -1] @ (f_out * f_out)
-                    + weight[m + 1 : n - 1] @ (f_in * f_in))
+            norm = float(weight[m] + weight[m - 1 :: -1] @ (f_out * f_out)
+                         + weight[m + 1 : n - 1] @ (f_in * f_in))
         nodes = np.count_nonzero(d_out[1:] < -1.0) + np.count_nonzero(d_in < -1.0)
         d_lo, d_hi, basis = d_out[-1], d_in[-1], (m, norm, energy_val)
     with np.errstate(all="ignore"):

@@ -589,8 +589,8 @@ def test_chord_pass_steps_as_a_full_pass(dim, l, n, alpha):
     # at a level, a chord pass on the basis of a full pass 1e-8 |E| away
     # counts as the full pass there does and steps within 1e-6 of it.  On
     # the final grid the coarse grid's basis, carried over as (2m, 2 norm),
-    # steps within 1e-4 of it where the fine m is 2m, and where it is not
-    # (n = 20: 6541 against 6540) the pass is a full one
+    # is a chord pass too, and steps within 1e-4 of the full pass, where the
+    # fine m is 2m and where it is not (n = 20: 6541 against 6540; 7.8e-7)
     params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
     qn = QuantumNumbers(n, l)
     cfg = default_config(params, qn)
@@ -601,15 +601,103 @@ def test_chord_pass_steps_as_a_full_pass(dim, l, n, alpha):
     near = _cooley(grid, res.energy * (1.0 + 1e-8))[2]
     chord = _cooley(grid, res.energy, near)
     assert chord[0] == nodes and chord[2] is near
-    assert chord[1] == pytest.approx(step, rel=1e-6)
+    assert chord[1] == pytest.approx(step, rel=1e-6, abs=0.0)
     m, norm, e_full = _cooley(_log_grid(params, l, *ends, res.points // 2 + 1), res.energy)[2]
     carried = (2 * m, 2.0 * norm, e_full)
     chord = _cooley(grid, res.energy, carried)
-    assert chord[0] == nodes
-    if basis[0] == 2 * m:
-        assert chord[2] is carried and chord[1] == pytest.approx(step, rel=1e-4)
+    assert (basis[0] == 2 * m) == (n != 20)
+    assert chord[0] == nodes and chord[2] is carried
+    assert chord[1] == pytest.approx(step, rel=1e-4, abs=0.0)
+
+
+def _level_grid(dim, l, n, alpha):
+    """The final grid of the level and its energy."""
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    cfg = default_config(params, qn)
+    res = solve_exact(params, l, level(params, qn).nodes, cfg)
+    return _log_grid(params, l, *_grid_ends(params, cfg.energy_bracket[1]), res.points), res.energy
+
+
+@pytest.mark.parametrize("shift", [1, 2, 5, -1, -2, -5, "node"])
+def test_chord_pass_rescales_the_norm_to_its_matching_point(shift):
+    # F is 1 at the matching point m, so a basis at m_b holds the norm of
+    # the same solution scaled by (F_m/F_{m_b})^2: at the full pass's own
+    # energy a chord pass from it steps as the full pass does, to rounding.
+    # F_m/F_{m_b} is the product of the outward pivots R_{m_b} .. R_{m-1}
+    # (m_b < m) or the inward S_{m_b} .. S_{m+1} (m_b > m), taken here from
+    # the arrays of _deviations.  "node": m_b just below the last node, so
+    # one of those pivots is negative and counts.  1e-6 |E| off the level
+    # the step is no rounding residue
+    grid, e_val = _level_grid(3, 0, 3, 0.05)
+    e_val *= 1.0 + 1e-6
+    nodes, step, (m, norm, _) = _cooley(grid, e_val)
+    _, w, d0 = _offsets(grid, e_val)
+    n = len(w)
+    d_out = list(_deviations(w[1:m], d0))  # D_i = R_i - 1 at index i
+    d_in = list(_deviations(w[n - 3 : m : -1], w[n - 2] + 1.0))  # S_i - 1 at n - 2 - i
+    if shift == "node":
+        m_b = max(i for i, d in enumerate(d_out) if d < -1.0)
+        assert m - m_b == 134
     else:
-        assert (n, chord[1:]) == (20, (step, basis))
+        m_b = m - shift
+    between = d_out[m_b:m] if m_b < m else d_in[n - 2 - m_b : n - 2 - m]
+    assert len(between) == abs(m - m_b)
+    ratio = 1.0
+    for d in between:
+        ratio *= 1.0 + d
+    basis = (m_b, norm * ratio * ratio, e_val)
+    chord = _cooley(grid, e_val, basis)
+    assert chord[0] == nodes and chord[2] is basis
+    assert chord[1] == pytest.approx(step, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m_b,norm", [
+    (lambda m, n: m, 0.0), (lambda m, n: m, math.inf), (lambda m, n: m, math.nan),
+    (lambda m, n: m + 2, 0.0), (lambda m, n: m - 2, math.inf), (lambda m, n: m + 1, math.nan),
+    (lambda m, n: -1, 1.0), (lambda m, n: 0, 1.0), (lambda m, n: n - 2, 1.0),
+    (lambda m, n: n - 1, 1.0), (lambda m, n: n, 1.0),
+], ids=["m-0", "m-inf", "m-nan", "m+2-0", "m-2-inf", "m+1-nan", "-1", "0", "n-2", "n-1", "n"])
+def test_chord_pass_on_a_basis_it_cannot_use_runs_in_full(m_b, norm):
+    # a rescaled norm that is not a finite positive float, or a basis off
+    # the marches (R_{m_b} or S_{m_b} exist for 1 <= m_b <= n - 3 only),
+    # gets a full pass and its fresh basis: on a norm of inf a chord pass
+    # would step by 0, as at a converged level
+    grid, e_val = _level_grid(3, 0, 0, 0.05)
+    full = _cooley(grid, e_val)
+    out = _cooley(grid, e_val, (m_b(full[2][0], grid[1].size), norm, e_val))
+    assert out[:2] == full[:2] and out[2] == full[2]
+
+
+@pytest.mark.parametrize("dim,l,alpha,n", [
+    (3, 0, 0.002, 20), (1, 0, 0.04, 1), (1, 0, 0.04, 7), (1, 1, 0.03, 2), (1, 1, 0.03, 7),
+    (1, 2, 0.04, 3), (3, 0, 0.06, 3), (3, 0, 0.07, 4), (3, 0, 0.09, 0), (3, 1, 0.03, 5),
+    (3, 1, 0.04, 2), (3, 2, 0.06, 1), (4, 0, 0.03, 4), (4, 0, 0.03, 6), (4, 1, 0.05, 1),
+    (4, 2, 0.04, 2), (5, 0, 0.06, 0), (5, 1, 0.04, 2), (5, 2, 0.03, 2), (5, 2, 0.04, 0),
+])
+def test_finer_grid_starts_on_a_chord_pass(monkeypatch, dim, l, alpha, n):
+    # each finer grid's first pass is offered the coarse basis at 2m, and on
+    # these levels the fine matching point of at least one finer grid is
+    # 2m + 1: that pass rescales the carried norm and is a chord pass too
+    sizes, firsts = [], []
+
+    def spy(grid, energy_val, basis):
+        out = _cooley(grid, energy_val, basis)
+        if grid[1].size not in sizes:
+            if sizes:
+                # a chord pass returns the basis it was offered; the fine
+                # matching point is that of a full pass at the same energy
+                firsts.append((out[2] is basis, _cooley(grid, energy_val)[2][0] - basis[0]))
+            sizes.append(grid[1].size)
+        return out
+
+    monkeypatch.setattr(oracle, "_cooley", spy)
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    qn = QuantumNumbers(n, l)
+    res = solve_exact(params, l, level(params, qn).nodes, default_config(params, qn))
+    assert res.node_count == level(params, qn).nodes and res.points == sizes[-1]
+    assert len(firsts) == len(sizes) - 1 >= 1
+    assert all(chord for chord, _ in firsts) and 1 in [moved for _, moved in firsts]
 
 
 @pytest.mark.parametrize("params,l,r_min,r_max,e_lo,steps", [

@@ -46,6 +46,9 @@ def test_copy_at_another_path_matches_and_a_changed_count_is_found(tmp_path, cap
     assert "max |dE|/tolerance to refined over 0 mended levels: 0\n" in out
     assert "solves moved by more than 0.001 of their tolerance: 0\n" in out
     assert "shots new - old over 3 levels solved by both: 0:3\n" in out
+    passes = re.findall(r"^(old|new) passes per solve: (full \d+\.\d\d, chord \d+\.\d\d)$", out,
+                        re.M)
+    assert [tree for tree, _ in passes] == ["old", "new"] and passes[0][1] == passes[1][1]
     assert ("gamma = 0 levels of new outside energy -/+ residual of their closed form: "
             "0 of 1, ") in out
 

@@ -31,12 +31,14 @@ closed form lies outside energy -/+ residual and the largest |E -
 E_closed|/residual over them all, the histograms of final grid steps
 (by the power of two at or above them) and of shots of each tree, the
 histogram of shots(new) - shots(old) over the levels both trees solve
-(so a change in the passes a solve makes shows at once), and each
-tree's wall time for the solves and the counts.  The exit status is
-1 if a level one tree solved raises in NEW_SRC (an ok -> error change), a
-count changed, a level lies more than half its tolerance from its old
-value or from its refined one (a refined solve that raises counts as
-such), or a gamma = 0 level of NEW_SRC misses its closed form, else 0.
+(so a change in the passes a solve makes shows at once), the mean full
+and chord Cooley passes per solved level of each tree that has chord
+passes (`oracle._CHORD_SPAN`), and each tree's wall time for the solves
+and the counts.  The exit status is 1 if a level one tree solved raises
+in NEW_SRC (an ok -> error change), a count changed, a level lies more
+than half its tolerance from its old value or from its refined one (a
+refined solve that raises counts as such), or a gamma = 0 level of
+NEW_SRC misses its closed form, else 0.
 A change from one error class to another is printed but does not fail.
 
 The parent commit's tree can be unpacked next to the checkout with
@@ -82,13 +84,14 @@ def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
     from hulthen import default_config, level, solve_exact
 
     def solve(params, qn, refined=False):
+        passes.clear()
         cfg = default_config(params, qn)
         if refined:
             floor = oracle._tolerance_floor(params, cfg.energy_bracket[0])
             cfg = default_config(params, qn, max(cfg.tolerance / 100.0, floor))
         res = solve_exact(params, qn.l, level(params, qn).nodes, cfg)
         return {"energy": res.energy, "tolerance": cfg.tolerance, "residual": res.residual,
-                "points": res.points, "shots": res.shots}
+                "points": res.points, "shots": res.shots, **passes}
 
     def outcome(func, *args):
         try:
@@ -98,6 +101,20 @@ def child(seed: int, count: int, refine: list[int] | None = None) -> dict:
 
     def potential(d):
         return PotentialParams(Z=d["Z"], mu=d["mu"], hbar=d["hbar"], alpha=d["alpha"], D=d["D"])
+
+    # full and chord Cooley passes of the solve running; a chord pass
+    # returns the basis it was offered.  Trees from before chord passes
+    # (no oracle._CHORD_SPAN) are not counted
+    passes = Counter()
+    if hasattr(oracle, "_CHORD_SPAN"):
+        cooley = oracle._cooley
+
+        def counted(grid, energy_val, *basis):
+            out = cooley(grid, energy_val, *basis)
+            passes["chord" if basis and out[2] is basis[0] else "full"] += 1
+            return out
+
+        oracle._cooley = counted
 
     picks = draws(seed, count)
     if refine is not None:
@@ -275,6 +292,11 @@ def main(argv=None) -> int:
         print(f"{name} shots: {_histogram(row['shots'] for row in rows)}")
     print(f"shots new - old over {diff['solved']} levels solved by both: "
           f"{_histogram(diff['shots'])}")
+    for name, rows in solved.items():
+        if rows and "full" in rows[0]:
+            print(f"{name} passes per solve: "
+                  + ", ".join(f"{kind} {sum(row.get(kind, 0) for row in rows) / len(rows):.2f}"
+                              for kind in ("full", "chord")))
     for name, out in trees.items():
         print(f"{name} wall: solves {out['solve_s']:.2f} s, counts {out['count_s']:.2f} s")
     broken = [i for i, a, b in diff["solves"] if a["outcome"] == "ok"]
