@@ -69,10 +69,9 @@ bisection, and before it certifies or fails.  A solve makes at most 300 Cooley p
 grids (_MAX_PASSES).
 
 A Cooley pass within 1e-4 |E| (_CHORD_SPAN) of the last full pass is a
-chord pass (the simplified Newton method): it counts in place and reuses
-that pass's norm, as the next grid's first pass reuses the coarse grid's,
-doubled, at 2m.  F is 1 at the matching point, so a pass whose matching
-point has moved rescales that norm by the pivots between the two points.
+chord pass (the simplified Newton method): it matches at that pass's
+point m, counts in place and reuses its norm, as the next grid's first
+pass reuses the coarse grid's, doubled, at 2m.
 
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
@@ -331,7 +330,6 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     is not finite.  The terms are built only as a start needs them, so a
     grid that is never marched builds none.
     """
-    gam = model._gamma_coeff(l, params.D)
     s = abs(model._angular_v(l, params.D) - 1) / 2.0
     c = 2.0 * params.mu / params.hbar**2
     x0 = math.log(r_min)
@@ -342,7 +340,8 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     with np.errstate(all="ignore"):
         pot = model.potential(radii, params)
         q_arr = c * radii * radii
-        p_arr = gam + 0.25 + q_arr * pot
+        # gamma + 1/4 = s^2, both k^2/4 with k = 2l + D - 2
+        p_arr = s * s + q_arr * pot
     # V <= 0, so P is not finite wherever Q = c r^2 overflows
     finite = np.isfinite(p_arr)
     if not finite.all():
@@ -477,12 +476,12 @@ def _march(grid, energy_val) -> int:
     return nodes
 
 
-# the reach in |E| of a chord pass (_cooley).  On the 1008 spectra levels
-# of bench/ (seeds 1-3) a solve makes 2.05 full and 2.36 chord passes:
-# 2.57 and 1.84 with chord passes only at the basis's own matching point,
-# where 528 of the 1073 finer grids began on a full pass (none now), and
-# 4.4 full passes with no chord passes.  Neither step moved a level by
-# 1e-4 of its tolerance
+# the reach in |E| of a chord pass (_cooley), which matches at the point
+# m_b of its basis: within it m_b, the last turning point at E_b, is still
+# a stable one.  On the 1008 spectra levels of bench/ (seeds 1-3) a solve
+# makes 2.05 full and 2.36 chord passes (4.4 full passes with no chord
+# passes), and none of the 1073 finer grids begins on a full pass.  No
+# level is 1e-4 of its tolerance from that of a solve with no chord passes
 _CHORD_SPAN = 1e-4
 _NO_BASIS = (0, 0.0, 0.0)  # no matching point is 0
 
@@ -499,41 +498,28 @@ def _cooley(grid, energy_val, basis=_NO_BASIS):
     count, and dE = gamma / (c_m h^2 norm), norm = sum Q y^2, with c = 1 -
     T and y = F/c.  A full pass returns the basis (m, norm, energy_val).
     Offered a basis (m_b, norm_b, E_b) within _CHORD_SPAN |E|, it is a
-    chord pass: it counts in place (_count), with the same count, and steps
-    on norm_b / (F_m/F_{m_b})^2, the norm of the same solution scaled to
-    F_m = 1, off by the norm's relative change since E_b.  F_m/F_{m_b} is
-    the product of the pivots R_{m_b} .. R_{m-1} (m > m_b) or S_{m_b} ..
-    S_{m+1} (m < m_b), which the march there passes one by one, counting
-    them as _count does.  A basis with m_b outside 1 .. n-3, or a rescaled
-    norm that is not a finite positive float, gets a full pass.
+    chord pass: it matches at m = m_b, where norm_b is the norm of the
+    basis's solution at F_{m_b} = 1, counts in place (_count), with the
+    same count, and steps on norm_b, off by the norm's relative change
+    since E_b.  Cooley's step and the count hold at any matching point:
+    the last turning point is only a stable choice, and m_b is that of
+    E_b.  A basis with m_b outside 1 .. n-3, or a norm_b that is not a
+    finite positive float, gets a full pass.
     """
     h, _, q_arr, _ = grid
     t, w, d0 = _offsets(grid, energy_val)
     n = t.size
-    allowed = np.flatnonzero(t < 0.0)
-    m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
     d_end = w[n - 2] + 1.0  # S_{n-2} = U_{n-2}, less 1
-    j, norm = basis[0], 0.0
-    if 1 <= j <= n - 3 and abs(energy_val - basis[2]) <= _CHORD_SPAN * abs(energy_val):
-        # each march stops at j or m, whichever it meets first; the pivots
-        # between, R_j .. R_{m-1} or S_j .. S_{m+1}, multiply to F_m/F_j
-        nodes_out, d_lo = _count(w[1 : min(j, m)], d0)
-        nodes_in, d_hi = _count(w[n - 3 : max(j, m) : -1], d_end)
-        if m > j:
-            between = list(_deviations(w[j:m], d_lo))
-            d_lo = between[-1]
-        else:
-            between = list(_deviations(w[j:m:-1], d_hi))
-            d_hi = between[-1]
-        nodes, ratio = nodes_out + nodes_in + (d_end < -1.0), 1.0
-        for d in between[1:]:
-            nodes += d < -1.0
-            ratio *= 1.0 + d
-        # the basis's solution scaled to F_m = 1
-        norm = basis[1] / (ratio * ratio) if ratio * ratio else math.inf
-    # no basis in reach, or a rescaled norm that is not a finite positive
-    # float (a step of 0 on a norm of inf would pass as converged)
-    if not 0.0 < norm < math.inf:
+    m, norm, e_b = basis
+    # on a norm of inf a chord pass would step by 0, as at a converged level
+    if (1 <= m <= n - 3 and abs(energy_val - e_b) <= _CHORD_SPAN * abs(energy_val)
+            and 0.0 < norm < math.inf):
+        nodes_out, d_lo = _count(w[1:m], d0)
+        nodes_in, d_hi = _count(w[n - 3 : m : -1], d_end)
+        nodes = nodes_out + nodes_in + (d_end < -1.0)
+    else:
+        allowed = np.flatnonzero(t < 0.0)
+        m = min(max(int(allowed[-1] if allowed.size else np.argmin(t)), 1), n - 3)
         # R_0 .. R_{m-1} and S_{n-2} .. S_{m+1}, less 1
         d_out = np.fromiter(_deviations(w[1:m], d0), float, m)
         d_in = np.fromiter(_deviations(w[n - 3 : m : -1], d_end), float, n - 2 - m)

@@ -577,8 +577,8 @@ def test_grid_refinement_contract():
             e_val += step
         levels.append(e_val)
     e_n, e_half, e_quarter = levels
-    assert abs(e_n - e_half) / 15.0 == pytest.approx(res.error_estimate, rel=1e-3)
-    assert abs(res.energy - e_n) == pytest.approx(res.error_estimate, rel=1e-3)
+    assert abs(e_n - e_half) / 15.0 == pytest.approx(res.error_estimate, rel=1e-3, abs=0.0)
+    assert abs(res.energy - e_n) == pytest.approx(res.error_estimate, rel=1e-3, abs=0.0)
     assert 8.0 < (e_quarter - e_half) / (e_half - e_n) < 32.0
 
 
@@ -589,8 +589,9 @@ def test_chord_pass_steps_as_a_full_pass(dim, l, n, alpha):
     # at a level, a chord pass on the basis of a full pass 1e-8 |E| away
     # counts as the full pass there does and steps within 1e-6 of it.  On
     # the final grid the coarse grid's basis, carried over as (2m, 2 norm),
-    # is a chord pass too, and steps within 1e-4 of the full pass, where the
-    # fine m is 2m and where it is not (n = 20: 6541 against 6540; 7.8e-7)
+    # is a chord pass at 2m too, and steps within 1e-4 of the full pass,
+    # where the full pass's m is 2m and where it is not (n = 20: 6541
+    # against 6540; 4.6e-7)
     params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
     qn = QuantumNumbers(n, l)
     cfg = default_config(params, qn)
@@ -620,36 +621,41 @@ def _level_grid(dim, l, n, alpha):
 
 
 @pytest.mark.parametrize("shift", [1, 2, 5, -1, -2, -5, "node"])
-def test_chord_pass_rescales_the_norm_to_its_matching_point(shift):
-    # F is 1 at the matching point m, so a basis at m_b holds the norm of
-    # the same solution scaled by (F_m/F_{m_b})^2: at the full pass's own
-    # energy a chord pass from it steps as the full pass does, to rounding.
-    # F_m/F_{m_b} is the product of the outward pivots R_{m_b} .. R_{m-1}
-    # (m_b < m) or the inward S_{m_b} .. S_{m+1} (m_b > m), taken here from
-    # the arrays of _deviations.  "node": m_b just below the last node, so
-    # one of those pivots is negative and counts.  1e-6 |E| off the level
-    # the step is no rounding residue
+def test_chord_pass_matches_at_the_basis_point(shift):
+    # offered a basis at m_b, a chord pass matches there: with norm_b, the
+    # norm of the full pass's solution scaled to F_{m_b} = 1, it counts as
+    # the full pass does (a twisted Sturm count is exact at any index) and
+    # steps by gamma_{m_b} / ((1 - T_{m_b}) h^2 norm_b), near the full
+    # pass's step at m.  F_m/F_{m_b} is the product of the outward pivots
+    # R_{m_b} .. R_{m-1} (m_b < m) or the inward S_{m_b} .. S_{m+1} (m_b >
+    # m), taken here from the arrays of _deviations.  "node": m_b just
+    # below the last node.  1e-6 |E| off the level the step is no rounding
+    # residue
     grid, e_val = _level_grid(3, 0, 3, 0.05)
     e_val *= 1.0 + 1e-6
     nodes, step, (m, norm, _) = _cooley(grid, e_val)
-    _, w, d0 = _offsets(grid, e_val)
+    t, w, d0 = _offsets(grid, e_val)
     n = len(w)
     d_out = list(_deviations(w[1:m], d0))  # D_i = R_i - 1 at index i
-    d_in = list(_deviations(w[n - 3 : m : -1], w[n - 2] + 1.0))  # S_i - 1 at n - 2 - i
     if shift == "node":
         m_b = max(i for i, d in enumerate(d_out) if d < -1.0)
         assert m - m_b == 134
     else:
         m_b = m - shift
+    d_out = list(_deviations(w[1 : max(m, m_b)], d0))
+    # S_i - 1 at n - 2 - i
+    d_in = list(_deviations(w[n - 3 : min(m, m_b) : -1], w[n - 2] + 1.0))
     between = d_out[m_b:m] if m_b < m else d_in[n - 2 - m_b : n - 2 - m]
     assert len(between) == abs(m - m_b)
-    ratio = 1.0
-    for d in between:
-        ratio *= 1.0 + d
+    ratio = math.prod(1.0 + d for d in between)  # F_m/F_{m_b}
     basis = (m_b, norm * ratio * ratio, e_val)
     chord = _cooley(grid, e_val, basis)
     assert chord[0] == nodes and chord[2] is basis
-    assert chord[1] == pytest.approx(step, rel=1e-12, abs=0.0)
+    d_lo, d_hi = d_out[m_b - 1], d_in[n - 3 - m_b]  # D_{m_b-1}, S_{m_b+1} - 1
+    gamma = w[m_b] + d_lo / (1.0 + d_lo) + d_hi / (1.0 + d_hi)
+    expected = gamma / ((1.0 - t[m_b]) * grid[0] ** 2 * basis[1])
+    assert chord[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert chord[1] == pytest.approx(step, rel=2e-4, abs=0.0)
 
 
 @pytest.mark.parametrize("m_b,norm", [
@@ -659,10 +665,10 @@ def test_chord_pass_rescales_the_norm_to_its_matching_point(shift):
     (lambda m, n: n - 1, 1.0), (lambda m, n: n, 1.0),
 ], ids=["m-0", "m-inf", "m-nan", "m+2-0", "m-2-inf", "m+1-nan", "-1", "0", "n-2", "n-1", "n"])
 def test_chord_pass_on_a_basis_it_cannot_use_runs_in_full(m_b, norm):
-    # a rescaled norm that is not a finite positive float, or a basis off
-    # the marches (R_{m_b} or S_{m_b} exist for 1 <= m_b <= n - 3 only),
-    # gets a full pass and its fresh basis: on a norm of inf a chord pass
-    # would step by 0, as at a converged level
+    # a basis whose norm is not a finite positive float, or whose point is
+    # off the marches (gamma_{m_b} needs R_{m_b-1} and S_{m_b+1}, so 1 <=
+    # m_b <= n - 3), gets a full pass and its fresh basis: on a norm of inf
+    # a chord pass would step by 0, as at a converged level
     grid, e_val = _level_grid(3, 0, 0, 0.05)
     full = _cooley(grid, e_val)
     out = _cooley(grid, e_val, (m_b(full[2][0], grid[1].size), norm, e_val))
@@ -677,16 +683,16 @@ def test_chord_pass_on_a_basis_it_cannot_use_runs_in_full(m_b, norm):
 ])
 def test_finer_grid_starts_on_a_chord_pass(monkeypatch, dim, l, alpha, n):
     # each finer grid's first pass is offered the coarse basis at 2m, and on
-    # these levels the fine matching point of at least one finer grid is
-    # 2m + 1: that pass rescales the carried norm and is a chord pass too
+    # these levels a full pass there would match at 2m + 1 on at least one
+    # finer grid: that pass matches at 2m all the same, as a chord pass
     sizes, firsts = [], []
 
     def spy(grid, energy_val, basis):
         out = _cooley(grid, energy_val, basis)
         if grid[1].size not in sizes:
             if sizes:
-                # a chord pass returns the basis it was offered; the fine
-                # matching point is that of a full pass at the same energy
+                # a chord pass returns the basis it was offered; a full
+                # pass at the same energy names the point it would match at
                 firsts.append((out[2] is basis, _cooley(grid, energy_val)[2][0] - basis[0]))
             sizes.append(grid[1].size)
         return out
