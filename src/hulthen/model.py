@@ -42,7 +42,7 @@ the state, and wavefunction_samples takes any increasing ones and puts
 their ends and size in its meta.  V, the centrifugal term and the samples
 of a caller's grid hold every radius to a finite positive real by one
 check (_radii); an even grid is checked at its two ends before it is
-built (_even_grid), which holds every radius between them.  V and the
+built (default_grid), which holds every radius between them.  V and the
 centrifugal term are formed from the decay pair e^{-ar}, e^{-ar} - 1
 (_decay) by _potential and _centrifugal, so a caller that needs both at
 the same radii evaluates the exponentials and the check once.
@@ -424,24 +424,21 @@ def normalization_constant(params: PotentialParams, qn: QuantumNumbers) -> float
 
 def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000) -> np.ndarray:
     """Evenly spaced radii covering the state: `points` of them (an integer
-    >= 2) from r_max/(4 points) to r_max = 40/kappa, kappa = alpha*eps."""
-    if points != int(points) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    return _even_grid(level(params, qn), points)
+    >= 2) from r_max/(4 points) to r_max = 40/kappa, kappa = alpha*eps.
 
-
-def _even_grid(lv: Level, points: int = 4000) -> np.ndarray:
-    """default_grid of the level lv, with `points` already checked.
-
-    ValueError unless both ends are finite positive reals, before linspace
-    runs (r_max = 40/kappa is inf where kappa < 40/max float ~ 2e-307).
-    The ends suffice: between them linspace steps up by (r_max -
+    The level is built before the grid is checked, so its errors come
+    first.  ValueError unless both ends are finite positive reals, before
+    linspace runs (r_max = 40/kappa is inf where kappa < 40/max float ~
+    2e-307).  The ends suffice: between them linspace steps up by (r_max -
     r_min)/(points - 1), and r_max >= 40/max float is a normal float, so on
     the 4000 points wavefunction_samples takes every radius is finite,
     positive and above the one before.
     """
     import numpy as np
 
+    if points != int(points) or points < 2:
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    lv = level(params, qn)
     r_max = 40.0 / (lv.params.alpha * lv.epsilon)
     r_min = r_max / (4.0 * points)
     if not (0.0 < r_min and r_max < math.inf):
@@ -458,24 +455,22 @@ def wavefunction_samples(
     None), a nonempty, strictly increasing 1-D array; meta holds its ends
     and size with the level's eps and C_n.
 
-    A caller's grid is checked radius by radius.  The default grid is this
-    module's own linspace, checked at its ends by _even_grid, so it is not
-    checked again.  U has exactly Level.nodes interior sign changes.  An R
-    that is not a finite float raises ValueError.
+    A caller's grid is checked radius by radius.  The default grid is
+    checked at its ends by default_grid, so it is not checked again.  U
+    has exactly Level.nodes interior sign changes.  An R that is not a
+    finite float raises ValueError.
     """
     import numpy as np
 
     if grid is None:
-        # the level is built first, so its errors come before the grid's
-        lv = level(params, qn)
-        r = _even_grid(lv)
+        r = default_grid(params, qn)
     else:
         r = _radii(grid)
         if r.ndim != 1 or r.size < 1:
             raise ValueError("radial grid must be a 1-D array")
         if not np.all(np.diff(r) > 0.0):
             raise ValueError("radii must be strictly increasing")
-        lv = level(params, qn)
+    lv = level(params, qn)
     u = lv(params.alpha * r)
     with np.errstate(all="ignore"):
         rr = u * r ** (-(params.D - 1) / 2.0)

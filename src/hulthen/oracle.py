@@ -10,23 +10,10 @@ integration runs on a uniform grid in x = ln(r): substituting U = sqrt(r) y
 turns the equation into y''(x) = [r^2 W(r) + 1/4] y(x), which stays
 resolvable near the Coulomb singularity at the origin without millions of
 linear-grid points.  The scheme is Numerov (fourth order in the step), with
-y = 0 at r_max.
-
-solve_exact and count_bound_states march one ladder of grids, each every
-other point of the next; _ladder states where it starts and stops.
-solve_exact chooses its grid by its error: its ladder starts from the
-fewest steps of at most ln(2e7)/1500 = 0.0112 in ln(r) (_MAX_LOG_STEP),
-the level is converged on each grid in turn, and the solve returns E_N +
-(E_N - E_N/2)/15 once the Richardson estimate |E_N - E_N/2|/15 of the
-O(h^4) error is at most half the tolerance.  A doubling that shrinks the
-estimate by less than 4 shows an error that is not O(h^4), such as
-rounding, and raises ConvergenceError, as does the end of the ladder: no
-unchecked energy is returned.  A solve's grid spans only the level
-(_grid_ends), so most levels are converged on ~680 and ~1350 steps and
-end on the second.
-count_bound_states climbs its ladder on r = r_min .. 100/alpha, r_min a
-solve's clamped to [1e-6/alpha, 0.1/alpha], from steps of at most
-ln(1e8)/3000 in ln(r) until two successive counts agree.
+y = 0 at r_max.  A solve and a count march one ladder of grids (_ladder),
+each every other point of the next; solve_exact and count_bound_states
+say where each starts and when it stops, _grid_ends where a solve's grid
+ends, and _log_grid how a march starts.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -34,9 +21,7 @@ R_i = F_{i+1}/F_i obey R_i = U_i - 1/R_{i-1}, U_i = (2 + 10 T_i)/(1 - T_i),
 and cannot overflow.  They are the pivots of the tridiagonal Numerov
 matrix, so the number of negative R_i counts the grid levels below E (a
 Sturm count).  Every march carries them as D_i = R_i - 1 and U_i as
-W_i = U_i - 2, which keeps the digits that hold the energy, and starts on
-the regular branch, a Frobenius series in r summed to machine precision
-with the energy in it (_log_grid).
+W_i = U_i - 2, which keeps the digits that hold the energy (_deviations).
 
 A Sturm count (_march) stops once it is final.  Past the last interior
 point where W_i <= 0 or is not finite, every W is positive and finite,
@@ -48,37 +33,10 @@ the check, and an infinite D turns nan, which counts no pivot.  The
 counts of the census inputs of bench/ march ~58 % of their grid points,
 and the certificate marches of its spectra levels ~86 %.
 
-A solve starts at the bracket midpoint and moves E by Cooley's
-matching-point correction (Math. Comp. 15, 363 (1961)) from an outward and
-an inward march that meet at the last classical turning point; their Sturm
-count shrinks the bracket, and a step that leaves it is replaced by
-bisection.  A grid's level is converged once the correction is below a
-quarter of the tolerance, and only then: every grid's level, and so each
-side of the Richardson step, is a Cooley level.  The verdict comes from
-counts on the final grid alone: at E -/+ tolerance/2 around the
-extrapolated energy they must read the target node count k and k + 1, so
-that the window holds the level with k nodes and no other, or
-ConvergenceError.  No tolerance finer than 128 float spacings of the
-larger of |E_lo| and Z alpha is accepted (_tolerance_floor): rounding in
-the marches moves a level by up to ~20 of them, and a finer window can
-miss it.  A count inside the bracket proves its upper end if it lies
-above the target and its lower end if not; counts on one grid prove
-nothing on another, and an end no count on the grid has proven is marched
-on its own only where the solve needs it: when it first falls back to
-bisection, and before it certifies or fails.  A solve makes at most 300 Cooley passes over all its
-grids (_MAX_PASSES).
-
-A Cooley pass within 1e-4 |E| (_CHORD_SPAN) of the last full pass is a
-chord pass (the simplified Newton method): it matches at that pass's
-point m, counts in place and reuses its norm, as the next grid's first
-pass reuses the coarse grid's, doubled, at 2m.
-
 The solver reads no closed form: the caller names the node count it
 targets (model.Level.nodes for a closed-form level), and default_config
 is the only code here that reads the level, for its bracket and
-tolerance.  A grid whose coefficients are not finite, or whose start is
-not summed to machine precision, raises OracleError before its points
-are marched.
+tolerance.
 """
 
 import math
@@ -126,13 +84,13 @@ class ConvergenceError(OracleError):
 # most levels already pass the Richardson test; with ln(2e7)/1000 the
 # spectra levels of bench/ marched 13 % fewer points, but 212 of 1008 (59
 # here) needed a third grid, at 7.4 shots a solve (6.4), and solved no
-# faster, on the grid ends of _grid_ends as on those from r_min = 1e-3
-# hbar^2/(mu Z)
+# faster
 _MAX_LOG_STEP = math.log(2e7) / 1500
-# a count's step in ln(r) is at most ln(1e8)/3000, that of 3000 steps
-# over r = 1e-6/alpha .. 100/alpha: at twice that step (1500 steps there)
-# its two coarsest grids can agree on a wrong count
-_MIN_STEPS = 3000
+# the most steps of a count's first grid, whose step in ln(r) is at most
+# ln(1e8)/3000, that of 3000 steps over r = 1e-6/alpha .. 100/alpha: at
+# twice that step (1500 steps there) its two coarsest grids can agree on a
+# wrong count
+_COUNT_STEPS = 3000
 # steps of the finest grid of _ladder
 _MAX_STEPS = 96000
 # Cooley passes a solve may make before it raises ConvergenceError
@@ -270,9 +228,7 @@ def _grid_ends(params: PotentialParams, e_hi: float) -> tuple[float, float]:
     the regular series of _log_grid summed to machine precision, whose
     scaled terms do not depend on the units (c Z r_min = 0.2, and alpha
     r_min < 0.8, well inside the series' radius 2 pi, at every closed-form
-    level), so it ends within ~20 terms.  A third-order start needed r_min
-    = 1e-3 hbar^2/(mu Z), and 1e-4 at D = 2, l = 0, for its O(r_min^4)
-    error, and its grids spent ~36 % of their points below 0.1.
+    level), so it ends within ~20 terms.
     r_max = ln(1 + Z alpha/|E_hi|)/alpha + 40/kappa_hi is the outer turning
     point of V at E_hi, plus 40 decay lengths of a level there (kappa_hi =
     sqrt(-2 mu E_hi)/hbar): past 40/kappa alone the polynomial envelope of
@@ -487,7 +443,8 @@ _NO_BASIS = (0, 0.0, 0.0)  # no matching point is 0
 
 
 def _cooley(grid, energy_val, basis=_NO_BASIS):
-    """Sturm count, Cooley's energy correction dE and its basis at energy_val.
+    """Sturm count, Cooley's energy correction dE (J. W. Cooley, Math. Comp.
+    15, 363 (1961)) and its basis at energy_val.
 
     R_i = F_{i+1}/F_i is marched outward to the last classical turning
     point m (g_m < 0) and S_i = F_{i-1}/F_i inward from F = 0 at r_max, both
@@ -498,13 +455,14 @@ def _cooley(grid, energy_val, basis=_NO_BASIS):
     count, and dE = gamma / (c_m h^2 norm), norm = sum Q y^2, with c = 1 -
     T and y = F/c.  A full pass returns the basis (m, norm, energy_val).
     Offered a basis (m_b, norm_b, E_b) within _CHORD_SPAN |E|, it is a
-    chord pass: it matches at m = m_b, where norm_b is the norm of the
-    basis's solution at F_{m_b} = 1, counts in place (_count), with the
-    same count, and steps on norm_b, off by the norm's relative change
-    since E_b.  Cooley's step and the count hold at any matching point:
-    the last turning point is only a stable choice, and m_b is that of
-    E_b.  A basis with m_b outside 1 .. n-3, or a norm_b that is not a
-    finite positive float, gets a full pass.
+    chord pass (the simplified Newton method): it matches at m = m_b,
+    where norm_b is the norm of the basis's solution at F_{m_b} = 1,
+    counts in place (_count), with the same count, and steps on norm_b,
+    off by the norm's relative change since E_b.  Cooley's step and the
+    count hold at any matching point: the last turning point is only a
+    stable choice, and m_b is that of E_b.  A basis with m_b outside 1 ..
+    n-3, or a norm_b that is not a finite positive float, gets a full
+    pass.
     """
     h, _, q_arr, _ = grid
     t, w, d0 = _offsets(grid, energy_val)
@@ -547,23 +505,38 @@ def solve_exact(
     The grids are those of _ladder at E_lo, on the ends _grid_ends gives at
     E_hi, from the fewest steps (at least 8) of at most _MAX_LOG_STEP =
     ln(2e7)/1500 in ln(r), the step of 1500 steps over r = 1e-6/alpha ..
-    20/alpha.  The level is converged on each grid in turn, until the
-    Richardson estimate |E_N - E_N/2|/15 is at most tolerance/2.  The
-    returned energy is E_N + (E_N - E_N/2)/15, certified by counts on the
-    final grid alone.
+    20/alpha; most levels are converged on ~680 and ~1350 steps and end on
+    the second.  On each grid in turn the solve starts from the bracket
+    cfg.energy_bracket and the level of the grid before (the bracket
+    midpoint on the first) and moves E by Cooley's correction (_cooley).
+    The Sturm count of each pass shrinks the bracket, and a step that
+    leaves it is replaced by bisection.  A grid's level is converged once
+    the correction is below a quarter of the tolerance, and only then: every
+    grid's level, and so each side of the Richardson step, is a Cooley
+    level.  The first pass on a finer grid is offered the coarse grid's
+    basis, at 2m with twice its norm.  Once the Richardson estimate |E_N -
+    E_N/2|/15 of the O(h^4) error is at most tolerance/2, the solve returns
+    E_N + (E_N - E_N/2)/15.
 
-    Raises BracketError when _grid_ends finds no grid for E_hi or the
-    bracket does not straddle the target eigenvalue on a grid, found when
-    the solve first falls back to bisection there or before it certifies or
-    fails (an end is marched on its own only if no count of the solve on
-    that grid has proven it); and ConvergenceError when the tolerance is
-    below the floor of _tolerance_floor, _ladder has no first grid, the
-    solve takes more than 300 Cooley passes over all grids (_MAX_PASSES),
-    the estimate is still above tolerance/2 on the last grid of _ladder or
-    shrinks by less than 4 on a doubling (an error that is not O(h^4)), the
-    counts of a grid close its bracket on no level, or the final grid's
-    counts at energy -/+ tolerance/2 are not target_nodes and target_nodes
-    + 1.
+    The verdict comes from counts on the final grid alone: at energy -/+
+    tolerance/2 they must read target_nodes and target_nodes + 1, so that
+    the window holds the level with that many nodes and no other.  A count
+    inside the bracket proves its upper end if it lies above the target and
+    its lower end if not; counts on one grid prove nothing on another, and
+    an end no count on the grid has proven is marched on its own only where
+    the solve needs it: when it first falls back to bisection there, and
+    before it certifies or fails.  No unchecked energy is returned.
+
+    Raises BracketError when _grid_ends finds no grid for E_hi or a march
+    of an end finds that the bracket does not straddle the target
+    eigenvalue on its grid; OracleError from _log_grid when a grid's
+    coefficients or its start are not finite; and ConvergenceError when the
+    tolerance is below the floor of _tolerance_floor, _ladder has no first
+    grid, the solve takes more than 300 Cooley passes over all grids
+    (_MAX_PASSES), the estimate is still above tolerance/2 on the last grid
+    of _ladder or shrinks by less than 4 on a doubling (an error that is
+    not O(h^4), such as rounding), the counts of a grid close its bracket
+    on no level, or the final grid's counts are not those of the verdict.
     """
     model._check_index("l", l)
     model._check_index("target_nodes", target_nodes)
@@ -573,9 +546,6 @@ def solve_exact(
     if tol < floor:
         raise ConvergenceError(f"tolerance {tol!r} is below {floor!r}, {_FLOOR_SPACINGS} float "
                                f"spacings of the larger of -E_lo and Z alpha")
-    # the grid being solved and the Sturm count at each end of its bracket,
-    # None until a count on that grid proves it
-    grid = e_lo = e_hi = nodes_lo = nodes_hi = None
     passes = shots = 0
 
     def march_ends():
@@ -612,14 +582,17 @@ def solve_exact(
                 f"float resolution of the march"
             )
 
-    def converge(new_grid, e_val, basis):
-        """The level of new_grid by Cooley passes from e_val, once a
-        correction is below a quarter of the tolerance, and the basis of
-        its last full pass; ConvergenceError once the solve has made
-        _MAX_PASSES passes.  Its first pass is offered basis (_cooley)."""
-        nonlocal grid, e_lo, e_hi, nodes_lo, nodes_hi, passes, shots
-        grid = new_grid
+    r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
+    # a march needs points on both sides of its matching point
+    steps = max(8, math.ceil((math.log(r_max) - math.log(r_min)) / _MAX_LOG_STEP))
+    e_val, basis = 0.5 * sum(cfg.energy_bracket), _NO_BASIS
+    coarse = last = None
+    for steps, grid in _ladder(params, l, r_min, r_max, cfg.energy_bracket[0], steps):
+        # the Sturm count at each end of the grid's bracket, None until a
+        # count on this grid proves it
         (e_lo, e_hi), nodes_lo, nodes_hi = cfg.energy_bracket, None, None
+        # the grid's level: Cooley passes from the coarse level until a
+        # correction is below a quarter of the tolerance
         while passes < _MAX_PASSES:
             passes += 1
             nodes, step, basis = _cooley(grid, e_val, basis)
@@ -629,40 +602,35 @@ def solve_exact(
             # a step below the float spacing leaves e_val on the end its
             # count just proved
             if abs(step) <= 0.25 * tol and e_lo <= e_val <= e_hi:
-                return e_val, basis
+                break
             if not e_lo < e_val < e_hi:
                 march_ends()
                 e_val = 0.5 * (e_lo + e_hi)
-        march_ends()
-        raise ConvergenceError(
-            f"no level to {tol!r} within {_MAX_PASSES} passes (bracket width {e_hi - e_lo!r})")
-
-    r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
-    # a march needs points on both sides of its matching point
-    steps = max(8, math.ceil((math.log(r_max) - math.log(r_min)) / _MAX_LOG_STEP))
-    grids = _ladder(params, l, r_min, r_max, cfg.energy_bracket[0], steps)
-    coarse, basis = converge(next(grids)[1], 0.5 * sum(cfg.energy_bracket), _NO_BASIS)
-    last = None
-    for steps, fine_grid in grids:
-        # the coarse point m is the fine 2m, and a fine norm sums twice the points
-        fine, basis = converge(fine_grid, coarse, (2 * basis[0], 2.0 * basis[1], basis[2]))
-        estimate = abs(fine - coarse) / 15.0
-        if estimate <= 0.5 * tol:
-            break
-        where = f"error estimate {estimate:.3g} of the {steps + 1}-point grid"
-        if last is not None and estimate > 0.25 * last:
+        else:
+            march_ends()
             raise ConvergenceError(
-                f"{where} shrank by less than 4 from {last:.3g}: the error is "
-                f"not O(h^4) at the tolerance {tol!r}"
-            )
-        coarse, last = fine, estimate
+                f"no level to {tol!r} within {_MAX_PASSES} passes (bracket width {e_hi - e_lo!r})")
+        if coarse is not None:
+            estimate = abs(e_val - coarse) / 15.0
+            if estimate <= 0.5 * tol:
+                break
+            where = f"error estimate {estimate:.3g} of the {steps + 1}-point grid"
+            if last is not None and estimate > 0.25 * last:
+                raise ConvergenceError(
+                    f"{where} shrank by less than 4 from {last:.3g}: the error is "
+                    f"not O(h^4) at the tolerance {tol!r}"
+                )
+            last = estimate
+        coarse = e_val
+        # the coarse point m is the fine 2m, and a fine norm sums twice the points
+        basis = (2 * basis[0], 2.0 * basis[1], basis[2])
     else:
         raise ConvergenceError(
             f"{where} is above half the tolerance {tol!r}, and a finer grid "
             f"would pass {_MAX_STEPS} steps"
         )
 
-    energy_val = fine + (fine - coarse) / 15.0
+    energy_val = e_val + (e_val - coarse) / 15.0
     lo, hi = energy_val - 0.5 * tol, energy_val + 0.5 * tol
     n_lo, n_hi = _march(grid, lo), _march(grid, hi)
     shots += 2
@@ -730,7 +698,7 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     r_min at most 0.1, well inside the series' radius 2 pi, where the start
     is summed (at Z = 1, alpha = 100 the start at 0.1 hbar^2/(mu Z) is
     not).  The first grid has the fewest steps of at most ln(1e8)/3000 in
-    ln(r) (_MIN_STEPS), and at most 3000.  Levels above about E = -(1.2
+    ln(r), and at most 3000 (_COUNT_STEPS).  Levels above about E = -(1.2
     alpha hbar/100)^2/(2 mu) may be missed: the end at r_max lifts a level
     above the probe once its kappa = sqrt(-2 mu E)/hbar is below about
     1.2/r_max (where the 96001-point grid's count drops, kappa r_max is
@@ -755,8 +723,8 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     r_max = 100.0 / params.alpha
     # at r_min = 1e-6/alpha the quotient rounds to 3000 (1 + eps), and 3001
     # steps would double past _MAX_STEPS where 3000 stay within it
-    steps = min(_MIN_STEPS, math.ceil(
-        _MIN_STEPS * (math.log(r_max) - math.log(r_min)) / math.log(1e8)))
+    steps = min(_COUNT_STEPS, math.ceil(
+        _COUNT_STEPS * (math.log(r_max) - math.log(r_min)) / math.log(1e8)))
     probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
     coarse = None
     for steps, grid in _ladder(params, l, r_min, r_max, probe, steps):

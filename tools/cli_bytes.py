@@ -19,6 +19,10 @@ The parent commit's tree can be unpacked next to the checkout with
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
 
 and is then compared by `python3 tools/cli_bytes.py ../parent/src`.
+To run that tree's tests, run pytest inside the unpacked copy (`cd
+../parent && python -m pytest`): pyproject.toml sets pytest's pythonpath
+to src/, ahead of PYTHONPATH, so `PYTHONPATH=../parent/src python -m
+pytest` run from this checkout tests this checkout.
 """
 
 import os
