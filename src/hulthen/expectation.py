@@ -23,7 +23,7 @@ each later halving adds in a pass of their own.  The first pass's nodes
 and their factors exp(pi/2 sinh t) and pi/2 cosh t do not depend on the
 level, so they are computed once, at import.  V and the centrifugal
 stand-in are formed from one decay pair e^{-ar}, e^{-ar} - 1 per node
-array (model._decay, with its one radius check), by the same expressions
+array (model._decay, after one radius check), by the same expressions
 as model.potential and model.centrifugal_approx.  The error estimate is
 the last halving's change plus the integral left beyond the outermost
 nodes, taken as r |f U^2| at each of them.  Only the node arrays are numpy:
@@ -186,7 +186,7 @@ def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> Expectati
     def weights(r):
         """V, and for <r^-2> its exponential stand-in and 1/r^2, at the
         radii r, from one decay pair"""
-        e, em = model._decay(r, params.alpha)
+        e, em = model._decay(model._radii(r), params.alpha)
         if inv_r2 is None:
             return [model._potential(e, em, params)]
         return [model._potential(e, em, params), model._centrifugal(e, em, params.alpha),

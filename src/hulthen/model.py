@@ -41,11 +41,15 @@ A grid is a numpy array of radii: default_grid spaces them evenly over
 the state, and wavefunction_samples takes any increasing ones and puts
 their ends and size in its meta.  V, the centrifugal term and the samples
 of a caller's grid hold every radius to a finite positive real by one
-check (_radii); an even grid is checked at its two ends before it is
-built (default_grid), which holds every radius between them.  V and the
-centrifugal term are formed from the decay pair e^{-ar}, e^{-ar} - 1
-(_decay) by _potential and _centrifugal, so a caller that needs both at
-the same radii evaluates the exponentials and the check once.
+check (_radii).  A grid whose radii increase by construction is checked
+at its two ends instead, which holds every radius between them: the even
+grid before it is built (default_grid), and the oracle's ln r grid
+(oracle._log_grid).  V and the centrifugal term are formed from the decay
+pair e^{-ar}, e^{-ar} - 1 (_decay) by _potential and _centrifugal, so a
+caller that needs both at the same radii evaluates the exponentials once.
+_decay checks nothing: potential, centrifugal_approx and the quadrature
+weights of expectation call _radii first, and oracle._log_grid checks its
+ends.
 
 The closed forms use math alone.  V, the centrifugal term and U use numpy
 for floats and arrays alike (a float comes back as a numpy float64), and
@@ -276,7 +280,8 @@ def _delta(params: PotentialParams) -> float:
 
 def _radii(r) -> np.ndarray:
     """r, a float or an array of radii, as a float array; ValueError unless
-    every radius is a finite positive real."""
+    every radius is a finite positive real.  The check of every caller of
+    _decay but oracle._log_grid, which checks its grid's two ends."""
     import numpy as np
 
     r = np.asarray(r, dtype=float)
@@ -286,11 +291,13 @@ def _radii(r) -> np.ndarray:
 
 
 def _decay(r, alpha: float):
-    """e^{-ar} and e^{-ar} - 1 (by expm1) at the radii r, checked by _radii."""
+    """e^{-ar} and e^{-ar} - 1 (by expm1) at the radii r, from one -ar.  r is
+    an array its caller has checked (_radii, or oracle._log_grid at its two
+    ends); _decay checks nothing."""
     import numpy as np
 
-    u = alpha * _radii(r)
-    return np.exp(-u), np.expm1(-u)
+    u = -alpha * r
+    return np.exp(u), np.expm1(u)
 
 
 def potential(r, params: PotentialParams):
@@ -301,7 +308,7 @@ def potential(r, params: PotentialParams):
     -Z/r + Z alpha/2 + ... is reproduced without cancellation and nothing
     overflows at large r.
     """
-    return _potential(*_decay(r, params.alpha), params)
+    return _potential(*_decay(_radii(r), params.alpha), params)
 
 
 def _potential(e, em, params: PotentialParams):
@@ -317,7 +324,7 @@ def centrifugal_approx(r, alpha: float):
     1 - e^{-ar} taken as -expm1(-ar) the one expression neither cancels
     at small alpha*r nor overflows at large alpha*r.
     """
-    return _centrifugal(*_decay(r, alpha), alpha)
+    return _centrifugal(*_decay(_radii(r), alpha), alpha)
 
 
 def _centrifugal(e, em, alpha: float):

@@ -13,7 +13,7 @@ linear-grid points.  The scheme is Numerov (fourth order in the step), with
 y = 0 at r_max.  A solve and a count march one ladder of grids (_ladder),
 each every other point of the next; solve_exact and count_bound_states
 say where each starts and when it stops, _grid_ends where a solve's grid
-ends, and _log_grid how a march starts.
+ends, and _log_grid and _series how a march starts.
 
 Numerov is marched in ratio form (B. R. Johnson, J. Chem. Phys. 67, 4086
 (1977)): with T_i = h^2 g_i / 12 and F_i = (1 - T_i) y_i, the ratios
@@ -39,6 +39,7 @@ is the only code here that reads the level, for its bracket and
 tolerance.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -257,13 +258,51 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
 
     coarse, the grid of every other point (_ladder), gives P and Q at the
     even points: its step is 2h exactly, so its radius i is this grid's 2i.
+    It also gives its series (_series), which the grids of one ladder share,
+    so start is that series at this grid's h.
 
-    Raises OracleError naming the first radius where P or Q is not finite:
-    Q = c r^2 overflows towards r_max (once r >~ 1e154 hbar/sqrt(mu)), V
-    towards r_min for a huge Z, and Q V in between.
+    The radii increase, so they are checked at their two ends: ValueError
+    unless both are finite positive reals, which holds every radius between
+    them.  V is formed from them unchecked (model._decay).  Raises
+    OracleError naming the first radius where P or Q is not finite: Q = c
+    r^2 overflows towards r_max (once r >~ 1e154 hbar/sqrt(mu)), V towards
+    r_min for a huge Z, and Q V in between.
+    """
+    s = abs(model._angular_v(l, params.D) - 1) / 2.0
+    c = 2.0 * params.mu / params.hbar**2
+    x0 = math.log(r_min)
+    h = (math.log(r_max) - x0) / (n - 1)
+    radii = np.exp(x0 + h * (np.arange(n) if coarse is None else np.arange(1, n, 2)))
+    if not (0.0 < radii[0] and radii[-1] < math.inf):
+        raise ValueError("radii must be finite positive reals")
+    # pot before q_arr: the other order made a solve fault in up to three
+    # times the pages (the grid's temporaries are handed back to the OS)
+    with np.errstate(all="ignore"):
+        pot = model._potential(*model._decay(radii, params.alpha), params)
+        q_arr = c * radii * radii
+        # gamma + 1/4 = s^2, both k^2/4 with k = 2l + D - 2
+        p_arr = s * s + q_arr * pot
+    # V <= 0, so P is not finite wherever Q = c r^2 overflows
+    finite = np.isfinite(p_arr)
+    if not finite.all():
+        raise OracleError(
+            f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
+    if coarse is not None:
+        odd = p_arr, q_arr
+        p_arr, q_arr = np.empty(n), np.empty(n)
+        p_arr[::2], q_arr[::2] = coarse[1], coarse[2]
+        p_arr[1::2], q_arr[1::2] = odd
+    series = _series(params, s, c, r_min) if coarse is None else coarse[3].func
+    # e^{kh} - 1 of each term k, extended as far as a start needs
+    return h, p_arr, q_arr, functools.partial(series, h, [0.0])
 
-    start follows the regular branch y = r^s f(r), f = sum_k a_k r^k, a_0 =
-    1 and s = |v-1|/2, by its Frobenius series: with r^2 c (V - E) = sum_j
+
+def _series(params: PotentialParams, s: float, c: float, r_min: float):
+    """series(h, rises, E): the y_1 - 1 of a march at E on a grid of step h
+    from r_min, with rises the grid's list of e^{kh} - 1 (_log_grid).
+
+    It follows the regular branch y = r^s f(r), f = sum_k a_k r^k, a_0 = 1
+    and s = |v-1|/2, by its Frobenius series: with r^2 c (V - E) = sum_j
     g_j r^j, k (2s + k) a_k = g_1 a_{k-1} + ... + g_k a_0.  As r^2 c V =
     -c Z r (alpha r)/(e^{alpha r} - 1), g_j = -c Z B_{j-1} alpha^{j-1}/(j-1)!
     - [j = 2] c E with the Bernoulli numbers B_m (_BERNOULLI): g_1 comes
@@ -278,43 +317,43 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     state by 4.6e-6 when r_min shrank 100-fold, and its energy converged
     only as O(h).
 
-    start raises OracleError naming r_min and E when the series is not
-    summed to machine precision: its terms have not passed 2^-60 within 64
+    The b_k do not depend on h, so series keeps those of the last energy it
+    summed (one slot): a grid that starts at the energy of the grid before
+    it, as both grids of a count do at the probe, sums only sum b_k (e^{kh}
+    - 1), in the same order, to the same bits.
+
+    It raises OracleError naming r_min and E when the series is not summed
+    to machine precision: its terms have not passed 2^-60 within 64
     (_START_TERMS), as at a deep E or an alpha r_min past 2 pi; their
     magnitudes add up to more than 2^20 times the sum, which leaves it
     fewer than 33 good bits, as at a large c Z r_min; or the sum or y_1 - 1
     is not finite.  The terms are built only as a start needs them, so a
-    grid that is never marched builds none.
+    ladder that is never marched builds none.
     """
-    s = abs(model._angular_v(l, params.D) - 1) / 2.0
-    c = 2.0 * params.mu / params.hbar**2
-    x0 = math.log(r_min)
-    h = (math.log(r_max) - x0) / (n - 1)
-    radii = np.exp(x0 + h * (np.arange(n) if coarse is None else np.arange(1, n, 2)))
-    # pot before q_arr: the other order made a solve fault in up to three
-    # times the pages (the grid's temporaries are handed back to the OS)
-    with np.errstate(all="ignore"):
-        pot = model.potential(radii, params)
-        q_arr = c * radii * radii
-        # gamma + 1/4 = s^2, both k^2/4 with k = 2l + D - 2
-        p_arr = s * s + q_arr * pot
-    # V <= 0, so P is not finite wherever Q = c r^2 overflows
-    finite = np.isfinite(p_arr)
-    if not finite.all():
-        raise OracleError(
-            f"the grid coefficients are not finite at r = {float(radii[finite.argmin()])!r}")
-    if coarse is not None:
-        odd = p_arr, q_arr
-        p_arr, q_arr = np.empty(n), np.empty(n)
-        p_arr[::2], q_arr[::2] = coarse[1], coarse[2]
-        p_arr[1::2], q_arr[1::2] = odd
     czr, ar = c * params.Z * r_min, params.alpha * r_min
     # of each term k = 0, 1, ...: G_k = g_k r_min^k at odd k (G_k = 0 at
-    # even k > 2, where B_{k-1} = 0, and G_2 holds the energy), k (2s + k)
-    # and e^{kh} - 1.  Each start extends the lists as far as its terms need
-    odd_g, scales, rises = [0.0], [1.0], [0.0]
+    # even k > 2, where B_{k-1} = 0, and G_2 holds the energy) and k (2s + k).
+    # Each start extends the lists as far as its terms need
+    odd_g, scales = [0.0], [1.0]
+    # the energy, terms b_k and f(r_min) of the last start summed
+    last = [None] * 3
 
-    def start(energy_val):
+    def series(h, rises, energy_val):
+        if energy_val == last[0]:
+            _, b, f0 = last
+            df, dy1 = 0.0, math.nan
+            try:
+                while len(rises) < len(b):
+                    rises.append(math.expm1(len(rises) * h))
+                # b_0 (e^0 - 1) = 0 adds nothing
+                for b_k, rise in zip(b, rises):
+                    df += b_k * rise
+                dy1 = (math.expm1(h * s) * (f0 + df) + df) / f0
+            except OverflowError:
+                pass
+            # else the sum afresh raises with its terms where they overflow
+            if math.isfinite(dy1):
+                return dy1
         g2 = c * (0.5 * params.Z * params.alpha - energy_val) * r_min * r_min
         # b_k = a_k r_min^k: f(r_min) = f0 = sum b_k, and f(r_1) - f0 = df =
         # sum b_k (e^{kh} - 1) without the cancellation
@@ -346,9 +385,10 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
                 f"the regular series at r_min = {r_min!r} is not summed to machine precision "
                 f"at E={energy_val!r}: its first {len(b)} terms add up to {f0!r} ({size:.3g} "
                 f"in magnitude), y_1 - 1 = {dy1!r}")
+        last[:] = energy_val, b, f0
         return dy1
 
-    return h, p_arr, q_arr, start
+    return series
 
 
 # D after a pivot R = 0: R = U - 1/R would be -inf, and the next D/(1 + D)
@@ -410,7 +450,8 @@ def _march(grid, energy_val) -> int:
     pivots R_i = 1 + D_i of _deviations below 0, over grid points 1 .. n-2.
 
     It marches every point up to the last interior one where W <= 0 or is
-    not finite, then stops at the first chunk end (every _CHUNK points)
+    not finite, found by one reversed scan (argmin of the flags of the
+    other points), then stops at the first chunk end (every _CHUNK points)
     where D >= 0: past that point no pivot turns negative (see the module
     docstring), so the count is final.  Checking once per chunk, not once
     per point, leaves the loop over the points that of a march without the
@@ -420,8 +461,10 @@ def _march(grid, energy_val) -> int:
     _, w, d = _offsets(grid, energy_val)
     end = len(w) - 1
     inner = np.asarray(w)[1:end]
-    barred = np.flatnonzero(~((inner > 0.0) & (inner < math.inf)))
-    start, stop = 1, int(barred[-1]) + 2 if barred.size else 1
+    # the last W <= 0 or not finite is the first False of the reversed scan
+    clear = ((inner > 0.0) & (inner < math.inf))[::-1]
+    last = int(clear.argmin())
+    start, stop = 1, 1 if clear[last] else end - last
     nodes = 0
     while start < end:
         found, d = _count(w[start:stop], d)
@@ -661,7 +704,9 @@ def _ladder(params: PotentialParams, l: int, r_min: float, r_max: float, e_lo: f
         grid = _log_grid(params, l, r_min, r_max, steps + 1)
         h = grid[0]
         with np.errstate(over="ignore"):
-            t_max = h * h * float(np.max(np.abs(grid[1] - e_lo * grid[2]))) / 12.0
+            # max |g| without an array of |g|
+            g = grid[1] - e_lo * grid[2]
+            t_max = h * h * float(max(g.max(), -g.min())) / 12.0
         # an infinite T has no log, and passes on no grid
         skip = 0
         if 0.5 < t_max < math.inf:
@@ -714,18 +759,26 @@ def count_bound_states(params: PotentialParams, l: int = 0) -> int:
     12001 to 192001 points from 1e-6/alpha read 260; 10 of 1488 random
     potentials with Z in [1, 316] and hbar down to 0.2 read one too many.
     Raises ConvergenceError when no two successive grids of _ladder agree,
-    before any march if _ladder has no first grid, and OracleError from
-    _log_grid when a grid's coefficients or its start are not finite.
+    before any march if _ladder has no first grid, and OracleError when
+    r_max is not a finite float (alpha below ~5.6e-307), when the probe's
+    (alpha hbar)^2 overflows, or from _log_grid when a grid's coefficients
+    or its start are not finite.
     """
     model._check_index("l", l)
     r_min = min(max(0.1 * params.hbar**2 / (params.mu * params.Z), 1e-6 / params.alpha),
                 0.1 / params.alpha)
     r_max = 100.0 / params.alpha
+    if r_max == math.inf:
+        raise OracleError(f"r_max = 100/alpha is not a finite float at alpha = {params.alpha!r}")
+    try:
+        probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
+    except OverflowError:
+        raise OracleError(f"the probe energy -1e-12 (alpha hbar)^2/(2 mu) overflows at "
+                          f"alpha hbar = {params.alpha * params.hbar!r}") from None
     # at r_min = 1e-6/alpha the quotient rounds to 3000 (1 + eps), and 3001
     # steps would double past _MAX_STEPS where 3000 stay within it
     steps = min(_COUNT_STEPS, math.ceil(
         _COUNT_STEPS * (math.log(r_max) - math.log(r_min)) / math.log(1e8)))
-    probe = -1e-12 * (params.alpha * params.hbar) ** 2 / (2.0 * params.mu)
     coarse = None
     for steps, grid in _ladder(params, l, r_min, r_max, probe, steps):
         nodes = _march(grid, probe)

@@ -727,6 +727,32 @@ def test_ladder_grids_take_their_even_points_from_the_grid_before(params, l, r_m
             assert fine[i].tobytes() == alone[i].tobytes()
 
 
+@pytest.mark.parametrize("dim,l", [(2, 0), (3, 1), (5, 2)])
+def test_grid_potential_is_that_of_model_potential(dim, l):
+    # _log_grid forms V from radii it checks only at the ends; on a first
+    # grid and on a finer ladder grid, whose even points come from the first,
+    # P is s^2 + c r^2 V with V = model.potential(r), checked radius by
+    # radius, bit for bit (s = 0 at D = 2, l = 0)
+    params = PotentialParams(Z=1.3, mu=0.8, hbar=1.1, alpha=0.07, D=dim)
+    s = abs(model._angular_v(l, dim) - 1) / 2.0
+    c = 2.0 * params.mu / params.hbar**2
+    r_min, r_max = _grid_ends(params, -0.05)
+    ladder = oracle._ladder(params, l, r_min, r_max, -0.6, 700)
+    for steps, grid in itertools.islice(ladder, 2):
+        r = np.exp(math.log(r_min) + grid[0] * np.arange(steps + 1))
+        p_arr = s * s + c * r * r * model.potential(r, params)
+        assert grid[1].tobytes() == p_arr.tobytes()
+
+
+def test_grid_whose_ends_are_not_finite_raises():
+    # radii are checked at their ends alone, which hold every radius between
+    # them; a grid to r_max = inf has an infinite step and no finite radius
+    params = PotentialParams(Z=1.0, alpha=0.05)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="^radii must be finite positive reals$"):
+        _log_grid(params, 0, 1.0, math.inf, 9)
+
+
 @pytest.mark.parametrize("dim,l,n,alpha", [
     (3, 0, 0, 0.05), (3, 0, 0, 0.2), (3, 0, 3, 0.05),
     (1, 0, 21, 1e-3), (1, 1, 20, 1e-3), (1, 1, 2, 0.05),
@@ -1062,6 +1088,50 @@ def test_start_not_summed_to_machine_precision_raises(Z, alpha, r_min, r_max, po
         grid[3](energy_val)
 
 
+def _count_ladder(params, l):
+    # the first two grids of a count's ladder, with its probe
+    alpha = params.alpha
+    r_min = min(max(0.1 * params.hbar**2 / (params.mu * params.Z), 1e-6 / alpha), 0.1 / alpha)
+    probe = -1e-12 * (alpha * params.hbar) ** 2 / (2.0 * params.mu)
+    ladder = oracle._ladder(params, l, r_min, 100.0 / alpha, probe, 3000)
+    return r_min, 100.0 / alpha, probe, list(itertools.islice(ladder, 2))
+
+
+@pytest.mark.parametrize("dim,l,alpha", [(3, 0, 0.05), (2, 0, 0.2), (5, 2, 0.11)])
+def test_start_at_the_energy_of_the_grid_before_keeps_its_bits(monkeypatch, dim, l, alpha):
+    # both grids of a count start at the probe: the finer one sums only
+    # sum b_k (e^{kh} - 1) over the terms the first kept, and its start is
+    # that of the same grid built alone, bit for bit
+    params = PotentialParams(Z=1.0, alpha=alpha, D=dim)
+    r_min, r_max, probe, [(_, first), (steps, fine)] = _count_ladder(params, l)
+    alone = _log_grid(params, l, r_min, r_max, steps + 1)[3](probe)
+    assert first[3](probe).hex() == _log_grid(params, l, r_min, r_max,
+                                              first[1].size)[3](probe).hex()
+    # a series allowed no terms can only return the kept ones
+    monkeypatch.setattr(oracle, "_START_TERMS", 1)
+    assert fine[3](probe).hex() == alone.hex()
+    # a start at another energy is summed afresh, and so raises here
+    with pytest.raises(OracleError, match="its first 1 terms add up to 1.0"):
+        fine[3](2.0 * probe)
+
+
+def test_start_on_a_solve_s_finer_grid_keeps_its_bits():
+    # a solve's finer grid starting at the last energy of the grid before
+    # takes its terms; at any other energy it sums them afresh, to the bits
+    # of a grid built alone
+    params, l = PotentialParams(Z=1.0, alpha=0.05, D=4), 1
+    cfg = default_config(params, QuantumNumbers(1, l))
+    r_min, r_max = _grid_ends(params, cfg.energy_bracket[1])
+    ladder = oracle._ladder(params, l, r_min, r_max, cfg.energy_bracket[0], 700)
+    [(_, coarse), (steps, fine)] = itertools.islice(ladder, 2)
+    e_a, e_b = cfg.energy_bracket
+    for energy_val in (e_a, e_b, e_b, e_a):
+        alone = _log_grid(params, l, r_min, r_max, steps + 1)
+        coarse[3](energy_val)
+        assert fine[3](energy_val).hex() == alone[3](energy_val).hex()
+        assert fine[3](0.5 * energy_val).hex() == alone[3](0.5 * energy_val).hex()
+
+
 def test_bernoulli_ratios_match_exact_fractions():
     # B_m/m! from the same recurrence in exact rationals
     exact = [Fraction(1)]
@@ -1190,6 +1260,18 @@ def test_grid_overflowing_off_r_max_raises(Z, alpha, radius):
         warnings.simplefilter("error")
         with pytest.raises(oracle.OracleError, match=message):
             count_bound_states(PotentialParams(Z=Z, alpha=alpha), 0)
+
+
+@pytest.mark.parametrize("alpha,message", [
+    # r_max = 100/alpha is inf, and a grid to it has no step count
+    (1e-307, "r_max = 100/alpha is not a finite float at alpha = 1e-307"),
+    # (alpha hbar)^2 overflows
+    (1e300, "the probe energy -1e-12 (alpha hbar)^2/(2 mu) overflows at alpha hbar = 1e+300"),
+])
+def test_count_whose_r_max_or_probe_overflows_raises(alpha, message):
+    # each raised a bare OverflowError
+    with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+        count_bound_states(PotentialParams(Z=1.0, alpha=alpha), 0)
 
 
 # T = h^2 g/12 at the probe on the 3001-point grid of each saturated count
