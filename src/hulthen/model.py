@@ -99,8 +99,7 @@ class PotentialParams:
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be a finite positive real, got {val!r}")
-        if self.D != int(self.D) or self.D < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.D!r}")
+        _check_index("dimension", self.D, least=1)
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,21 @@ class QuantumNumbers:
         _check_index("l", self.l)
 
 
-def _check_index(name: str, value) -> None:
-    """ValueError unless value (n, l or a cap on n) is an integer >= 0."""
-    if value != int(value) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _check_index(name: str, value, least: int = 0) -> None:
+    """ValueError "{name} must be an integer >= {least}, got {value!r}" unless
+    value is an integer >= least, also where int() itself fails (inf, nan or
+    no number at all).
+
+    Callers and their least: PotentialParams (dimension, 1), QuantumNumbers
+    (n and l, 0), spectrum (n_max, 0), default_grid (points, 2), and in
+    oracle solve_exact (l and target_nodes, 0) and count_bound_states (l, 0).
+    """
+    try:
+        whole = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -443,8 +453,7 @@ def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000
     """
     import numpy as np
 
-    if points != int(points) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    _check_index("points", points, least=2)
     lv = level(params, qn)
     r_max = 40.0 / (lv.params.alpha * lv.epsilon)
     r_min = r_max / (4.0 * points)

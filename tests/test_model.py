@@ -43,10 +43,13 @@ def test_params_validation():
         PotentialParams(Z=1.0, alpha=-0.1)
     with pytest.raises(ValueError):
         PotentialParams(Z=1.0, alpha=0.1, mu=math.inf)
-    with pytest.raises(ValueError):
-        PotentialParams(Z=1.0, alpha=0.1, D=0)
-    with pytest.raises(ValueError):
-        QuantumNumbers(n=-1)
+    # inf raised a bare OverflowError from int(), nan int()'s own message
+    for dim in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^dimension must be an integer >= 1, got {dim}$"):
+            PotentialParams(Z=1.0, alpha=0.1, D=dim)
+    for n in (-1, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 0, got {n}$"):
+            QuantumNumbers(n=n)
     with pytest.raises(ValueError):
         QuantumNumbers(n=0, l=-2)
 
@@ -233,8 +236,9 @@ def test_bound_state_count_examples():
 
 def test_negative_n_max_is_a_value_error():
     # it used to end in an IndexError
-    with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
-        spectrum(ANCHOR, 0, n_max=-1)
+    for n_max in (-1, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^n_max must be an integer >= 0, got {n_max}$"):
+            spectrum(ANCHOR, 0, n_max=n_max)
 
 
 @pytest.mark.parametrize(
@@ -539,7 +543,7 @@ def test_default_grid():
     assert (samples.meta["r_min"], samples.meta["r_max"], samples.meta["points"]) == (
         r_max / 16000.0, r_max, 4000)
     # 2.5 passed the old grid class, then failed in linspace with a TypeError
-    for points in (1, 2.5, 0, -3):
+    for points in (1, 2.5, 0, -3, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^points must be an integer >= 2, got {points}$"):
             default_grid(ANCHOR, qn, points)
 

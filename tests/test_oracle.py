@@ -116,11 +116,12 @@ def test_solver_input_checks():
     cfg = default_config(ANCHOR, QuantumNumbers(0, 0))
     with pytest.raises(ValueError, match="^l must be an integer >= 0, got -1$"):
         solve_exact(ANCHOR, -1, 0, cfg)
-    for l in (-1, 1.5):
+    # inf raised a bare OverflowError from int(), nan int()'s own message
+    for l in (-1, 1.5, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^l must be an integer >= 0, got {l}$"):
             count_bound_states(ANCHOR, l)
     # 0.7 and -0.5 both solved the ground state as int(target_nodes) = 0
-    for k in (0.7, -0.5, -1):
+    for k in (0.7, -0.5, -1, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^target_nodes must be an integer >= 0, got {k}$"):
             solve_exact(ANCHOR, 0, k, cfg)
 
@@ -1113,6 +1114,26 @@ def test_start_at_the_energy_of_the_grid_before_keeps_its_bits(monkeypatch, dim,
     # a start at another energy is summed afresh, and so raises here
     with pytest.raises(OracleError, match="its first 1 terms add up to 1.0"):
         fine[3](2.0 * probe)
+
+
+def test_start_that_raises_keeps_nothing(monkeypatch):
+    # the finer grid of a count fails twice at E = -15000 (G_2 = 300, as in
+    # test_bracket_too_deep_for_the_series_raises) with the same message,
+    # and the terms kept from the probe outlive both failures
+    params = PotentialParams(Z=1.0, alpha=0.05)
+    r_min, r_max, probe, [(_, first), (steps, fine)] = _count_ladder(params, 0)
+    alone = _log_grid(params, 0, r_min, r_max, steps + 1)[3](probe)
+    first[3](probe)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(OracleError, match="^the regular series at r_min = 0.1 is not summed "
+                                              "to machine precision at E=-15000.0: ") as err:
+            fine[3](-15000.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # a series allowed no terms can only return the kept ones
+    monkeypatch.setattr(oracle, "_START_TERMS", 1)
+    assert fine[3](probe).hex() == alone.hex()
 
 
 def test_start_on_a_solve_s_finer_grid_keeps_its_bits():
