@@ -23,10 +23,12 @@ each later halving adds in a pass of their own.  The first pass's nodes
 and their factors exp(pi/2 sinh t) and pi/2 cosh t do not depend on the
 level, so they are computed once, at import.  V and the centrifugal
 stand-in are formed from one decay pair e^{-ar}, e^{-ar} - 1 per node
-array (model._decay, after one radius check), by the same expressions
-as model.potential and model.centrifugal_approx.  The error estimate is
-the last halving's change plus the integral left beyond the outermost
-nodes, taken as r |f U^2| at each of them.  Only the node arrays are numpy:
+array (model._decay), by the same expressions as model.potential and
+model.centrifugal_approx.  The nodes increase with t, so they are checked
+at the first pass's two ends before any sample (model._check_ends), not
+node by node.  The error estimate is the last halving's change plus the
+integral left beyond the outermost nodes, taken as r |f U^2| at each of
+them.  Only the node arrays are numpy:
 the one to three running sums, their tails and error estimates are Python
 floats, with the same IEEE operations the arrays did, so the sums are
 those of the arrays bit for bit at a fraction of the calls.
@@ -105,6 +107,8 @@ def _node_factors(t):
 # every step are dyadic, so each node t is exact
 _FIRST_STEP = 0.5 ** (_FIRST_PASS + 1)
 _FIRST_FACTORS = _node_factors(np.arange(_T[0], _T[1] + 0.5 * _FIRST_STEP, _FIRST_STEP))
+# its two end factors, as floats: every later node lies strictly between them
+_FIRST_ENDS = _FIRST_FACTORS[0][[0, -1]].tolist()
 
 
 def _exp_sinh(g, weights, s: float) -> list[float]:
@@ -113,41 +117,37 @@ def _exp_sinh(g, weights, s: float) -> list[float]:
     r = s exp(pi/2 sinh t) of scale s; the integral beyond each outermost
     node is estimated as r |w g| there.
 
-    One evaluation covers every node of halvings 0 .. _FIRST_PASS; each
-    later halving is evaluated on its own.  A halving's new nodes are
-    summed in ascending t, and the sums, tails and error estimates are
-    Python floats from there on.  The first pass is checked for finite
-    values once, as a whole; only if it holds a non-finite sample is each
-    of its halvings checked when the sums reach it, as each later halving
-    is.  So the sums, the halving that returns and the r a non-finite
-    sample names are those of evaluating each halving on its own."""
-    def sample(stretch, dlnr_dt):
-        """r at the nodes of these _node_factors, and w g dr/dt there: one
-        row per weight"""
-        r = s * stretch
-        gw = g(r) * (dlnr_dt * r)  # g dr/dt
-        return r, np.array([w * gw for w in weights(r)])
-
+    The nodes are evaluated in passes: one for halvings 0 .. _FIRST_PASS,
+    then one for each later halving.  A halving's new nodes are summed in
+    ascending t, and the sums, tails and error estimates are Python floats
+    from there on.  Each pass is checked for finite values once, as a
+    whole; only if it holds a non-finite sample is each of its halvings
+    checked node by node when the sums reach it.  So the sums, the halving
+    that returns and the r a non-finite sample names are those of
+    evaluating each halving on its own.  The radii are not checked here:
+    _weighted_integrals checks the first pass's two ends, which hold every
+    node."""
     with np.errstate(all="ignore"):  # a non-finite sample raises below
-        first_r, first_vals = sample(*_FIRST_FACTORS)
-        # one check for the whole pass; per node only if it fails
-        first_finite = None
-        if not np.isfinite(first_vals).all():
-            first_finite = np.isfinite(first_vals).all(axis=0)
         for halving in range(_HALVINGS + 1):
             h = 0.5 ** (halving + 1)
-            if halving <= _FIRST_PASS:
-                # the first pass's step is h/k: halving 0 holds every k-th
-                # node, a later one the odd multiples of k
-                k = 1 << (_FIRST_PASS - halving)
-                new = slice(0, None, k) if halving == 0 else slice(k, None, 2 * k)
-                r, vals = first_r[new], first_vals[:, new]
-                finite = None if first_finite is None else first_finite[new]
-            else:
-                r, vals = sample(*_node_factors(np.arange(_T[0] + h, _T[1], 2.0 * h)))
-                finite = np.isfinite(vals).all(axis=0)
-            if finite is not None and not finite.all():
-                bad = float(r[~finite][0])
+            # a pass starts: halvings 0 .. _FIRST_PASS at once, later ones alone
+            fresh = halving == 0 or halving > _FIRST_PASS
+            if fresh:
+                stretch, dlnr_dt = (_FIRST_FACTORS if halving == 0 else
+                                    _node_factors(np.arange(_T[0] + h, _T[1], 2.0 * h)))
+                r = s * stretch
+                gw = g(r) * (dlnr_dt * r)  # g dr/dt
+                pass_vals = np.array([w * gw for w in weights(r)])  # a row per weight
+                # one check for the whole pass; per node only if it fails
+                ok = np.isfinite(pass_vals)
+                finite = None if ok.all() else ok.all(axis=0)
+            # the pass's step is h/k: its first halving holds every k-th
+            # node, a later one (in the first pass) the odd multiples of k
+            k = 1 << max(_FIRST_PASS - halving, 0)
+            new = slice(0, None, k) if fresh else slice(k, None, 2 * k)
+            vals = pass_vals[:, new]
+            if finite is not None and not finite[new].all():
+                bad = float(r[new][~finite[new]][0])
                 raise QuadratureError(f"non-finite integrand sample at r = {bad!r}")
             if halving == 0:
                 # r |w g| = |w g dr/dt| / (pi/2 cosh t) at each end
@@ -168,11 +168,14 @@ def _exp_sinh(g, weights, s: float) -> list[float]:
 def _weighted_integrals(weights, lv: model.Level) -> list[float]:
     """integral of w(r) |U(r)|^2 dr over (0, inf) for each w of weights(r),
     with U^2 computed once per node and shared among the integrals, on the
-    scale of the level's decay length 1/kappa."""
+    scale of the level's decay length 1/kappa.  The nodes increase, so
+    they are checked at the first pass's two ends before any sample
+    (model._check_ends): every later node lies strictly between them."""
     alpha = lv.params.alpha
     s = 1.0 / (alpha * lv.epsilon)
     if not 0.0 < s < math.inf:
         raise QuadratureError(f"the decay length 1/kappa = {s!r} is not a finite positive float")
+    model._check_ends(s * _FIRST_ENDS[0], s * _FIRST_ENDS[1])
     return _exp_sinh(lambda r: lv(alpha * r) ** 2, weights, s)
 
 
@@ -186,7 +189,7 @@ def expectation_report(params: PotentialParams, qn: QuantumNumbers) -> Expectati
     def weights(r):
         """V, and for <r^-2> its exponential stand-in and 1/r^2, at the
         radii r, from one decay pair"""
-        e, em = model._decay(model._radii(r), params.alpha)
+        e, em = model._decay(r, params.alpha)
         if inv_r2 is None:
             return [model._potential(e, em, params)]
         return [model._potential(e, em, params), model._centrifugal(e, em, params.alpha),

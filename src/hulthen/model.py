@@ -39,17 +39,17 @@ one request makes on one level share a single record.
 
 A grid is a numpy array of radii: default_grid spaces them evenly over
 the state, and wavefunction_samples takes any increasing ones and puts
-their ends and size in its meta.  V, the centrifugal term and the samples
-of a caller's grid hold every radius to a finite positive real by one
-check (_radii).  A grid whose radii increase by construction is checked
-at its two ends instead, which holds every radius between them: the even
-grid before it is built (default_grid), and the oracle's ln r grid
-(oracle._log_grid).  V and the centrifugal term are formed from the decay
-pair e^{-ar}, e^{-ar} - 1 (_decay) by _potential and _centrifugal, so a
-caller that needs both at the same radii evaluates the exponentials once.
-_decay checks nothing: potential, centrifugal_approx and the quadrature
-weights of expectation call _radii first, and oracle._log_grid checks its
-ends.
+their ends and size in its meta.  Every radius is held to a finite
+positive real by one rule: a caller's radii are checked one by one
+(_radii: potential, centrifugal_approx and wavefunction_samples with a
+grid), and a grid the program builds, whose radii increase by
+construction, at its two ends (_check_ends), which holds every radius
+between them: the even grid before linspace runs (default_grid), the
+oracle's ln r grid (oracle._log_grid) and the quadrature nodes of
+expectation before any sample.  V and the centrifugal term are formed
+from the decay pair e^{-ar}, e^{-ar} - 1 (_decay) by _potential and
+_centrifugal, so a caller that needs both at the same radii evaluates the
+exponentials once; _decay checks nothing.
 
 The closed forms use math alone.  V, the centrifugal term and U use numpy
 for floats and arrays alike (a float comes back as a numpy float64), and
@@ -289,9 +289,8 @@ def _delta(params: PotentialParams) -> float:
 
 
 def _radii(r) -> np.ndarray:
-    """r, a float or an array of radii, as a float array; ValueError unless
-    every radius is a finite positive real.  The check of every caller of
-    _decay but oracle._log_grid, which checks its grid's two ends."""
+    """r, a float or an array of a caller's radii, as a float array;
+    ValueError unless every radius is a finite positive real."""
     import numpy as np
 
     r = np.asarray(r, dtype=float)
@@ -300,9 +299,17 @@ def _radii(r) -> np.ndarray:
     return r
 
 
+def _check_ends(first, last) -> None:
+    """ValueError, as _radii's, unless the two ends of a grid whose radii
+    increase by construction are finite positive reals, which holds every
+    radius between them."""
+    if not (0.0 < first and last < math.inf):
+        raise ValueError("radii must be finite positive reals")
+
+
 def _decay(r, alpha: float):
     """e^{-ar} and e^{-ar} - 1 (by expm1) at the radii r, from one -ar.  r is
-    an array its caller has checked (_radii, or oracle._log_grid at its two
+    an array its caller has checked (_radii, or _check_ends at its two
     ends); _decay checks nothing."""
     import numpy as np
 
@@ -444,12 +451,12 @@ def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000
     >= 2) from r_max/(4 points) to r_max = 40/kappa, kappa = alpha*eps.
 
     The level is built before the grid is checked, so its errors come
-    first.  ValueError unless both ends are finite positive reals, before
-    linspace runs (r_max = 40/kappa is inf where kappa < 40/max float ~
-    2e-307).  The ends suffice: between them linspace steps up by (r_max -
-    r_min)/(points - 1), and r_max >= 40/max float is a normal float, so on
-    the 4000 points wavefunction_samples takes every radius is finite,
-    positive and above the one before.
+    first.  Its two ends are checked before linspace runs (_check_ends;
+    r_max = 40/kappa is inf where kappa < 40/max float ~ 2e-307).  The
+    ends suffice: between them linspace steps up by (r_max - r_min)/(points
+    - 1), and r_max >= 40/max float is a normal float, so on the 4000
+    points wavefunction_samples takes every radius is finite, positive and
+    above the one before.
     """
     import numpy as np
 
@@ -457,8 +464,7 @@ def default_grid(params: PotentialParams, qn: QuantumNumbers, points: int = 4000
     lv = level(params, qn)
     r_max = 40.0 / (lv.params.alpha * lv.epsilon)
     r_min = r_max / (4.0 * points)
-    if not (0.0 < r_min and r_max < math.inf):
-        raise ValueError("radii must be finite positive reals")
+    _check_ends(r_min, r_max)
     return np.linspace(r_min, r_max, int(points))
 
 

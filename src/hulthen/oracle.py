@@ -261,9 +261,8 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     It also gives its series (_series), which the grids of one ladder share,
     so start is that series at this grid's h.
 
-    The radii increase, so they are checked at their two ends: ValueError
-    unless both are finite positive reals, which holds every radius between
-    them.  V is formed from them unchecked (model._decay).  Raises
+    The radii increase, so they are checked at their two ends
+    (model._check_ends), and V is formed from them unchecked.  Raises
     OracleError naming the first radius where P or Q is not finite: Q = c
     r^2 overflows towards r_max (once r >~ 1e154 hbar/sqrt(mu)), V towards
     r_min for a huge Z, and Q V in between.
@@ -273,8 +272,7 @@ def _log_grid(params: PotentialParams, l: int, r_min: float, r_max: float, n: in
     x0 = math.log(r_min)
     h = (math.log(r_max) - x0) / (n - 1)
     radii = np.exp(x0 + h * (np.arange(n) if coarse is None else np.arange(1, n, 2)))
-    if not (0.0 < radii[0] and radii[-1] < math.inf):
-        raise ValueError("radii must be finite positive reals")
+    model._check_ends(radii[0], radii[-1])
     # pot before q_arr: the other order made a solve fault in up to three
     # times the pages (the grid's temporaries are handed back to the OS)
     with np.errstate(all="ignore"):

@@ -23,9 +23,11 @@ def jacobi_poly(n: int, a: float, b: float):
     k = 1, and -2(s-1)[(a+b)(b+2k-1) + 2k(k-1)]/a_k for k >= 2, where
     s = 2k+a+b and a_k = 2k(k+a+b)(s-2).  The coefficients are computed
     once here, not at every y.  ValueError if one of them is not a finite
-    float (A_k grows like a + b, and its numerator overflows first).
+    float (A_k grows like a + b, and its numerator overflows first).  A
+    degree that is not a nonnegative integer raises ValueError, inf and nan
+    before int() is called on them.
     """
-    if n != int(n) or n < 0:
+    if not (0 <= n < math.inf and n == int(n)):
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
     coeffs = [(0.5 * (a + b + 2.0), -(b + 1.0), 0.0)] if n >= 1 else []
     for k in range(2, int(n) + 1):

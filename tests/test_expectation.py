@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -314,6 +315,33 @@ def test_decay_length_past_the_float_range_raises_before_any_sample(monkeypatch)
     monkeypatch.setattr(expectation, "_exp_sinh", None)
     with pytest.raises(QuadratureError, match="^the decay length 1/kappa = inf "):
         expectation_report(params, GROUND)
+
+
+@pytest.mark.parametrize("epsilon, end", [
+    # s = 1/kappa = 1e305: the outermost node, 4.3e3 s, overflows to inf
+    (2e-304, math.inf),
+    # s = 1e-303: the innermost node, 8.0e-22 s, underflows to 0
+    (2e304, 0.0),
+])
+def test_nodes_past_the_float_range_raise_before_any_sample(epsilon, end):
+    # the nodes increase, so the first pass's two ends are checked before U
+    # is sampled; each pass's radii were checked in its weights, after U^2
+    # had been sampled at every node
+    base = level(ANCHOR, GROUND)
+    samples = []
+    lv = dataclasses.replace(base, epsilon=epsilon,
+                             poly=lambda y: samples.append(y) or base.poly(y))
+    weights = lambda r: samples.append(r) or [np.ones_like(r)]
+    s = 1.0 / (ANCHOR.alpha * epsilon)
+    with np.errstate(over="ignore", under="ignore"):
+        assert 0.0 < s < math.inf and end in (s * expectation._FIRST_FACTORS[0]).tolist()
+    with pytest.raises(ValueError, match="^radii must be finite positive reals$"):
+        _weighted_integrals(weights, lv)
+    assert samples == []
+    # the count sees every sample: at the level's own epsilon its one pass
+    # samples U and the weights once each
+    _weighted_integrals(weights, dataclasses.replace(lv, epsilon=base.epsilon))
+    assert len(samples) == 2
 
 
 def _plain_nodes(s, halving):

@@ -213,6 +213,10 @@ def test_jacobi_array_input():
 def test_jacobi_domain():
     with pytest.raises(ValueError):
         jacobi_poly(-1, 0.0, 0.0)(1.5)
+    # inf raised a bare OverflowError from int(), and nan int()'s own message
+    for n in (math.inf, math.nan, 2.5):
+        with pytest.raises(ValueError, match=f"^degree must be a nonnegative integer, got {n}$"):
+            jacobi_poly(n, 1.0, 1.0)
     # (s-1) s (s-2) overflows in A_2, so P_2 came out nan at every x
     with pytest.raises(ValueError, match="^Jacobi recurrence of P_2.* outside the float range$"):
         jacobi_poly(2, 1e120, -1.0)
