@@ -34,7 +34,7 @@ SOLVES = [
     # a high level that ends on a 7297-point grid
     (dict(Z=1.0, alpha=0.002), (20, 0),
      "-0x1.737f26d0617bep-12", "0x1.0cf286aaaaaabp-40", 12, 7297),
-    # the DEEP_LEVEL argv set of tools/cli_bytes.py, at E = -1.26e6
+    # the DEEP_LEVEL argv set of tools/same_bits.py, at E = -1.26e6
     (dict(Z=267.2578875980919, mu=2.0965521440403934, hbar=0.24389413498379664,
           alpha=0.044498771571684484), (0, 0),
      "-0x1.334e839584d30p+20", "0x1.3333333333333p-29", 15, 8801),

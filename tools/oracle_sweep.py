@@ -2,6 +2,9 @@
 
     python3 tools/oracle_sweep.py OLD_SRC [NEW_SRC] [--seed N] [--draws N]
 
+Whether any output bit moved is what `tools/same_bits.py` answers; this
+tool asks how far each level moved, and whether it is still right.
+
 Each draw is a potential and a level: Z and mu in 10^[-1, 1], hbar in
 10^[-0.7, 0.5], alpha in 10^[-3, 0], D in 1..5, l in 0..3 and n in 0..6.
 For every draw, each tree (a directory holding the `hulthen` package;

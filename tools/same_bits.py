@@ -1,35 +1,61 @@
-"""Compare the CLI of two source trees byte for byte.
+"""Compare the output bits of two source trees: the CLI's and the bench
+items'.
 
-    python3 tools/cli_bytes.py OLD_SRC [NEW_SRC]
+    python3 tools/same_bits.py OLD_SRC [NEW_SRC]
 
-Each argv set of ARGV_SETS runs as a fresh `python -m hulthen.cli` child
-against OLD_SRC and against NEW_SRC (directories holding the `hulthen`
-package; NEW_SRC defaults to the `src/` of this checkout).  The exit
-code, stdout and stderr of the two children are compared, and so are
-the bytes of the file an argv set writes through `--out <out>` (or its
-absence): each child gets its own temporary path for <out>.  Each
-tree's path and the temporary path are replaced by placeholders, so
-that tracebacks and messages from two checkouts can still agree.  A
-child that runs longer than TIMEOUT_S seconds is killed and its argv set
-reported as differing in "timeout".  The argv sets that differ are
-printed, and the exit status is 1 if there are any, else 0.
+OLD_SRC and NEW_SRC are directories holding the `hulthen` package;
+NEW_SRC defaults to the `src/` of this checkout.  A tree without
+`hulthen/__init__.py` is refused, with exit status 2, before anything
+runs.  Every child is a fresh interpreter in its tree's directory, with
+no HULTHEN_* variables, no bytecode written and PYTHONPATH set to the
+tree (and for the bench items to `bench/` and `tools/` after it).
+
+CLI: each argv set of ARGV_SETS runs as a `python -m hulthen.cli` child
+against each tree.  The exit code, stdout and stderr of the two children
+are compared, and so are the bytes of the file an argv set writes
+through `--out <out>` (or its absence): each child gets its own
+temporary path for <out>.  Each tree's path and the temporary path are
+replaced by placeholders, so that tracebacks and messages from two
+checkouts can still agree.  A child that runs longer than TIMEOUT_S
+seconds is killed and its argv set reported as differing in "timeout".
+
+Bench items: every item of the `spectra`, `census` and `reports`
+workloads of bench seeds 1-3, as `bench/inputs.py` generates them (kept
+faults included), runs through its workload's `run` in `bench/ops.py`,
+in round order, in one child per tree.  bench/ is only read.  Each
+result is reduced to what its bits say: every float (numpy's too) to its
+`float.hex`, each numpy array to its dtype, shape and the SHA-256 of its
+bytes, a dataclass to its class name and fields, and an exception raised
+in place of a result to its class name and message.
+
+Each argv set that differs is printed with the names of its differing
+fields, and each item with its inputs and the paths of its differing
+fields.  The last line reads `N of 106 argv sets and M of 24192 bench
+items differ`, and the exit status is 1 if N or M is nonzero, else 0.
 
 The parent commit's tree can be unpacked next to the checkout with
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
 
-and is then compared by `python3 tools/cli_bytes.py ../parent/src`.
+and is then compared by `python3 tools/same_bits.py ../parent/src`.
 To run that tree's tests, run pytest inside the unpacked copy (`cd
 ../parent && python -m pytest`): pyproject.toml sets pytest's pythonpath
 to src/, ahead of PYTHONPATH, so `PYTHONPATH=../parent/src python -m
 pytest` run from this checkout tests this checkout.
 """
 
+import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("spectra", "census", "reports")
+SEEDS = (1, 2, 3)
 
 # Z mu/hbar^2 ~ 500: U lost its digits near the origin while P_n was
 # evaluated in x = 1 - 2s, and the quadrature did not converge (exit 3)
@@ -179,21 +205,35 @@ OUT = "<out>"
 TIMEOUT_S = 60.0
 
 
-def run(src: Path, argv: list[str], timeout: float = TIMEOUT_S):
+def tree(src) -> Path:
+    """src resolved; FileNotFoundError if it holds no hulthen package."""
+    path = Path(src).resolve()
+    if not (path / "hulthen" / "__init__.py").is_file():
+        raise FileNotFoundError(f"no hulthen package in {path}")
+    return path
+
+
+def child_env(*paths: Path) -> dict[str, str]:
+    """This environment with no HULTHEN_* variables, no bytecode written
+    and PYTHONPATH set to paths."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HULTHEN_")}
+    env["PYTHONPATH"] = os.pathsep.join(map(str, paths))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def run_cli(src: Path, argv: list[str], timeout: float = TIMEOUT_S):
     """Exit code, stdout, stderr and the bytes of the --out file (None if
     none was written) of `python -m hulthen.cli ARGV` on the tree src, with
-    no HULTHEN_* variables, src's path as PLACEHOLDER and a fresh temporary
-    path for OUT; None if the child outlives timeout seconds."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("HULTHEN_")}
-    env["PYTHONPATH"] = str(src)
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    src's path as PLACEHOLDER and a fresh temporary path for OUT; None if
+    the child outlives timeout seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         try:
             proc = subprocess.run([sys.executable, "-m", "hulthen.cli",
                                    *(out if arg == OUT else arg for arg in argv)],
-                                  cwd=src, env=env, capture_output=True, check=False,
-                                  timeout=timeout)
+                                  cwd=src, env=child_env(src), capture_output=True,
+                                  check=False, timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
         written = Path(out).read_bytes() if os.path.exists(out) else None
@@ -205,15 +245,15 @@ def run(src: Path, argv: list[str], timeout: float = TIMEOUT_S):
     return proc.returncode, scrub(proc.stdout), scrub(proc.stderr), written
 
 
-def compare(old_src, new_src, argv_sets=ARGV_SETS,
-            timeout: float = TIMEOUT_S) -> list[tuple[list[str], list[str]]]:
+def compare_cli(old_src, new_src, argv_sets=ARGV_SETS,
+                timeout: float = TIMEOUT_S) -> list[tuple[list[str], list[str]]]:
     """(argv, names of the differing fields) for each argv set whose exit
     code, stdout, stderr or --out file differs between the two trees, or
     that timed out on either."""
-    trees = [Path(old_src).resolve(), Path(new_src).resolve()]
+    trees = [tree(old_src), tree(new_src)]
     diffs = []
     for argv in argv_sets:
-        old, new = (run(src, argv, timeout) for src in trees)
+        old, new = (run_cli(src, argv, timeout) for src in trees)
         if old is None or new is None:
             fields = ["timeout"]
         else:
@@ -224,17 +264,104 @@ def compare(old_src, new_src, argv_sets=ARGV_SETS,
     return diffs
 
 
+def reduce(value):
+    """value as JSON whose equality is equality of its bits."""
+    import numpy as np
+
+    if isinstance(value, (bool, str, type(None))):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.ndarray):
+        return [str(value.dtype), list(value.shape), hashlib.sha256(value.tobytes()).hexdigest()]
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__, {f.name: reduce(getattr(value, f.name))
+                                       for f in dataclasses.fields(value)}]
+    if isinstance(value, dict):
+        return {str(k): reduce(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reduce(v) for v in value]
+    raise TypeError(f"no reduction for {type(value).__name__}")
+
+
+def child(seeds, rounds: int | None) -> None:
+    """Print [label, inputs, reduction] of each item as JSON, run on the
+    hulthen package that PYTHONPATH names first."""
+    import inputs
+    import ops
+
+    table = inputs.ref.load_table()
+    results = []
+    for workload in WORKLOADS:
+        op = ops.make(workload, str(ROOT), str(ROOT / "bench"))
+        for seed in seeds:
+            for r, rnd in enumerate(inputs.generate(workload, seed, table)["rounds"][:rounds]):
+                for i, item in enumerate(rnd):
+                    item = {k: v for k, v in item.items() if k not in ("ref", "kept")}
+                    try:
+                        out = reduce(op.run(item))
+                    except Exception as exc:  # the class and message are the outcome
+                        out = ["raised", type(exc).__name__, str(exc)]
+                    results.append([f"{workload} seed {seed} round {r} item {i}", item, out])
+    json.dump(results, sys.stdout)
+
+
+def run_items(src: Path, seeds, rounds: int | None) -> list:
+    """child(seeds, rounds) on the tree src."""
+    code = f"import same_bits; same_bits.child({list(seeds)!r}, {rounds!r})"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          env=child_env(src, ROOT / "bench", ROOT / "tools"),
+                          capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise RuntimeError(f"the child on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def differing_paths(a, b, path: str = "") -> list[str]:
+    """The paths within two reductions at which they differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for k in sorted(a.keys() | b.keys())
+                for p in differing_paths(a.get(k), b.get(k), f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in differing_paths(x, y, f"{path}[{i}]")]
+    return [] if a == b else [path or "."]
+
+
+def compare_items(old_src, new_src, seeds=SEEDS, rounds: int | None = None
+                  ) -> tuple[list[tuple[str, dict, list[str]]], int]:
+    """((label, inputs, differing paths) of each item whose reductions
+    differ, the number of items compared)."""
+    trees = [tree(old_src), tree(new_src)]
+    old, new = (run_items(src, seeds, rounds) for src in trees)
+    if [row[:2] for row in old] != [row[:2] for row in new]:
+        raise RuntimeError("the two children ran different items")
+    diffs = [(label, item, differing_paths(a, b))
+             for (label, item, a), (_, _, b) in zip(old, new) if a != b]
+    return diffs, len(old)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (1, 2):
-        print("usage: python3 tools/cli_bytes.py OLD_SRC [NEW_SRC]", file=sys.stderr)
+        print("usage: python3 tools/same_bits.py OLD_SRC [NEW_SRC]", file=sys.stderr)
         return 2
-    new_src = args[1] if len(args) == 2 else Path(__file__).resolve().parents[1] / "src"
-    diffs = compare(args[0], new_src)
-    for cmd, fields in diffs:
-        print(f"differs ({', '.join(fields)}): {' '.join(cmd)}")
-    print(f"{len(diffs)} of {len(ARGV_SETS)} argv sets differ")
-    return 1 if diffs else 0
+    try:
+        trees = [tree(src) for src in [*args, ROOT / "src"][:2]]
+    except FileNotFoundError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    cli = compare_cli(*trees)
+    items, total = compare_items(*trees)
+    lines = [(fields, " ".join(argv)) for argv, fields in cli]
+    lines += [(paths, f"{label} {json.dumps(item)}") for label, item, paths in items]
+    for fields, what in lines:
+        print(f"differs ({', '.join(fields)}): {what}")
+    print(f"{len(cli)} of {len(ARGV_SETS)} argv sets and {len(items)} of {total} "
+          "bench items differ")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
